@@ -53,7 +53,7 @@ func benchStreamSteadyState(b *testing.B, st *Streamer, ticks [][]float64) {
 
 // BenchmarkStreamTickIncremental measures, per window shape, the exact and
 // the incremental serving tick interleaved (the incremental layer runs with
-// its production defaults: ε=0.02, MaxStale=64, no strict revalidation).
+// its production defaults: ε=0.02, MaxStale=64).
 // Workers:1 keeps both sides deterministic and single-threaded.
 func BenchmarkStreamTickIncremental(b *testing.B) {
 	for _, tc := range streamBenchCases {

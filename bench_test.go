@@ -17,12 +17,10 @@ import (
 	"testing"
 
 	"pfg/internal/core"
-	"pfg/internal/graph"
 	"pfg/internal/hac"
 	"pfg/internal/matrix"
 	"pfg/internal/metrics"
 	"pfg/internal/mst"
-	"pfg/internal/parallel"
 	"pfg/internal/pmfg"
 	"pfg/internal/tmfg"
 	"pfg/internal/tsgen"
@@ -345,26 +343,6 @@ func BenchmarkMicro_ARI(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_APSPDeltaStepping(b *testing.B) {
-	w := workload(b, "ecg", 800, 140, 5, 0.8)
-	tm, err := tmfg.Build(w.sim, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	edges := tm.Graph.Edges()
-	for i := range edges {
-		edges[i].W = w.dis.At(int(edges[i].U), int(edges[i].V))
-	}
-	dg, err := graph.FromEdges(800, edges)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dg.AllPairsShortestPathsDelta(0)
-	}
-}
-
 func BenchmarkMicro_MSTSingleLinkage(b *testing.B) {
 	w := workload(b, "micro", 1000, 64, 4, 0.5)
 	b.ResetTimer()
@@ -373,20 +351,5 @@ func BenchmarkMicro_MSTSingleLinkage(b *testing.B) {
 		if _, err := mst.SingleLinkage(w.dis); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMicro_ParallelIntSort(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 1 << 20
-	base := make([]int32, n)
-	for i := range base {
-		base[i] = int32(rng.Intn(1024))
-	}
-	buf := make([]int32, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, base)
-		parallel.SortInt32ByKey(buf, func(x int32) int32 { return x }, 1024)
 	}
 }

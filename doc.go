@@ -73,15 +73,13 @@
 //
 // StreamOptions.Incremental (see IncrementalOptions) makes snapshots reuse
 // the most recent exact clustering across ticks instead of re-clustering
-// the window from scratch every time. The layer persists per-method warm
-// state — the recorded TMFG insertion trajectory, per-merge HAC slacks —
-// and serves the reference result while a chain of gates certifies it:
-// engine-exact boundaries (fill, rebuilds) always force an exact
-// re-cluster, as do entrywise correlation drift beyond DriftThreshold,
-// reference age beyond MaxStale, and failed strict revalidation
-// (RepairBudget/ValidateEvery). Served-stale results carry
-// Result.TicksSinceExact and Result.Drift (stale_ticks/drift on the wire);
-// exact results report 0/0, so a snapshot is always bit-identical
+// the window from scratch every time. The layer keeps the reference
+// result and its correlation matrix, and serves the result while a chain
+// of gates admits it: engine-exact boundaries (fill, rebuilds) always force
+// an exact re-cluster, as do entrywise correlation drift beyond
+// DriftThreshold and reference age beyond MaxStale. Served-stale results
+// carry Result.TicksSinceExact and Result.Drift (stale_ticks/drift on the
+// wire); exact results report 0/0, so a snapshot is always bit-identical
 // (Workers:1) to the exact clustering of the window TicksSinceExact ticks
 // ago. Streamer.IncrementalStats counts gate outcomes; BENCH_incr.json
 // records the amortized speedups with the exact fallbacks inside the

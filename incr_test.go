@@ -180,7 +180,7 @@ func TestIncrementalMatchesBatchAtBoundaries(t *testing.T) {
 			if stats.Hits == 0 {
 				t.Fatal("no incremental hits over the whole run")
 			}
-			if stats.Fulls != stats.FullInit+stats.FullBoundary+stats.FullDrift+stats.FullStale+stats.FullRepair {
+			if stats.Fulls != stats.FullInit+stats.FullBoundary+stats.FullDrift+stats.FullStale {
 				t.Fatalf("gate counters don't sum: %+v", stats)
 			}
 		})
@@ -250,7 +250,7 @@ func TestIncrementalRebuildEveryOne(t *testing.T) {
 // TestIncrementalMinSeries: the incremental layer at n just above
 // Method.MinSeries() — the smallest TMFG (n=4, a bare 4-clique with no
 // insertion rounds) and the smallest HAC (n=2, the single-merge shortcut) —
-// honors the same serving contract, including in strict mode.
+// honors the same serving contract.
 func TestIncrementalMinSeries(t *testing.T) {
 	cases := []struct {
 		method Method
@@ -276,49 +276,12 @@ func TestIncrementalMinSeries(t *testing.T) {
 			is := newIncShadow(t, window, StreamOptions{
 				Cluster:      Options{Method: c.method, Prefix: 1, Workers: 1},
 				RebuildEvery: 4,
-				Incremental: IncrementalOptions{
-					Enabled:       true,
-					MaxStale:      3,
-					RepairBudget:  1,
-					ValidateEvery: 2,
-				},
+				Incremental:  IncrementalOptions{Enabled: true, MaxStale: 3},
 			})
 			defer is.Close()
 			for p, x := range stream {
 				is.push(t, x)
 				is.check(t, fmt.Sprintf("tick-%d", p+1), 2)
-			}
-		})
-	}
-}
-
-// TestIncrementalStrictMode drives the RepairBudget revalidation path on
-// realistic sizes and checks the serving contract still holds tick by tick
-// (certified hits included) while the repair counters actually move.
-func TestIncrementalStrictMode(t *testing.T) {
-	const n, window, k = 12, 24, 3
-	for _, m := range []Method{TMFGDBHT, CompleteLinkage} {
-		t.Run(m.String(), func(t *testing.T) {
-			stream := tickStream(t, n, window+24, 83)
-			is := newIncShadow(t, window, StreamOptions{
-				Cluster:      Options{Method: m, Prefix: 2, Workers: 1},
-				RebuildEvery: 1 << 20, // keep periodic rebuilds out of the way
-				Incremental: IncrementalOptions{
-					Enabled:        true,
-					DriftThreshold: 1, // let revalidation, not drift, decide
-					MaxStale:       -1,
-					RepairBudget:   2,
-					ValidateEvery:  1,
-				},
-			})
-			defer is.Close()
-			for p, x := range stream {
-				is.push(t, x)
-				is.check(t, fmt.Sprintf("tick-%d", p+1), k)
-			}
-			stats, _ := is.inc.IncrementalStats()
-			if stats.Repairs+stats.FullRepair == 0 {
-				t.Fatalf("strict mode never exercised revalidation: %+v", stats)
 			}
 		})
 	}
@@ -480,20 +443,18 @@ func TestIncrementalStalenessSurfaced(t *testing.T) {
 // its reference generation (via the shadow streamer), with drift and
 // staleness inside the documented bounds. Any divergence is a crasher.
 func FuzzIncrementalCluster(f *testing.F) {
-	f.Add(uint8(8), uint8(6), uint8(0), uint8(3), uint8(0), []byte("seed-a"))
-	f.Add(uint8(4), uint8(4), uint8(1), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	f.Add(uint8(2), uint8(5), uint8(2), uint8(8), uint8(1), []byte{0xff, 0x00, 0x80, 0x7f})
-	f.Add(uint8(12), uint8(10), uint8(0), uint8(2), uint8(3), []byte("golden-ish-run"))
-	f.Add(uint8(5), uint8(3), uint8(1), uint8(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, nRaw, windowRaw, methodRaw, gateRaw, strictRaw uint8, data []byte) {
+	f.Add(uint8(8), uint8(6), uint8(0), uint8(3), []byte("seed-a"))
+	f.Add(uint8(4), uint8(4), uint8(1), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add(uint8(2), uint8(5), uint8(2), uint8(8), []byte{0xff, 0x00, 0x80, 0x7f})
+	f.Add(uint8(12), uint8(10), uint8(0), uint8(2), []byte("golden-ish-run"))
+	f.Add(uint8(5), uint8(3), uint8(1), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, nRaw, windowRaw, methodRaw, gateRaw uint8, data []byte) {
 		method := []Method{TMFGDBHT, CompleteLinkage, AverageLinkage}[int(methodRaw)%3]
 		n := method.MinSeries() + int(nRaw)%9
 		window := 3 + int(windowRaw)%10
 		eps := []float64{-1, 0, 0.005, 0.05, 1}[int(gateRaw)%5]
 		maxStale := -1 + int(gateRaw>>3)%6 // -1 (off) .. 4
 		rebuildEvery := 1 + int(gateRaw)%7
-		repair := int(strictRaw) % 3
-		validate := 1 + int(strictRaw>>2)%3
 		is := newIncShadow(t, window, StreamOptions{
 			Cluster:      Options{Method: method, Prefix: 1 + int(methodRaw)%3, Workers: 1},
 			RebuildEvery: rebuildEvery,
@@ -501,8 +462,6 @@ func FuzzIncrementalCluster(f *testing.F) {
 				Enabled:        true,
 				DriftThreshold: eps,
 				MaxStale:       maxStale,
-				RepairBudget:   repair,
-				ValidateEvery:  validate,
 			},
 		})
 		defer is.Close()

@@ -19,8 +19,8 @@
 //	header  104 bytes: magic "PFGC" | u32 version | u32 flags | u32 precision
 //	        | u64 n, window, count, head, slides, generation
 //	        | i64 rebuildEvery
-//	        | f64 incDriftThreshold | i64 incMaxStale, incRepairBudget,
-//	          incValidateEvery
+//	        | f64 incDriftThreshold | i64 incMaxStale
+//	        | 16 reserved bytes (written as zero, ignored on read)
 //	sums    n float64            (present iff flags&flagEngine)
 //	ring    window×n values      (float64, or float32 when precision=1)
 //	band    n×n values           (float64, or float32 when precision=1)
@@ -112,8 +112,6 @@ type IncParams struct {
 	Enabled        bool
 	DriftThreshold float64
 	MaxStale       int
-	RepairBudget   int
-	ValidateEvery  int
 }
 
 // Params is the session configuration a checkpoint carries alongside the
@@ -175,8 +173,6 @@ func CheckpointTo(w io.Writer, e *stream.Engine, p Params) (int64, error) {
 	le.PutUint64(hdr[64:], uint64(p.RebuildEvery))
 	le.PutUint64(hdr[72:], math.Float64bits(p.Inc.DriftThreshold))
 	le.PutUint64(hdr[80:], uint64(p.Inc.MaxStale))
-	le.PutUint64(hdr[88:], uint64(p.Inc.RepairBudget))
-	le.PutUint64(hdr[96:], uint64(p.Inc.ValidateEvery))
 	enc.writeRawFrame(hdr[:])
 
 	if e != nil {
@@ -254,8 +250,6 @@ func RestoreEngine(r io.Reader, wspace *ws.Workspace) (*stream.Engine, Params, e
 			Enabled:        true,
 			DriftThreshold: math.Float64frombits(le.Uint64(hdr[72:])),
 			MaxStale:       int(int64(le.Uint64(hdr[80:]))),
-			RepairBudget:   int(int64(le.Uint64(hdr[88:]))),
-			ValidateEvery:  int(int64(le.Uint64(hdr[96:]))),
 		}
 		if d := p.Inc.DriftThreshold; math.IsNaN(d) || math.IsInf(d, 0) {
 			return nil, Params{}, fmt.Errorf("%w: non-finite incremental drift threshold", ErrFormat)

@@ -83,7 +83,7 @@ func sameEngine(t *testing.T, tag string, a, b *stream.Engine) {
 	}
 }
 
-var testParams = Params{Inc: IncParams{Enabled: true, DriftThreshold: 0.03, MaxStale: 40, RepairBudget: 2, ValidateEvery: 3}}
+var testParams = Params{Inc: IncParams{Enabled: true, DriftThreshold: 0.03, MaxStale: 40}}
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	cases := []struct {

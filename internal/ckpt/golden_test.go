@@ -15,6 +15,7 @@ package ckpt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"os"
 	"path/filepath"
@@ -35,14 +36,18 @@ type goldenCase struct {
 	count        int
 	rebuild      bool // force an exact rebuild before checkpointing
 	params       Params
+	// legacy: testdata/ckpt/legacy_<name>.pfgc holds this case's bytes as
+	// written when header payload bytes 88–103 (now reserved, ignored on
+	// read) still carried two incremental knobs, set to 2 and 3.
+	legacy bool
 }
 
 func goldenCkptCases() []goldenCase {
 	return []goldenCase{
-		{name: "f64_midfill", n: 5, window: 12, rebuildEvery: 4, prec: stream.Float64, count: 7, params: testParams},
+		{name: "f64_midfill", n: 5, window: 12, rebuildEvery: 4, prec: stream.Float64, count: 7, params: testParams, legacy: true},
 		{name: "f64_postrebuild", n: 5, window: 12, rebuildEvery: 4, prec: stream.Float64, count: 21, rebuild: true},
 		{name: "f32_midfill", n: 4, window: 10, rebuildEvery: 4, prec: stream.Float32, count: 6},
-		{name: "f32_postrebuild", n: 4, window: 10, rebuildEvery: 4, prec: stream.Float32, count: 17, rebuild: true, params: testParams},
+		{name: "f32_postrebuild", n: 4, window: 10, rebuildEvery: 4, prec: stream.Float32, count: 17, rebuild: true, params: testParams, legacy: true},
 	}
 }
 
@@ -87,14 +92,20 @@ func TestGoldenCheckpoint(t *testing.T) {
 					"if intentional, bump FormatVersion and regenerate with -update", path, len(got), len(want))
 			}
 
-			// Backward compatibility: the committed file must still restore
-			// to the exact engine bits.
-			eng, p, err := RestoreEngine(bytes.NewReader(want), ws.New())
-			if err != nil {
-				t.Fatalf("committed fixture no longer restores: %v", err)
-			}
-			if p.Inc != c.params.Inc {
-				t.Fatalf("restored inc params %+v != %+v", p.Inc, c.params.Inc)
+			// Backward compatibility: the committed file, and its legacy
+			// copy where one is kept, must still restore to the exact engine
+			// bits.
+			files := [][]byte{want}
+			if c.legacy {
+				old, err := os.ReadFile(filepath.Join("testdata", "ckpt", "legacy_"+c.name+".pfgc"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// File offset = payload offset + the 4-byte frame length.
+				if a, b := binary.LittleEndian.Uint64(old[4+88:]), binary.LittleEndian.Uint64(old[4+96:]); a != 2 || b != 3 {
+					t.Fatalf("legacy fixture's reserved header bytes hold %d, %d; want 2, 3", a, b)
+				}
+				files = append(files, old)
 			}
 			fresh := buildEngine(t, c.n, c.window, c.rebuildEvery, c.prec, c.count, 2026)
 			if c.rebuild {
@@ -104,7 +115,16 @@ func TestGoldenCheckpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sameEngine(t, c.name, fresh, eng)
+			for i, data := range files {
+				eng, p, err := RestoreEngine(bytes.NewReader(data), ws.New())
+				if err != nil {
+					t.Fatalf("committed fixture %d no longer restores: %v", i, err)
+				}
+				if p.Inc != c.params.Inc {
+					t.Fatalf("fixture %d: restored inc params %+v != %+v", i, p.Inc, c.params.Inc)
+				}
+				sameEngine(t, c.name, fresh, eng)
+			}
 		})
 	}
 }

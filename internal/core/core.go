@@ -74,15 +74,6 @@ func TMFGDBHTCtx(ctx context.Context, pool *exec.Pool, sim *matrix.Sym, dis *mat
 // w, so repeated same-shape runs on a warm workspace perform only the
 // allocations that escape into the Result.
 func TMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, dis *matrix.Sym, prefix int) (*Result, error) {
-	return TMFGDBHTRecordWS(ctx, pool, w, sim, dis, prefix, nil)
-}
-
-// TMFGDBHTRecordWS is TMFGDBHTWS with optional TMFG decision recording (see
-// tmfg.BuildRecordWS): when rec is non-nil it is overwritten with the graph
-// construction's decision trajectory, which the incremental streaming layer
-// revalidates and resumes on later ticks. The clustering result is
-// bit-identical to the unrecorded run.
-func TMFGDBHTRecordWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, dis *matrix.Sym, prefix int, rec *tmfg.Recording) (*Result, error) {
 	start := time.Now()
 	var bd Breakdown
 	ownDis := false
@@ -95,7 +86,7 @@ func TMFGDBHTRecordWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim
 		ownDis = true
 	}
 	t0 := time.Now()
-	tm, err := tmfg.BuildRecordWS(ctx, pool, w, sim, prefix, rec)
+	tm, err := tmfg.BuildWS(ctx, pool, w, sim, prefix)
 	if err != nil {
 		if ownDis {
 			dis.Release(w)
@@ -195,19 +186,10 @@ func HACCtx(ctx context.Context, pool *exec.Pool, dis *matrix.Sym, linkage hac.L
 // HACWS is HACCtx with explicit workspace scratch: the NN-chain's working
 // copy of the matrix comes from the workspace instead of a fresh append.
 func HACWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, dis *matrix.Sym, linkage hac.Linkage) (*Result, error) {
-	return HACRecordWS(ctx, pool, w, dis, linkage, nil)
-}
-
-// HACRecordWS is HACWS with optional merge-decision recording (see
-// hac.RunMatrixRecordWS): when rec is non-nil it is overwritten with the
-// NN-chain trajectory and per-merge slacks, which the incremental streaming
-// layer replays against perturbed matrices. The dendrogram is bit-identical
-// to the unrecorded run.
-func HACRecordWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, dis *matrix.Sym, linkage hac.Linkage, rec *hac.Recording) (*Result, error) {
 	start := time.Now()
 	buf := w.Float64(len(dis.Data))
 	copy(buf, dis.Data)
-	d, err := hac.RunMatrixRecordWS(ctx, pool, w, dis.N, buf, linkage, rec)
+	d, err := hac.RunMatrixWS(ctx, pool, w, dis.N, buf, linkage)
 	w.PutFloat64(buf)
 	if err != nil {
 		return nil, err

@@ -388,63 +388,3 @@ func (p *Pool) Sum(ctx context.Context, n int, val func(i int) float64) (float64
 	}
 	return total, nil
 }
-
-// Filter returns the elements of s for which keep is true, preserving order.
-// It parallelizes the predicate evaluation and uses per-block counts plus a
-// prefix sum to write results contiguously. (A package-level function because
-// Go methods cannot be generic.)
-func Filter[T any](ctx context.Context, p *Pool, s []T, keep func(T) bool) ([]T, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := len(s)
-	if n < 4*minGrain || p.workers == 1 {
-		out := make([]T, 0, n)
-		for _, v := range s {
-			if keep(v) {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	}
-	counts := make([]int, p.workers+1)
-	nb := p.runBlocks(ctx, n, func(w, lo, hi int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if keep(s[i]) {
-				c++
-			}
-		}
-		counts[w+1] = c
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for w := 0; w < nb; w++ {
-		counts[w+1] += counts[w]
-	}
-	out := make([]T, counts[nb])
-	p.runBlocks(ctx, n, func(w, lo, hi int) {
-		pos := counts[w]
-		for i := lo; i < hi; i++ {
-			if keep(s[i]) {
-				out[pos] = s[i]
-				pos++
-			}
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FilterIndex returns the indices i in [0, n) for which keep(i) is true, in
-// increasing order.
-func FilterIndex(ctx context.Context, p *Pool, n int, keep func(i int) bool) ([]int32, error) {
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return Filter(ctx, p, idx, func(i int32) bool { return keep(int(i)) })
-}

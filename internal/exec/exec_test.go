@@ -10,6 +10,8 @@ import (
 	"time"
 )
 
+// TestForCoversAllIndices: For, and ForBlocked at the maximal-parallelism
+// grain 1, each visit every index exactly once.
 func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := New(workers)
@@ -18,10 +20,43 @@ func TestForCoversAllIndices(t *testing.T) {
 			if err := p.For(context.Background(), n, func(i int) { atomic.AddInt32(&seen[i], 1) }); err != nil {
 				t.Fatal(err)
 			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
+			err := p.ForBlocked(context.Background(), n, 1, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
 				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range seen {
+				if c != 2 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times by For+ForBlocked, want 2", workers, n, i, c)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestForBlockedPartition: ForBlocked splits [0, n) into non-empty,
+// in-range blocks whose sizes add up to n.
+func TestForBlockedPartition(t *testing.T) {
+	const n = 99999
+	for _, workers := range []int{1, 4} {
+		p := New(workers)
+		for _, grain := range []int{1, 100} {
+			var total atomic.Int64
+			err := p.ForBlocked(context.Background(), n, grain, func(lo, hi int) {
+				if lo < 0 || hi > n || lo >= hi {
+					t.Errorf("workers=%d grain=%d: bad block [%d,%d)", workers, grain, lo, hi)
+				}
+				total.Add(int64(hi - lo))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := total.Load(); got != n {
+				t.Fatalf("workers=%d grain=%d: blocks cover %d of %d indices", workers, grain, got, n)
 			}
 		}
 		p.Close()
@@ -107,14 +142,8 @@ func TestCancelledBeforeStart(t *testing.T) {
 	if _, err := p.MaxIndex(ctx, 100, func(i int) float64 { return 1 }); err != context.Canceled {
 		t.Fatalf("MaxIndex: err=%v want context.Canceled", err)
 	}
-	if _, err := Filter(ctx, p, make([]int, 100), func(int) bool { return true }); err != context.Canceled {
-		t.Fatalf("Filter: err=%v want context.Canceled", err)
-	}
 	if err := Sort(ctx, p, make([]int, 100), func(a, b int) bool { return a < b }); err != context.Canceled {
 		t.Fatalf("Sort: err=%v want context.Canceled", err)
-	}
-	if _, err := p.ScanExclusive(ctx, make([]int64, 100)); err != context.Canceled {
-		t.Fatalf("ScanExclusive: err=%v want context.Canceled", err)
 	}
 	if ran {
 		t.Fatal("work ran under a cancelled context")
@@ -189,37 +218,6 @@ func TestNestedOperationsNoDeadlock(t *testing.T) {
 	}
 }
 
-func TestFilterMatchesSequential(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	for _, n := range []int{0, 10, 4*minGrain - 1, 4 * minGrain, 30000} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		s := make([]int, n)
-		for i := range s {
-			s[i] = rng.Intn(100)
-		}
-		keep := func(v int) bool { return v%3 == 0 }
-		got, err := Filter(context.Background(), p, s, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []int
-		for _, v := range s {
-			if keep(v) {
-				want = append(want, v)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: got %d want %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d", n, i)
-			}
-		}
-	}
-}
-
 func TestSortMatchesStdlib(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -268,6 +266,45 @@ func TestSumAndMaxIndex(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("MaxIndex got %d want %d", got, want)
+	}
+}
+
+func TestMaxIndex(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	if got, err := p.MaxIndex(context.Background(), 0, nil); err != nil || got != -1 {
+		t.Fatalf("empty: got %d err %v, want -1", got, err)
+	}
+	for _, n := range []int{1, 10, 5000, 30000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = rng.NormFloat64()
+		}
+		got, err := p.MaxIndex(context.Background(), n, func(i int) float64 { return s[i] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for i := 1; i < n; i++ {
+			if s[i] > s[want] {
+				want = i
+			}
+		}
+		if got != want {
+			t.Fatalf("n=%d: got %d want %d", n, got, want)
+		}
+	}
+}
+
+// TestMaxIndexTieBreak: with all values equal, MaxIndex returns the
+// smallest index.
+func TestMaxIndexTieBreak(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	got, err := p.MaxIndex(context.Background(), 10000, func(i int) float64 { return 1 })
+	if err != nil || got != 0 {
+		t.Fatalf("tie-break: got %d err %v, want 0", got, err)
 	}
 }
 

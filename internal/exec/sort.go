@@ -5,13 +5,9 @@ import (
 	"slices"
 )
 
-// SortSeqCutoff is the slice length below which Sort falls back to the
-// sequential standard-library sort. Exported so boundary-exercising tests
-// and the parallel shim reference the real value rather than a copy.
-const SortSeqCutoff = 4096
-
-// sortSeqCutoff is the internal alias used by the sort implementation.
-const sortSeqCutoff = SortSeqCutoff
+// sortSeqCutoff is the slice length below which Sort falls back to the
+// sequential standard-library sort.
+const sortSeqCutoff = 4096
 
 // Sort sorts s in place using less, running a parallel merge sort on the
 // pool for large inputs. Like sort.Slice it is not a stable sort. On
@@ -111,87 +107,4 @@ func merge[T any](a, b, out []T, less func(x, y T) bool) {
 		j++
 		k++
 	}
-}
-
-// SortInt32ByKey sorts the items so their keys are non-decreasing, using a
-// parallel counting sort when the key range is small (the paper's parallel
-// integer sort primitive: O(n) work for keys in [0, O(n·polylog n))). The
-// sort is stable: items with equal keys keep their input order. keyBound
-// must be strictly greater than every key; keys must be non-negative.
-//
-// Falls back to the comparison Sort when the key range is much larger than
-// the item count.
-func SortInt32ByKey[T any](ctx context.Context, p *Pool, items []T, key func(T) int32, keyBound int32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n := len(items)
-	if n <= 1 {
-		return nil
-	}
-	if int(keyBound) > 16*n+1024 {
-		// Counting would be dominated by the histogram; compare instead.
-		return Sort(ctx, p, items, func(a, b T) bool { return key(a) < key(b) })
-	}
-	if p.workers == 1 || n < 4*minGrain {
-		countingSortSeq(items, key, keyBound)
-		return nil
-	}
-	// Parallel stable counting sort: per-block histograms, then exclusive
-	// offsets per (block, key) computed column-major so equal keys preserve
-	// block order.
-	hist := make([][]int32, p.workers)
-	nb := p.runBlocks(ctx, n, func(w, lo, hi int) {
-		h := make([]int32, keyBound)
-		for i := lo; i < hi; i++ {
-			h[key(items[i])]++
-		}
-		hist[w] = h
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Exclusive prefix over (key-major, block-minor) order.
-	offset := make([][]int32, nb)
-	for b := range offset {
-		offset[b] = make([]int32, keyBound)
-	}
-	var running int32
-	for k := int32(0); k < keyBound; k++ {
-		for b := 0; b < nb; b++ {
-			offset[b][k] = running
-			running += hist[b][k]
-		}
-	}
-	out := make([]T, n)
-	p.runBlocks(ctx, n, func(w, lo, hi int) {
-		off := offset[w]
-		for i := lo; i < hi; i++ {
-			k := key(items[i])
-			out[off[k]] = items[i]
-			off[k]++
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	copy(items, out)
-	return nil
-}
-
-func countingSortSeq[T any](items []T, key func(T) int32, keyBound int32) {
-	counts := make([]int32, keyBound+1)
-	for _, it := range items {
-		counts[key(it)+1]++
-	}
-	for k := int32(1); k <= keyBound; k++ {
-		counts[k] += counts[k-1]
-	}
-	out := make([]T, len(items))
-	for _, it := range items {
-		k := key(it)
-		out[counts[k]] = it
-		counts[k]++
-	}
-	copy(items, out)
 }

@@ -149,7 +149,7 @@ func TestExtrasSmoke(t *testing.T) {
 
 func TestAblationAPSPSmoke(t *testing.T) {
 	out := AblationAPSP(tinyConfig())
-	if !strings.Contains(out, "Dijkstra") || !strings.Contains(out, "stepping") {
+	if !strings.Contains(out, "Dijkstra") || !strings.Contains(out, "1-thread") {
 		t.Fatalf("ablation-apsp malformed:\n%s", out)
 	}
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"pfg/internal/core"
+	"pfg/internal/exec"
 	"pfg/internal/graph"
-	"pfg/internal/parallel"
 	"pfg/internal/tmfg"
 )
 
@@ -38,7 +39,7 @@ func Motivation(cfg Config) string {
 				cands = append(cands, cand{w: sim.At(i, j), u: int32(i), v: int32(j)})
 			}
 		}
-		parallel.Sort(cands, func(a, c cand) bool {
+		err = exec.Sort(context.Background(), exec.Default(), cands, func(a, c cand) bool {
 			if a.w != c.w {
 				return a.w > c.w
 			}
@@ -47,6 +48,9 @@ func Motivation(cfg Config) string {
 			}
 			return a.v < c.v
 		})
+		if err != nil {
+			panic(err)
+		}
 		edges := make([]graph.Edge, 0, budget)
 		for _, c := range cands[:budget] {
 			edges = append(edges, graph.Edge{U: c.u, V: c.v, W: c.w})

@@ -160,7 +160,7 @@ func RunMatrixIntoWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 	if n == 1 {
 		return out[:0], nil
 	}
-	return runOnMatrixInto(ctx, pool, w, n, d, linkage, nil, out[:0])
+	return runOnMatrixInto(ctx, pool, w, n, d, linkage, out[:0])
 }
 
 // lwSeqCutoff is the matrix size below which the Lance-Williams row update
@@ -213,16 +213,7 @@ func (u *lwState) update(lo, hi int) {
 }
 
 func runOnMatrix(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	return runOnMatrixRec(ctx, pool, w, n, d, linkage, nil)
-}
-
-// runOnMatrixRec is runOnMatrix with an optional decision recorder: when rec
-// is non-nil, every NN-chain merge is appended to it (slots, working-scale
-// distance, and the local decision slack — see Recording) without changing
-// the produced dendrogram in any bit. Recording costs one extra masked row
-// scan per merge.
-func runOnMatrixRec(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage, rec *Recording) (*dendro.Dendrogram, error) {
-	out, err := runOnMatrixInto(ctx, pool, w, n, d, linkage, rec, make([]dendro.Merge, 0, n-1))
+	out, err := runOnMatrixInto(ctx, pool, w, n, d, linkage, make([]dendro.Merge, 0, n-1))
 	if err != nil {
 		return nil, err
 	}
@@ -233,20 +224,10 @@ func runOnMatrixRec(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int
 // out (whose backing array must have capacity ≥ n−1 beyond its length) and
 // returns the extended slice. Merges are first accumulated over matrix
 // slots, then relabeled in place (see labelInPlace).
-func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage, rec *Recording, out []dendro.Merge) ([]dendro.Merge, error) {
-	if rec != nil {
-		rec.reset(n, linkage)
-	}
+func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage, out []dendro.Merge) ([]dendro.Merge, error) {
 	if n == 2 {
 		// One merge, no chain bookkeeping: the common case for the tiny
 		// per-subgroup linkages inside DBHT hierarchy construction.
-		if rec != nil {
-			h := d[1]
-			if linkage == Ward {
-				h *= h
-			}
-			rec.Merges = append(rec.Merges, MergeRec{A: 0, B: 1, Dist: h, Slack: math.Inf(1)})
-		}
 		return append(out, dendro.Merge{A: 0, B: 1, Height: d[1]}), nil
 	}
 	// Ward's Lance-Williams recurrence operates on squared distances.
@@ -335,23 +316,6 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 					a, b = b, a
 				}
 				out = append(out, dendro.Merge{A: a, B: b, Height: bestD})
-				if rec != nil {
-					// Decision slack: distance to x's runner-up partner. The
-					// merge decision is local — x merges with its nearest
-					// neighbor — so the decision flips only if a perturbation
-					// moves some other partner below bestD. Mask the chosen
-					// column, rescan, restore.
-					xr := d[int(x)*n : int(x)*n+n]
-					saved := xr[prev]
-					xr[prev] = math.Inf(1)
-					second, si := kernel.MinIdx(xr)
-					xr[prev] = saved
-					slack := math.Inf(1)
-					if si >= 0 && !math.IsInf(second, 1) {
-						slack = second - bestD
-					}
-					rec.Merges = append(rec.Merges, MergeRec{A: a, B: b, Dist: bestD, Slack: slack})
-				}
 				// Merge b into a with the Lance-Williams update.
 				lw.ma, lw.mb = a, b
 				lw.sa, lw.sb = float64(size[a]), float64(size[b])

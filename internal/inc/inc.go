@@ -1,9 +1,8 @@
 // Package inc implements the incremental cross-tick clustering layer of the
 // streaming engine: instead of re-clustering the rolling window from scratch
-// on every snapshot, a Manager carries the previous exact clustering (and,
-// in strict mode, its recorded decision trajectory) across ticks and serves
-// it while the correlation matrix provably stays close to the state it was
-// computed from.
+// on every snapshot, a Manager carries the previous exact clustering across
+// ticks and serves it while the correlation matrix provably stays close to
+// the state it was computed from.
 //
 // # Serving contract
 //
@@ -20,15 +19,7 @@
 //     forces an exact refresh.
 //  3. Staleness — a reference older than MaxStale generations forces an
 //     exact refresh regardless of drift.
-//  4. Revalidation (strict mode, RepairBudget > 0) — every ValidateEvery
-//     ticks the recorded clusterer decisions are re-checked against the
-//     current matrix: TMFG trajectories are revalidated and warm-resumed
-//     (tmfg.Revalidate / tmfg.ResumeWS) and the repaired edge set must
-//     equal the reference's; HAC trajectories are replayed through the
-//     Lance-Williams recurrence (hac.ReplayValidate) and merge decisions
-//     must hold within their recorded slack. A failed certification forces
-//     an exact refresh.
-//  5. Hit — the reference clustering is served (as an owned copy), stamped
+//  4. Hit — the reference clustering is served (as an owned copy), stamped
 //     with its staleness and the measured drift.
 //
 // An incremental snapshot therefore answers for a window at most MaxStale
@@ -49,7 +40,6 @@ import (
 	"pfg/internal/kernel"
 	"pfg/internal/matrix"
 	"pfg/internal/obs"
-	"pfg/internal/tmfg"
 	"pfg/internal/ws"
 )
 
@@ -59,15 +49,12 @@ type Metrics struct {
 	// Drift covers the drift-gate measurement: moment prep plus the
 	// entrywise deviation scan against the reference correlations.
 	Drift *obs.Stage
-	// Revalidate covers strict-mode decision re-certification (finish,
-	// trajectory replay, warm repair).
-	Revalidate *obs.Stage
-	// Refresh covers exact refreshes: finishing the moments (unless
-	// revalidation already did) and the full clustering run.
+	// Refresh covers exact refreshes: finishing the moments and the full
+	// clustering run.
 	Refresh *obs.Stage
 }
 
-// Kind selects the clustering pipeline the Manager runs and repairs.
+// Kind selects the clustering pipeline the Manager runs.
 type Kind int
 
 const (
@@ -81,7 +68,6 @@ const (
 const (
 	DefaultDriftThreshold = 0.02
 	DefaultMaxStale       = 64
-	DefaultValidateEvery  = 4
 )
 
 // Config parameterizes a Manager. The zero value of the gate knobs selects
@@ -101,14 +87,6 @@ type Config struct {
 	// an exact refresh, independent of drift. 0 selects DefaultMaxStale;
 	// negative disables the staleness gate.
 	MaxStale int
-	// RepairBudget > 0 enables strict decision revalidation: recorded
-	// clusterer decisions are re-certified against the current matrix every
-	// ValidateEvery ticks, tolerating at most RepairBudget dirty rounds
-	// (TMFG) or slack violations (HAC) before falling back to exact.
-	RepairBudget int
-	// ValidateEvery is the strict-mode cadence in ticks (0 selects
-	// DefaultValidateEvery). Ignored unless RepairBudget > 0.
-	ValidateEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -117,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStale == 0 {
 		c.MaxStale = DefaultMaxStale
-	}
-	if c.ValidateEvery <= 0 {
-		c.ValidateEvery = DefaultValidateEvery
 	}
 	return c
 }
@@ -132,7 +107,7 @@ type Outcome struct {
 	Groups        int
 
 	// Exact reports whether this outcome was clustered from the snapshot's
-	// own window state (gate 1–4 refresh) rather than served from the
+	// own window state (gate 1–3 refresh) rather than served from the
 	// reference.
 	Exact bool
 	// Stale is the age of the serving reference in generations (0 when
@@ -153,8 +128,6 @@ type Stats struct {
 	FullBoundary uint64 // engine-exact boundary (fill or post-rebuild)
 	FullDrift    uint64 // drift gate exceeded
 	FullStale    uint64 // staleness gate exceeded
-	FullRepair   uint64 // strict revalidation failed
-	Repairs      uint64 // strict-mode warm repairs that certified the reference
 }
 
 // Manager carries one streamer's clustering reference across ticks and
@@ -180,12 +153,6 @@ type Manager struct {
 	ews      float64
 	groups   int
 
-	// Strict-mode recordings of the reference clustering's decisions.
-	tmfgRec  *tmfg.Recording
-	hacRec   *hac.Recording
-	recOK    bool
-	sinceVal int
-
 	// Per-tick scratch, sized on first use and reused for the Manager's
 	// lifetime.
 	mub, invb []float64
@@ -195,17 +162,7 @@ type Manager struct {
 // NewManager creates a Manager with the given configuration (zero gate
 // knobs select the package defaults).
 func NewManager(cfg Config) *Manager {
-	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg}
-	if cfg.RepairBudget > 0 {
-		switch cfg.Kind {
-		case TMFGDBHT:
-			m.tmfgRec = new(tmfg.Recording)
-		case HACLinkage:
-			m.hacRec = new(hac.Recording)
-		}
-	}
-	return m
+	return &Manager{cfg: cfg.withDefaults()}
 }
 
 // SetMetrics installs (or, with nil, removes) per-stage timing.
@@ -237,7 +194,6 @@ func (m *Manager) Snapshot(ctx context.Context, pool *exec.Pool, w *ws.Workspace
 	if m.n != 0 && m.n != n {
 		// Shape changed: drop the reference and start over.
 		m.have = false
-		m.recOK = false
 	}
 	m.n = n
 
@@ -247,7 +203,7 @@ func (m *Manager) Snapshot(ctx context.Context, pool *exec.Pool, w *ws.Workspace
 		} else {
 			m.stats.FullBoundary++
 		}
-		return m.refresh(ctx, pool, w, sim, sums, count, gen, nil)
+		return m.refresh(ctx, pool, w, sim, sums, count, gen)
 	}
 
 	// Drift gate, measured straight from the moments.
@@ -266,44 +222,11 @@ func (m *Manager) Snapshot(ctx context.Context, pool *exec.Pool, w *ws.Workspace
 	stale := int(gen - m.refGen)
 	if drift > m.cfg.DriftThreshold {
 		m.stats.FullDrift++
-		return m.refresh(ctx, pool, w, sim, sums, count, gen, nil)
+		return m.refresh(ctx, pool, w, sim, sums, count, gen)
 	}
 	if m.cfg.MaxStale > 0 && stale >= m.cfg.MaxStale {
 		m.stats.FullStale++
-		return m.refresh(ctx, pool, w, sim, sums, count, gen, nil)
-	}
-
-	// Strict-mode decision revalidation.
-	if m.cfg.RepairBudget > 0 && m.recOK {
-		m.sinceVal++
-		if m.sinceVal >= m.cfg.ValidateEvery {
-			m.sinceVal = 0
-			if m.met != nil {
-				sw.Start()
-			}
-			certified, dis, err := m.revalidate(ctx, pool, w, sim, sums, count, drift)
-			if m.met != nil {
-				sw.Lap(m.met.Revalidate)
-			}
-			if err != nil {
-				if dis != nil {
-					dis.Release(w)
-				}
-				return nil, err
-			}
-			if !certified {
-				m.stats.FullRepair++
-				out, err := m.refresh(ctx, pool, w, sim, sums, count, gen, dis)
-				if dis != nil {
-					dis.Release(w)
-				}
-				return out, err
-			}
-			if dis != nil {
-				dis.Release(w)
-			}
-			m.stats.Repairs++
-		}
+		return m.refresh(ctx, pool, w, sim, sums, count, gen)
 	}
 
 	m.stats.Hits++
@@ -320,24 +243,20 @@ func (m *Manager) grow(n int) {
 	m.mub, m.invb, m.zerob = m.mub[:n], m.invb[:n], m.zerob[:n]
 }
 
-// refresh clusters the current window exactly, installs it as the new
-// reference, and serves it. When dis is non-nil the moments in sim have
-// already been finished (by revalidate) and dis holds the matching
-// dissimilarities; otherwise the finish runs here.
-func (m *Manager) refresh(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, sums []float64, count int, gen uint64, dis *matrix.Sym) (*Outcome, error) {
+// refresh finishes the moments in sim into correlations (in place) and
+// dissimilarities, clusters the current window exactly, installs it as the
+// new reference, and serves it.
+func (m *Manager) refresh(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, sums []float64, count int, gen uint64) (*Outcome, error) {
 	m.stats.Fulls++
 	var sw obs.Stopwatch
 	if m.met != nil {
 		sw.Start()
 	}
 	n := sim.N
-	ownDis := dis == nil
-	if ownDis {
-		dis = matrix.NewSymWS(w, n)
-		if err := matrix.FinishMomentsWS(ctx, pool, w, sim, dis, sums, count); err != nil {
-			dis.Release(w)
-			return nil, err
-		}
+	dis := matrix.NewSymWS(w, n)
+	if err := matrix.FinishMomentsWS(ctx, pool, w, sim, dis, sums, count); err != nil {
+		dis.Release(w)
+		return nil, err
 	}
 	var (
 		r   *core.Result
@@ -345,18 +264,15 @@ func (m *Manager) refresh(ctx context.Context, pool *exec.Pool, w *ws.Workspace,
 	)
 	switch m.cfg.Kind {
 	case TMFGDBHT:
-		r, err = core.TMFGDBHTRecordWS(ctx, pool, w, sim, dis, m.cfg.Prefix, m.tmfgRec)
+		r, err = core.TMFGDBHTWS(ctx, pool, w, sim, dis, m.cfg.Prefix)
 	case HACLinkage:
-		r, err = core.HACRecordWS(ctx, pool, w, dis, m.cfg.Linkage, m.hacRec)
+		r, err = core.HACWS(ctx, pool, w, dis, m.cfg.Linkage)
 	default:
 		err = fmt.Errorf("inc: unknown kind %d", int(m.cfg.Kind))
 	}
-	if ownDis {
-		dis.Release(w)
-	}
+	dis.Release(w)
 	if err != nil {
 		m.have = false
-		m.recOK = false
 		return nil, err
 	}
 	if cap(m.refCorr) < n*n {
@@ -371,8 +287,6 @@ func (m *Manager) refresh(ctx context.Context, pool *exec.Pool, w *ws.Workspace,
 	m.edges = r.Edges
 	m.ews = r.EdgeWeightSum
 	m.groups = r.Groups
-	m.recOK = m.cfg.RepairBudget > 0
-	m.sinceVal = 0
 	if m.met != nil {
 		sw.Lap(m.met.Refresh)
 	}
@@ -393,59 +307,4 @@ func (m *Manager) serve(exact bool, stale int, drift float64) *Outcome {
 		out.Edges = append([][2]int32(nil), m.edges...)
 	}
 	return out
-}
-
-// revalidate re-certifies the recorded reference decisions against the
-// current window. It finishes the moments in sim into correlations (in
-// place) and dissimilarities; the returned dis matrix, when non-nil, is
-// owned by the caller (refresh reuses it, otherwise it must be released).
-func (m *Manager) revalidate(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, sums []float64, count int, drift float64) (bool, *matrix.Sym, error) {
-	n := sim.N
-	dis := matrix.NewSymWS(w, n)
-	if err := matrix.FinishMomentsWS(ctx, pool, w, sim, dis, sums, count); err != nil {
-		dis.Release(w)
-		return false, nil, err
-	}
-	switch m.cfg.Kind {
-	case TMFGDBHT:
-		upTo := tmfg.Revalidate(m.tmfgRec, sim, drift)
-		dirty := len(m.tmfgRec.Rounds) - upTo
-		if dirty > m.cfg.RepairBudget {
-			return false, dis, nil
-		}
-		if dirty == 0 {
-			return true, dis, nil
-		}
-		// Warm repair: replay the certified prefix, rebuild the suffix, and
-		// accept only if the repaired graph is the reference's.
-		res, err := tmfg.ResumeWS(ctx, pool, w, sim, m.cfg.Prefix, m.tmfgRec, upTo)
-		if err != nil {
-			// The recording no longer replays: not an error, just uncertified.
-			return false, dis, nil
-		}
-		same := len(res.Edges) == len(m.edges)
-		if same {
-			for i := range res.Edges {
-				if res.Edges[i] != m.edges[i] {
-					same = false
-					break
-				}
-			}
-		}
-		res.Graph.Release(w)
-		return same, dis, nil
-	case HACLinkage:
-		// ReplayValidate consumes its matrix; replay on a scratch copy so
-		// dis stays intact for a possible refresh.
-		buf := w.Float64(n * n)
-		copy(buf, dis.Data)
-		viol, _, err := hac.ReplayValidate(m.hacRec, w, n, buf, 0)
-		w.PutFloat64(buf)
-		if err != nil {
-			return false, dis, nil
-		}
-		return viol <= m.cfg.RepairBudget, dis, nil
-	default:
-		return false, dis, fmt.Errorf("inc: unknown kind %d", int(m.cfg.Kind))
-	}
 }

@@ -140,8 +140,6 @@ func (d *durable) writeMeta(sess *Session) error {
 		meta.Incremental = &IncrementalRequest{
 			DriftThreshold: sess.cfg.Incremental.DriftThreshold,
 			MaxStale:       sess.cfg.Incremental.MaxStale,
-			RepairBudget:   sess.cfg.Incremental.RepairBudget,
-			ValidateEvery:  sess.cfg.Incremental.ValidateEvery,
 		}
 	}
 	b, err := json.Marshal(meta)
@@ -505,8 +503,6 @@ func readMeta(dir string) (SessionConfig, pfg.Options, error) {
 			Enabled:        true,
 			DriftThreshold: meta.Incremental.DriftThreshold,
 			MaxStale:       meta.Incremental.MaxStale,
-			RepairBudget:   meta.Incremental.RepairBudget,
-			ValidateEvery:  meta.Incremental.ValidateEvery,
 		}
 	}
 	return cfg, pfg.Options{Method: method, Prefix: meta.Prefix, Workers: meta.Workers}, nil

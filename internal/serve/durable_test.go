@@ -8,6 +8,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -151,6 +152,56 @@ func TestDurableRecoverAfterKill(t *testing.T) {
 	pushTicks(shadow, "plain", stream)
 	if got, want := snapshotBody(h2, "plain"), snapshotBody(shadow, "plain"); !bytes.Equal(got, want) {
 		t.Fatalf("post-recovery evolution diverges from shadow:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestDurableRecoverLegacyMeta: a state dir written when meta.json still
+// carried the incremental repair_budget and validate_every knobs recovers
+// (readMeta ignores fields it no longer knows) and serves the generation it
+// held, byte-identical to the body served before the restart.
+func TestDurableRecoverLegacyMeta(t *testing.T) {
+	dir := t.TempDir()
+	h1 := newTestServer(t, durableOptions(dir))
+	durableSession(h1, "inc", true)
+	pushTicks(h1, "inc", ticks(t, 5, 15, 5))
+	want := snapshotBody(h1, "inc")
+	wantGen := sessionGen(h1, "inc")
+	h1.ts.Close()
+	h1.srv.Close()
+
+	path := filepath.Join(dir, "inc", "meta.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	incMeta, ok := meta["incremental"].(map[string]any)
+	if !ok {
+		t.Fatalf("meta.json has no incremental object: %s", raw)
+	}
+	incMeta["repair_budget"] = 2
+	incMeta["validate_every"] = 3
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := newTestServer(t, durableOptions(dir))
+	if n, err := h2.srv.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover: %d, %v", n, err)
+	}
+	var info SessionInfo
+	h2.mustJSON("GET", "/v1/sessions/inc", nil, http.StatusOK, &info)
+	if info.Generation != wantGen || !info.Incremental {
+		t.Fatalf("recovered %+v, want incremental at generation %d", info, wantGen)
+	}
+	if got := snapshotBody(h2, "inc"); !bytes.Equal(got, want) {
+		t.Fatalf("legacy-meta recovery diverges:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -82,8 +82,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			v.IncrementalFullsDrift += is.FullDrift
 			v.IncrementalFullsStale += is.FullStale
 			v.IncrementalFullsBoundary += is.FullInit + is.FullBoundary
-			v.IncrementalFullsRepair += is.FullRepair
-			v.IncrementalRepairs += is.Repairs
 		}
 	}
 	writeJSON(w, http.StatusOK, v)
@@ -123,8 +121,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			Enabled:        true,
 			DriftThreshold: req.Incremental.DriftThreshold,
 			MaxStale:       req.Incremental.MaxStale,
-			RepairBudget:   req.Incremental.RepairBudget,
-			ValidateEvery:  req.Incremental.ValidateEvery,
 		}
 	}
 	sess, err := s.reg.Create(req.ID, cfg)

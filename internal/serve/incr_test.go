@@ -5,6 +5,8 @@ package serve
 // rejection of unsupported configurations.
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 )
@@ -104,6 +106,23 @@ func TestIncrementalUnsupportedMethod(t *testing.T) {
 	})
 	if status != http.StatusBadRequest {
 		t.Fatalf("incremental pmfg create: status %d, body %s", status, body)
+	}
+}
+
+// TestIncrementalRemovedKnobsRejected: repair_budget and validate_every are
+// no longer create fields, so a request naming one fails as an unknown field
+// — a 400 that names it — instead of creating a session that ignores it.
+func TestIncrementalRemovedKnobsRejected(t *testing.T) {
+	h := newTestServer(t, Options{})
+	for _, field := range []string{"repair_budget", "validate_every"} {
+		body := json.RawMessage(`{"id":"s","window":16,"incremental":{"` + field + `":2}}`)
+		status, resp := h.do("POST", "/v1/sessions", body)
+		if status != http.StatusBadRequest || !bytes.Contains(resp, []byte(field)) {
+			t.Fatalf("create with %s: status %d, body %s; want 400 naming the field", field, status, resp)
+		}
+	}
+	if n := h.srv.reg.Len(); n != 0 {
+		t.Fatalf("rejected creates left %d sessions", n)
 	}
 }
 

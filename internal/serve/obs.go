@@ -40,9 +40,8 @@ type instruments struct {
 	snapCluster *obs.Histogram
 
 	// Incremental gate-chain stages (internal/inc).
-	incDrift      *obs.Histogram
-	incRevalidate *obs.Histogram
-	incRefresh    *obs.Histogram
+	incDrift   *obs.Histogram
+	incRefresh *obs.Histogram
 
 	// Durability write volumes and latencies.
 	ckptNs        *obs.Histogram
@@ -76,9 +75,8 @@ func newInstruments(r *obs.Registry) instruments {
 		snapFinish:  h("pfg_snapshot_stage_ns", "snapshot stage wall time, in nanoseconds", "stage", "finish"),
 		snapCluster: h("pfg_snapshot_stage_ns", "snapshot stage wall time, in nanoseconds", "stage", "cluster"),
 
-		incDrift:      h("pfg_inc_stage_ns", "incremental gate-chain stage wall time, in nanoseconds", "stage", "drift"),
-		incRevalidate: h("pfg_inc_stage_ns", "incremental gate-chain stage wall time, in nanoseconds", "stage", "revalidate"),
-		incRefresh:    h("pfg_inc_stage_ns", "incremental gate-chain stage wall time, in nanoseconds", "stage", "refresh"),
+		incDrift:   h("pfg_inc_stage_ns", "incremental gate-chain stage wall time, in nanoseconds", "stage", "drift"),
+		incRefresh: h("pfg_inc_stage_ns", "incremental gate-chain stage wall time, in nanoseconds", "stage", "refresh"),
 
 		ckptNs:        h("pfg_checkpoint_write_ns", "wall time of one checkpoint write (write + fsync + rename + WAL rotate), in nanoseconds"),
 		ckptBytes:     h("pfg_checkpoint_write_bytes", "bytes of one checkpoint file"),
@@ -161,7 +159,6 @@ func (s *Server) attachMetrics(sess *Session) {
 			SnapshotFinish:  obs.NewStage(s.ins.snapFinish),
 			SnapshotCluster: obs.NewStage(s.ins.snapCluster),
 			IncDrift:        obs.NewStage(s.ins.incDrift),
-			IncRevalidate:   obs.NewStage(s.ins.incRevalidate),
 			IncRefresh:      obs.NewStage(s.ins.incRefresh),
 		}
 	case s.opts.LogSlowTick > 0:
@@ -211,10 +208,10 @@ func logSlowSnapshot(sess *Session, gen uint64, elapsed time.Duration) {
 	if m == nil {
 		return
 	}
-	log.Printf("serve: slow snapshot session=%s gen=%d total=%s finish=%s cluster=%s inc_drift=%s inc_revalidate=%s inc_refresh=%s",
+	log.Printf("serve: slow snapshot session=%s gen=%d total=%s finish=%s cluster=%s inc_drift=%s inc_refresh=%s",
 		sess.ID, gen, elapsed,
 		m.SnapshotFinish.Last(), m.SnapshotCluster.Last(),
-		m.IncDrift.Last(), m.IncRevalidate.Last(), m.IncRefresh.Last())
+		m.IncDrift.Last(), m.IncRefresh.Last())
 }
 
 // handleMetricsz is GET /metricsz: the Prometheus text exposition of the
@@ -240,7 +237,6 @@ func (ins *instruments) summaries() map[string]obs.Summary {
 		"snapshot_finish_ns":        obs.Summarize(ins.snapFinish),
 		"snapshot_cluster_ns":       obs.Summarize(ins.snapCluster),
 		"inc_drift_ns":              obs.Summarize(ins.incDrift),
-		"inc_revalidate_ns":         obs.Summarize(ins.incRevalidate),
 		"inc_refresh_ns":            obs.Summarize(ins.incRefresh),
 		"checkpoint_write_ns":       obs.Summarize(ins.ckptNs),
 		"checkpoint_write_bytes":    obs.Summarize(ins.ckptBytes),

@@ -130,14 +130,15 @@ type StatsSnapshot struct {
 	IncrementalFullsDrift    uint64 `json:"incremental_fulls_drift"`
 	IncrementalFullsStale    uint64 `json:"incremental_fulls_stale"`
 	IncrementalFullsBoundary uint64 `json:"incremental_fulls_boundary"`
-	IncrementalFullsRepair   uint64 `json:"incremental_fulls_repair"`
-	IncrementalRepairs       uint64 `json:"incremental_repairs"`
+	// Always 0, kept only because /statsz never drops a published field.
+	IncrementalFullsRepair uint64 `json:"incremental_fulls_repair"`
+	IncrementalRepairs     uint64 `json:"incremental_repairs"`
 
 	// Histograms digests every server histogram (count/mean/p50/p95/p99;
 	// quantiles are log2-bucket estimates, see internal/obs). Keys:
 	// push_batch_ns, tick_{admit,roll,rebuild}_ns,
 	// snapshot_{hit,coalesced,miss}_ns, snapshot_run_ns,
-	// snapshot_{finish,cluster}_ns, inc_{drift,revalidate,refresh}_ns,
+	// snapshot_{finish,cluster}_ns, inc_{drift,refresh}_ns,
 	// checkpoint_write_ns, checkpoint_write_bytes, wal_frame_bytes,
 	// subscriber_queue_depth, drift_ari_distance_micros, drift_edge_churn.
 	// Omitted when the server runs with metrics off.

@@ -48,7 +48,7 @@ type CreateSessionRequest struct {
 
 // IncrementalRequest configures the incremental serving layer of a session;
 // the fields mirror pfg.IncrementalOptions and zero values select the same
-// defaults (ε = 0.02, max staleness 64, strict revalidation off).
+// defaults (ε = 0.02, max staleness 64).
 type IncrementalRequest struct {
 	// DriftThreshold is ε: the largest entrywise correlation drift under
 	// which a stale reference clustering may still be served (0 = default;
@@ -57,12 +57,6 @@ type IncrementalRequest struct {
 	// MaxStale bounds how many ticks a reference clustering may be served
 	// past its build (0 = default, negative disables the bound).
 	MaxStale int `json:"max_stale,omitempty"`
-	// RepairBudget > 0 enables strict revalidation of the recorded
-	// clustering trajectory against the drifted window.
-	RepairBudget int `json:"repair_budget,omitempty"`
-	// ValidateEvery is the revalidation cadence in served-stale snapshots
-	// (0 = default).
-	ValidateEvery int `json:"validate_every,omitempty"`
 }
 
 // SessionInfo describes one session; returned by create/get/list and

@@ -178,11 +178,6 @@ type builder struct {
 	need     []int32 // face ids requiring gain recomputation this round
 	wedges   []graph.Edge
 	taken    *bitset.Set // workspace bitset, cleared between uses
-
-	// rec, when non-nil, captures every selection decision for later
-	// revalidation and warm resumption (see record.go). Recording does not
-	// change any bit of the construction.
-	rec *Recording
 }
 
 // init prepares a (possibly recycled) builder for one construction.
@@ -212,7 +207,6 @@ func (b *builder) init(ctx context.Context, pool *exec.Pool, w *ws.Workspace, s 
 	b.need = b.need[:0]
 	b.rounds = 0
 	b.outerFace = 0
-	b.rec = nil
 }
 
 // recycle releases workspace buffers and drops result-owned references
@@ -271,14 +265,6 @@ func (b *builder) initClique() error {
 		return err
 	}
 	copy(b.initial[:], order[:4])
-	if b.rec != nil {
-		b.rec.Initial = b.initial
-		if n > 4 {
-			b.rec.CliqueMargin = sums[order[3]] - sums[order[4]]
-		} else {
-			b.rec.CliqueMargin = math.Inf(1)
-		}
-	}
 	c := b.initial
 	for i := 0; i < 4; i++ {
 		b.inserted.Set(c[i])
@@ -429,23 +415,6 @@ func (b *builder) selectBatch() ([]candidate, error) {
 			}
 		}
 		b.batch = append(b.batch[:0], best)
-		if b.rec != nil {
-			// Runner-up gain over every other (face, vertex) candidate.
-			margin := math.Inf(1)
-			for i := range b.faces {
-				g := &b.faces[i]
-				if !g.alive || g.best < 0 {
-					continue
-				}
-				if int32(i) == best.face && g.best == best.vert {
-					continue
-				}
-				if m := best.gain - g.gain; m < margin {
-					margin = m
-				}
-			}
-			b.rec.appendRound(b, b.batch, margin)
-		}
 		return b.batch, nil
 	}
 	b.cands = b.cands[:0]
@@ -478,22 +447,6 @@ func (b *builder) selectBatch() ([]candidate, error) {
 		b.taken.Clear(c.vert)
 	}
 	b.batch = out
-	if b.rec != nil {
-		// The applied batch is a subsequence of the sorted candidate list;
-		// the first sorted candidate not applied (deduplicated away or
-		// beyond the prefix) is the runner-up that bounds the decision.
-		margin := math.Inf(1)
-		k := 0
-		for _, c := range b.cands {
-			if k < len(out) && c == out[k] {
-				k++
-				continue
-			}
-			margin = out[len(out)-1].gain - c.gain
-			break
-		}
-		b.rec.appendRound(b, out, margin)
-	}
 	return out, nil
 }
 

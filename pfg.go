@@ -682,11 +682,10 @@ type StreamOptions struct {
 // fill and on the first snapshot after a periodic or forced Rebuild, which
 // preserves the streamer's bit-identity guarantees at every exact boundary;
 // (2) the measured entrywise correlation drift since the reference exceeds
-// DriftThreshold; (3) the reference is MaxStale generations old; or (4)
-// strict revalidation (RepairBudget) fails to certify the reference's
-// recorded decisions. Otherwise the snapshot serves an owned copy of the
-// reference, with Result.TicksSinceExact and Result.Drift reporting its
-// age and the measured drift.
+// DriftThreshold; or (3) the reference is MaxStale generations old.
+// Otherwise the snapshot serves an owned copy of the reference, with
+// Result.TicksSinceExact and Result.Drift reporting its age and the measured
+// drift.
 type IncrementalOptions struct {
 	// Enabled turns the incremental layer on. Supported for the TMFGDBHT,
 	// CompleteLinkage, and AverageLinkage methods.
@@ -699,16 +698,6 @@ type IncrementalOptions struct {
 	// MaxStale bounds the reference's age in window generations. 0 selects
 	// the default (64); negative disables the staleness gate.
 	MaxStale int
-	// RepairBudget > 0 enables strict decision revalidation every
-	// ValidateEvery snapshots: the reference clustering's recorded
-	// decisions (TMFG insertion trajectory, HAC merge slacks) are
-	// re-certified against the current matrix, warm-repairing TMFG
-	// trajectories when at most RepairBudget rounds went dirty, and falling
-	// back to an exact re-cluster when certification fails.
-	RepairBudget int
-	// ValidateEvery is the strict-mode cadence in snapshots (0 selects the
-	// default of 4). Ignored unless RepairBudget > 0.
-	ValidateEvery int
 }
 
 // IncrementalStats counts incremental-layer gate outcomes for a Streamer
@@ -722,8 +711,6 @@ type IncrementalStats struct {
 	FullBoundary uint64
 	FullDrift    uint64
 	FullStale    uint64
-	FullRepair   uint64
-	Repairs      uint64
 }
 
 // StreamerMetrics is a streamer's per-stage timing instrumentation,
@@ -747,12 +734,11 @@ type StreamerMetrics struct {
 	SnapshotFinish  *obs.Stage
 	SnapshotCluster *obs.Stage
 
-	// Incremental gate-chain stages (internal/inc): the drift measurement,
-	// strict revalidation, and exact refreshes (which subsume finish +
-	// cluster for incremental sessions).
-	IncDrift      *obs.Stage
-	IncRevalidate *obs.Stage
-	IncRefresh    *obs.Stage
+	// Incremental gate-chain stages (internal/inc): the drift measurement
+	// and exact refreshes (which subsume finish + cluster for incremental
+	// sessions).
+	IncDrift   *obs.Stage
+	IncRefresh *obs.Stage
 }
 
 // NewStreamerMetrics returns a StreamerMetrics with every stage allocated
@@ -767,7 +753,6 @@ func NewStreamerMetrics() *StreamerMetrics {
 		SnapshotFinish:  obs.NewStage(nil),
 		SnapshotCluster: obs.NewStage(nil),
 		IncDrift:        obs.NewStage(nil),
-		IncRevalidate:   obs.NewStage(nil),
 		IncRefresh:      obs.NewStage(nil),
 	}
 }
@@ -836,8 +821,6 @@ func newStreamer(window int, opts StreamOptions, w *ws.Workspace) (*Streamer, er
 		cfg := inc.Config{
 			DriftThreshold: opts.Incremental.DriftThreshold,
 			MaxStale:       opts.Incremental.MaxStale,
-			RepairBudget:   opts.Incremental.RepairBudget,
-			ValidateEvery:  opts.Incremental.ValidateEvery,
 		}
 		switch opts.Cluster.Method {
 		case TMFGDBHT:
@@ -928,7 +911,7 @@ func (st *Streamer) SetMetrics(m *StreamerMetrics) {
 		if m == nil {
 			st.inc.SetMetrics(nil)
 		} else {
-			st.inc.SetMetrics(&inc.Metrics{Drift: m.IncDrift, Revalidate: m.IncRevalidate, Refresh: m.IncRefresh})
+			st.inc.SetMetrics(&inc.Metrics{Drift: m.IncDrift, Refresh: m.IncRefresh})
 		}
 	}
 }
@@ -1077,8 +1060,6 @@ func (st *Streamer) Checkpoint(w io.Writer) (uint64, error) {
 			Enabled:        st.opts.Incremental.Enabled,
 			DriftThreshold: st.opts.Incremental.DriftThreshold,
 			MaxStale:       st.opts.Incremental.MaxStale,
-			RepairBudget:   st.opts.Incremental.RepairBudget,
-			ValidateEvery:  st.opts.Incremental.ValidateEvery,
 		},
 	}
 	if _, err := ckpt.CheckpointTo(w, st.eng, p); err != nil {
@@ -1115,8 +1096,6 @@ func RestoreStreamer(r io.Reader, cluster Options) (*Streamer, error) {
 			Enabled:        p.Inc.Enabled,
 			DriftThreshold: p.Inc.DriftThreshold,
 			MaxStale:       p.Inc.MaxStale,
-			RepairBudget:   p.Inc.RepairBudget,
-			ValidateEvery:  p.Inc.ValidateEvery,
 		},
 	}
 	st, err := newStreamer(p.Window, opts, w)
@@ -1239,8 +1218,6 @@ func (st *Streamer) IncrementalStats() (IncrementalStats, bool) {
 		FullBoundary: s.FullBoundary,
 		FullDrift:    s.FullDrift,
 		FullStale:    s.FullStale,
-		FullRepair:   s.FullRepair,
-		Repairs:      s.Repairs,
 	}, true
 }
 
