@@ -8,9 +8,9 @@
 // unobserved and near-free when observed:
 //
 //   - Every instrument method is nil-safe: a nil *Counter, *Gauge,
-//     *Histogram, or *Stage no-ops, and a nil *Registry hands out nil
-//     instruments — so a layer wired to a nil registry runs the exact
-//     uninstrumented code path with zero allocations and no atomics.
+//     *Histogram, or *Stage no-ops with zero allocations and no atomics, so
+//     a layer that holds no instruments runs the exact uninstrumented code
+//     path, and a Stage over a nil histogram keeps only its last duration.
 //   - Observing is lock-free: one atomic add for counters and gauges, two
 //     for a histogram (bucket + sum), three for a stage (plus the
 //     last-value store). No instrument ever allocates after creation.

@@ -30,15 +30,13 @@ func (k Kind) String() string {
 }
 
 // series is one labeled member of a family: exactly one of the instrument
-// fields is set. cf/gf are read-at-scrape callbacks for values that already
-// live elsewhere as atomics (the serve layer's Stats counters) — mirroring
-// them costs nothing on the hot path because nothing is double-counted.
+// fields is set. gf is a read-at-scrape callback for a gauge whose value
+// lives elsewhere (a table length, a channel's fill, a clock).
 type series struct {
 	labels string // rendered `k="v",…` body, "" for unlabeled
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-	cf     func() uint64
 	gf     func() float64
 }
 
@@ -53,9 +51,7 @@ type family struct {
 // WritePrometheus. Creation methods are idempotent — asking for an existing
 // (name, labels) pair returns the same instrument — and panic on a kind
 // mismatch, which is an init-time programming error. All methods are safe
-// for concurrent use, and every method on a nil *Registry is a no-op that
-// hands out nil (no-op) instruments, so "metrics off" is spelled by passing
-// a nil registry around.
+// for concurrent use.
 type Registry struct {
 	mu  sync.Mutex
 	fam map[string]*family
@@ -91,27 +87,20 @@ func (r *Registry) get(name, help string, kind Kind, kv []string) *series {
 }
 
 // Counter returns the counter named name with the given label pairs
-// (key, value, key, value, …), creating it on first use. Nil registry →
-// nil counter.
+// (key, value, key, value, …), creating it on first use.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	if r == nil {
-		return nil
-	}
 	s := r.get(name, help, KindCounter, kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s.c == nil && s.cf == nil {
+	if s.c == nil {
 		s.c = &Counter{}
 	}
 	return s.c
 }
 
 // Gauge returns the gauge named name with the given label pairs, creating
-// it on first use. Nil registry → nil gauge.
+// it on first use.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	s := r.get(name, help, KindGauge, kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -122,11 +111,8 @@ func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
 }
 
 // Histogram returns the histogram named name with the given label pairs,
-// creating it on first use. Nil registry → nil histogram.
+// creating it on first use.
 func (r *Registry) Histogram(name, help string, kv ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
 	s := r.get(name, help, KindHistogram, kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,26 +122,9 @@ func (r *Registry) Histogram(name, help string, kv ...string) *Histogram {
 	return s.h
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — the way to mirror an existing atomic without double-counting on
-// the hot path. Replaces any previous func on the same series.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64, kv ...string) {
-	if r == nil {
-		return
-	}
-	s := r.get(name, help, KindCounter, kv)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.cf = fn
-	s.c = nil
-}
-
 // GaugeFunc registers a gauge whose float value is read from fn at scrape
 // time. Replaces any previous func on the same series.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	if r == nil {
-		return
-	}
 	s := r.get(name, help, KindGauge, kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -165,11 +134,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string)
 
 // Remove drops the (name, labels) series — how per-session gauges leave the
 // exposition when their session is deleted. An empty family disappears with
-// its last series. No-op when absent or on a nil registry.
+// its last series. No-op when absent.
 func (r *Registry) Remove(name string, kv ...string) {
-	if r == nil {
-		return
-	}
 	labels := renderLabels(kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -186,11 +152,8 @@ func (r *Registry) Remove(name string, kv ...string) {
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (text/plain; version 0.0.4): families sorted by name, series
 // sorted by label body, histograms as cumulative _bucket series with
-// le="+Inf" equal to _count, plus _sum. A nil registry writes nothing.
+// le="+Inf" equal to _count, plus _sum.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	// Snapshot the structure under the lock, read values outside it so a
 	// slow writer or a value callback taking another lock never blocks
 	// registration.
@@ -231,11 +194,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, sr := range f.ser {
 			switch f.kind {
 			case KindCounter:
-				v := sr.s.c.Load()
-				if sr.s.cf != nil {
-					v = sr.s.cf()
-				}
-				writeSample(&b, f.name, sr.labels, "", strconv.FormatUint(v, 10))
+				writeSample(&b, f.name, sr.labels, "", strconv.FormatUint(sr.s.c.Load(), 10))
 			case KindGauge:
 				if sr.s.gf != nil {
 					writeSample(&b, f.name, sr.labels, "", formatFloat(sr.s.gf()))

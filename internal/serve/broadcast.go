@@ -342,7 +342,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Subscriber ceilings: the aggregate budget first, then the per-session
 	// cap inside subscribe (under the roster lock).
 	if !s.reg.reserveSubscriber() {
-		s.stats.SubscribeRejected.Add(1)
+		s.ins.subscribeRejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "subscriber limit (%d) reached", maxTotalSubscribers)
 		return
@@ -350,16 +350,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sub, err := sess.bcast.subscribe(s, ks)
 	if err != nil {
 		s.reg.releaseSubscriber()
-		s.stats.SubscribeRejected.Add(1)
+		s.ins.subscribeRejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	s.stats.Subscribers.Add(1)
+	s.ins.subscribers.Add(1)
 	defer func() {
 		sess.bcast.unsubscribe(sub)
 		s.reg.releaseSubscriber()
-		s.stats.Subscribers.Add(-1)
+		s.ins.subscribers.Add(-1)
 	}()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -380,8 +380,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				lastGen = gen
-				s.stats.EventsFull.Add(1)
-				s.stats.EventBytes.Add(uint64(len(frame)))
+				s.ins.eventsFull.Add(1)
+				s.ins.eventBytes.Add(uint64(len(frame)))
 			}
 		}
 	}
@@ -392,13 +392,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-sub.signal:
 			evs, dropped := sub.take()
 			if dropped > 0 {
-				s.stats.EventsDropped.Add(dropped)
+				s.ins.eventsDropped.Add(dropped)
 				if b, err := json.Marshal(DroppedEvent{Dropped: dropped}); err == nil {
 					frame := sseFrame("dropped", lastGen, b)
 					if _, err := w.Write(frame); err != nil {
 						return
 					}
-					s.stats.EventBytes.Add(uint64(len(frame)))
+					s.ins.eventBytes.Add(uint64(len(frame)))
 				}
 			}
 			for _, ev := range evs {
@@ -409,20 +409,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				switch {
 				case ev.delta != nil && ev.fromGen == lastGen:
 					frame = ev.delta
-					s.stats.EventsDelta.Add(1)
-					s.stats.EventBytesSaved.Add(uint64(len(ev.full) - len(ev.delta)))
+					s.ins.eventsDelta.Add(1)
+					s.ins.eventBytesSaved.Add(uint64(len(ev.full) - len(ev.delta)))
 				default:
-					s.stats.EventsFull.Add(1)
+					s.ins.eventsFull.Add(1)
 					if lastGen != 0 {
 						// A delta was conceivable (the subscriber had a base)
 						// but none was usable: chain broken or delta ≥ full.
-						s.stats.DeltaFallbackFulls.Add(1)
+						s.ins.deltaFallbackFulls.Add(1)
 					}
 				}
 				if _, err := w.Write(frame); err != nil {
 					return
 				}
-				s.stats.EventBytes.Add(uint64(len(frame)))
+				s.ins.eventBytes.Add(uint64(len(frame)))
 				lastGen = ev.gen
 			}
 			flusher.Flush()

@@ -172,7 +172,7 @@ func TestConditionalSnapshot(t *testing.T) {
 	if got := resp.Header.Get("X-Pfg-Generation"); got != strconv.FormatUint(gen, 10) {
 		t.Fatalf("fast-path 304 X-Pfg-Generation = %q, want %d", got, gen)
 	}
-	if got := h.srv.stats.NotModified.Load(); got != 3 {
+	if got := h.srv.ins.notModified.Load(); got != 3 {
 		t.Fatalf("NotModified = %d, want 3", got)
 	}
 
@@ -196,9 +196,9 @@ func TestConditionalSnapshot(t *testing.T) {
 	if time.Since(start) < 50*time.Millisecond {
 		t.Fatal("long-poll returned before its wait elapsed")
 	}
-	if h.srv.stats.LongPollWaits.Load() != 1 || h.srv.stats.LongPollTimeouts.Load() != 1 {
+	if h.srv.ins.longPollWaits.Load() != 1 || h.srv.ins.longPollTimeouts.Load() != 1 {
 		t.Fatalf("long-poll counters = %d/%d, want 1/1",
-			h.srv.stats.LongPollWaits.Load(), h.srv.stats.LongPollTimeouts.Load())
+			h.srv.ins.longPollWaits.Load(), h.srv.ins.longPollTimeouts.Load())
 	}
 
 	// Long-poll: a push during the wait releases the request with the fresh
@@ -276,7 +276,7 @@ func TestEventsDeltaDelivery(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("delta reconstruction diverged from the GET body\n got: %s\nwant: %s", got, want)
 	}
-	if h.srv.stats.EventsDelta.Load() == 0 {
+	if h.srv.ins.eventsDelta.Load() == 0 {
 		t.Fatal("EventsDelta counter never moved")
 	}
 }
@@ -300,7 +300,7 @@ func TestEventsOneRunManySubscribers(t *testing.T) {
 			t.Fatalf("subscriber %d first event %q, want snapshot", i, ev.name)
 		}
 	}
-	runs0, enc0 := h.srv.stats.SnapshotRuns.Load(), h.srv.stats.SnapshotEncodes.Load()
+	runs0, enc0 := h.srv.ins.snapshotRuns.Load(), h.srv.ins.snapshotEncodes.Load()
 
 	h.mustJSON("POST", "/v1/sessions/fan/push", PushRequest{Sample: rest[0]}, http.StatusOK, nil)
 	for i, c := range clients {
@@ -309,10 +309,10 @@ func TestEventsOneRunManySubscribers(t *testing.T) {
 			t.Fatalf("subscriber %d got event %q", i, ev.name)
 		}
 	}
-	if runs := h.srv.stats.SnapshotRuns.Load() - runs0; runs != 1 {
+	if runs := h.srv.ins.snapshotRuns.Load() - runs0; runs != 1 {
 		t.Fatalf("one bump cost %d clustering runs, want 1", runs)
 	}
-	if encs := h.srv.stats.SnapshotEncodes.Load() - enc0; encs != 1 {
+	if encs := h.srv.ins.snapshotEncodes.Load() - enc0; encs != 1 {
 		t.Fatalf("one bump cost %d body encodes, want 1", encs)
 	}
 }
@@ -378,7 +378,7 @@ func TestEventsDisconnectReleasesCharge(t *testing.T) {
 
 	c := openEvents(h, "/v1/sessions/bye/events?k=2")
 	c.next() // initial snapshot: the stream is established
-	if got := h.srv.stats.Subscribers.Load(); got != 1 {
+	if got := h.srv.ins.subscribers.Load(); got != 1 {
 		t.Fatalf("Subscribers gauge = %d, want 1", got)
 	}
 	h.srv.reg.mu.Lock()
@@ -394,12 +394,12 @@ func TestEventsDisconnectReleasesCharge(t *testing.T) {
 		h.srv.reg.mu.Lock()
 		inUse = h.srv.reg.subsInUse
 		h.srv.reg.mu.Unlock()
-		if inUse == 0 && h.srv.stats.Subscribers.Load() == 0 {
+		if inUse == 0 && h.srv.ins.subscribers.Load() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("disconnect never released: gauge %d, subsInUse %d",
-				h.srv.stats.Subscribers.Load(), inUse)
+				h.srv.ins.subscribers.Load(), inUse)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

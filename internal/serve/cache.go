@@ -224,7 +224,7 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 	if c.res != nil && c.gen >= gen {
 		res, cachedGen := c.res, c.gen
 		c.mu.Unlock()
-		s.stats.SnapshotHits.Add(1)
+		s.ins.snapshotHits.Add(1)
 		return res, cachedGen, cacheHit, nil
 	}
 	var join *flight
@@ -236,7 +236,7 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 	if join != nil {
 		join.waiters++
 		c.mu.Unlock()
-		s.stats.SnapshotCoalesced.Add(1)
+		s.ins.snapshotCoalesced.Add(1)
 		return c.wait(ctx, join, cacheCoalesced)
 	}
 	// Leader path. Admission control first: the semaphore bounds clustering
@@ -248,14 +248,14 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 	case s.sem <- struct{}{}:
 	default:
 		c.mu.Unlock()
-		s.stats.SnapshotRejected.Add(1)
+		s.ins.snapshotRejected.Add(1)
 		return nil, 0, "", errSaturated
 	}
 	runCtx, cancel := context.WithCancel(s.baseCtx)
 	f := &flight{key: gen, done: make(chan struct{}), cancel: cancel, waiters: 1}
 	c.inflight[gen] = f
 	c.mu.Unlock()
-	s.stats.SnapshotRuns.Add(1)
+	s.ins.snapshotRuns.Add(1)
 
 	// The run itself happens on a detached goroutine so the leader can
 	// abandon it (client gone, deadline hit) exactly like a coalesced
@@ -265,9 +265,8 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 		start := time.Now()
 		res, actualGen, err := sess.st.SnapshotGen(runCtx)
 		elapsed := time.Since(start)
-		s.stats.SnapshotRunNanos.Add(int64(elapsed))
+		s.ins.snapRunNs.Observe(uint64(elapsed))
 		if err == nil {
-			s.ins.snapRunNs.Observe(uint64(elapsed))
 			// Record the structure-drift comparison before the flight
 			// publishes: every response body of this generation — built only
 			// after f.done closes or c.res lands below — then embeds the

@@ -76,10 +76,10 @@ func TestSnapshotCoalescing(t *testing.T) {
 
 	// Exactly one clustering run for the whole stampede, no rejections —
 	// followers coalesced onto the leader's run or hit the cache it filled.
-	if runs := h.srv.stats.SnapshotRuns.Load(); runs != 1 {
+	if runs := h.srv.ins.snapshotRuns.Load(); runs != 1 {
 		t.Fatalf("%d clustering runs for %d concurrent clients, want 1 (statuses %v)", runs, clients, byStatus)
 	}
-	if rej := h.srv.stats.SnapshotRejected.Load(); rej != 0 {
+	if rej := h.srv.ins.snapshotRejected.Load(); rej != 0 {
 		t.Fatalf("%d clients rejected; same-generation readers must never saturate", rej)
 	}
 	if got := byStatus[""]; got != 0 {
@@ -88,7 +88,7 @@ func TestSnapshotCoalescing(t *testing.T) {
 	if byStatus["miss"] != 1 {
 		t.Fatalf("cache statuses %v, want exactly 1 miss", byStatus)
 	}
-	if hits := h.srv.stats.SnapshotHits.Load() + h.srv.stats.SnapshotCoalesced.Load(); hits != clients-1 {
+	if hits := h.srv.ins.snapshotHits.Load() + h.srv.ins.snapshotCoalesced.Load(); hits != clients-1 {
 		t.Fatalf("hits+coalesced = %d, want %d", hits, clients-1)
 	}
 
@@ -117,7 +117,7 @@ func TestSnapshotCoalescing(t *testing.T) {
 	// client.
 	h.mustJSON("POST", "/v1/sessions/feed/push", PushRequest{Sample: stream[window]}, http.StatusOK, nil)
 	bodies2, _ := fireSnapshots(t, h, url, clients)
-	if runs := h.srv.stats.SnapshotRuns.Load(); runs != 2 {
+	if runs := h.srv.ins.snapshotRuns.Load(); runs != 2 {
 		t.Fatalf("%d clustering runs after a push, want 2", runs)
 	}
 	var snap2 SnapshotResponse

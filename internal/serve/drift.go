@@ -102,9 +102,9 @@ func (t *driftTracker) lastARI() float64   { return math.Float64frombits(t.ariBi
 func (t *driftTracker) lastChurn() float64 { return float64(t.churnEdge.Load()) }
 
 // driftFor returns the drift record when gen is exactly the tracker's most
-// recent computed generation, nil otherwise (first generation, tracker moved
-// on, or drift disabled). The returned pointer is a copy; callers may embed
-// it in wire bodies.
+// recent computed generation, nil otherwise (first generation, or the
+// tracker moved on). The returned pointer is a copy; callers may embed it in
+// wire bodies.
 func (t *driftTracker) driftFor(gen uint64) *StructureDrift {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -130,11 +130,8 @@ func (t *driftTracker) state() (uint64, *StructureDrift) {
 // computed generation exists, measures the drift against it. Called on the
 // clustering run's goroutine after SnapshotGen succeeds and before the run
 // publishes its result, so the record is in place before any response body
-// of that generation is built. No-op with metrics off.
+// of that generation is built.
 func (s *Server) noteStructure(sess *Session, res *pfg.Result, gen uint64) {
-	if s.obs == nil {
-		return
-	}
 	k := sess.cfg.DriftCut
 	if k <= 0 {
 		k = defaultDriftCut
@@ -251,9 +248,7 @@ func (s *Server) handleDriftz(w http.ResponseWriter, r *http.Request) {
 		gen, d := sess.drift.state()
 		out.Sessions[i] = DriftzSession{ID: sess.ID, Generation: gen, Drift: d}
 	}
-	if s.obs != nil {
-		out.ARIDistanceMicros = obs.Summarize(s.ins.driftAri)
-		out.EdgeChurn = obs.Summarize(s.ins.driftChurn)
-	}
+	out.ARIDistanceMicros = obs.Summarize(s.ins.driftAri)
+	out.EdgeChurn = obs.Summarize(s.ins.driftChurn)
 	writeJSON(w, http.StatusOK, out)
 }

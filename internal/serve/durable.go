@@ -74,8 +74,7 @@ type durable struct {
 	dir    string
 	every  int
 	policy ckpt.SyncPolicy
-	stats  *Stats
-	ins    *instruments // the server's histogram set (nil instruments no-op)
+	ins    *instruments // the server's counters and histograms
 
 	wal     *ckpt.WALWriter
 	walF    *os.File
@@ -97,7 +96,6 @@ func (s *Server) attachDurability(sess *Session) {
 		dir:    filepath.Join(s.opts.StateDir, sess.ID),
 		every:  s.opts.CheckpointEvery,
 		policy: s.opts.Fsync,
-		stats:  &s.stats,
 		ins:    &s.ins,
 	}
 	if d.every <= 0 {
@@ -106,7 +104,7 @@ func (s *Server) attachDurability(sess *Session) {
 	sess.pushMu.Lock()
 	defer sess.pushMu.Unlock()
 	if err := d.init(sess); err != nil {
-		s.stats.DurabilityErrors.Add(1)
+		s.ins.durabilityErrors.Add(1)
 		log.Printf("serve: session %q: durability disabled: %v", sess.ID, err)
 		return
 	}
@@ -165,8 +163,8 @@ func (d *durable) noteAdmitted(gen uint64, sample []float64) {
 		return
 	}
 	frameBytes := uint64(d.wal.Bytes() - before)
-	d.stats.WALFrames.Add(1)
-	d.stats.WALBytes.Add(frameBytes)
+	d.ins.walFrames.Add(1)
+	d.ins.walBytes.Add(frameBytes)
 	d.ins.walFrameBytes.Observe(frameBytes)
 	d.pushes++
 }
@@ -224,9 +222,8 @@ func (d *durable) checkpoint(sess *Session) error {
 	d.pushes = 0
 	d.prune()
 	elapsed := time.Since(start)
-	d.stats.Checkpoints.Add(1)
-	d.stats.CheckpointBytes.Add(uint64(cw.n))
-	d.stats.CheckpointNanos.Add(int64(elapsed))
+	d.ins.checkpoints.Add(1)
+	d.ins.checkpointBytes.Add(uint64(cw.n))
 	d.ins.ckptNs.Observe(uint64(elapsed))
 	d.ins.ckptBytes.Observe(uint64(cw.n))
 	return nil
@@ -286,7 +283,7 @@ func (d *durable) prune() {
 // durable prefix written before the failure).
 func (d *durable) fail(op string, err error) {
 	d.broken = true
-	d.stats.DurabilityErrors.Add(1)
+	d.ins.durabilityErrors.Add(1)
 	log.Printf("serve: %s: %s failed, durability disabled for this session: %v", filepath.Base(d.dir), op, err)
 }
 
@@ -348,7 +345,7 @@ func (s *Server) Recover() (int, error) {
 			continue
 		}
 		if err := s.recoverSession(e.Name()); err != nil {
-			s.stats.DurabilityErrors.Add(1)
+			s.ins.durabilityErrors.Add(1)
 			log.Printf("serve: recover %q: session skipped: %v", e.Name(), err)
 			continue
 		}
@@ -396,7 +393,7 @@ func (s *Server) recoverSession(id string) error {
 			break
 		}
 		st = nil
-		s.stats.TornTruncations.Add(1)
+		s.ins.tornTruncations.Add(1)
 		log.Printf("serve: recover %q: checkpoint %s unusable: %v", id, ckptName(g), err)
 	}
 	if st == nil {
@@ -422,7 +419,7 @@ replay:
 			continue
 		}
 		if torn {
-			s.stats.TornTruncations.Add(1)
+			s.ins.tornTruncations.Add(1)
 		}
 		for _, fr := range frames {
 			cur := st.Generation()
@@ -447,7 +444,7 @@ replay:
 			replayed++
 		}
 	}
-	s.stats.ReplayedFrames.Add(replayed)
+	s.ins.replayedFrames.Add(replayed)
 
 	// The checkpoint is authoritative for everything it carries; meta.json
 	// only contributes what it does not (method/prefix/workers). Reconcile
@@ -460,7 +457,7 @@ replay:
 		st.Close()
 		return err
 	}
-	s.stats.RecoveredSessions.Add(1)
+	s.ins.recoveredSessions.Add(1)
 	// A recovered session is instrumented exactly like a created one
 	// (SetMetrics applies to the restored engine), then re-checkpointed at
 	// the recovered generation: the WAL suffix just replayed is folded in,
@@ -481,31 +478,11 @@ func readMeta(dir string) (SessionConfig, pfg.Options, error) {
 	if err := json.Unmarshal(b, &meta); err != nil {
 		return SessionConfig{}, pfg.Options{}, err
 	}
-	method, err := parseMethod(meta.Method)
+	cfg, err := meta.config()
 	if err != nil {
 		return SessionConfig{}, pfg.Options{}, err
 	}
-	prec, err := parsePrecision(meta.Precision)
-	if err != nil {
-		return SessionConfig{}, pfg.Options{}, err
-	}
-	cfg := SessionConfig{
-		Window:       meta.Window,
-		Method:       method,
-		Prefix:       meta.Prefix,
-		Workers:      meta.Workers,
-		RebuildEvery: meta.RebuildEvery,
-		Precision:    prec,
-		DriftCut:     meta.DriftCut,
-	}
-	if meta.Incremental != nil {
-		cfg.Incremental = pfg.IncrementalOptions{
-			Enabled:        true,
-			DriftThreshold: meta.Incremental.DriftThreshold,
-			MaxStale:       meta.Incremental.MaxStale,
-		}
-	}
-	return cfg, pfg.Options{Method: method, Prefix: meta.Prefix, Workers: meta.Workers}, nil
+	return cfg, pfg.Options{Method: cfg.Method, Prefix: cfg.Prefix, Workers: cfg.Workers}, nil
 }
 
 func ckptName(gen uint64) string { return fmt.Sprintf("ckpt-%020d.pfgc", gen) }

@@ -67,10 +67,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	v := s.stats.view()
-	if s.obs != nil {
-		v.Histograms = s.ins.summaries()
-	}
+	v := s.ins.view()
 	sessions := s.reg.List()
 	v.Sessions = len(sessions)
 	v.SessionInfos = make([]SessionInfo, len(sessions))
@@ -93,35 +90,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), "bad request body: %v", err)
 		return
 	}
-	method, err := parseMethod(req.Method)
+	cfg, err := req.config()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	prec, err := parsePrecision(req.Precision)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.DriftCut < 0 {
-		writeError(w, http.StatusBadRequest, "drift_cut must be non-negative, got %d", req.DriftCut)
-		return
-	}
-	cfg := SessionConfig{
-		Window:       req.Window,
-		Method:       method,
-		Prefix:       req.Prefix,
-		Workers:      req.Workers,
-		RebuildEvery: req.RebuildEvery,
-		Precision:    prec,
-		DriftCut:     req.DriftCut,
-	}
-	if req.Incremental != nil {
-		cfg.Incremental = pfg.IncrementalOptions{
-			Enabled:        true,
-			DriftThreshold: req.Incremental.DriftThreshold,
-			MaxStale:       req.Incremental.MaxStale,
-		}
 	}
 	sess, err := s.reg.Create(req.ID, cfg)
 	if err != nil {
@@ -134,7 +106,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	s.stats.SessionsCreated.Add(1)
+	s.ins.sessionsCreated.Add(1)
 	// Instrumentation and durability both attach before the create is
 	// acknowledged: no acknowledged push can slip in front of the WAL, and
 	// none can go untimed.
@@ -168,7 +140,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.detachMetrics(id)
-	s.stats.SessionsDeleted.Add(1)
+	s.ins.sessionsDeleted.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -239,12 +211,9 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		sess.dur.afterBatch(sess)
 	}
 	elapsed := time.Since(start)
-	s.stats.PushNanos.Add(int64(elapsed))
-	if admitted > 0 {
-		s.ins.pushBatchNs.Observe(uint64(elapsed))
-		if slow := s.opts.LogSlowTick; slow > 0 && elapsed >= slow {
-			logSlowPush(sess, admitted, elapsed)
-		}
+	s.ins.pushBatchNs.Observe(uint64(elapsed))
+	if slow := s.opts.LogSlowTick; slow > 0 && elapsed >= slow && admitted > 0 {
+		logSlowPush(sess, admitted, elapsed)
 	}
 	if firstPush && sess.st.Series() == 0 {
 		// Nothing was admitted, so no ring was allocated: hand the
@@ -257,11 +226,11 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	curLen, curGen := sess.st.Len(), sess.st.Generation()
 	sess.pushMu.Unlock()
 
-	s.stats.TicksPushed.Add(uint64(admitted))
+	s.ins.ticksPushed.Add(uint64(admitted))
 	if pushErr != nil {
 		// Only the tick that was actually examined and refused counts as
 		// rejected; the aborted remainder of the batch was never validated.
-		s.stats.PushRejected.Add(1)
+		s.ins.pushRejected.Add(1)
 		if errors.Is(pushErr, pfg.ErrClosed) {
 			writeError(w, http.StatusGone, "session deleted")
 			return
@@ -352,7 +321,7 @@ func (s *Server) waitForChange(ctx context.Context, sess *Session, ifGen uint64,
 // writeNotModified is the zero-body fast path of a conditional read: the
 // client's generation still stamps the window, so its snapshot is current.
 func (s *Server) writeNotModified(w http.ResponseWriter, gen uint64) {
-	s.stats.NotModified.Add(1)
+	s.ins.notModified.Add(1)
 	w.Header().Set("X-Pfg-Generation", strconv.FormatUint(gen, 10))
 	w.WriteHeader(http.StatusNotModified)
 }
@@ -392,8 +361,8 @@ func (s *Server) tryNotModifiedFast(w http.ResponseWriter, r *http.Request) bool
 	if cur := sess.st.Generation(); cur == 0 || cur != g {
 		return false
 	}
-	s.stats.ConditionalRequests.Add(1)
-	s.stats.NotModified.Add(1)
+	s.ins.conditionalRequests.Add(1)
+	s.ins.notModified.Add(1)
 	// The client's header string is the generation it matched against —
 	// echo it back instead of re-formatting the number.
 	w.Header().Set("X-Pfg-Generation", v)
@@ -402,12 +371,11 @@ func (s *Server) tryNotModifiedFast(w http.ResponseWriter, r *http.Request) bool
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	// Request timing starts here (but never on the uninstrumented server,
-	// and only for a 1-in-8 sample of requests). The clock reads are the
-	// only per-request cost metrics add to this path, and the budget is
-	// ≤ 5% over the MetricsOff baseline: a cached hit is ~2µs, two clock
-	// reads are ~70ns, so always-on timing would eat most of the budget by
-	// itself. Systematic sampling keeps the latency distribution unbiased
+	// Request timing starts here, for a 1-in-8 sample of requests. The
+	// clock reads are the main per-request cost metrics add to this path,
+	// and the budget is ≤ 5% over the same path untimed: a cached hit is
+	// ~2µs, two clock reads are ~70ns, so always-on timing would eat most
+	// of the budget by itself. Systematic sampling keeps the latency distribution unbiased
 	// (the sequence counter has no correlation with request cost) at ~1%
 	// overhead; the expensive outcomes are independently always-timed by
 	// pfg_snapshot_run_ns on the run goroutine. Timing is a delta of
@@ -416,7 +384,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// pair.
 	var reqStart time.Duration
 	timed := false
-	if s.obs != nil && s.snapSeq.Add(1)&(snapSampleEvery-1) == 0 {
+	if s.snapSeq.Add(1)&(snapSampleEvery-1) == 0 {
 		timed = true
 		reqStart = time.Since(s.start)
 	}
@@ -436,7 +404,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if conditional {
-		s.stats.ConditionalRequests.Add(1)
+		s.ins.conditionalRequests.Add(1)
 		cur := sess.st.Generation()
 		if cur != 0 && cur == ifGen {
 			// RawQuery is checked first so a header-only conditional re-poll
@@ -454,10 +422,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 				if d > maxLongPoll {
 					d = maxLongPoll
 				}
-				s.stats.LongPollWaits.Add(1)
+				s.ins.longPollWaits.Add(1)
 				cur = s.waitForChange(r.Context(), sess, ifGen, d)
 				if cur == ifGen {
-					s.stats.LongPollTimeouts.Add(1)
+					s.ins.longPollTimeouts.Add(1)
 				}
 			}
 			if cur == ifGen {
@@ -495,7 +463,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.stats.SnapshotRequests.Add(1)
+	s.ins.snapshotRequests.Add(1)
 	res, gen, status, err := s.snapshotResult(r.Context(), sess)
 	switch {
 	case err == nil:
@@ -513,7 +481,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	default:
-		s.stats.SnapshotErrors.Add(1)
+		s.ins.snapshotErrors.Add(1)
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -569,7 +537,7 @@ func (s *Server) snapshotBody(sess *Session, res *pfg.Result, gen uint64, ks []i
 		if err != nil {
 			return nil, nil, err
 		}
-		s.stats.SnapshotEncodes.Add(1)
+		s.ins.snapshotEncodes.Add(1)
 		return view, append(b, '\n'), nil
 	})
 }

@@ -9,20 +9,50 @@ import (
 	"pfg/internal/obs"
 )
 
-// The server's observability surface is one obs.Registry (nil when
-// Options.MetricsOff — every instrument below is then nil and every update
-// a no-op, which is also the benchmark baseline the instrumented paths are
-// held to). Counters that already exist as Stats atomics are mirrored with
-// read-at-scrape CounterFuncs so the hot paths never double-count; only
-// distributions (latency/size histograms) are new write points, and each
-// one sits on a path that already reads the clock or the byte count it
-// records.
+// The server's observability surface is one obs.Registry, and it is the
+// only counter system: every /statsz counter is an obs.Counter registered
+// here, rendered by /metricsz as pfg_<statsz key>_total and read back by
+// /statsz (stats.go). The distributions (latency/size histograms) sit on
+// paths that already read the clock or the byte count they record.
 
-// instruments is the server's histogram set. All fields are nil when the
-// registry is nil; obs histograms are nil-safe, so update sites need no
-// guards of their own.
+// instruments is the server's counter and histogram set.
 type instruments struct {
-	// Request-path latencies.
+	// Counters, one per /statsz field of the same name.
+	sessionsCreated     *obs.Counter
+	sessionsDeleted     *obs.Counter
+	ticksPushed         *obs.Counter
+	pushRejected        *obs.Counter // ticks examined and refused (a batch's aborted remainder is not counted)
+	snapshotRequests    *obs.Counter
+	snapshotHits        *obs.Counter
+	snapshotCoalesced   *obs.Counter
+	snapshotRuns        *obs.Counter
+	snapshotErrors      *obs.Counter
+	snapshotRejected    *obs.Counter
+	snapshotEncodes     *obs.Counter
+	conditionalRequests *obs.Counter
+	notModified         *obs.Counter
+	longPollWaits       *obs.Counter
+	longPollTimeouts    *obs.Counter
+	subscribeRejected   *obs.Counter
+	eventsDelta         *obs.Counter
+	eventsFull          *obs.Counter
+	eventsDropped       *obs.Counter
+	eventBytes          *obs.Counter
+	eventBytesSaved     *obs.Counter // Σ (full frame − sent frame) over delta deliveries
+	deltaFallbackFulls  *obs.Counter
+	checkpoints         *obs.Counter
+	checkpointBytes     *obs.Counter
+	walFrames           *obs.Counter
+	walBytes            *obs.Counter
+	recoveredSessions   *obs.Counter
+	replayedFrames      *obs.Counter
+	tornTruncations     *obs.Counter // WAL tears + unusable checkpoints skipped
+	durabilityErrors    *obs.Counter
+	subscribers         *obs.Gauge // current SSE subscribers
+
+	// Request-path latencies. pushBatchNs and snapRunNs also time rejected
+	// batches and failed runs: their sums are the totals behind the /statsz
+	// push_mean_us and snapshot_run_mean_ms.
 	pushBatchNs     *obs.Histogram // one HTTP push batch under the session push lock
 	snapHitNs       *obs.Histogram // snapshot GET served from the generation cache
 	snapCoalescedNs *obs.Histogram // snapshot GET that joined an in-flight run
@@ -56,13 +86,47 @@ type instruments struct {
 	driftChurn *obs.Histogram // filtered-graph edges added + removed
 }
 
-// newInstruments creates (or, on a nil registry, declines to create) the
-// histogram set.
+// newInstruments registers the counter and histogram set in r.
 func newInstruments(r *obs.Registry) instruments {
+	c := func(key, help string) *obs.Counter {
+		return r.Counter("pfg_"+key+"_total", help)
+	}
 	h := func(name, help string, kv ...string) *obs.Histogram {
 		return r.Histogram(name, help, kv...)
 	}
 	return instruments{
+		sessionsCreated:     c("sessions_created", "sessions created"),
+		sessionsDeleted:     c("sessions_deleted", "sessions deleted"),
+		ticksPushed:         c("ticks_pushed", "ticks admitted by Push"),
+		pushRejected:        c("push_rejected", "ticks examined and refused by validation"),
+		snapshotRequests:    c("snapshot_requests", "snapshot requests admitted past routing"),
+		snapshotHits:        c("snapshot_hits", "snapshots served straight from the generation cache"),
+		snapshotCoalesced:   c("snapshot_coalesced", "snapshot requests that joined an in-flight run"),
+		snapshotRuns:        c("snapshot_runs", "clustering runs launched"),
+		snapshotErrors:      c("snapshot_errors", "clustering runs or waits that ended in an error"),
+		snapshotRejected:    c("snapshot_rejected", "429s from snapshot admission control"),
+		snapshotEncodes:     c("snapshot_encodes", "full response bodies marshaled (body-cache misses)"),
+		conditionalRequests: c("conditional_requests", "snapshot GETs carrying If-Generation"),
+		notModified:         c("not_modified", "free 304s (generation unchanged)"),
+		longPollWaits:       c("long_poll_waits", "requests parked on the generation watch"),
+		longPollTimeouts:    c("long_poll_timeouts", "parked requests that timed out into a 304"),
+		subscribeRejected:   c("subscribe_rejected", "subscriptions refused by the subscriber ceilings"),
+		eventsDelta:         c("events_delta", "delta events delivered"),
+		eventsFull:          c("events_full", "full snapshot events delivered"),
+		eventsDropped:       c("events_dropped", "updates discarded by slow-subscriber drop-to-latest"),
+		eventBytes:          c("event_bytes", "bytes written to event streams"),
+		eventBytesSaved:     c("event_bytes_saved", "bytes saved by delta deliveries vs full frames"),
+		deltaFallbackFulls:  c("delta_fallback_fulls", "deliveries that wanted a delta but fell back to full"),
+		checkpoints:         c("checkpoints", "checkpoints written"),
+		checkpointBytes:     c("checkpoint_bytes", "total checkpoint bytes written"),
+		walFrames:           c("wal_frames", "push frames appended to WAL segments"),
+		walBytes:            c("wal_bytes", "bytes appended to WAL segments"),
+		recoveredSessions:   c("recovered_sessions", "sessions restored by Recover at boot"),
+		replayedFrames:      c("wal_replayed_frames", "WAL frames replayed into recovered engines"),
+		tornTruncations:     c("wal_torn_truncations", "torn WAL tails dropped plus unusable checkpoints skipped"),
+		durabilityErrors:    c("durability_errors", "disk failures that disabled durability or skipped a recovery"),
+		subscribers:         r.Gauge("pfg_subscribers", "current SSE subscribers"),
+
 		pushBatchNs:     h("pfg_push_batch_ns", "wall time of one HTTP push batch inside the session push lock, in nanoseconds"),
 		snapHitNs:       h("pfg_snapshot_request_ns", "snapshot GET latency by cache outcome, in nanoseconds (1-in-8 sampled)", "source", "hit"),
 		snapCoalescedNs: h("pfg_snapshot_request_ns", "snapshot GET latency by cache outcome, in nanoseconds (1-in-8 sampled)", "source", "coalesced"),
@@ -89,96 +153,39 @@ func newInstruments(r *obs.Registry) instruments {
 	}
 }
 
-// registerStatFuncs mirrors the Stats atomics and the live gauges into the
-// registry as read-at-scrape callbacks. No-op on a nil registry.
-func (s *Server) registerStatFuncs() {
-	r := s.obs
-	if r == nil {
-		return
-	}
-	st := &s.stats
-	counters := []struct {
-		name, help string
-		load       func() uint64
-	}{
-		{"pfg_sessions_created_total", "sessions created", st.SessionsCreated.Load},
-		{"pfg_sessions_deleted_total", "sessions deleted", st.SessionsDeleted.Load},
-		{"pfg_ticks_pushed_total", "ticks admitted by Push", st.TicksPushed.Load},
-		{"pfg_push_rejected_total", "ticks examined and refused by validation", st.PushRejected.Load},
-		{"pfg_snapshot_requests_total", "snapshot requests admitted past routing", st.SnapshotRequests.Load},
-		{"pfg_snapshot_hits_total", "snapshots served straight from the generation cache", st.SnapshotHits.Load},
-		{"pfg_snapshot_coalesced_total", "snapshot requests that joined an in-flight run", st.SnapshotCoalesced.Load},
-		{"pfg_snapshot_runs_total", "clustering runs launched", st.SnapshotRuns.Load},
-		{"pfg_snapshot_errors_total", "clustering runs or waits that ended in an error", st.SnapshotErrors.Load},
-		{"pfg_snapshot_rejected_total", "429s from snapshot admission control", st.SnapshotRejected.Load},
-		{"pfg_snapshot_encodes_total", "full response bodies marshaled (body-cache misses)", st.SnapshotEncodes.Load},
-		{"pfg_conditional_requests_total", "snapshot GETs carrying If-Generation", st.ConditionalRequests.Load},
-		{"pfg_not_modified_total", "free 304s (generation unchanged)", st.NotModified.Load},
-		{"pfg_long_poll_waits_total", "requests parked on the generation watch", st.LongPollWaits.Load},
-		{"pfg_long_poll_timeouts_total", "parked requests that timed out into a 304", st.LongPollTimeouts.Load},
-		{"pfg_subscribe_rejected_total", "subscriptions refused by the subscriber ceilings", st.SubscribeRejected.Load},
-		{"pfg_events_delta_total", "delta events delivered", st.EventsDelta.Load},
-		{"pfg_events_full_total", "full snapshot events delivered", st.EventsFull.Load},
-		{"pfg_events_dropped_total", "updates discarded by slow-subscriber drop-to-latest", st.EventsDropped.Load},
-		{"pfg_event_bytes_total", "bytes written to event streams", st.EventBytes.Load},
-		{"pfg_event_bytes_saved_total", "bytes saved by delta deliveries vs full frames", st.EventBytesSaved.Load},
-		{"pfg_delta_fallback_fulls_total", "deliveries that wanted a delta but fell back to full", st.DeltaFallbackFulls.Load},
-		{"pfg_checkpoints_total", "checkpoints written", st.Checkpoints.Load},
-		{"pfg_checkpoint_bytes_total", "total checkpoint bytes written", st.CheckpointBytes.Load},
-		{"pfg_wal_frames_total", "push frames appended to WAL segments", st.WALFrames.Load},
-		{"pfg_wal_bytes_total", "bytes appended to WAL segments", st.WALBytes.Load},
-		{"pfg_recovered_sessions_total", "sessions restored by Recover at boot", st.RecoveredSessions.Load},
-		{"pfg_wal_replayed_frames_total", "WAL frames replayed into recovered engines", st.ReplayedFrames.Load},
-		{"pfg_wal_torn_truncations_total", "torn WAL tails dropped plus unusable checkpoints skipped", st.TornTruncations.Load},
-		{"pfg_durability_errors_total", "disk failures that disabled durability or skipped a recovery", st.DurabilityErrors.Load},
-	}
-	for _, c := range counters {
-		r.CounterFunc(c.name, c.help, c.load)
-	}
-	r.GaugeFunc("pfg_sessions", "live sessions", func() float64 { return float64(s.reg.Len()) })
-	r.GaugeFunc("pfg_subscribers", "current SSE subscribers", func() float64 { return float64(st.Subscribers.Load()) })
-	r.GaugeFunc("pfg_inflight_runs", "clustering runs currently holding an admission slot", func() float64 { return float64(len(s.sem)) })
-	r.GaugeFunc("pfg_uptime_seconds", "seconds since the server started", func() float64 { return time.Since(s.start).Seconds() })
+// registerGaugeFuncs registers the gauges whose values live elsewhere and
+// are read at scrape time.
+func (s *Server) registerGaugeFuncs() {
+	s.obs.GaugeFunc("pfg_sessions", "live sessions", func() float64 { return float64(s.reg.Len()) })
+	s.obs.GaugeFunc("pfg_inflight_runs", "clustering runs currently holding an admission slot", func() float64 { return float64(len(s.sem)) })
+	s.obs.GaugeFunc("pfg_uptime_seconds", "seconds since the server started", func() float64 { return time.Since(s.start).Seconds() })
 }
 
 // attachMetrics installs per-stage timing on a session's streamer. The
 // per-session stages point at the SHARED server histograms — each session
 // still gets its own Stage.Last readback (the slow-tick log), but the
-// exposition's series count stays independent of the session count. With
-// metrics off, stages are attached only if the slow-tick log needs their
-// Last values; otherwise the streamer stays entirely uninstrumented (no
-// clock reads on the push path).
+// exposition's series count stays independent of the session count.
 func (s *Server) attachMetrics(sess *Session) {
-	var m *pfg.StreamerMetrics
-	switch {
-	case s.obs != nil:
-		m = &pfg.StreamerMetrics{
-			PushAdmit:       obs.NewStage(s.ins.tickAdmit),
-			PushRoll:        obs.NewStage(s.ins.tickRoll),
-			Rebuild:         obs.NewStage(s.ins.tickRebuild),
-			SnapshotFinish:  obs.NewStage(s.ins.snapFinish),
-			SnapshotCluster: obs.NewStage(s.ins.snapCluster),
-			IncDrift:        obs.NewStage(s.ins.incDrift),
-			IncRefresh:      obs.NewStage(s.ins.incRefresh),
-		}
-	case s.opts.LogSlowTick > 0:
-		m = pfg.NewStreamerMetrics()
-	default:
-		return
+	m := &pfg.StreamerMetrics{
+		PushAdmit:       obs.NewStage(s.ins.tickAdmit),
+		PushRoll:        obs.NewStage(s.ins.tickRoll),
+		Rebuild:         obs.NewStage(s.ins.tickRebuild),
+		SnapshotFinish:  obs.NewStage(s.ins.snapFinish),
+		SnapshotCluster: obs.NewStage(s.ins.snapCluster),
+		IncDrift:        obs.NewStage(s.ins.incDrift),
+		IncRefresh:      obs.NewStage(s.ins.incRefresh),
 	}
 	sess.met.Store(m)
 	sess.st.SetMetrics(m)
-	if r := s.obs; r != nil {
-		t := &sess.drift
-		r.GaugeFunc("pfg_session_drift_ari", "adjusted Rand index between the session's two most recent computed generations (1 = unchanged clustering)",
-			t.lastARI, "session", sess.ID)
-		r.GaugeFunc("pfg_session_edge_churn", "filtered-graph edges added plus removed between the session's two most recent computed generations",
-			t.lastChurn, "session", sess.ID)
-	}
+	t := &sess.drift
+	s.obs.GaugeFunc("pfg_session_drift_ari", "adjusted Rand index between the session's two most recent computed generations (1 = unchanged clustering)",
+		t.lastARI, "session", sess.ID)
+	s.obs.GaugeFunc("pfg_session_edge_churn", "filtered-graph edges added plus removed between the session's two most recent computed generations",
+		t.lastChurn, "session", sess.ID)
 }
 
 // detachMetrics drops a deleted session's per-session gauges from the
-// exposition. No-op with metrics off.
+// exposition.
 func (s *Server) detachMetrics(id string) {
 	s.obs.Remove("pfg_session_drift_ari", "session", id)
 	s.obs.Remove("pfg_session_edge_churn", "session", id)
@@ -215,8 +222,7 @@ func logSlowSnapshot(sess *Session, gen uint64, elapsed time.Duration) {
 }
 
 // handleMetricsz is GET /metricsz: the Prometheus text exposition of the
-// whole registry. With metrics off the body is empty (still a valid
-// exposition).
+// whole registry.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.obs.WritePrometheus(w)

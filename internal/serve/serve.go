@@ -94,38 +94,26 @@ type Options struct {
 	// ckpt.SyncNone (leave it to the OS).
 	Fsync ckpt.SyncPolicy
 
-	// MetricsOff disables the observability registry entirely: /metricsz
-	// serves an empty exposition, /driftz stops computing structure drift,
-	// /statsz omits the histograms field, and every hot-path instrument is
-	// nil (a no-op that reads no clock). It exists as the baseline the
-	// instrumented paths are benchmarked against; leave it false in
-	// production.
-	MetricsOff bool
 	// LogSlowTick, when positive, logs a one-line per-stage breakdown for
 	// any push batch or clustering run slower than the threshold (the
-	// -log-slow-tick flag of pfg-serve). Works with MetricsOff too: bare
-	// per-session stage timers are attached so Stage.Last is available
-	// without a registry.
+	// -log-slow-tick flag of pfg-serve).
 	LogSlowTick time.Duration
 }
 
 // Server is the serving state: the session registry, the admission
-// semaphore, and the stats counters. Create with New, expose via Handler,
+// semaphore, and the metrics registry. Create with New, expose via Handler,
 // and Close after the HTTP listener has drained.
 type Server struct {
 	opts    Options
 	reg     *Registry
-	stats   Stats
 	sem     chan struct{} // admission: one slot per in-flight clustering run
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	start   time.Time
 
-	// obs is the metrics registry behind /metricsz (nil with MetricsOff:
-	// every instrument in ins is then nil, and nil instruments no-op). The
-	// Stats counters above stay authoritative; the registry mirrors them at
-	// scrape time and adds the distributions (ins). snapSeq sequences
-	// snapshot requests for the 1-in-snapSampleEvery latency sampling (see
+	// obs is the metrics registry behind /metricsz, and ins its counters
+	// and histograms, which /statsz reads too. snapSeq sequences snapshot
+	// requests for the 1-in-snapSampleEvery latency sampling (see
 	// handleSnapshot).
 	obs     *obs.Registry
 	ins     instruments
@@ -156,12 +144,10 @@ func New(opts Options) *Server {
 		cancel:  cancel,
 		start:   time.Now(),
 		drainCh: make(chan struct{}),
-	}
-	if !opts.MetricsOff {
-		s.obs = obs.NewRegistry()
+		obs:     obs.NewRegistry(),
 	}
 	s.ins = newInstruments(s.obs)
-	s.registerStatFuncs()
+	s.registerGaugeFuncs()
 	return s
 }
 
@@ -190,10 +176,6 @@ func (s *Server) Handler() http.Handler {
 		mux.ServeHTTP(w, r)
 	})
 }
-
-// Stats exposes the counter set (read with atomic Loads; also served as
-// JSON by /statsz).
-func (s *Server) Stats() *Stats { return &s.stats }
 
 // Registry exposes the session table, for embedders that pre-create
 // sessions programmatically.

@@ -300,14 +300,14 @@ func TestSnapshot(t *testing.T) {
 	}
 
 	// A push bumps the generation: the next snapshot recomputes.
-	runsBefore := h.srv.stats.SnapshotRuns.Load()
+	runsBefore := h.srv.ins.snapshotRuns.Load()
 	h.mustJSON("POST", "/v1/sessions/s/push", PushRequest{Sample: stream[0]}, http.StatusOK, nil)
 	var snap3 SnapshotResponse
 	h.mustJSON("GET", "/v1/sessions/s/snapshot", nil, http.StatusOK, &snap3)
 	if snap3.Generation != 13 {
 		t.Fatalf("post-push snapshot generation %d, want 13", snap3.Generation)
 	}
-	if runs := h.srv.stats.SnapshotRuns.Load(); runs != runsBefore+1 {
+	if runs := h.srv.ins.snapshotRuns.Load(); runs != runsBefore+1 {
 		t.Fatalf("post-push snapshot ran %d times, want 1", runs-runsBefore)
 	}
 	if snap3.Result.Cuts != nil {
@@ -355,7 +355,7 @@ func TestAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("saturated snapshot: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	if got := h.srv.stats.SnapshotRejected.Load(); got != 1 {
+	if got := h.srv.ins.snapshotRejected.Load(); got != 1 {
 		t.Fatalf("SnapshotRejected = %d", got)
 	}
 

@@ -1,64 +1,9 @@
 package serve
 
 import (
-	"sync/atomic"
-
 	"pfg"
 	"pfg/internal/obs"
 )
-
-// Stats is the server's monotonic counter set, updated with atomics on the
-// request paths and reported by GET /statsz. Latency totals pair with their
-// counters so readers can derive means without a lock; the latency and size
-// distributions behind those same choke points live in the observability
-// registry (internal/obs, see obs.go) and surface as the /statsz histograms
-// field and the /metricsz exposition, which mirrors every counter here via
-// read-at-scrape callbacks so nothing is double-counted on the hot path.
-type Stats struct {
-	SessionsCreated atomic.Uint64
-	SessionsDeleted atomic.Uint64
-
-	TicksPushed  atomic.Uint64 // admitted ticks
-	PushRejected atomic.Uint64 // ticks examined and refused by validation (a batch's aborted remainder is not counted)
-	PushNanos    atomic.Int64  // total wall time inside Streamer.Push
-
-	SnapshotRequests  atomic.Uint64 // snapshot requests admitted past routing
-	SnapshotHits      atomic.Uint64 // served straight from the generation cache
-	SnapshotCoalesced atomic.Uint64 // joined an in-flight clustering run
-	SnapshotRuns      atomic.Uint64 // clustering runs actually launched
-	SnapshotErrors    atomic.Uint64 // runs or waits that ended in an error
-	SnapshotRejected  atomic.Uint64 // 429s from admission control
-	SnapshotRunNanos  atomic.Int64  // total wall time of clustering runs
-	SnapshotEncodes   atomic.Uint64 // full response bodies actually marshaled (misses of the body cache)
-
-	// Push-delivery counters: conditional reads, long-polls, and the SSE
-	// subscription fan-out.
-	ConditionalRequests atomic.Uint64 // snapshot GETs carrying If-Generation
-	NotModified         atomic.Uint64 // free 304s (generation unchanged)
-	LongPollWaits       atomic.Uint64 // requests that parked on the generation watch
-	LongPollTimeouts    atomic.Uint64 // parked requests that timed out into a 304
-
-	Subscribers        atomic.Int64  // current SSE subscribers (gauge)
-	SubscribeRejected  atomic.Uint64 // subscriptions refused by the subscriber ceilings
-	EventsDelta        atomic.Uint64 // delta events delivered
-	EventsFull         atomic.Uint64 // full snapshot events delivered
-	EventsDropped      atomic.Uint64 // updates discarded by slow-subscriber drop-to-latest
-	EventBytes         atomic.Uint64 // bytes written to event streams
-	EventBytesSaved    atomic.Uint64 // Σ (full frame − sent frame) over delta deliveries
-	DeltaFallbackFulls atomic.Uint64 // deliveries that wanted a delta but fell back to full
-
-	// Durability counters (all zero when the server runs without a
-	// StateDir).
-	Checkpoints       atomic.Uint64 // checkpoints written (initial, periodic, and drain)
-	CheckpointBytes   atomic.Uint64 // total checkpoint bytes written
-	CheckpointNanos   atomic.Int64  // total wall time inside checkpoint writes
-	WALFrames         atomic.Uint64 // push frames appended to WAL segments
-	WALBytes          atomic.Uint64 // bytes appended to WAL segments
-	RecoveredSessions atomic.Uint64 // sessions restored by Recover at boot
-	ReplayedFrames    atomic.Uint64 // WAL frames replayed into recovered engines
-	TornTruncations   atomic.Uint64 // torn tails dropped: WAL tears + unusable checkpoints skipped
-	DurabilityErrors  atomic.Uint64 // disk failures that disabled a session's durability or skipped a recovery
-}
 
 // StatsSnapshot is the wire form of GET /statsz: the counter values at one
 // instant plus derived means, histogram digests, and the per-session states.
@@ -141,63 +86,68 @@ type StatsSnapshot struct {
 	// snapshot_{finish,cluster}_ns, inc_{drift,refresh}_ns,
 	// checkpoint_write_ns, checkpoint_write_bytes, wal_frame_bytes,
 	// subscriber_queue_depth, drift_ari_distance_micros, drift_edge_churn.
-	// Omitted when the server runs with metrics off.
 	Histograms map[string]obs.Summary `json:"histograms,omitempty"`
 
 	SessionInfos []SessionInfo `json:"session_infos"`
 }
 
 // view reads the counters (each atomically; the set is not one atomic
-// snapshot, which is fine for monitoring) and derives the means.
-func (st *Stats) view() StatsSnapshot {
+// snapshot, which is fine for monitoring), derives the means, and digests
+// the histograms. Each mean divides the _sum of the histogram that times
+// the same interval by its event count: every push batch, admitted or
+// not, per admitted tick; every clustering run, failed or not; every
+// checkpoint.
+func (ins *instruments) view() StatsSnapshot {
 	v := StatsSnapshot{
 		KernelISA:         pfg.KernelISA(),
-		SessionsCreated:   st.SessionsCreated.Load(),
-		SessionsDeleted:   st.SessionsDeleted.Load(),
-		TicksPushed:       st.TicksPushed.Load(),
-		PushRejected:      st.PushRejected.Load(),
-		SnapshotRequests:  st.SnapshotRequests.Load(),
-		SnapshotHits:      st.SnapshotHits.Load(),
-		SnapshotCoalesced: st.SnapshotCoalesced.Load(),
-		SnapshotRuns:      st.SnapshotRuns.Load(),
-		SnapshotErrors:    st.SnapshotErrors.Load(),
-		SnapshotRejected:  st.SnapshotRejected.Load(),
-		SnapshotEncodes:   st.SnapshotEncodes.Load(),
+		SessionsCreated:   ins.sessionsCreated.Load(),
+		SessionsDeleted:   ins.sessionsDeleted.Load(),
+		TicksPushed:       ins.ticksPushed.Load(),
+		PushRejected:      ins.pushRejected.Load(),
+		SnapshotRequests:  ins.snapshotRequests.Load(),
+		SnapshotHits:      ins.snapshotHits.Load(),
+		SnapshotCoalesced: ins.snapshotCoalesced.Load(),
+		SnapshotRuns:      ins.snapshotRuns.Load(),
+		SnapshotErrors:    ins.snapshotErrors.Load(),
+		SnapshotRejected:  ins.snapshotRejected.Load(),
+		SnapshotEncodes:   ins.snapshotEncodes.Load(),
 
-		ConditionalRequests: st.ConditionalRequests.Load(),
-		NotModified:         st.NotModified.Load(),
-		LongPollWaits:       st.LongPollWaits.Load(),
-		LongPollTimeouts:    st.LongPollTimeouts.Load(),
+		ConditionalRequests: ins.conditionalRequests.Load(),
+		NotModified:         ins.notModified.Load(),
+		LongPollWaits:       ins.longPollWaits.Load(),
+		LongPollTimeouts:    ins.longPollTimeouts.Load(),
 
-		Subscribers:        st.Subscribers.Load(),
-		SubscribeRejected:  st.SubscribeRejected.Load(),
-		EventsDelta:        st.EventsDelta.Load(),
-		EventsFull:         st.EventsFull.Load(),
-		EventsDropped:      st.EventsDropped.Load(),
-		EventBytes:         st.EventBytes.Load(),
-		EventBytesSaved:    st.EventBytesSaved.Load(),
-		DeltaFallbackFulls: st.DeltaFallbackFulls.Load(),
+		Subscribers:        ins.subscribers.Load(),
+		SubscribeRejected:  ins.subscribeRejected.Load(),
+		EventsDelta:        ins.eventsDelta.Load(),
+		EventsFull:         ins.eventsFull.Load(),
+		EventsDropped:      ins.eventsDropped.Load(),
+		EventBytes:         ins.eventBytes.Load(),
+		EventBytesSaved:    ins.eventBytesSaved.Load(),
+		DeltaFallbackFulls: ins.deltaFallbackFulls.Load(),
 
-		Checkpoints:       st.Checkpoints.Load(),
-		CheckpointBytes:   st.CheckpointBytes.Load(),
-		WALFrames:         st.WALFrames.Load(),
-		WALBytes:          st.WALBytes.Load(),
-		RecoveredSessions: st.RecoveredSessions.Load(),
-		ReplayedFrames:    st.ReplayedFrames.Load(),
-		TornTruncations:   st.TornTruncations.Load(),
-		DurabilityErrors:  st.DurabilityErrors.Load(),
+		Checkpoints:       ins.checkpoints.Load(),
+		CheckpointBytes:   ins.checkpointBytes.Load(),
+		WALFrames:         ins.walFrames.Load(),
+		WALBytes:          ins.walBytes.Load(),
+		RecoveredSessions: ins.recoveredSessions.Load(),
+		ReplayedFrames:    ins.replayedFrames.Load(),
+		TornTruncations:   ins.tornTruncations.Load(),
+		DurabilityErrors:  ins.durabilityErrors.Load(),
+
+		Histograms: ins.summaries(),
 	}
 	if v.TicksPushed > 0 {
-		v.PushMeanUs = float64(st.PushNanos.Load()) / float64(v.TicksPushed) / 1e3
+		v.PushMeanUs = float64(ins.pushBatchNs.Snapshot().Sum) / float64(v.TicksPushed) / 1e3
 	}
 	if v.SnapshotRuns > 0 {
-		v.SnapshotRunMeanMs = float64(st.SnapshotRunNanos.Load()) / float64(v.SnapshotRuns) / 1e6
+		v.SnapshotRunMeanMs = float64(ins.snapRunNs.Snapshot().Sum) / float64(v.SnapshotRuns) / 1e6
 	}
 	if delivered := v.EventsDelta + v.EventsFull; delivered > 0 {
 		v.DeltaRatio = float64(v.EventsDelta) / float64(delivered)
 	}
 	if v.Checkpoints > 0 {
-		v.CheckpointMeanMs = float64(st.CheckpointNanos.Load()) / float64(v.Checkpoints) / 1e6
+		v.CheckpointMeanMs = float64(ins.ckptNs.Snapshot().Sum) / float64(v.Checkpoints) / 1e6
 	}
 	return v
 }

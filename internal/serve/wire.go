@@ -46,6 +46,42 @@ type CreateSessionRequest struct {
 	DriftCut int `json:"drift_cut,omitempty"`
 }
 
+// config converts the request into a session configuration: it parses the
+// method and precision names, checks drift_cut, and turns the incremental
+// layer on when the request carries an incremental object. Create and
+// durable recovery share it, since meta.json stores this same wire form.
+// The registry checks the window and worker limits.
+func (req CreateSessionRequest) config() (SessionConfig, error) {
+	method, err := parseMethod(req.Method)
+	if err != nil {
+		return SessionConfig{}, err
+	}
+	prec, err := parsePrecision(req.Precision)
+	if err != nil {
+		return SessionConfig{}, err
+	}
+	if req.DriftCut < 0 {
+		return SessionConfig{}, fmt.Errorf("drift_cut must be non-negative, got %d", req.DriftCut)
+	}
+	cfg := SessionConfig{
+		Window:       req.Window,
+		Method:       method,
+		Prefix:       req.Prefix,
+		Workers:      req.Workers,
+		RebuildEvery: req.RebuildEvery,
+		Precision:    prec,
+		DriftCut:     req.DriftCut,
+	}
+	if req.Incremental != nil {
+		cfg.Incremental = pfg.IncrementalOptions{
+			Enabled:        true,
+			DriftThreshold: req.Incremental.DriftThreshold,
+			MaxStale:       req.Incremental.MaxStale,
+		}
+	}
+	return cfg, nil
+}
+
 // IncrementalRequest configures the incremental serving layer of a session;
 // the fields mirror pfg.IncrementalOptions and zero values select the same
 // defaults (ε = 0.02, max staleness 64).
