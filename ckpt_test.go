@@ -37,7 +37,6 @@ func TestStreamerCheckpointRestore(t *testing.T) {
 		opts StreamOptions
 	}{
 		{"float64", StreamOptions{Cluster: Options{Workers: 1}, RebuildEvery: K}},
-		{"float32", StreamOptions{Cluster: Options{Workers: 1}, RebuildEvery: K, Precision: Float32}},
 		{"hac", StreamOptions{Cluster: Options{Method: CompleteLinkage, Workers: 1}, RebuildEvery: K}},
 	}
 	feed := tickStream(t, n, window+2*K+9, 77)
@@ -65,8 +64,7 @@ func TestStreamerCheckpointRestore(t *testing.T) {
 			}
 			defer restored.Close()
 			if restored.Generation() != gen || restored.Len() != orig.Len() ||
-				restored.Window() != window || restored.Precision() != cfg.opts.Precision ||
-				restored.Series() != n {
+				restored.Window() != window || restored.Series() != n {
 				t.Fatalf("restored shape diverges: gen %d len %d window %d", restored.Generation(), restored.Len(), restored.Window())
 			}
 
@@ -190,7 +188,7 @@ func TestStreamerCheckpointIncremental(t *testing.T) {
 // nothing checkpoints its configuration alone and restores to a working
 // (still series-less) streamer.
 func TestStreamerCheckpointBeforeFirstPush(t *testing.T) {
-	opts := StreamOptions{Cluster: Options{Workers: 1}, RebuildEvery: 6, Precision: Float32}
+	opts := StreamOptions{Cluster: Options{Workers: 1}, RebuildEvery: 6}
 	st, err := NewStreamer(24, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +203,8 @@ func TestStreamerCheckpointBeforeFirstPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if restored.Window() != 24 || restored.Precision() != Float32 || restored.Series() != 0 {
-		t.Fatalf("restored config diverges: window %d precision %v series %d",
-			restored.Window(), restored.Precision(), restored.Series())
+	if restored.Window() != 24 || restored.Series() != 0 {
+		t.Fatalf("restored config diverges: window %d series %d", restored.Window(), restored.Series())
 	}
 	// It must come alive exactly like a fresh streamer.
 	feed := tickStream(t, 6, 8, 9)

@@ -59,7 +59,6 @@ func main() {
 	window := flag.Int("window", 256, "with -follow: rolling window length in ticks")
 	every := flag.Int("every", 16, "with -follow: print a snapshot every this many ticks")
 	rebuild := flag.Int("rebuild", 0, "with -follow: exact drift-rebuild period K in window slides (0 = default)")
-	precision := flag.String("precision", "float64", "with -follow: moment storage mode, float64 (bit-exact) or float32 (half the memory bandwidth, ~1e-5 correlation error)")
 	logSlowTick := flag.Duration("log-slow-tick", 0, "with -follow: log a per-stage breakdown for pushes or snapshots slower than this (0 = off)")
 	flag.Parse()
 	if *k < 1 || flag.NArg() != 1 {
@@ -91,17 +90,8 @@ func main() {
 		if *labeled || *ari || *newick != "" || *jsonOut {
 			fatal(fmt.Errorf("-follow does not support -labeled/-ari/-newick/-json"))
 		}
-		var prec pfg.Precision
-		switch *precision {
-		case "float64":
-			prec = pfg.Float64
-		case "float32":
-			prec = pfg.Float32
-		default:
-			fatal(fmt.Errorf("unknown precision %q (want float64 or float32)", *precision))
-		}
-		fmt.Fprintf(os.Stderr, "pfg-cluster: compute kernels %s, %s moments\n", pfg.KernelISA(), prec)
-		if err := runFollow(flag.Arg(0), *k, *window, *every, *rebuild, *logSlowTick, prec, opts); err != nil {
+		fmt.Fprintf(os.Stderr, "pfg-cluster: compute kernels %s\n", pfg.KernelISA())
+		if err := runFollow(flag.Arg(0), *k, *window, *every, *rebuild, *logSlowTick, opts); err != nil {
 			fatal(err)
 		}
 		return
@@ -154,7 +144,7 @@ func main() {
 
 // runFollow drives the streaming engine over a tick-oriented CSV: each row
 // is one sample across all series, pushed in file order.
-func runFollow(path string, k, window, every, rebuild int, slow time.Duration, prec pfg.Precision, opts pfg.Options) error {
+func runFollow(path string, k, window, every, rebuild int, slow time.Duration, opts pfg.Options) error {
 	if every < 1 {
 		return fmt.Errorf("-every must be ≥ 1, got %d", every)
 	}
@@ -167,7 +157,7 @@ func runFollow(path string, k, window, every, rebuild int, slow time.Duration, p
 		defer f.Close()
 		r = f
 	}
-	st, err := pfg.NewStreamer(window, pfg.StreamOptions{Cluster: opts, RebuildEvery: rebuild, Precision: prec})
+	st, err := pfg.NewStreamer(window, pfg.StreamOptions{Cluster: opts, RebuildEvery: rebuild})
 	if err != nil {
 		return err
 	}

@@ -40,14 +40,8 @@
 // the ErrClosed sentinel from every method (never panics or blocks). The
 // window state carries a monotonic Generation stamp — bumped by every
 // admitted Push — and SnapshotGen returns the stamp its result was
-// clustered from, which is what serving-layer caches key on.
-//
-// StreamOptions.Precision selects the moment-storage mode: Float64 (the
-// default) carries the full bit-determinism contract; Float32 halves the
-// per-tick memory bandwidth and the ring bytes a serving layer charges per
-// session, trading the cross-mode bit contract for a documented correlation
-// error bound (Float32CorrBound — snapshots stay deterministic and
-// worker-count independent within the mode). The layer stack becomes
+// clustered from, which is what serving-layer caches key on. The layer
+// stack becomes
 //
 //	http        cmd/pfg-serve + internal/serve (multi-session JSON API,
 //	            coalesced generation-keyed snapshot cache, admission
@@ -88,12 +82,11 @@
 // # Durability
 //
 // Streamer.Checkpoint serializes the full window state — configuration,
-// moment sums, ring, cross-product band, in either precision — into a
-// versioned, CRC32C-framed binary form (internal/ckpt, format v1), and
-// RestoreStreamer reconstructs a streamer from it that resumes at the
-// checkpointed generation with bit-identical (Workers:1) snapshots: the
-// restored streamer's next Push and Snapshot behave exactly as the
-// original's would have. Encoding is one pass with O(1) allocations
+// moment sums, ring, cross-product band — into a versioned, CRC32C-framed
+// binary form (internal/ckpt, format v1), and RestoreStreamer reconstructs
+// a streamer from it that resumes at the checkpointed generation with
+// bit-identical (Workers:1) snapshots: the restored streamer's next Push
+// and Snapshot behave exactly as the original's would have. Encoding is one pass with O(1) allocations
 // (BENCH_ckpt.json); decoding rejects truncated or corrupted input with
 // the typed sentinels ckpt.ErrBadMagic / ErrVersion / ErrCorrupt /
 // ErrFormat and never panics or over-allocates on crafted headers. The

@@ -23,29 +23,26 @@ const (
 // and band frames are allocated (and therefore encoded) at full window×n and
 // n×n size regardless of fill, so 24 pushes buy the exact wire volume of a
 // filled window without 4096 trips through the O(n²) push path in setup.
-func benchEngine(b *testing.B, prec stream.Precision) *stream.Engine {
+func benchEngine(b *testing.B) *stream.Engine {
 	b.Helper()
-	return buildEngine(b, benchN, benchWindow, 64, prec, 24, 7)
-}
-
-func benchCheckpoint(b *testing.B, prec stream.Precision) {
-	e := benchEngine(b, prec)
-	var n int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := CheckpointTo(io.Discard, e, testParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = m
-	}
-	b.SetBytes(n)
+	return buildEngine(b, benchN, benchWindow, 64, 24, 7)
 }
 
 func BenchmarkCheckpoint(b *testing.B) {
-	b.Run("float64", func(b *testing.B) { benchCheckpoint(b, stream.Float64) })
-	b.Run("float32", func(b *testing.B) { benchCheckpoint(b, stream.Float32) })
+	b.Run("float64", func(b *testing.B) {
+		e := benchEngine(b)
+		var n int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m, err := CheckpointTo(io.Discard, e, testParams)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n = m
+		}
+		b.SetBytes(n)
+	})
 }
 
 func BenchmarkWALAppend(b *testing.B) {
@@ -68,29 +65,23 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 func BenchmarkRestore(b *testing.B) {
-	for _, prec := range []stream.Precision{stream.Float64, stream.Float32} {
-		name := "float64"
-		if prec == stream.Float32 {
-			name = "float32"
+	b.Run("float64", func(b *testing.B) {
+		e := benchEngine(b)
+		var buf writeBuffer
+		if _, err := CheckpointTo(&buf, e, testParams); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			e := benchEngine(b, prec)
-			var buf writeBuffer
-			if _, err := CheckpointTo(&buf, e, testParams); err != nil {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(buf.data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, _, err := RestoreEngine(&byteReader{data: buf.data}, ws.New())
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.SetBytes(int64(len(buf.data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, _, err := RestoreEngine(&byteReader{data: buf.data}, ws.New())
-				if err != nil {
-					b.Fatal(err)
-				}
-				r.Release()
-			}
-		})
-	}
+			r.Release()
+		}
+	})
 }
 
 // writeBuffer / byteReader avoid bytes.Buffer's grow bookkeeping showing up

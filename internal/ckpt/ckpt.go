@@ -22,10 +22,13 @@
 //	        | f64 incDriftThreshold | i64 incMaxStale
 //	        | 16 reserved bytes (written as zero, ignored on read)
 //	sums    n float64            (present iff flags&flagEngine)
-//	ring    window×n values      (float64, or float32 when precision=1)
-//	band    n×n values           (float64, or float32 when precision=1)
+//	ring    window×n float64
+//	band    n×n float64
 //	gcur    n×n float64          (present iff flags&flagGCur: a multi-panel
-//	                              float64 window still filling)
+//	                              window still filling)
+//
+// The precision field must be 0 (float64 moments); any other value is
+// rejected with ErrFormat before a data frame is read.
 //
 // Flags: bit 0 = an engine is present (a session checkpointed before its
 // first admitted push has none — the header alone carries its
@@ -35,8 +38,8 @@
 // — the first post-restore snapshot re-clusters exactly).
 //
 // Everything is flat arrays written in one pass — no reflection, no
-// encoding/gob — so encoding an n=512, window=4096 float64 engine is a
-// bounded number of buffer fills and O(1) allocations.
+// encoding/gob — so encoding an n=512, window=4096 engine is a bounded
+// number of buffer fills and O(1) allocations.
 //
 // The decoder trusts nothing: magic and version gate first (ErrBadMagic,
 // ErrVersion), every shape is bounds-checked against format limits before
@@ -120,15 +123,14 @@ type IncParams struct {
 type Params struct {
 	Window       int
 	RebuildEvery int
-	Precision    stream.Precision
 	Inc          IncParams
 }
 
 // CheckpointTo writes a version-1 checkpoint of e to w in one pass,
 // returning the bytes written. A nil e checkpoints a session that has not
 // admitted its first push: the header alone carries p. With e non-nil the
-// engine's own shape (window, rebuild cadence, precision) overrides p's —
-// the engine is the source of truth — and only p.Inc is taken from p.
+// engine's own shape (window, rebuild cadence) overrides p's — the engine is
+// the source of truth — and only p.Inc is taken from p.
 //
 // The engine's state is read through the same borrowed-view contract as
 // CopyState: the caller must hold the write-excluding lock (pfg.Streamer
@@ -144,7 +146,6 @@ func CheckpointTo(w io.Writer, e *stream.Engine, p Params) (int64, error) {
 		}
 		p.Window = st.Window
 		p.RebuildEvery = st.RebuildEvery
-		p.Precision = st.Prec
 	}
 	enc := &encoder{w: w, buf: make([]byte, chunkBytes)}
 
@@ -163,7 +164,7 @@ func CheckpointTo(w io.Writer, e *stream.Engine, p Params) (int64, error) {
 		flags |= flagInc
 	}
 	le.PutUint32(hdr[8:], flags)
-	le.PutUint32(hdr[12:], uint32(p.Precision))
+	// hdr[12:16], the precision field, stays 0: float64 moments.
 	le.PutUint64(hdr[16:], uint64(st.N))
 	le.PutUint64(hdr[24:], uint64(p.Window))
 	le.PutUint64(hdr[32:], uint64(st.Count))
@@ -177,15 +178,10 @@ func CheckpointTo(w io.Writer, e *stream.Engine, p Params) (int64, error) {
 
 	if e != nil {
 		enc.writeF64Frame(st.Sums)
-		if st.Prec == stream.Float32 {
-			enc.writeF32Frame(st.Ring32)
-			enc.writeF32Frame(st.G32)
-		} else {
-			enc.writeF64Frame(st.Ring)
-			enc.writeF64Frame(st.G)
-			if st.GCur != nil {
-				enc.writeF64Frame(st.GCur)
-			}
+		enc.writeF64Frame(st.Ring)
+		enc.writeF64Frame(st.G)
+		if st.GCur != nil {
+			enc.writeF64Frame(st.GCur)
 		}
 	}
 	return enc.n, enc.err
@@ -215,11 +211,9 @@ func RestoreEngine(r io.Reader, wspace *ws.Workspace) (*stream.Engine, Params, e
 	if flags&^uint32(flagEngine|flagGCur|flagInc) != 0 {
 		return nil, Params{}, fmt.Errorf("%w: unknown flags %#x", ErrFormat, flags)
 	}
-	precRaw := le.Uint32(hdr[12:])
-	if precRaw != uint32(stream.Float64) && precRaw != uint32(stream.Float32) {
-		return nil, Params{}, fmt.Errorf("%w: unknown precision %d", ErrFormat, precRaw)
+	if prec := le.Uint32(hdr[12:]); prec != 0 {
+		return nil, Params{}, fmt.Errorf("%w: precision %d, want 0 (float64)", ErrFormat, prec)
 	}
-	prec := stream.Precision(precRaw)
 
 	n, err := boundedInt(le.Uint64(hdr[16:]), maxSeries, "series count")
 	if err != nil {
@@ -244,7 +238,7 @@ func RestoreEngine(r io.Reader, wspace *ws.Workspace) (*stream.Engine, Params, e
 	gen := le.Uint64(hdr[56:])
 	rebuildEvery := int(int64(le.Uint64(hdr[64:])))
 
-	p := Params{Window: window, RebuildEvery: rebuildEvery, Precision: prec}
+	p := Params{Window: window, RebuildEvery: rebuildEvery}
 	if flags&flagInc != 0 {
 		p.Inc = IncParams{
 			Enabled:        true,
@@ -280,33 +274,21 @@ func RestoreEngine(r io.Reader, wspace *ws.Workspace) (*stream.Engine, Params, e
 	}
 
 	st := stream.State{
-		N: n, Window: window, RebuildEvery: rebuildEvery, Prec: prec,
+		N: n, Window: window, RebuildEvery: rebuildEvery,
 		Count: count, Head: head, Slides: slides, Gen: gen,
 	}
 	if st.Sums, err = dec.readF64Frame(n); err != nil {
 		return nil, Params{}, err
 	}
-	if prec == stream.Float32 {
-		if flags&flagGCur != 0 {
-			return nil, Params{}, fmt.Errorf("%w: gcur frame in a float32 checkpoint", ErrFormat)
-		}
-		if st.Ring32, err = dec.readF32Frame(int(ringFloats)); err != nil {
+	if st.Ring, err = dec.readF64Frame(int(ringFloats)); err != nil {
+		return nil, Params{}, err
+	}
+	if st.G, err = dec.readF64Frame(int(bandFloats)); err != nil {
+		return nil, Params{}, err
+	}
+	if flags&flagGCur != 0 {
+		if st.GCur, err = dec.readF64Frame(int(bandFloats)); err != nil {
 			return nil, Params{}, err
-		}
-		if st.G32, err = dec.readF32Frame(int(bandFloats)); err != nil {
-			return nil, Params{}, err
-		}
-	} else {
-		if st.Ring, err = dec.readF64Frame(int(ringFloats)); err != nil {
-			return nil, Params{}, err
-		}
-		if st.G, err = dec.readF64Frame(int(bandFloats)); err != nil {
-			return nil, Params{}, err
-		}
-		if flags&flagGCur != 0 {
-			if st.GCur, err = dec.readF64Frame(int(bandFloats)); err != nil {
-				return nil, Params{}, err
-			}
 		}
 	}
 	eng, err := stream.NewFromState(st, wspace)
@@ -364,22 +346,6 @@ func (e *encoder) writeF64Frame(vals []float64) {
 		chunk := e.buf[:k*8]
 		for i := 0; i < k; i++ {
 			binary.LittleEndian.PutUint64(chunk[i*8:], math.Float64bits(vals[i]))
-		}
-		vals = vals[k:]
-		crc = crc32.Update(crc, castagnoli, chunk)
-		e.write(chunk)
-	}
-	e.writeU32(crc)
-}
-
-func (e *encoder) writeF32Frame(vals []float32) {
-	e.writeU32(uint32(len(vals) * 4))
-	crc := uint32(0)
-	for len(vals) > 0 {
-		k := min(len(vals), len(e.buf)/4)
-		chunk := e.buf[:k*4]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(chunk[i*4:], math.Float32bits(vals[i]))
 		}
 		vals = vals[k:]
 		crc = crc32.Update(crc, castagnoli, chunk)
@@ -454,39 +420,6 @@ func (d *decoder) readF64Frame(want int) ([]float64, error) {
 		crc = crc32.Update(crc, castagnoli, chunk)
 		for off := 0; off < k; off += 8 {
 			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(chunk[off:])))
-		}
-		rem -= k
-	}
-	got, err := d.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if got != crc {
-		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
-	}
-	return dst, nil
-}
-
-func (d *decoder) readF32Frame(want int) ([]float32, error) {
-	declared, err := d.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(declared) != uint64(want)*4 {
-		return nil, fmt.Errorf("%w: frame declares %d payload bytes, want %d", ErrFormat, declared, want*4)
-	}
-	crc := uint32(0)
-	dst := make([]float32, 0, min(want, chunkBytes/4))
-	rem := int(declared)
-	for rem > 0 {
-		k := min(rem, chunkBytes)
-		chunk := d.buf[:k]
-		if err := d.readFull(chunk); err != nil {
-			return nil, err
-		}
-		crc = crc32.Update(crc, castagnoli, chunk)
-		for off := 0; off < k; off += 4 {
-			dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(chunk[off:])))
 		}
 		rem -= k
 	}

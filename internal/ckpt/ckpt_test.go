@@ -39,11 +39,11 @@ func fixFrameCRC(data []byte, off int) {
 }
 
 // buildEngine pushes `count` deterministic ticks into a fresh engine.
-func buildEngine(t testing.TB, n, window, rebuildEvery int, prec stream.Precision, count int, seed int64) *stream.Engine {
+func buildEngine(t testing.TB, n, window, rebuildEvery, count int, seed int64) *stream.Engine {
 	t.Helper()
 	pool := exec.New(1)
 	defer pool.Close()
-	e, err := stream.New(n, window, rebuildEvery, prec, ws.New())
+	e, err := stream.New(n, window, rebuildEvery, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +90,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		name         string
 		n, window    int
 		rebuildEvery int
-		prec         stream.Precision
 		count        int
 	}{
-		{"f64-midfill", 5, 12, 4, stream.Float64, 7},
-		{"f64-rolled", 5, 12, 4, stream.Float64, 21},
-		{"f32-midfill", 4, 10, 4, stream.Float32, 6},
-		{"f32-rolled", 4, 10, 4, stream.Float32, 17},
-		{"f64-multipanel", 3, 560, 8, stream.Float64, 530},
+		{"f64-midfill", 5, 12, 4, 7},
+		{"f64-rolled", 5, 12, 4, 21},
+		{"f64-multipanel", 3, 560, 8, 530},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := buildEngine(t, tc.n, tc.window, tc.rebuildEvery, tc.prec, tc.count, 11)
+			e := buildEngine(t, tc.n, tc.window, tc.rebuildEvery, tc.count, 11)
 			var buf bytes.Buffer
 			n, err := CheckpointTo(&buf, e, testParams)
 			if err != nil {
@@ -114,7 +111,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Window != tc.window || p.RebuildEvery != tc.rebuildEvery || p.Precision != tc.prec {
+			if p.Window != tc.window || p.RebuildEvery != tc.rebuildEvery {
 				t.Fatalf("params %+v do not match the engine", p)
 			}
 			if p.Inc != testParams.Inc {
@@ -140,7 +137,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointEmptySession(t *testing.T) {
-	p := Params{Window: 64, RebuildEvery: 16, Precision: stream.Float32, Inc: testParams.Inc}
+	p := Params{Window: 64, RebuildEvery: 16, Inc: testParams.Inc}
 	var buf bytes.Buffer
 	if _, err := CheckpointTo(&buf, nil, p); err != nil {
 		t.Fatal(err)
@@ -158,7 +155,7 @@ func TestCheckpointEmptySession(t *testing.T) {
 }
 
 func TestCheckpointTypedErrors(t *testing.T) {
-	e := buildEngine(t, 4, 8, 4, stream.Float64, 11, 5)
+	e := buildEngine(t, 4, 8, 4, 11, 5)
 	var buf bytes.Buffer
 	if _, err := CheckpointTo(&buf, e, Params{}); err != nil {
 		t.Fatal(err)
@@ -187,6 +184,27 @@ func TestCheckpointTypedErrors(t *testing.T) {
 	// integrity gate) is what rejects.
 	fixFrameCRC(badVer, 0)
 	check("bad version", badVer, ErrVersion)
+
+	// The precision field (header payload offset 12) must be 0, float64. Any
+	// other value is refused before a data frame is read, so the header
+	// alone, and an engine-less checkpoint, already fail.
+	var engineLess bytes.Buffer
+	if _, err := CheckpointTo(&engineLess, nil, Params{Window: 8}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"full", valid},
+		{"header only", valid[:4+headerLen+4]},
+		{"engine-less", engineLess.Bytes()},
+	} {
+		badPrec := append([]byte(nil), tc.data...)
+		badPrec[16] = 1
+		fixFrameCRC(badPrec, 0)
+		check("precision 1, "+tc.name, badPrec, ErrFormat)
+	}
 
 	check("truncated", valid[:len(valid)-5], ErrCorrupt)
 	check("empty", nil, ErrCorrupt)
@@ -256,7 +274,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALRejectsForeign(t *testing.T) {
 	// A checkpoint is not a WAL (different magic, different header length):
 	// either typed rejection or a torn empty read, never frames.
-	e := buildEngine(t, 4, 8, 4, stream.Float64, 5, 1)
+	e := buildEngine(t, 4, 8, 4, 5, 1)
 	var buf bytes.Buffer
 	if _, err := CheckpointTo(&buf, e, Params{}); err != nil {
 		t.Fatal(err)

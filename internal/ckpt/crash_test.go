@@ -119,7 +119,6 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 		opts pfg.StreamOptions
 	}{
 		{"float64", pfg.StreamOptions{Cluster: pfg.Options{Workers: 1}, RebuildEvery: 4}},
-		{"float32", pfg.StreamOptions{Cluster: pfg.Options{Workers: 1}, RebuildEvery: 4, Precision: pfg.Float32}},
 		{"incremental", pfg.StreamOptions{
 			Cluster:      pfg.Options{Workers: 1},
 			RebuildEvery: 4,

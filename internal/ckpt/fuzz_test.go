@@ -10,8 +10,9 @@ import (
 )
 
 // fuzzSeeds returns valid wire fixtures so the fuzzer starts from inputs
-// that pass every gate and mutates inward: both precisions, a multi-panel
-// mid-fill (gcur frame present), and an engine-less config checkpoint.
+// that pass every gate and mutates inward: a rolled and a mid-fill window, a
+// multi-panel mid-fill (gcur frame present), and an engine-less config
+// checkpoint.
 func fuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var seeds [][]byte
@@ -22,10 +23,10 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		}
 		seeds = append(seeds, buf.Bytes())
 	}
-	add(buildEngine(t, 4, 8, 4, stream.Float64, 11, 1), testParams)
-	add(buildEngine(t, 3, 8, 4, stream.Float32, 6, 2), Params{})
-	add(buildEngine(t, 2, 560, 8, stream.Float64, 530, 3), Params{})
-	add(nil, Params{Window: 32, RebuildEvery: 8, Precision: stream.Float32, Inc: testParams.Inc})
+	add(buildEngine(t, 4, 8, 4, 11, 1), testParams)
+	add(buildEngine(t, 3, 8, 4, 6, 2), Params{})
+	add(buildEngine(t, 2, 560, 8, 530, 3), Params{})
+	add(nil, Params{Window: 32, RebuildEvery: 8, Inc: testParams.Inc})
 	return seeds
 }
 

@@ -2,11 +2,13 @@ package ckpt
 
 // Golden wire-format corpus: deterministic engines whose exact checkpoint
 // bytes are pinned under testdata/ckpt/. The checkpoint format is a
-// compatibility surface — files written by one build must restore under
-// every later build of the same FormatVersion — so any refactor that moves
-// a single wire byte shows up here as a golden diff instead of a silent
-// format fork. The decode direction doubles as the backward-compatibility
-// gate: every committed fixture must still restore bit-identically.
+// compatibility surface — float64 files written by one build must restore
+// under every later build of the same FormatVersion — so any refactor that
+// moves a single wire byte shows up here as a golden diff instead of a
+// silent format fork. The decode direction doubles as the backward-
+// compatibility gate: every committed f64 fixture must still restore
+// bit-identically, and every f32 fixture (header precision 1) must be
+// refused.
 //
 // Regenerate intentionally with:
 //
@@ -16,13 +18,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"pfg/internal/exec"
-	"pfg/internal/stream"
 	"pfg/internal/ws"
 )
 
@@ -32,7 +34,6 @@ type goldenCase struct {
 	name         string
 	n, window    int
 	rebuildEvery int
-	prec         stream.Precision
 	count        int
 	rebuild      bool // force an exact rebuild before checkpointing
 	params       Params
@@ -44,16 +45,14 @@ type goldenCase struct {
 
 func goldenCkptCases() []goldenCase {
 	return []goldenCase{
-		{name: "f64_midfill", n: 5, window: 12, rebuildEvery: 4, prec: stream.Float64, count: 7, params: testParams, legacy: true},
-		{name: "f64_postrebuild", n: 5, window: 12, rebuildEvery: 4, prec: stream.Float64, count: 21, rebuild: true},
-		{name: "f32_midfill", n: 4, window: 10, rebuildEvery: 4, prec: stream.Float32, count: 6},
-		{name: "f32_postrebuild", n: 4, window: 10, rebuildEvery: 4, prec: stream.Float32, count: 17, rebuild: true, params: testParams, legacy: true},
+		{name: "f64_midfill", n: 5, window: 12, rebuildEvery: 4, count: 7, params: testParams, legacy: true},
+		{name: "f64_postrebuild", n: 5, window: 12, rebuildEvery: 4, count: 21, rebuild: true},
 	}
 }
 
 func goldenBytes(t *testing.T, c goldenCase) []byte {
 	t.Helper()
-	e := buildEngine(t, c.n, c.window, c.rebuildEvery, c.prec, c.count, 2026)
+	e := buildEngine(t, c.n, c.window, c.rebuildEvery, c.count, 2026)
 	if c.rebuild {
 		pool := exec.New(1)
 		defer pool.Close()
@@ -107,7 +106,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 				}
 				files = append(files, old)
 			}
-			fresh := buildEngine(t, c.n, c.window, c.rebuildEvery, c.prec, c.count, 2026)
+			fresh := buildEngine(t, c.n, c.window, c.rebuildEvery, c.count, 2026)
 			if c.rebuild {
 				pool := exec.New(1)
 				defer pool.Close()
@@ -136,6 +135,26 @@ func TestGoldenFixturesCommitted(t *testing.T) {
 	for _, c := range goldenCkptCases() {
 		if _, err := os.Stat(filepath.Join("testdata", "ckpt", c.name+".pfgc")); err != nil {
 			t.Errorf("missing golden fixture: %v", err)
+		}
+	}
+}
+
+// TestGoldenFloat32Rejected: checkpoints written by builds that could store
+// float32 moments (header precision field 1) are refused with ErrFormat, so
+// such a session fails to recover instead of being reinterpreted as float64.
+func TestGoldenFloat32Rejected(t *testing.T) {
+	for _, name := range []string{"f32_midfill", "f32_postrebuild", "legacy_f32_postrebuild"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "ckpt", name+".pfgc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// File offset = payload offset 12 + the 4-byte frame length.
+		if prec := binary.LittleEndian.Uint32(data[4+12:]); prec != 1 {
+			t.Fatalf("%s: precision field %d, want 1 (a float32 checkpoint)", name, prec)
+		}
+		eng, _, err := RestoreEngine(bytes.NewReader(data), ws.New())
+		if eng != nil || !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: restore returned engine %v, error %v; want ErrFormat", name, eng != nil, err)
 		}
 	}
 }

@@ -12,7 +12,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pfg/internal/ws"
 )
@@ -31,6 +33,33 @@ type Graph struct {
 type Edge struct {
 	U, V int32
 	W    float64
+}
+
+// CompareEdges is the canonical order of lo < hi vertex pairs: by low
+// endpoint, then by high endpoint. Every wire edge list (result JSON,
+// deltas, structure drift) is sorted by it.
+func CompareEdges(a, b [2]int32) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
+}
+
+// CanonicalEdges returns a copy of an undirected edge list with every pair
+// ordered lo < hi and the pairs sorted by CompareEdges. Nil in, nil out.
+func CanonicalEdges(edges [][2]int32) [][2]int32 {
+	if edges == nil {
+		return nil
+	}
+	out := make([][2]int32, len(edges))
+	for i, e := range edges {
+		if e[0] > e[1] {
+			e[0], e[1] = e[1], e[0]
+		}
+		out[i] = e
+	}
+	slices.SortFunc(out, CompareEdges)
+	return out
 }
 
 // FromEdges builds a Graph on n vertices from an undirected edge list.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,36 @@ func TestEdgesRoundTrip(t *testing.T) {
 		if w, ok := g.EdgeWeight(e.U, e.V); !ok || w != e.W {
 			t.Fatalf("edge %+v mismatch", e)
 		}
+	}
+}
+
+// TestCanonicalEdges pins the wire edge order: pairs lo < hi, sorted by low
+// then high endpoint, the input left as it was, and nil kept apart from
+// empty (null vs [] on the wire).
+func TestCanonicalEdges(t *testing.T) {
+	in := [][2]int32{{3, 1}, {0, 2}, {1, 0}, {2, 5}, {1, 2}}
+	orig := slices.Clone(in)
+	got := CanonicalEdges(in)
+	want := [][2]int32{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 5}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("CanonicalEdges = %v, want %v", got, want)
+	}
+	if !slices.Equal(in, orig) {
+		t.Fatalf("input mutated: %v", in)
+	}
+	for i := 1; i < len(got); i++ {
+		if CompareEdges(got[i-1], got[i]) >= 0 || CompareEdges(got[i], got[i-1]) <= 0 {
+			t.Fatalf("CompareEdges disagrees with the order at %d", i)
+		}
+	}
+	if CompareEdges([2]int32{2, 5}, [2]int32{2, 5}) != 0 {
+		t.Fatal("equal edges compare non-zero")
+	}
+	if CanonicalEdges(nil) != nil {
+		t.Fatal("nil in, non-nil out")
+	}
+	if e := CanonicalEdges([][2]int32{}); e == nil || len(e) != 0 {
+		t.Fatalf("empty in, %v out", e)
 	}
 }
 

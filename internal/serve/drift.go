@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"pfg"
+	"pfg/internal/graph"
 	"pfg/internal/obs"
 )
 
@@ -143,7 +144,7 @@ func (s *Server) noteStructure(sess *Session, res *pfg.Result, gen uint64) {
 	if err != nil {
 		return
 	}
-	edges := canonicalEdges(res.Edges)
+	edges := graph.CanonicalEdges(res.Edges)
 
 	t := &sess.drift
 	t.mu.Lock()
@@ -194,39 +195,16 @@ func labelARI(a, b []int) float64 {
 	return ari
 }
 
-// canonicalEdges normalizes an edge list to lo < hi pairs in sorted order
-// (Result.Edges is insertion-ordered). Nil in, nil out (the HAC methods).
-func canonicalEdges(edges [][2]int32) [][2]int32 {
-	if edges == nil {
-		return nil
-	}
-	out := make([][2]int32, len(edges))
-	for i, e := range edges {
-		if e[0] > e[1] {
-			e[0], e[1] = e[1], e[0]
-		}
-		out[i] = e
-	}
-	slices.SortFunc(out, func(a, b [2]int32) int {
-		if a[0] != b[0] {
-			return int(a[0] - b[0])
-		}
-		return int(a[1] - b[1])
-	})
-	return out
-}
-
 // edgeChurn merge-walks two canonical edge lists and counts the edges only
 // in next (added) and only in prev (removed).
 func edgeChurn(prev, next [][2]int32) (added, removed int) {
 	i, j := 0, 0
 	for i < len(prev) && j < len(next) {
-		a, b := prev[i], next[j]
-		switch {
-		case a == b:
+		switch c := graph.CompareEdges(prev[i], next[j]); {
+		case c == 0:
 			i++
 			j++
-		case a[0] < b[0] || (a[0] == b[0] && a[1] < b[1]):
+		case c < 0:
 			removed++
 			i++
 		default:

@@ -58,9 +58,9 @@ import (
 // keeps serving non-durably until restart.
 
 // defaultCheckpointEvery is the checkpoint cadence in admitted pushes when
-// Options.CheckpointEvery is 0: at n=512 a checkpoint is ~2–18 MiB
-// (float32–float64 of a 4096 window), so every 64 pushes amortizes to
-// tens-of-KiB of checkpoint I/O per push on top of the WAL frame.
+// Options.CheckpointEvery is 0: at n=512 a checkpoint of a 4096 window is
+// ~18 MiB (16 MiB ring, 2 MiB band), so every 64 pushes amortizes to
+// hundreds of KiB of checkpoint I/O per push on top of the WAL frame.
 const defaultCheckpointEvery = 64
 
 // ckptKeep is how many checkpoints a session retains: the newest plus one
@@ -131,7 +131,7 @@ func (d *durable) writeMeta(sess *Session) error {
 		Prefix:       sess.cfg.Prefix,
 		Workers:      sess.cfg.Workers,
 		RebuildEvery: sess.cfg.RebuildEvery,
-		Precision:    sess.cfg.Precision.String(),
+		Precision:    sessionPrecision,
 		DriftCut:     sess.cfg.DriftCut,
 	}
 	if sess.cfg.Incremental.Enabled {
@@ -450,7 +450,6 @@ replay:
 	// only contributes what it does not (method/prefix/workers). Reconcile
 	// the Info-visible config with the restored streamer.
 	cfg.Window = st.Window()
-	cfg.Precision = st.Precision()
 
 	sess, err := s.reg.restore(id, cfg, st)
 	if err != nil {

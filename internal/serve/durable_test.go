@@ -205,6 +205,84 @@ func TestDurableRecoverLegacyMeta(t *testing.T) {
 	}
 }
 
+// TestDurableRecoverSkipsFloat32Meta: a session whose meta.json names the
+// float32 precision (written by a build that could store float32 moments)
+// does not recover. Recovery logs and counts it, serves the other sessions
+// unchanged, and leaves its directory untouched so an older binary can
+// still recover it.
+func TestDurableRecoverSkipsFloat32Meta(t *testing.T) {
+	dir := t.TempDir()
+	stream := ticks(t, 5, 15, 6)
+	h1 := newTestServer(t, durableOptions(dir))
+	durableSession(h1, "keep", false)
+	durableSession(h1, "f32", false)
+	pushTicks(h1, "keep", stream)
+	pushTicks(h1, "f32", stream)
+	want := snapshotBody(h1, "keep")
+	h1.ts.Close()
+	h1.srv.Close()
+
+	path := filepath.Join(dir, "f32", "meta.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["precision"] = "float32"
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, filepath.Join(dir, "f32"))
+
+	h2 := newTestServer(t, durableOptions(dir))
+	errsBefore := statsView(h2).DurabilityErrors
+	if n, err := h2.srv.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover: %d, %v; want 1 session", n, err)
+	}
+	if got := statsView(h2).DurabilityErrors; got != errsBefore+1 {
+		t.Fatalf("durability_errors = %d, want %d", got, errsBefore+1)
+	}
+	if status, body := h2.do("GET", "/v1/sessions/f32", nil); status != http.StatusNotFound {
+		t.Fatalf("float32 session served after recovery: %d %s", status, body)
+	}
+	if got := snapshotBody(h2, "keep"); !bytes.Equal(got, want) {
+		t.Fatalf("surviving session diverges:\n%s\nvs\n%s", got, want)
+	}
+	after := dirContents(t, filepath.Join(dir, "f32"))
+	if len(after) != len(before) {
+		t.Fatalf("skipped session's files changed: %d files before, %d after", len(before), len(after))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("skipped session's %s changed or vanished", name)
+		}
+	}
+}
+
+// dirContents reads every file in dir, keyed by name.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
+}
+
 // TestDurableRecoverTornWAL truncates the live WAL segment mid-frame (the
 // crash landed inside a write): recovery must stop at the last durable
 // frame and match a shadow fed exactly that prefix.

@@ -176,12 +176,12 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	sess.pushMu.Lock()
 	firstPush := sess.st.Series() == 0
 	if firstPush {
-		need := sess.cfg.ringFloatsNeeded(len(batch[0]))
+		need := sess.cfg.Window * len(batch[0])
 		if need > maxRingFloats {
 			sess.pushMu.Unlock()
 			writeError(w, http.StatusBadRequest,
-				"window (%d) × series (%d) at %s exceeds the per-session buffer cap of %d float64-equivalents",
-				sess.cfg.Window, len(batch[0]), sess.cfg.Precision, maxRingFloats)
+				"window (%d) × series (%d) exceeds the per-session buffer cap of %d floats",
+				sess.cfg.Window, len(batch[0]), maxRingFloats)
 			return
 		}
 		if !s.reg.reserveRing(sess, need) {

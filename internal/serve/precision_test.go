@@ -1,13 +1,13 @@
 package serve
 
-// HTTP tests of the float32 bandwidth mode: precision is a create-time wire
-// field, echoed by session info and /statsz alongside the kernel ISA, the
-// memory accounting halves, and snapshots stay close to a float64 session
-// fed the same ticks.
+// HTTP tests of the session precision field: sessions store float64
+// moments, create accepts only that precision and rejects every other name
+// with a 400, and session info and /statsz report "float64" alongside the
+// kernel ISA and the float64 ring/band byte accounting.
 
 import (
-	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"pfg"
@@ -18,23 +18,16 @@ func TestSessionPrecisionWireAndAccounting(t *testing.T) {
 	const n, window, count = 12, 16, 24
 	stream := ticks(t, n, count, 99)
 
-	for _, tc := range []struct {
-		id, prec string
-		bytesPer int
-	}{
-		{"s64", "", 8},
-		{"s32", "float32", 4},
+	for _, tc := range []struct{ id, prec string }{
+		{"s64", ""},
+		{"s64named", "float64"},
 	} {
 		var info SessionInfo
 		h.mustJSON("POST", "/v1/sessions", CreateSessionRequest{
 			ID: tc.id, Window: window, Precision: tc.prec,
 		}, http.StatusCreated, &info)
-		want := "float64"
-		if tc.prec != "" {
-			want = tc.prec
-		}
-		if info.Precision != want {
-			t.Fatalf("%s: created with precision %q, want %q", tc.id, info.Precision, want)
+		if info.Precision != "float64" {
+			t.Fatalf("%s: created with precision %q, want \"float64\"", tc.id, info.Precision)
 		}
 		if info.RingBytes != 0 || info.BandBytes != 0 {
 			t.Fatalf("%s: nonzero memory before the first push: %+v", tc.id, info)
@@ -42,9 +35,9 @@ func TestSessionPrecisionWireAndAccounting(t *testing.T) {
 		h.mustJSON("POST", "/v1/sessions/"+tc.id+"/push",
 			PushRequest{Samples: stream}, http.StatusOK, nil)
 		h.mustJSON("GET", "/v1/sessions/"+tc.id, nil, http.StatusOK, &info)
-		if info.RingBytes != window*n*tc.bytesPer || info.BandBytes != n*n*tc.bytesPer {
+		if info.RingBytes != window*n*8 || info.BandBytes != n*n*8 {
 			t.Fatalf("%s: ring %d band %d bytes, want %d and %d",
-				tc.id, info.RingBytes, info.BandBytes, window*n*tc.bytesPer, n*n*tc.bytesPer)
+				tc.id, info.RingBytes, info.BandBytes, window*n*8, n*n*8)
 		}
 	}
 
@@ -58,52 +51,20 @@ func TestSessionPrecisionWireAndAccounting(t *testing.T) {
 	for _, info := range stats.SessionInfos {
 		seen[info.ID] = info.Precision
 	}
-	if seen["s64"] != "float64" || seen["s32"] != "float32" {
+	if seen["s64"] != "float64" || seen["s64named"] != "float64" {
 		t.Fatalf("statsz session precisions: %v", seen)
 	}
 
-	// The float32 session halves the ring bytes — the acceptance check —
-	// and its snapshot agrees with the float64 session within the bound.
-	var snap64, snap32 SnapshotResponse
-	h.mustJSON("GET", "/v1/sessions/s64/snapshot", nil, http.StatusOK, &snap64)
-	h.mustJSON("GET", "/v1/sessions/s32/snapshot", nil, http.StatusOK, &snap32)
-	if snap64.Result == nil || snap32.Result == nil {
-		t.Fatal("missing snapshot results")
-	}
-	if snap64.Result.EdgeWeightSum != 0 && snap32.Result.EdgeWeightSum != 0 {
-		rel := math.Abs(snap64.Result.EdgeWeightSum-snap32.Result.EdgeWeightSum) /
-			math.Abs(snap64.Result.EdgeWeightSum)
-		if rel > 1e-3 {
-			t.Fatalf("float32 edge weight sum off by %v relative (%v vs %v)",
-				rel, snap32.Result.EdgeWeightSum, snap64.Result.EdgeWeightSum)
+	// Every other precision is a 400 that names it, and creates nothing.
+	for _, prec := range []string{"float32", "f32", "float16"} {
+		status, body := h.do("POST", "/v1/sessions", CreateSessionRequest{
+			ID: "bad", Window: window, Precision: prec,
+		})
+		if status != http.StatusBadRequest || !strings.Contains(string(body), prec) {
+			t.Fatalf("precision %q: %d %s, want a 400 naming it", prec, status, body)
 		}
 	}
-
-	if status, body := h.do("POST", "/v1/sessions", CreateSessionRequest{
-		ID: "bad", Window: window, Precision: "float16",
-	}); status != http.StatusBadRequest {
-		t.Fatalf("unknown precision accepted: %d %s", status, body)
-	}
-}
-
-// TestFloat32RingChargeHalved pins the capacity payoff: the ring budgets
-// are counted in float64-equivalents, so a shape just past the float64
-// per-session cap still fits as a float32 session — double the capacity
-// under the same ceilings. (White-box on the charge function: actually
-// admitting such a push would allocate a half-gigabyte ring.)
-func TestFloat32RingChargeHalved(t *testing.T) {
-	arity := maxRingFloats/maxWindow + 1
-	cfg64 := SessionConfig{Window: maxWindow}
-	cfg32 := SessionConfig{Window: maxWindow, Precision: pfg.Float32}
-	if need := cfg64.ringFloatsNeeded(arity); need <= maxRingFloats {
-		t.Fatalf("float64 charge %d unexpectedly within the cap %d", need, maxRingFloats)
-	}
-	if need := cfg32.ringFloatsNeeded(arity); need > maxRingFloats {
-		t.Fatalf("float32 charge %d exceeds the cap %d — halving not applied", need, maxRingFloats)
-	}
-	// Odd float counts round up: a charge is never an undercount.
-	odd := SessionConfig{Window: 3, Precision: pfg.Float32}
-	if got := odd.ringFloatsNeeded(3); got != 5 {
-		t.Fatalf("ringFloatsNeeded(3×3 float32) = %d, want 5", got)
+	if status, _ := h.do("GET", "/v1/sessions/bad", nil); status != http.StatusNotFound {
+		t.Fatalf("rejected create left a session behind: %d", status)
 	}
 }

@@ -17,9 +17,6 @@ type SessionConfig struct {
 	Prefix       int
 	Workers      int
 	RebuildEvery int
-	// Precision is the moment-storage mode. Float32 sessions charge half
-	// the ring floats against the buffer budgets (see ringFloatsNeeded).
-	Precision pfg.Precision
 	// Incremental opts the session's streamer into the incremental serving
 	// layer (see pfg.IncrementalOptions).
 	Incremental pfg.IncrementalOptions
@@ -27,19 +24,6 @@ type SessionConfig struct {
 	// consecutive generations at (0 = defaultDriftCut, clamped to the
 	// series count; see drift.go).
 	DriftCut int
-}
-
-// ringFloatsNeeded is a session's window-ring charge against maxRingFloats
-// and maxTotalRingFloats, in float64-equivalents: float32 sessions store
-// half the bytes per value, so the same budget admits twice the
-// window×series — the bandwidth mode's capacity payoff under the server's
-// fixed memory ceilings.
-func (c SessionConfig) ringFloatsNeeded(series int) int {
-	floats := series * c.Window
-	if c.Precision == pfg.Float32 {
-		return (floats + 1) / 2
-	}
-	return floats
 }
 
 // Session is one named streaming feed: a pfg.Streamer plus the serving
@@ -107,7 +91,7 @@ func (s *Session) Info() SessionInfo {
 		Prefix:       s.cfg.Prefix,
 		Workers:      s.cfg.Workers,
 		RebuildEvery: s.cfg.RebuildEvery,
-		Precision:    s.cfg.Precision.String(),
+		Precision:    sessionPrecision,
 		Series:       s.st.Series(),
 		Len:          s.st.Len(),
 		RingBytes:    ringBytes,
@@ -146,11 +130,10 @@ const (
 	maxWindow = 1 << 20
 	// maxWorkers caps a session's private worker-pool budget.
 	maxWorkers = 1024
-	// maxRingFloats caps the session's ring buffer at 1 GiB, counted in
-	// float64-equivalents of window×series (a float32 session charges half
-	// its window×series, so the same cap admits twice the shape — see
-	// SessionConfig.ringFloatsNeeded). The series count is only known at the
-	// first push, so this one is enforced there (see handlePush).
+	// maxRingFloats caps the session's ring buffer at 1 GiB: window×series
+	// float64 values. The series count is only known at the first push, so
+	// this one is enforced there (see handlePush), or at recovery for a
+	// restored window.
 	maxRingFloats = 1 << 27
 	// maxSessions caps the registry: without an aggregate bound the
 	// per-session ceilings above are toothless (a loop of cheap creates
@@ -196,12 +179,35 @@ func validID(id string) bool {
 }
 
 // Create registers a new session. It fails if the id is taken, malformed,
-// or the streamer configuration is invalid. The whole operation — limit
-// checks, budget reservation, streamer construction (which eagerly spawns
-// the session's worker pool), registration — runs under the registry lock,
-// so concurrent over-budget creates are rejected before any pool is
-// spawned; a transient stampede of creates cannot hold unbounded goroutines.
+// or the streamer configuration is invalid.
 func (r *Registry) Create(id string, cfg SessionConfig) (*Session, error) {
+	return r.register(id, cfg, 0, func() (*pfg.Streamer, error) {
+		return pfg.NewStreamer(cfg.Window, pfg.StreamOptions{
+			Cluster:      pfg.Options{Method: cfg.Method, Prefix: cfg.Prefix, Workers: cfg.Workers},
+			RebuildEvery: cfg.RebuildEvery,
+			Incremental:  cfg.Incremental,
+		})
+	})
+}
+
+// restore registers a recovered session around an already-restored
+// streamer. Unlike a created session, its series count is known, so any
+// window ring it already holds is charged against the ring budgets up
+// front. On error the caller owns closing the streamer.
+func (r *Registry) restore(id string, cfg SessionConfig, st *pfg.Streamer) (*Session, error) {
+	return r.register(id, cfg, st.Series()*cfg.Window, func() (*pfg.Streamer, error) { return st, nil })
+}
+
+// register is the one admission path for Create and restore: it checks the
+// id, the window and worker caps, the per-session ring cap for ringNeed
+// floats, then — under the registry lock — that the registry is open, the id
+// free, and the session count, worker budget and aggregate ring budget have
+// room. Only then does it call newStreamer (which for Create eagerly spawns
+// the session's worker pool), so concurrent over-budget registrations are
+// rejected before any pool exists; a transient stampede of creates cannot
+// hold unbounded goroutines. It charges both budgets and registers the
+// session.
+func (r *Registry) register(id string, cfg SessionConfig, ringNeed int, newStreamer func() (*pfg.Streamer, error)) (*Session, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("session id must match [A-Za-z0-9._-]{1,64}, got %q", id)
 	}
@@ -211,6 +217,9 @@ func (r *Registry) Create(id string, cfg SessionConfig) (*Session, error) {
 	if cfg.Workers > maxWorkers {
 		return nil, fmt.Errorf("workers %d exceeds the maximum %d", cfg.Workers, maxWorkers)
 	}
+	if ringNeed > maxRingFloats {
+		return nil, fmt.Errorf("window ring (%d floats) exceeds the per-session cap %d", ringNeed, maxRingFloats)
+	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -226,72 +235,20 @@ func (r *Registry) Create(id string, cfg SessionConfig) (*Session, error) {
 	if cfg.Workers > 0 && r.workersInUse+cfg.Workers > maxTotalWorkers {
 		return nil, errWorkerBudget
 	}
-	st, err := pfg.NewStreamer(cfg.Window, pfg.StreamOptions{
-		Cluster:      pfg.Options{Method: cfg.Method, Prefix: cfg.Prefix, Workers: cfg.Workers},
-		RebuildEvery: cfg.RebuildEvery,
-		Precision:    cfg.Precision,
-		Incremental:  cfg.Incremental,
-	})
+	if r.ringInUse+ringNeed > maxTotalRingFloats {
+		return nil, fmt.Errorf("aggregate window-buffer budget exhausted")
+	}
+	st, err := newStreamer()
 	if err != nil {
 		return nil, err
 	}
-	sess := &Session{ID: id, cfg: cfg, st: st, done: make(chan struct{})}
+	sess := &Session{ID: id, cfg: cfg, st: st, done: make(chan struct{}), ringReserved: ringNeed}
 	sess.cache.init()
 	sess.bcast.init(sess)
 	if cfg.Workers > 0 {
 		r.workersInUse += cfg.Workers
 	}
-	r.sessions[id] = sess
-	return sess, nil
-}
-
-// restore registers a recovered session around an already-restored
-// streamer: the same limit checks and budget accounting as Create, except
-// the streamer exists (and may already hold a window ring, which must be
-// charged against the ring budgets up front — a recovered session's series
-// count is known, unlike a created one's). On error the caller owns closing
-// the streamer.
-func (r *Registry) restore(id string, cfg SessionConfig, st *pfg.Streamer) (*Session, error) {
-	if !validID(id) {
-		return nil, fmt.Errorf("session id must match [A-Za-z0-9._-]{1,64}, got %q", id)
-	}
-	if cfg.Workers > maxWorkers {
-		return nil, fmt.Errorf("workers %d exceeds the maximum %d", cfg.Workers, maxWorkers)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, fmt.Errorf("server is shutting down")
-	}
-	if _, ok := r.sessions[id]; ok {
-		return nil, errExists
-	}
-	if len(r.sessions) >= maxSessions {
-		return nil, errTooManySessions
-	}
-	if cfg.Workers > 0 && r.workersInUse+cfg.Workers > maxTotalWorkers {
-		return nil, errWorkerBudget
-	}
-	ringNeed := 0
-	if series := st.Series(); series > 0 {
-		ringNeed = cfg.ringFloatsNeeded(series)
-		if ringNeed > maxRingFloats {
-			return nil, fmt.Errorf("recovered window ring (%d float64-equivalents) exceeds the per-session cap %d", ringNeed, maxRingFloats)
-		}
-		if r.ringInUse+ringNeed > maxTotalRingFloats {
-			return nil, fmt.Errorf("aggregate window-buffer budget exhausted")
-		}
-	}
-	sess := &Session{ID: id, cfg: cfg, st: st, done: make(chan struct{})}
-	sess.cache.init()
-	sess.bcast.init(sess)
-	if cfg.Workers > 0 {
-		r.workersInUse += cfg.Workers
-	}
-	if ringNeed > 0 {
-		r.ringInUse += ringNeed
-		sess.ringReserved = ringNeed
-	}
+	r.ringInUse += ringNeed
 	r.sessions[id] = sess
 	return sess, nil
 }

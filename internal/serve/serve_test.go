@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"pfg"
 	"pfg/internal/tsgen"
 )
 
@@ -239,6 +240,37 @@ func TestAggregateBudgets(t *testing.T) {
 	if s1.ringReserved != 0 || !r.reserveRing(s2, 1) {
 		t.Fatal("release did not return the budget")
 	}
+}
+
+// TestRestoreChecksCreateCaps: a recovered session passes the same
+// admission checks as a created one, the window cap included — a checkpoint
+// may declare windows far past maxWindow.
+func TestRestoreChecksCreateCaps(t *testing.T) {
+	r := newRegistry()
+	for _, tc := range []struct {
+		id     string
+		window int
+		ok     bool
+	}{
+		{"within", maxWindow, true},
+		{"over", maxWindow + 1, false},
+	} {
+		st, err := pfg.NewStreamer(tc.window, pfg.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.restore(tc.id, SessionConfig{Window: tc.window}, st)
+		if (err == nil) != tc.ok {
+			t.Fatalf("restore of window %d: error %v, want ok=%v", tc.window, err, tc.ok)
+		}
+		if err != nil {
+			st.Close()
+		}
+	}
+	if r.Len() != 1 {
+		t.Fatalf("registry holds %d sessions, want 1", r.Len())
+	}
+	r.closeAll()
 }
 
 // TestPushRingCap rejects a first push whose arity would, combined with the

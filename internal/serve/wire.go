@@ -10,6 +10,10 @@ import (
 // Field names and encodings are stable; additions are backward-compatible
 // (new optional fields), removals and renames are not allowed.
 
+// sessionPrecision is the moment-storage precision of every session, as
+// SessionInfo and meta.json spell it.
+const sessionPrecision = "float64"
+
 // CreateSessionRequest is the body of POST /v1/sessions.
 type CreateSessionRequest struct {
 	// ID names the session; it appears in URLs and must match
@@ -27,11 +31,9 @@ type CreateSessionRequest struct {
 	// RebuildEvery is the drift-rebuild period K in window slides
 	// (0 = default, negative disables periodic rebuilds).
 	RebuildEvery int `json:"rebuild_every,omitempty"`
-	// Precision selects the session's moment-storage mode: "float64" (the
-	// default — full bit-determinism against batch recomputation) or
-	// "float32" (half the per-tick memory bandwidth and half the ring bytes
-	// charged against the server's buffer budgets, at a bounded correlation
-	// error — see pfg.Float32CorrBound).
+	// Precision names the session's moment-storage precision. Sessions
+	// store float64 moments, so only "float64" (alias "f64") or the empty
+	// string is accepted; any other value is a 400.
 	Precision string `json:"precision,omitempty"`
 	// Incremental, when present, opts the session into the incremental
 	// serving layer: snapshots reuse the last exact clustering while the
@@ -47,7 +49,7 @@ type CreateSessionRequest struct {
 }
 
 // config converts the request into a session configuration: it parses the
-// method and precision names, checks drift_cut, and turns the incremental
+// method name, checks the precision and drift_cut, and turns the incremental
 // layer on when the request carries an incremental object. Create and
 // durable recovery share it, since meta.json stores this same wire form.
 // The registry checks the window and worker limits.
@@ -56,9 +58,10 @@ func (req CreateSessionRequest) config() (SessionConfig, error) {
 	if err != nil {
 		return SessionConfig{}, err
 	}
-	prec, err := parsePrecision(req.Precision)
-	if err != nil {
-		return SessionConfig{}, err
+	switch req.Precision {
+	case "", sessionPrecision, "f64":
+	default:
+		return SessionConfig{}, fmt.Errorf("unsupported precision %q: sessions store float64 moments (want %q)", req.Precision, sessionPrecision)
 	}
 	if req.DriftCut < 0 {
 		return SessionConfig{}, fmt.Errorf("drift_cut must be non-negative, got %d", req.DriftCut)
@@ -69,7 +72,6 @@ func (req CreateSessionRequest) config() (SessionConfig, error) {
 		Prefix:       req.Prefix,
 		Workers:      req.Workers,
 		RebuildEvery: req.RebuildEvery,
-		Precision:    prec,
 		DriftCut:     req.DriftCut,
 	}
 	if req.Incremental != nil {
@@ -104,7 +106,8 @@ type SessionInfo struct {
 	Prefix       int    `json:"prefix"`
 	Workers      int    `json:"workers"`
 	RebuildEvery int    `json:"rebuild_every"`
-	// Precision is the session's moment-storage mode ("float64"/"float32").
+	// Precision is the session's moment-storage precision: always
+	// "float64".
 	Precision string `json:"precision"`
 	// Series is the number of series, fixed by the first admitted push
 	// (0 before that).
@@ -122,8 +125,7 @@ type SessionInfo struct {
 	Incremental bool `json:"incremental,omitempty"`
 	// RingBytes and BandBytes are the resident bytes of the session's window
 	// ring and moment band (0 until the first admitted push fixes the series
-	// count). A float32 session's figures are half a float64 session's for
-	// the same window×series shape.
+	// count).
 	RingBytes int `json:"ring_bytes"`
 	BandBytes int `json:"band_bytes"`
 	// StaleTicks and Drift describe the last snapshot this session served:
@@ -215,19 +217,6 @@ type HealthResponse struct {
 	Status   string  `json:"status"`
 	UptimeS  float64 `json:"uptime_s"`
 	Sessions int     `json:"sessions"`
-}
-
-// parsePrecision maps the wire precision names to pfg.Precision; the empty
-// string selects float64.
-func parsePrecision(s string) (pfg.Precision, error) {
-	switch s {
-	case "", "float64", "f64":
-		return pfg.Float64, nil
-	case "float32", "f32":
-		return pfg.Float32, nil
-	default:
-		return 0, fmt.Errorf("unknown precision %q (want \"float64\" or \"float32\")", s)
-	}
 }
 
 // parseMethod maps the wire method names (and the pfg-cluster CLI

@@ -24,37 +24,30 @@ import (
 // Dirty is not part of the state: it is derivable (the engine sets it
 // exactly when a slide has happened since the last exact state, i.e.
 // Slides > 0), so a checkpoint cannot encode an inconsistent combination.
-// Likewise the float32 conversion scratch and the magnitude bound are
-// reconstructed, not stored.
+// Likewise the magnitude bound is reconstructed, not stored.
 type State struct {
 	N, Window    int
 	RebuildEvery int
-	Prec         Precision
 
 	Count  int
 	Head   int
 	Slides int
 	Gen    uint64
 
-	// Float64 storage: Ring is window×n sample-major, G the n×n upper band,
-	// GCur the fill phase's current-panel band (non-nil exactly while a
-	// multi-panel float64 window is filling). Sums is the n rolling sums in
-	// both modes.
+	// Ring is window×n sample-major, G the n×n upper band, GCur the fill
+	// phase's current-panel band (non-nil exactly while a multi-panel window
+	// is filling), Sums the n rolling sums.
 	Ring []float64
 	G    []float64
 	GCur []float64
 	Sums []float64
-
-	// Float32 storage.
-	Ring32 []float32
-	G32    []float32
 }
 
-// needGCur reports whether a float64 engine of this shape carries a
-// current-panel band: multi-panel windows allocate it at creation and
-// release it when the fill completes.
-func needGCur(prec Precision, window, count int) bool {
-	return prec == Float64 && window > kernel.PanelLen && count < window
+// needGCur reports whether an engine of this shape carries a current-panel
+// band: multi-panel windows allocate it at creation and release it when the
+// fill completes.
+func needGCur(window, count int) bool {
+	return window > kernel.PanelLen && count < window
 }
 
 // State returns the engine's restorable state as views of its live buffers
@@ -70,7 +63,6 @@ func (e *Engine) State() (State, error) {
 		N:            e.n,
 		Window:       e.window,
 		RebuildEvery: e.rebuildEvery,
-		Prec:         e.prec,
 		Count:        e.count,
 		Head:         e.head,
 		Slides:       e.slides,
@@ -79,8 +71,6 @@ func (e *Engine) State() (State, error) {
 		G:            e.g,
 		GCur:         e.gCur,
 		Sums:         e.s,
-		Ring32:       e.ring32,
-		G32:          e.g32,
 	}, nil
 }
 
@@ -96,24 +86,19 @@ func NewFromState(st State, w *ws.Workspace) (*Engine, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
-	e, err := New(st.N, st.Window, st.RebuildEvery, st.Prec, w)
+	e, err := New(st.N, st.Window, st.RebuildEvery, w)
 	if err != nil {
 		return nil, err
 	}
-	if st.Prec == Float32 {
-		copy(e.ring32, st.Ring32)
-		copy(e.g32, st.G32)
-	} else {
-		copy(e.ring, st.Ring)
-		copy(e.g, st.G)
-		if st.GCur != nil {
-			copy(e.gCur, st.GCur)
-		} else if e.gCur != nil {
-			// New allocates the current-panel band for every multi-panel
-			// window; a filled window has already retired it.
-			e.w.PutFloat64(e.gCur)
-			e.gCur = nil
-		}
+	copy(e.ring, st.Ring)
+	copy(e.g, st.G)
+	if st.GCur != nil {
+		copy(e.gCur, st.GCur)
+	} else if e.gCur != nil {
+		// New allocates the current-panel band for every multi-panel
+		// window; a filled window has already retired it.
+		e.w.PutFloat64(e.gCur)
+		e.gCur = nil
 	}
 	copy(e.s, st.Sums)
 	e.count = st.Count
@@ -131,9 +116,6 @@ func (st State) validate() error {
 	}
 	if st.Window < 2 {
 		return fmt.Errorf("stream: state window %d < 2", st.Window)
-	}
-	if st.Prec != Float64 && st.Prec != Float32 {
-		return fmt.Errorf("stream: state has unknown precision %d", st.Prec)
 	}
 	if st.Count < 0 || st.Count > st.Window {
 		return fmt.Errorf("stream: state count %d outside [0,%d]", st.Count, st.Window)
@@ -160,62 +142,37 @@ func (st State) validate() error {
 			return fmt.Errorf("stream: state sum %d is non-finite", i)
 		}
 	}
-	maxMag := maxSampleMagnitude(st.Window, st.Prec)
-	if st.Prec == Float32 {
-		if st.Ring != nil || st.G != nil || st.GCur != nil {
-			return fmt.Errorf("stream: float32 state carries float64 arrays")
-		}
-		if len(st.Ring32) != st.Window*st.N {
-			return fmt.Errorf("stream: state ring has %d entries, want window×n=%d", len(st.Ring32), st.Window*st.N)
-		}
-		if len(st.G32) != st.N*st.N {
-			return fmt.Errorf("stream: state band has %d entries, want n²=%d", len(st.G32), st.N*st.N)
-		}
-		// The stored values are float32 roundings of admitted samples: allow
-		// one rounding step past the admission bound.
-		maxMag *= 1 + 1e-6
-		if err := validateRing32(st.Ring32, st.N, st.Window, st.Count, st.Head, maxMag); err != nil {
-			return err
-		}
-		if err := finiteF32("band", st.G32); err != nil {
-			return err
-		}
-		return nil
-	}
-	if st.Ring32 != nil || st.G32 != nil {
-		return fmt.Errorf("stream: float64 state carries float32 arrays")
-	}
 	if len(st.Ring) != st.Window*st.N {
 		return fmt.Errorf("stream: state ring has %d entries, want window×n=%d", len(st.Ring), st.Window*st.N)
 	}
 	if len(st.G) != st.N*st.N {
 		return fmt.Errorf("stream: state band has %d entries, want n²=%d", len(st.G), st.N*st.N)
 	}
-	if need := needGCur(st.Prec, st.Window, st.Count); need != (st.GCur != nil) {
+	if need := needGCur(st.Window, st.Count); need != (st.GCur != nil) {
 		return fmt.Errorf("stream: state current-panel band present=%v, want %v for window %d at count %d",
 			st.GCur != nil, need, st.Window, st.Count)
 	}
 	if st.GCur != nil && len(st.GCur) != st.N*st.N {
 		return fmt.Errorf("stream: state current-panel band has %d entries, want n²=%d", len(st.GCur), st.N*st.N)
 	}
-	if err := validateRing64(st.Ring, st.N, st.Window, st.Count, st.Head, maxMag); err != nil {
+	if err := validateRing(st.Ring, st.N, st.Window, st.Count, st.Head, maxSampleMagnitude(st.Window)); err != nil {
 		return err
 	}
-	if err := finiteF64("band", st.G); err != nil {
+	if err := finite("band", st.G); err != nil {
 		return err
 	}
 	if st.GCur != nil {
-		if err := finiteF64("current-panel band", st.GCur); err != nil {
+		if err := finite("current-panel band", st.GCur); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// validateRing64 checks the occupied ring slots: finite values within the
+// validateRing checks the occupied ring slots: finite values within the
 // overflow-safe admission bound (unoccupied slots are dead storage and may
 // hold anything — typically zeros).
-func validateRing64(ring []float64, n, window, count, head int, maxMag float64) error {
+func validateRing(ring []float64, n, window, count, head int, maxMag float64) error {
 	start := head - count
 	if start < 0 {
 		start += window
@@ -234,39 +191,9 @@ func validateRing64(ring []float64, n, window, count, head int, maxMag float64) 
 	return nil
 }
 
-func validateRing32(ring []float32, n, window, count, head int, maxMag float64) error {
-	start := head - count
-	if start < 0 {
-		start += window
-	}
-	for k := 0; k < count; k++ {
-		slot := start + k
-		if slot >= window {
-			slot -= window
-		}
-		for i, raw := range ring[slot*n : slot*n+n] {
-			v := float64(raw)
-			if math.IsNaN(v) || math.IsInf(v, 0) || v > maxMag || v < -maxMag {
-				return fmt.Errorf("stream: state ring sample %d series %d (%g) is non-finite or exceeds the magnitude bound %g", k, i, v, maxMag)
-			}
-		}
-	}
-	return nil
-}
-
-func finiteF64(name string, s []float64) error {
+func finite(name string, s []float64) error {
 	for i, v := range s {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("stream: state %s entry %d is non-finite", name, i)
-		}
-	}
-	return nil
-}
-
-func finiteF32(name string, s []float32) error {
-	for i, v := range s {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("stream: state %s entry %d is non-finite", name, i)
 		}
 	}

@@ -25,12 +25,6 @@ func cloneState(st State) State {
 		cp.GCur = append([]float64(nil), st.GCur...)
 	}
 	cp.Sums = append([]float64(nil), st.Sums...)
-	if st.Ring32 != nil {
-		cp.Ring32 = append([]float32(nil), st.Ring32...)
-	}
-	if st.G32 != nil {
-		cp.G32 = append([]float32(nil), st.G32...)
-	}
 	return cp
 }
 
@@ -73,31 +67,28 @@ func TestStateRoundTrip(t *testing.T) {
 		name         string
 		n, window    int
 		rebuildEvery int
-		prec         Precision
 		fill         int // pushes before the checkpoint
 		extra        int // pushes replayed after restore on both engines
 	}{
-		{"f64-midfill", 6, 16, 4, Float64, 9, 20},
-		{"f64-rolled", 6, 16, 4, Float64, 16 + 10, 13},
-		{"f32-midfill", 5, 12, 4, Float32, 7, 18},
-		{"f32-rolled", 5, 12, 4, Float32, 12 + 9, 11},
+		{"f64-midfill", 6, 16, 4, 9, 20},
+		{"f64-rolled", 6, 16, 4, 16 + 10, 13},
 		// A multi-panel window (> kernel.PanelLen) mid-fill carries the
 		// gCur split, crossing a panel boundary during the replayed pushes.
-		{"f64-multipanel", 3, kernel.PanelLen + 40, 6, Float64, kernel.PanelLen + 20, 60},
+		{"f64-multipanel", 3, kernel.PanelLen + 40, 6, kernel.PanelLen + 20, 60},
 	}
 	pool := exec.New(1)
 	defer pool.Close()
 	ctx := context.Background()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.window > kernel.PanelLen && tc.fill < tc.window && tc.prec == Float64 {
+			if tc.window > kernel.PanelLen && tc.fill < tc.window {
 				// Sanity: this case must actually exercise the gCur path.
 				if tc.fill <= kernel.PanelLen {
 					t.Fatalf("bad case: fill %d does not reach the second panel", tc.fill)
 				}
 			}
 			feed := ticks(int64(tc.n)*1000+int64(tc.window), tc.n, tc.fill+tc.extra)
-			orig, err := New(tc.n, tc.window, tc.rebuildEvery, tc.prec, ws.New())
+			orig, err := New(tc.n, tc.window, tc.rebuildEvery, ws.New())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +101,7 @@ func TestStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.prec == Float64 && tc.window > kernel.PanelLen && tc.fill < tc.window && st.GCur == nil {
+			if tc.window > kernel.PanelLen && tc.fill < tc.window && st.GCur == nil {
 				t.Fatal("multi-panel mid-fill state is missing the current-panel band")
 			}
 			restored, err := NewFromState(cloneState(st), ws.New())
@@ -141,7 +132,7 @@ func TestStateRoundTrip(t *testing.T) {
 
 // TestStateEmptyEngine round-trips an engine that has admitted nothing.
 func TestStateEmptyEngine(t *testing.T) {
-	e, err := New(4, 8, 2, Float64, ws.New())
+	e, err := New(4, 8, 2, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +155,7 @@ func TestStateValidation(t *testing.T) {
 	pool := exec.New(1)
 	defer pool.Close()
 	base := func(t *testing.T) State {
-		e, err := New(4, 8, 4, Float64, ws.New())
+		e, err := New(4, 8, 4, ws.New())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +177,6 @@ func TestStateValidation(t *testing.T) {
 	}{
 		{"zero-n", func(s *State) { s.N = 0 }, "series"},
 		{"window-1", func(s *State) { s.Window = 1 }, "window"},
-		{"bad-precision", func(s *State) { s.Prec = 9 }, "precision"},
 		{"count-over", func(s *State) { s.Count = s.Window + 1 }, "count"},
 		{"head-over", func(s *State) { s.Head = s.Window }, "head"},
 		{"head-fill-mismatch", func(s *State) { s.Count, s.Slides = 3, 0; s.Head = 5 }, "head"},
@@ -200,7 +190,6 @@ func TestStateValidation(t *testing.T) {
 		{"huge-ring", func(s *State) { s.Ring[3] = math.MaxFloat64 }, "magnitude"},
 		{"inf-band", func(s *State) { s.G[1] = math.Inf(1) }, "band"},
 		{"stray-gcur", func(s *State) { s.GCur = make([]float64, s.N*s.N) }, "current-panel"},
-		{"mode-mix", func(s *State) { s.Ring32 = make([]float32, s.Window*s.N) }, "float32"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,7 +209,7 @@ func TestStateValidation(t *testing.T) {
 func TestStateRefusesCorrupt(t *testing.T) {
 	pool := exec.New(1)
 	defer pool.Close()
-	e, err := New(4, 6, 0, Float64, ws.New())
+	e, err := New(4, 6, 0, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}

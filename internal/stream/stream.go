@@ -24,18 +24,9 @@
 // (periodic or forced), snapshots are again bit-identical to batch. Exact
 // reports which regime the engine is in.
 //
-// Precision. An engine runs in one of two storage modes fixed at creation
-// (see Precision). Float64 is the default and carries the full bit-
-// determinism contract above. Float32 stores the ring and the moment band in
-// float32 — halving the memory bandwidth of the O(n²) per-tick roll and
-// halving the ring bytes charged against serving resource budgets — while
-// keeping the rolling sums and all finish-pass arithmetic in float64.
-// Float32 mode has no bit contract against the float64 batch pipeline; its
-// guarantees are (a) the documented correlation error bound
-// Float32CorrBound, (b) within-mode exactness (fill-phase and post-rebuild
-// states bit-match an in-mode recomputation, and all results remain
-// bit-independent of worker count), and (c) the same overflow-free-by-
-// construction admission bound, scaled to float32 range.
+// Storage. The ring, the moment band and the rolling sums are float64, the
+// precision of the batch pipeline every exactness guarantee above is stated
+// against.
 //
 // Concurrency. An Engine is NOT internally synchronized: callers serialize
 // Push/Rebuild (writers) against CopyState (reader) themselves. pfg.Streamer
@@ -70,65 +61,16 @@ type Metrics struct {
 	Rebuild *obs.Stage
 }
 
-// Precision selects the storage mode of an Engine's series ring and moment
-// band.
-type Precision uint8
-
-const (
-	// Float64 stores ring and band in float64: full bandwidth, full
-	// bit-determinism against the batch pipeline. The default.
-	Float64 Precision = iota
-	// Float32 stores ring and band in float32: half the per-tick memory
-	// traffic and half the ring budget, at the cost of correlation error up
-	// to Float32CorrBound and no cross-mode bit contract. Choose it when n
-	// is large enough that the roll is bandwidth-bound and ~1e-5 correlation
-	// error is immaterial to the downstream clustering — typically when
-	// serving many sessions under a shared memory ceiling.
-	Float32
-)
-
-// String returns "float64" or "float32" — the wire spelling used by the
-// serving layer's session configuration and /statsz reporting.
-func (p Precision) String() string {
-	if p == Float32 {
-		return "float32"
-	}
-	return "float64"
-}
-
-// BytesPerFloat is the storage cost of one ring or band value in this mode.
-func (p Precision) BytesPerFloat() int {
-	if p == Float32 {
-		return 4
-	}
-	return 8
-}
-
-// Float32CorrBound is the documented bound on |corr₃₂ − corr₆₄| for float32
-// mode on well-conditioned data (|mean|/std ≲ 10, window ≤ 8192): float32
-// cross-product accumulation carries ~2⁻²⁴ relative error per fold step and
-// the moment centering amplifies it by the conditioning factor, landing
-// measured worst cases near 2e-5 on the golden corpus and long random
-// streams (see TestFloat32PrecisionBound). Ill-conditioned series
-// (|mean|/std ≫ 10²) lose proportionally more — use Float64 there.
-const Float32CorrBound = 5e-4
-
 // maxSampleMagnitude bounds admitted sample values so the moment band can
-// never overflow: with |x| ≤ √(MaxFloat/window), every cross product is
-// ≤ MaxFloat/window and a window's worth of them sums below the format's
-// MaxFloat. Without the bound, one finite-but-huge sample would push g to
-// +Inf, and its eventual downdate would turn the band into NaNs (Inf−Inf)
-// that no roll can ever wash out — poisoning snapshots until the next exact
-// rebuild (or forever, with periodic rebuilds disabled). Rejecting at the
-// door keeps the band finite by construction. The float64 bound is
-// astronomically above any real signal (~2.1e152 for a 4096-tick window);
-// the float32 bound (~2.8e17 for the same window, shaved slightly below the
-// exact threshold to absorb the float64→float32 conversion rounding of an
-// admitted sample) still is.
-func maxSampleMagnitude(window int, prec Precision) float64 {
-	if prec == Float32 {
-		return math.Sqrt(math.MaxFloat32/float64(window)) * 0.999999
-	}
+// never overflow: with |x| ≤ √(MaxFloat64/window), every cross product is
+// ≤ MaxFloat64/window and a window's worth of them sums below MaxFloat64.
+// Without the bound, one finite-but-huge sample would push g to +Inf, and
+// its eventual downdate would turn the band into NaNs (Inf−Inf) that no roll
+// can ever wash out — poisoning snapshots until the next exact rebuild (or
+// forever, with periodic rebuilds disabled). Rejecting at the door keeps the
+// band finite by construction. The bound is astronomically above any real
+// signal (~2.1e152 for a 4096-tick window).
+func maxSampleMagnitude(window int) float64 {
 	return math.Sqrt(math.MaxFloat64 / float64(window))
 }
 
@@ -136,8 +78,7 @@ func maxSampleMagnitude(window int, prec Precision) float64 {
 // moment rebuilds. At the default, the amortized rebuild cost per tick is
 // n²·T/DefaultRebuildEvery — under 2% of a tick's O(n²) roll work for
 // windows up to ~5000 samples — while worst-case drift stays bounded by 256
-// rank-1 roll roundings (empirically ~1e-12 relative for unit-scale float64
-// data, ~1e-4 for float32).
+// rank-1 roll roundings (empirically ~1e-12 relative for unit-scale data).
 const DefaultRebuildEvery = 256
 
 // rollGrain is the ForBlocked row grain of the per-tick rank-1 kernels.
@@ -147,7 +88,6 @@ const rollGrain = 16
 type Engine struct {
 	n, window    int
 	rebuildEvery int // ≤ 0 disables periodic rebuilds
-	prec         Precision
 
 	count   int    // samples currently in the window (≤ window)
 	head    int    // ring slot the next sample will occupy
@@ -156,7 +96,6 @@ type Engine struct {
 	dirty   bool   // true once a slide has happened without a rebuild after it
 	corrupt bool   // a cancelled kernel left g half-applied; ring is still good
 
-	// Float64 storage (prec == Float64).
 	ring []float64 // window×n, sample-major: ring[slot*n+i]
 	g    []float64 // n×n cross-product band: the folded full panels
 	// gCur is the fill phase's current-panel band for windows longer than
@@ -166,15 +105,7 @@ type Engine struct {
 	// same one rounded add per entry). Released once the window fills; nil
 	// for windows within a single panel, where g carries the chain directly.
 	gCur []float64
-
-	// Float32 storage (prec == Float32). The fill chain needs no panel
-	// split: float32 mode rebuilds with the single-chain SyrkUpperBandF32,
-	// which a sample-ordered sequence of rank-1 updates matches directly.
-	ring32 []float32
-	g32    []float32
-	x32    []float32 // conversion scratch for the incoming sample
-
-	s []float64 // n rolling sums — float64 in both modes
+	s    []float64 // n rolling sums
 
 	maxMag  float64 // sample magnitude bound keeping the band finite
 	w       *ws.Workspace
@@ -182,38 +113,26 @@ type Engine struct {
 	met     *Metrics // per-stage timing, nil = uninstrumented (no time.Now on pushes)
 }
 
-// New creates an engine for n series over the given window in the given
-// precision mode, drawing its long-lived state from w (which the caller must
-// keep alive alongside the engine). rebuildEvery ≤ 0 disables periodic
-// rebuilds (drift then grows unboundedly until Rebuild is called
-// explicitly).
-func New(n, window, rebuildEvery int, prec Precision, w *ws.Workspace) (*Engine, error) {
+// New creates an engine for n series over the given window, drawing its
+// long-lived state from w (which the caller must keep alive alongside the
+// engine). rebuildEvery ≤ 0 disables periodic rebuilds (drift then grows
+// unboundedly until Rebuild is called explicitly).
+func New(n, window, rebuildEvery int, w *ws.Workspace) (*Engine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("stream: need at least 1 series, have %d", n)
 	}
 	if window < 2 {
 		return nil, fmt.Errorf("stream: window %d < 2", window)
 	}
-	if prec != Float64 && prec != Float32 {
-		return nil, fmt.Errorf("stream: unknown precision %d", prec)
-	}
 	e := &Engine{
 		n:            n,
 		window:       window,
 		rebuildEvery: rebuildEvery,
-		prec:         prec,
 		s:            w.Float64(n),
-		maxMag:       maxSampleMagnitude(window, prec),
+		maxMag:       maxSampleMagnitude(window),
 		w:            w,
 	}
 	clear(e.s)
-	if prec == Float32 {
-		e.ring32 = w.Float32(window * n)
-		e.g32 = w.Float32(n * n)
-		e.x32 = w.Float32(n)
-		clear(e.g32)
-		return e, nil
-	}
 	e.ring = w.Float64(window * n)
 	e.g = w.Float64(n * n)
 	clear(e.g)
@@ -233,36 +152,17 @@ func (e *Engine) Window() int { return e.window }
 // Len returns the number of samples currently in the window.
 func (e *Engine) Len() int { return e.count }
 
-// Precision returns the engine's storage mode.
-func (e *Engine) Precision() Precision { return e.prec }
-
 // BandBytes reports the resident bytes of the engine's moment-band storage
 // (including the fill-phase current-panel band while it is allocated) — the
 // figure the serving layer's /statsz reports per session.
-func (e *Engine) BandBytes() int {
-	b := 0
-	switch e.prec {
-	case Float32:
-		b = len(e.g32) * 4
-	default:
-		b = (len(e.g) + len(e.gCur)) * 8
-	}
-	return b
-}
+func (e *Engine) BandBytes() int { return (len(e.g) + len(e.gCur)) * 8 }
 
 // RingBytes reports the resident bytes of the series ring.
-func (e *Engine) RingBytes() int {
-	if e.prec == Float32 {
-		return len(e.ring32) * 4
-	}
-	return len(e.ring) * 8
-}
+func (e *Engine) RingBytes() int { return len(e.ring) * 8 }
 
 // Exact reports whether the moments are currently bit-identical to a batch
 // recomputation over the window (true while filling and right after a
-// rebuild; false once a slide has drifted them). In float32 mode the
-// recomputation reference is the in-mode one (float32 ring through
-// SyrkUpperBandF32), not the float64 batch pipeline.
+// rebuild; false once a slide has drifted them).
 func (e *Engine) Exact() bool { return !e.dirty && !e.corrupt }
 
 // SlidesSinceRebuild returns the number of roll steps since the last exact
@@ -327,7 +227,7 @@ func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
 			return fmt.Errorf("stream: sample value %d is non-finite", i)
 		}
 		if v > e.maxMag || v < -e.maxMag {
-			return fmt.Errorf("stream: sample value %d (%g) exceeds the magnitude bound %g for window %d (%s)", i, v, e.maxMag, e.window, e.prec)
+			return fmt.Errorf("stream: sample value %d (%g) exceeds the magnitude bound %g for window %d", i, v, e.maxMag, e.window)
 		}
 	}
 	if e.met != nil {
@@ -344,9 +244,6 @@ func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
 		if e.met != nil {
 			sw.Start() // the repair timed itself under the Rebuild stage
 		}
-	}
-	if e.prec == Float32 {
-		return e.push32(ctx, pool, x, &sw)
 	}
 	slot := e.ring[e.head*e.n : e.head*e.n+e.n]
 	if e.count == e.window {
@@ -426,57 +323,6 @@ func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
 	return nil
 }
 
-// push32 is the float32-mode body of Push: identical structure, float32
-// storage arithmetic, float64 sums. The incoming float64 sample is rounded
-// once to float32 (e.x32) and that rounded value is what the ring, the band
-// chain, and the sums all consume, so a rebuild from the ring reproduces the
-// incremental state bit-for-bit. sw arrives started (when instrumented) with
-// the admit lap already taken.
-func (e *Engine) push32(ctx context.Context, pool *exec.Pool, x []float64, sw *obs.Stopwatch) error {
-	for i, v := range x {
-		e.x32[i] = float32(v)
-	}
-	slot := e.ring32[e.head*e.n : e.head*e.n+e.n]
-	if e.count == e.window {
-		if err := pool.ForBlocked(ctx, e.n, rollGrain, func(lo, hi int) {
-			kernel.Rank1RollUpperF32(e.g32, e.n, e.x32, slot, lo, hi)
-		}); err != nil {
-			e.corrupt = true
-			return err
-		}
-		for i, v := range e.x32 {
-			e.s[i] += float64(v) - float64(slot[i])
-		}
-		copy(slot, e.x32)
-		e.advanceHead()
-		e.dirty = true
-		e.slides++
-		e.bumpGen()
-		if e.met != nil {
-			sw.Lap(e.met.Roll)
-		}
-		e.maybeRebuild(ctx, pool)
-		return nil
-	}
-	if err := pool.ForBlocked(ctx, e.n, rollGrain, func(lo, hi int) {
-		kernel.Rank1UpdateUpperF32(e.g32, e.n, e.x32, lo, hi)
-	}); err != nil {
-		e.corrupt = true
-		return err
-	}
-	for i, v := range e.x32 {
-		e.s[i] += float64(v)
-	}
-	copy(slot, e.x32)
-	e.advanceHead()
-	e.count++
-	e.bumpGen()
-	if e.met != nil {
-		sw.Lap(e.met.Roll)
-	}
-	return nil
-}
-
 func (e *Engine) advanceHead() {
 	e.head++
 	if e.head == e.window {
@@ -524,14 +370,11 @@ func (e *Engine) foldCurrent(ctx context.Context, pool *exec.Pool, first bool) e
 // g, the partial panel's chain in gCur — so recovery from a cancelled kernel
 // lands on exactly the state incremental pushes would have produced.
 // O(n²·T); snapshots taken before the next slide are bit-identical to batch
-// afterwards (in-mode for float32).
+// afterwards.
 func (e *Engine) Rebuild(ctx context.Context, pool *exec.Pool) error {
 	if e.count == 0 {
 		e.slides, e.dirty, e.corrupt = 0, false, false
 		return nil
-	}
-	if e.prec == Float32 {
-		return e.rebuild32(ctx, pool)
 	}
 	var sw obs.Stopwatch
 	if e.met != nil {
@@ -580,53 +423,16 @@ func (e *Engine) Rebuild(ctx context.Context, pool *exec.Pool) error {
 	return nil
 }
 
-// rebuild32 is the float32-mode Rebuild: the single-chain SyrkUpperBandF32
-// over the linearized float32 ring, float64 sums folded from the rounded
-// ring values (matching what push32 accumulated).
-func (e *Engine) rebuild32(ctx context.Context, pool *exec.Pool) error {
-	var sw obs.Stopwatch
-	if e.met != nil {
-		sw.Start()
-	}
-	n, t := e.n, e.count
-	z := e.linearize32()
-	defer e.w.PutFloat32(z)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for _, v := range z[i*t : (i+1)*t] {
-			sum += float64(v)
-		}
-		e.s[i] = sum
-	}
-	err := pool.ForBlocked(ctx, n, 8, func(lo, hi int) {
-		kernel.SyrkUpperBandF32(z, n, t, e.g32, lo, hi)
-	})
-	if err != nil {
-		e.corrupt = true
-		return err
-	}
-	if e.dirty || e.corrupt {
-		e.bumpGen()
-	}
-	e.slides, e.dirty, e.corrupt = 0, false, false
-	if e.met != nil {
-		sw.Lap(e.met.Rebuild)
-	}
-	return nil
-}
-
 // CopyState copies the upper-triangle cross-product band into gDst (length ≥
-// n², lower triangle left untouched, always float64) and the rolling sums
-// into sDst (length ≥ n), returning the number of samples in the window.
-// During the fill phase of a multi-panel float64 window the copy fuses the
-// batch SYRK's final fold — gDst = g + gCur — which is exactly the one add
-// per entry the batch performs on its last partial panel, so snapshots stay
-// bit-identical to batch mid-fill. In float32 mode the band values are
-// upconverted (exact, float32 ⊂ float64). Feeding the copies to
-// matrix.FinishMomentsWS yields the window's correlation matrix. CopyState
-// is the only reader the snapshot path needs, so callers can hold a shared
-// (read) lock just for this call and run the finish and the clustering
-// outside it.
+// n², lower triangle left untouched) and the rolling sums into sDst (length
+// ≥ n), returning the number of samples in the window. During the fill
+// phase of a multi-panel window the copy fuses the batch SYRK's final fold —
+// gDst = g + gCur — which is exactly the one add per entry the batch
+// performs on its last partial panel, so snapshots stay bit-identical to
+// batch mid-fill. Feeding the copies to matrix.FinishMomentsWS yields the
+// window's correlation matrix. CopyState is the only reader the snapshot
+// path needs, so callers can hold a shared (read) lock just for this call
+// and run the finish and the clustering outside it.
 //
 // A corrupt band (a cancelled kernel not yet resynchronized by a Push or
 // Rebuild) is refused rather than served: its entries mix pre- and
@@ -637,12 +443,6 @@ func (e *Engine) CopyState(gDst, sDst []float64) (int, error) {
 	}
 	n := e.n
 	switch {
-	case e.prec == Float32:
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				gDst[i*n+j] = float64(e.g32[i*n+j])
-			}
-		}
 	case e.gCur == nil:
 		for i := 0; i < n; i++ {
 			copy(gDst[i*n+i:(i+1)*n], e.g[i*n+i:(i+1)*n])
@@ -682,8 +482,7 @@ func (e *Engine) CopyState(gDst, sDst []float64) (int, error) {
 // series-major float64 buffer (z[i*t+k] = sample k of series i) drawn from
 // the engine's workspace; the caller releases it with PutFloat64. It is the
 // exact batch-equivalent input: running the batch pipeline over its rows is
-// the reference every exactness guarantee is stated against (for float32
-// mode the values are the rounded float32 samples, upconverted).
+// the reference every exactness guarantee is stated against.
 func (e *Engine) Linearize() []float64 {
 	n, t := e.n, e.count
 	z := e.w.Float64(n * t)
@@ -693,32 +492,7 @@ func (e *Engine) Linearize() []float64 {
 		if slot >= e.window {
 			slot -= e.window
 		}
-		if e.prec == Float32 {
-			row := e.ring32[slot*n : slot*n+n]
-			for i, v := range row {
-				z[i*t+k] = float64(v)
-			}
-			continue
-		}
 		row := e.ring[slot*n : slot*n+n]
-		for i, v := range row {
-			z[i*t+k] = v
-		}
-	}
-	return z
-}
-
-// linearize32 is Linearize staying in float32, for the in-mode rebuild.
-func (e *Engine) linearize32() []float32 {
-	n, t := e.n, e.count
-	z := e.w.Float32(n * t)
-	start := e.oldestSlot()
-	for k := 0; k < t; k++ {
-		slot := start + k
-		if slot >= e.window {
-			slot -= e.window
-		}
-		row := e.ring32[slot*n : slot*n+n]
 		for i, v := range row {
 			z[i*t+k] = v
 		}
@@ -744,20 +518,12 @@ func (e *Engine) Workspace() *ws.Workspace { return e.w }
 // first-ever sample is rejected and the series count should stay open). The
 // engine must not be used afterwards.
 func (e *Engine) Release() {
-	if e.prec == Float32 {
-		e.w.PutFloat32(e.ring32)
-		e.w.PutFloat32(e.g32)
-		e.w.PutFloat32(e.x32)
-		e.ring32, e.g32, e.x32 = nil, nil, nil
-	} else {
-		e.w.PutFloat64(e.ring)
-		e.w.PutFloat64(e.g)
-		if e.gCur != nil {
-			e.w.PutFloat64(e.gCur)
-			e.gCur = nil
-		}
-		e.ring, e.g = nil, nil
+	e.w.PutFloat64(e.ring)
+	e.w.PutFloat64(e.g)
+	if e.gCur != nil {
+		e.w.PutFloat64(e.gCur)
+		e.gCur = nil
 	}
 	e.w.PutFloat64(e.s)
-	e.s = nil
+	e.ring, e.g, e.s = nil, nil, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pfg/internal/exec"
+	"pfg/internal/kernel"
 	"pfg/internal/matrix"
 	"pfg/internal/ws"
 )
@@ -88,7 +89,7 @@ func maxAbsDiff(a, b []float64) float64 {
 // pushed samples — the exactness half of the streaming contract.
 func TestEngineFillBitIdentical(t *testing.T) {
 	const n, window = 7, 16
-	e, err := New(n, window, 4, Float64, ws.New())
+	e, err := New(n, window, 4, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestEngineFillBitIdentical(t *testing.T) {
 // a rebuild — periodic or forced — restores bit-identity.
 func TestEngineSlideDriftAndRebuild(t *testing.T) {
 	const n, window, K = 6, 12, 5
-	e, err := New(n, window, K, Float64, ws.New())
+	e, err := New(n, window, K, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 	const n, window = 33, 20
 	stream := ticks(4, n, window+13)
 	run := func(workers int) []float64 {
-		e, err := New(n, window, 8, Float64, ws.New())
+		e, err := New(n, window, 8, ws.New())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,13 +213,13 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 // wrong sample arity, and non-finite samples (which must leave the state
 // untouched).
 func TestEngineValidation(t *testing.T) {
-	if _, err := New(0, 8, 0, Float64, nil); err == nil {
+	if _, err := New(0, 8, 0, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := New(4, 1, 0, Float64, nil); err == nil {
+	if _, err := New(4, 1, 0, nil); err == nil {
 		t.Fatal("window=1 accepted")
 	}
-	e, err := New(3, 4, 0, Float64, ws.New())
+	e, err := New(3, 4, 0, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestEngineValidation(t *testing.T) {
 // half-applied tick ever reaches a snapshot.
 func TestEngineCancelledPushRecovers(t *testing.T) {
 	const n, window = 5, 8
-	e, err := New(n, window, 0, Float64, ws.New())
+	e, err := New(n, window, 0, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestEngineCancelledPushRecovers(t *testing.T) {
 // TestEngineRebuildDisabled: rebuildEvery ≤ 0 never rebuilds on its own.
 func TestEngineRebuildDisabled(t *testing.T) {
 	const n, window = 4, 6
-	e, err := New(n, window, -1, Float64, ws.New())
+	e, err := New(n, window, -1, ws.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,5 +324,96 @@ func TestEngineRebuildDisabled(t *testing.T) {
 	}
 	if e.Exact() || e.SlidesSinceRebuild() != 40-window {
 		t.Fatalf("Exact=%v slides=%d", e.Exact(), e.SlidesSinceRebuild())
+	}
+}
+
+// TestEngineLargeWindowFillBitIdentical exercises the fill-phase panel split
+// (gCur) that only engages for windows longer than one T-panel: across the
+// whole fill of a multi-panel window — including both panel boundaries and
+// the final partial panel — every snapshot must stay bit-identical to the
+// batch pipeline, and rebuilds mid-fill must reconstruct the split state
+// exactly.
+func TestEngineLargeWindowFillBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-panel fill is slow in -short mode")
+	}
+	const n = 5
+	window := 2*kernel.PanelLen + 37
+	e, err := New(n, window, 0, ws.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := exec.New(3)
+	defer pool.Close()
+	ctx := context.Background()
+	// Check snapshots at the interesting counts only (full checks are
+	// O(n²·T) each): around each panel boundary, mid-panel, and fill end.
+	checks := map[int]bool{
+		2: true, 3: true,
+		kernel.PanelLen - 1: true, kernel.PanelLen: true, kernel.PanelLen + 1: true,
+		kernel.PanelLen + kernel.PanelLen/2: true,
+		2*kernel.PanelLen - 1:               true, 2 * kernel.PanelLen: true, 2*kernel.PanelLen + 1: true,
+		window - 1: true, window: true,
+	}
+	rebuilds := map[int]bool{ // forced rebuilds mid-fill must be no-ops bit-wise
+		kernel.PanelLen / 2: true, kernel.PanelLen: true, 2*kernel.PanelLen + 9: true,
+	}
+	for k, x := range ticks(21, n, window) {
+		if err := e.Push(ctx, pool, x); err != nil {
+			t.Fatal(err)
+		}
+		c := k + 1
+		if rebuilds[c] {
+			before := make([]float64, n*n)
+			bs := make([]float64, n)
+			if _, err := e.CopyState(before, bs); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Rebuild(ctx, pool); err != nil {
+				t.Fatal(err)
+			}
+			after := make([]float64, n*n)
+			as := make([]float64, n)
+			if _, err := e.CopyState(after, as); err != nil {
+				t.Fatal(err)
+			}
+			if i := bitsEqual(after, before); i >= 0 {
+				t.Fatalf("count %d: mid-fill rebuild changed band bit %d: %v vs %v", c, i, after[i], before[i])
+			}
+			if i := bitsEqual(as, bs); i >= 0 {
+				t.Fatalf("count %d: mid-fill rebuild changed sums at %d", c, i)
+			}
+		}
+		if !checks[c] {
+			continue
+		}
+		if !e.Exact() {
+			t.Fatalf("count %d: engine not exact during fill", c)
+		}
+		sim, dis := snapshot(t, e)
+		wantSim, wantDis := batchWindow(t, e)
+		if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
+			t.Fatalf("count %d: sim[%d] = %v, batch %v", c, i, sim.Data[i], wantSim.Data[i])
+		}
+		if i := bitsEqual(dis.Data, wantDis.Data); i >= 0 {
+			t.Fatalf("count %d: dis[%d] differs", c, i)
+		}
+	}
+	if e.BandBytes() != n*n*8 {
+		t.Fatalf("BandBytes after fill = %d, want %d (gCur not released?)", e.BandBytes(), n*n*8)
+	}
+
+	// One slide past fill, then a rebuild: the steady-state path over a
+	// multi-panel window must restore batch bit-identity too.
+	if err := e.Push(ctx, pool, ticks(22, n, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Rebuild(ctx, pool); err != nil {
+		t.Fatal(err)
+	}
+	sim, _ := snapshot(t, e)
+	wantSim, _ := batchWindow(t, e)
+	if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
+		t.Fatalf("post-slide rebuild: sim[%d] differs", i)
 	}
 }

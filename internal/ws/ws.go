@@ -29,7 +29,6 @@ type Workspace struct {
 	bitsets   []*bitset.Set
 	i32       [][]int32
 	f64       [][]float64
-	f32       [][]float32
 	groupings []*Grouping
 }
 
@@ -151,41 +150,6 @@ func (w *Workspace) PutFloat64(s []float64) {
 	}
 	w.mu.Lock()
 	w.f64 = append(w.f64, s[:0])
-	w.mu.Unlock()
-}
-
-// Float32 returns a float32 buffer of length n with unspecified contents —
-// the storage of the streaming engine's float32 bandwidth mode. Return it
-// with PutFloat32. Selection is best-fit, as in Int32.
-func (w *Workspace) Float32(n int) []float32 {
-	if w == nil {
-		return make([]float32, n)
-	}
-	w.mu.Lock()
-	best := -1
-	for k := len(w.f32) - 1; k >= 0; k-- {
-		if c := cap(w.f32[k]); c >= n && (best < 0 || c < cap(w.f32[best])) {
-			best = k
-		}
-	}
-	if best >= 0 {
-		s := w.f32[best]
-		w.f32[best] = w.f32[len(w.f32)-1]
-		w.f32 = w.f32[:len(w.f32)-1]
-		w.mu.Unlock()
-		return s[:n]
-	}
-	w.mu.Unlock()
-	return make([]float32, n)
-}
-
-// PutFloat32 releases a float32 buffer back to the workspace.
-func (w *Workspace) PutFloat32(s []float32) {
-	if w == nil || cap(s) == 0 {
-		return
-	}
-	w.mu.Lock()
-	w.f32 = append(w.f32, s[:0])
 	w.mu.Unlock()
 }
 

@@ -14,6 +14,7 @@ import (
 	"pfg/internal/core"
 	"pfg/internal/dendro"
 	"pfg/internal/exec"
+	"pfg/internal/graph"
 	"pfg/internal/hac"
 	"pfg/internal/inc"
 	"pfg/internal/kernel"
@@ -179,22 +180,7 @@ func (r *Result) JSON(cuts []int, names []string) (*ResultJSON, error) {
 		Newick:        nwk,
 		StaleTicks:    r.TicksSinceExact,
 		Drift:         r.Drift,
-	}
-	if r.Edges != nil {
-		es := make([][2]int32, len(r.Edges))
-		for i, e := range r.Edges {
-			if e[0] > e[1] {
-				e[0], e[1] = e[1], e[0]
-			}
-			es[i] = e
-		}
-		slices.SortFunc(es, func(a, b [2]int32) int {
-			if a[0] != b[0] {
-				return int(a[0] - b[0])
-			}
-			return int(a[1] - b[1])
-		})
-		v.Edges = es
+		Edges:         graph.CanonicalEdges(r.Edges),
 	}
 	if len(cuts) > 0 {
 		v.Cuts = make(map[string][]int, len(cuts))
@@ -287,7 +273,7 @@ func (r *ResultJSON) Delta(next *ResultJSON) (*ResultDeltaJSON, error) {
 	// one merge walk yields both change lists in canonical order.
 	i, j := 0, 0
 	for i < len(r.Edges) && j < len(next.Edges) {
-		switch cmpEdge(r.Edges[i], next.Edges[j]) {
+		switch graph.CompareEdges(r.Edges[i], next.Edges[j]) {
 		case 0:
 			i++
 			j++
@@ -372,7 +358,7 @@ func (r *ResultJSON) ApplyDelta(d *ResultDeltaJSON) (*ResultJSON, error) {
 		merged := make([][2]int32, 0, len(kept)+len(d.EdgesAdded))
 		ai := 0
 		for _, e := range kept {
-			for ai < len(d.EdgesAdded) && cmpEdge(d.EdgesAdded[ai], e) < 0 {
+			for ai < len(d.EdgesAdded) && graph.CompareEdges(d.EdgesAdded[ai], e) < 0 {
 				merged = append(merged, d.EdgesAdded[ai])
 				ai++
 			}
@@ -406,23 +392,6 @@ func (r *ResultJSON) ApplyDelta(d *ResultDeltaJSON) (*ResultJSON, error) {
 		}
 	}
 	return out, nil
-}
-
-// cmpEdge orders canonical edges lexicographically.
-func cmpEdge(a, b [2]int32) int {
-	if a[0] != b[0] {
-		if a[0] < b[0] {
-			return -1
-		}
-		return 1
-	}
-	switch {
-	case a[1] < b[1]:
-		return -1
-	case a[1] > b[1]:
-		return 1
-	}
-	return 0
 }
 
 // Pearson computes the Pearson correlation matrix of a time-series
@@ -612,27 +581,6 @@ func TMFG(sim *Matrix, prefix int) (edges [][2]int32, weight float64, err error)
 // number of window slides between exact moment recomputations.
 const DefaultRebuildEvery = stream.DefaultRebuildEvery
 
-// Precision selects a Streamer's moment-storage mode — see
-// StreamOptions.Precision.
-type Precision = stream.Precision
-
-const (
-	// Float64 stores the window ring and moment band in float64: full memory
-	// bandwidth, full bit-determinism against the batch pipeline. The default.
-	Float64 = stream.Float64
-	// Float32 stores ring and band in float32, halving the per-tick memory
-	// traffic of the O(n²) roll and the ring bytes a serving layer charges
-	// per session. Correlations deviate from the float64 pipeline by at most
-	// Float32CorrBound on well-conditioned data, and snapshots lose their
-	// cross-mode bit-identity guarantee (they remain deterministic and
-	// worker-count independent within the mode).
-	Float32 = stream.Float32
-)
-
-// Float32CorrBound is the documented correlation error bound of the Float32
-// storage mode — see stream.Float32CorrBound for its conditioning caveats.
-const Float32CorrBound = stream.Float32CorrBound
-
 // KernelISA reports which compute-kernel backend this process selected at
 // init: "avx2" on amd64 hosts with AVX2 (unless built with -tags purego or
 // started with PFG_NOSIMD set), "scalar" otherwise. Both backends produce
@@ -660,11 +608,6 @@ type StreamOptions struct {
 	// a negative value disables periodic rebuilds (Rebuild can still be
 	// called explicitly).
 	RebuildEvery int
-	// Precision selects the moment-storage mode: the zero value (Float64)
-	// keeps the full bit-determinism contract; Float32 halves the window's
-	// memory footprint and per-tick bandwidth at a bounded correlation error
-	// (Float32CorrBound). Fixed for the streamer's lifetime.
-	Precision Precision
 	// Incremental enables the cross-tick incremental clustering layer (see
 	// IncrementalOptions). The zero value leaves it off: every snapshot
 	// clusters the window from scratch.
@@ -852,9 +795,8 @@ func newStreamer(window int, opts StreamOptions, w *ws.Workspace) (*Streamer, er
 // Push admits one sample — one observation per series, in series order —
 // into the rolling window in O(n²). The first Push fixes the number of
 // series. Samples must be finite and within the window's overflow-safe
-// magnitude bound — √(MaxFloat/window) of the storage mode, ~2.1e152 at
-// window 4096 in Float64 and ~2.8e17 in Float32; a rejected Push leaves the
-// window untouched.
+// magnitude bound — √(MaxFloat64/window), ~2.1e152 at window 4096; a
+// rejected Push leaves the window untouched.
 func (st *Streamer) Push(sample []float64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -866,7 +808,7 @@ func (st *Streamer) Push(sample []float64) error {
 		// push is rejected (non-finite values), discard the tentative
 		// engine so a later well-formed sample of any arity can still be
 		// first.
-		eng, err := stream.New(len(sample), st.window, st.opts.RebuildEvery, st.opts.Precision, st.w)
+		eng, err := stream.New(len(sample), st.window, st.opts.RebuildEvery, st.w)
 		if err != nil {
 			return err
 		}
@@ -1055,7 +997,6 @@ func (st *Streamer) Checkpoint(w io.Writer) (uint64, error) {
 	p := ckpt.Params{
 		Window:       st.window,
 		RebuildEvery: st.opts.RebuildEvery,
-		Precision:    st.opts.Precision,
 		Inc: ckpt.IncParams{
 			Enabled:        st.opts.Incremental.Enabled,
 			DriftThreshold: st.opts.Incremental.DriftThreshold,
@@ -1069,8 +1010,8 @@ func (st *Streamer) Checkpoint(w io.Writer) (uint64, error) {
 }
 
 // RestoreStreamer reconstructs a streamer from checkpoint bytes written by
-// Checkpoint. The window geometry, precision, rebuild cadence, and
-// incremental-layer configuration come from the checkpoint; cluster
+// Checkpoint. The window geometry, rebuild cadence, and incremental-layer
+// configuration come from the checkpoint; cluster
 // supplies what a checkpoint deliberately does not carry — the snapshot
 // Options (method, prefix, worker budget), which are serving configuration
 // rather than window state. The restored streamer resumes at the
@@ -1091,7 +1032,6 @@ func RestoreStreamer(r io.Reader, cluster Options) (*Streamer, error) {
 	opts := StreamOptions{
 		Cluster:      cluster,
 		RebuildEvery: p.RebuildEvery,
-		Precision:    p.Precision,
 		Incremental: IncrementalOptions{
 			Enabled:        p.Inc.Enabled,
 			DriftThreshold: p.Inc.DriftThreshold,
@@ -1125,13 +1065,9 @@ func (st *Streamer) Len() int {
 // Window returns the window capacity in samples.
 func (st *Streamer) Window() int { return st.window }
 
-// Precision returns the streamer's moment-storage mode.
-func (st *Streamer) Precision() Precision { return st.opts.Precision }
-
 // MemoryBytes reports the resident bytes of the streamer's window ring and
 // moment band — the figures a serving layer charges against its memory
-// ceilings (both 0 before the first admitted push; Float32 sessions are half
-// the Float64 figures for the same shape).
+// ceilings (both 0 before the first admitted push).
 func (st *Streamer) MemoryBytes() (ringBytes, bandBytes int) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
