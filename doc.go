@@ -142,12 +142,15 @@
 // register-tiled SYRK for the Pearson product Z·Zᵀ (2×4 micro-tiles sized
 // to amd64's register file), a finish pass that fuses the correlation
 // fixups, the mirror, and the dissimilarity transform into one blocked
-// traversal, a 4-ary implicit heap for Dijkstra/APSP, and unrolled
+// traversal, a 4-ary implicit heap for Dijkstra, and unrolled
 // min/argmin and max-gain scan kernels used by the HAC NN-chain and TMFG
 // gain recomputation. Kernels are sequential over explicit ranges — the
 // algorithm layers drive them in parallel — and bit-deterministic: worker
 // count and chunk partitioning can change the work order but never an
-// output bit.
+// output bit. The all-pairs shortest paths DBHT reads (internal/graph)
+// start each source from the previous source's shortest-path tree and
+// correct it to a fixed point; every row equals a per-source Dijkstra's
+// bit for bit, whichever tree it started from.
 //
 // The hottest kernels carry two backends selected at init: hand-written
 // AVX2 assembly on capable amd64 hosts, and the always-compiled pure-Go

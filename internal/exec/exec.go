@@ -1,9 +1,9 @@
 // Package exec is the bounded, context-aware execution engine underlying all
 // parallel algorithms in this module. A Pool owns a fixed budget of reusable
 // worker goroutines and exposes the fork/join primitives of Table I of
-// Yu & Shun (ICDE 2023) — parallel for loops, reduce (Sum, MaxIndex), filter,
-// sort, and prefix sums — as cooperative, cancellable operations: every
-// primitive takes a context.Context, checks it at chunk boundaries, and
+// Yu & Shun (ICDE 2023) that the pipeline uses — parallel for loops, reduce
+// (Sum) and sort — as cooperative, cancellable operations: every primitive
+// takes a context.Context, checks it at chunk boundaries, and
 // returns ctx.Err() promptly once the context is cancelled.
 //
 // Concurrency model. A Pool of size w runs at most w chunks of one logical
@@ -308,51 +308,6 @@ func (p *Pool) runBlocks(ctx context.Context, n int, body func(w, lo, hi int)) i
 	}
 	wg.Wait()
 	return nb
-}
-
-// MaxIndex returns the index i in [0, n) maximizing val(i), breaking ties
-// toward the smaller index. It returns -1 when n ≤ 0.
-func (p *Pool) MaxIndex(ctx context.Context, n int, val func(i int) float64) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	if n <= 0 {
-		return -1, nil
-	}
-	if p.workers == 1 || n < 4*minGrain {
-		best := 0
-		bv := val(0)
-		for i := 1; i < n; i++ {
-			if v := val(i); v > bv {
-				best, bv = i, v
-			}
-		}
-		return best, nil
-	}
-	bestIdx := make([]int, p.workers)
-	bestVal := make([]float64, p.workers)
-	for w := range bestIdx {
-		bestIdx[w] = -1
-	}
-	nb := p.runBlocks(ctx, n, func(w, lo, hi int) {
-		best, bv := lo, val(lo)
-		for i := lo + 1; i < hi; i++ {
-			if v := val(i); v > bv {
-				best, bv = i, v
-			}
-		}
-		bestIdx[w], bestVal[w] = best, bv
-	})
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	best, bv := -1, 0.0
-	for w := 0; w < nb; w++ {
-		if bestIdx[w] >= 0 && (best == -1 || bestVal[w] > bv) {
-			best, bv = bestIdx[w], bestVal[w]
-		}
-	}
-	return best, nil
 }
 
 // Sum returns the sum of val(i) for i in [0, n), computed with per-block

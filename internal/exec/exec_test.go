@@ -139,9 +139,6 @@ func TestCancelledBeforeStart(t *testing.T) {
 	if _, err := p.Sum(ctx, 100, func(i int) float64 { return 1 }); err != context.Canceled {
 		t.Fatalf("Sum: err=%v want context.Canceled", err)
 	}
-	if _, err := p.MaxIndex(ctx, 100, func(i int) float64 { return 1 }); err != context.Canceled {
-		t.Fatalf("MaxIndex: err=%v want context.Canceled", err)
-	}
 	if err := Sort(ctx, p, make([]int, 100), func(a, b int) bool { return a < b }); err != context.Canceled {
 		t.Fatalf("Sort: err=%v want context.Canceled", err)
 	}
@@ -240,7 +237,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestSumAndMaxIndex(t *testing.T) {
+func TestSum(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	for _, n := range []int{0, 1, 100, 4 * minGrain, 30000} {
@@ -248,63 +245,6 @@ func TestSumAndMaxIndex(t *testing.T) {
 		if err != nil || got != float64(n) {
 			t.Fatalf("Sum n=%d: got %v err %v", n, got, err)
 		}
-	}
-	s := make([]float64, 30000)
-	rng := rand.New(rand.NewSource(9))
-	for i := range s {
-		s[i] = rng.NormFloat64()
-	}
-	got, err := p.MaxIndex(context.Background(), len(s), func(i int) float64 { return s[i] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for i := range s {
-		if s[i] > s[want] {
-			want = i
-		}
-	}
-	if got != want {
-		t.Fatalf("MaxIndex got %d want %d", got, want)
-	}
-}
-
-func TestMaxIndex(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	if got, err := p.MaxIndex(context.Background(), 0, nil); err != nil || got != -1 {
-		t.Fatalf("empty: got %d err %v, want -1", got, err)
-	}
-	for _, n := range []int{1, 10, 5000, 30000} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = rng.NormFloat64()
-		}
-		got, err := p.MaxIndex(context.Background(), n, func(i int) float64 { return s[i] })
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for i := 1; i < n; i++ {
-			if s[i] > s[want] {
-				want = i
-			}
-		}
-		if got != want {
-			t.Fatalf("n=%d: got %d want %d", n, got, want)
-		}
-	}
-}
-
-// TestMaxIndexTieBreak: with all values equal, MaxIndex returns the
-// smallest index.
-func TestMaxIndexTieBreak(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	got, err := p.MaxIndex(context.Background(), 10000, func(i int) float64 { return 1 })
-	if err != nil || got != 0 {
-		t.Fatalf("tie-break: got %d err %v, want 0", got, err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package graph provides the weighted undirected graph representation and
 // shortest-path machinery used by filtered-graph clustering: BFS, Dijkstra
-// single-source shortest paths, parallel all-pairs shortest paths, triangle
-// enumeration, and connectivity queries.
+// single-source shortest paths, parallel warm-started all-pairs shortest
+// paths, triangle enumeration, and connectivity queries.
 //
 // All hot paths run on flat memory: the graph itself is CSR, visited sets
 // are dense bitsets, and component enumeration produces flat CSR-offset
@@ -20,7 +20,8 @@ import (
 )
 
 // Graph is an undirected weighted graph in compressed adjacency form. Each
-// undirected edge {u, v} appears in both adjacency lists.
+// undirected edge {u, v} appears in both adjacency lists; the two arcs may
+// carry different weights (see WithWeights).
 type Graph struct {
 	N int
 	// CSR layout: neighbors of v are Adj[Off[v]:Off[v+1]].
@@ -183,9 +184,17 @@ func (g *Graph) HasEdge(u, v int32) bool {
 
 // EdgeWeight returns the weight of edge {u, v} and whether it exists.
 func (g *Graph) EdgeWeight(u, v int32) (float64, bool) {
+	if k := g.slot(u, v); k >= 0 {
+		return g.Weight[k], true
+	}
+	return 0, false
+}
+
+// slot returns the CSR index of v in u's adjacency, or -1 if {u, v} is not
+// an edge. Manual binary search on the sorted segment: sort.Search's closure
+// costs show up in the DBHT attachment loops.
+func (g *Graph) slot(u, v int32) int {
 	lo, hi := int(g.Off[u]), int(g.Off[u+1])
-	// Manual binary search on the CSR segment: sort.Search's closure costs
-	// show up in the DBHT attachment loops.
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if g.Adj[mid] < v {
@@ -195,9 +204,9 @@ func (g *Graph) EdgeWeight(u, v int32) (float64, bool) {
 		}
 	}
 	if lo < int(g.Off[u+1]) && g.Adj[lo] == v {
-		return g.Weight[lo], true
+		return lo
 	}
-	return 0, false
+	return -1
 }
 
 // WeightedDegree returns the sum of edge weights incident to v.

@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pfg/internal/exec"
 	"pfg/internal/ws"
@@ -411,4 +413,171 @@ func TestDijkstraNegativeWeightPanics(t *testing.T) {
 		}
 	}()
 	g.Dijkstra(0, nil)
+}
+
+// setArc overwrites the weight of the directed arc u→v only, leaving v→u
+// as it was.
+func setArc(t *testing.T, g *Graph, u, v int32, w float64) {
+	t.Helper()
+	k := g.slot(u, v)
+	if k < 0 {
+		t.Fatalf("no arc %d→%d", u, v)
+	}
+	g.Weight[k] = w
+}
+
+// checkAPSPEverySource compares every (src, v) entry of the APSP matrix,
+// bit for bit, against a per-source Graph.Dijkstra, for pools of 1, 2, 3 and
+// 7 workers (8 to 56 chains, so the chain layout changes with each pool).
+func checkAPSPEverySource(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	want := make([]float64, 0, g.N*g.N)
+	for src := int32(0); int(src) < g.N; src++ {
+		want = append(want, g.Dijkstra(src, nil)...)
+	}
+	for _, workers := range []int{1, 2, 3, 7} {
+		p := exec.New(workers)
+		a, err := g.AllPairsShortestPathsCtx(context.Background(), p)
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range a.Dist {
+			if math.Float64bits(d) != math.Float64bits(want[i]) {
+				t.Fatalf("%s, workers=%d: dist(%d,%d) = %v, Dijkstra %v", name, workers, i/g.N, i%g.N, d, want[i])
+			}
+		}
+	}
+}
+
+// TestAPSPMatchesDijkstraEverySource pins the warm-started APSP to
+// Dijkstra's bits on every entry, across the inputs that stress the warm
+// start: components the previous tree cannot reach, +Inf arcs in one or
+// both directions, asymmetric and zero weights, and path sums that
+// overflow to +Inf.
+func TestAPSPMatchesDijkstraEverySource(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	inf := math.Inf(1)
+	for _, n := range []int{2, 30, 120} {
+		checkAPSPEverySource(t, "random", mustGraph(t, n, randomConnectedGraph(rng, n, 2*n)))
+	}
+	checkAPSPEverySource(t, "benchGraph", benchGraph(t, 150))
+
+	// Two components and an isolated vertex.
+	var edges []Edge
+	for _, e := range randomConnectedGraph(rng, 25, 40) {
+		edges = append(edges, e, Edge{U: e.U + 25, V: e.V + 25, W: e.W * 2})
+	}
+	checkAPSPEverySource(t, "disconnected", mustGraph(t, 51, edges))
+
+	// +Inf arcs in both directions, then in one direction only.
+	edges = randomConnectedGraph(rng, 60, 120)
+	for i := range edges {
+		if i%5 == 0 {
+			edges[i].W = inf
+		}
+	}
+	checkAPSPEverySource(t, "+Inf edges", mustGraph(t, 60, edges))
+	g := mustGraph(t, 60, randomConnectedGraph(rng, 60, 120))
+	for i, e := range g.Edges() {
+		if i%3 == 0 {
+			setArc(t, g, e.U, e.V, inf)
+		}
+	}
+	checkAPSPEverySource(t, "+Inf arcs one way", g)
+
+	// Independent weights per direction.
+	g = mustGraph(t, 80, randomConnectedGraph(rng, 80, 200))
+	for k := range g.Weight {
+		g.Weight[k] = rng.Float64() * 3
+	}
+	checkAPSPEverySource(t, "asymmetric", g)
+
+	// Zero weights (including -0) make ties and zero-length cycles.
+	edges = randomConnectedGraph(rng, 70, 150)
+	for i := range edges {
+		switch i % 3 {
+		case 0:
+			edges[i].W = 0
+		case 1:
+			edges[i].W = math.Copysign(0, -1)
+		}
+	}
+	checkAPSPEverySource(t, "zero weights", mustGraph(t, 70, edges))
+
+	// Weights near MaxFloat64/2: two or three arcs already overflow.
+	edges = randomConnectedGraph(rng, 50, 100)
+	for i := range edges {
+		edges[i].W = math.MaxFloat64 / 2 * (0.4 + rng.Float64())
+	}
+	checkAPSPEverySource(t, "near MaxFloat64/2", mustGraph(t, 50, edges))
+}
+
+// TestAPSPNegativeWeightPanics: a negative or NaN weight, on either arc of
+// an edge, must panic on the calling goroutine (the label-correcting pass
+// would otherwise cycle forever), and promptly.
+func TestAPSPNegativeWeightPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		w        float64
+		reversed bool
+	}{
+		{"negative", -1, false},
+		{"NaN", math.NaN(), false},
+		{"negative one way", -0.5, true},
+	} {
+		for _, workers := range []int{1, 2} {
+			g := mustGraph(t, 20, randomConnectedGraph(rand.New(rand.NewSource(3)), 20, 20))
+			if tc.reversed {
+				setArc(t, g, g.Adj[g.Off[5]], 5, tc.w)
+			} else {
+				g.Weight[g.Off[5]] = tc.w
+			}
+			done := make(chan any)
+			go func() {
+				defer func() { done <- recover() }()
+				p := exec.New(workers)
+				defer p.Close()
+				g.AllPairsShortestPathsCtx(context.Background(), p)
+			}()
+			select {
+			case r := <-done:
+				if r == nil {
+					t.Fatalf("%s, workers=%d: no panic", tc.name, workers)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, workers=%d: APSP hung", tc.name, workers)
+			}
+		}
+	}
+}
+
+// countdownCtx reports cancellation from its (k+1)-th Err call on, so a
+// test can cancel deterministically in the middle of a run.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAPSPCancelledMidRun: cancellation between sources stops the chains
+// and returns ctx.Err() rather than a partial matrix.
+func TestAPSPCancelledMidRun(t *testing.T) {
+	g := benchGraph(t, 200)
+	for _, workers := range []int{1, 2} {
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(60)
+		p := exec.New(workers)
+		a, err := g.AllPairsShortestPathsCtx(ctx, p)
+		p.Close()
+		if err != context.Canceled || a != nil {
+			t.Fatalf("workers=%d: got (%v, %v), want (nil, context.Canceled)", workers, a, err)
+		}
+	}
 }

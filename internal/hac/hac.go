@@ -255,6 +255,8 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 	chainBuf := w.Int32(n)
 	defer w.PutInt32(chainBuf)
 	chain := chainBuf[:0]
+	inChain := w.Bitset(n)
+	defer w.PutBitset(inChain)
 	// The Lance-Williams row update lives in a single state struct so the
 	// merge loop passes one long-lived method value to the pool instead of
 	// allocating a closure (and boxed captures) per merge. Small matrices
@@ -274,6 +276,7 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 			for i := 0; i < n; i++ {
 				if !dead.Test(int32(i)) {
 					chain = append(chain, int32(i))
+					inChain.Set(int32(i))
 					break
 				}
 			}
@@ -308,10 +311,26 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 			if prev >= 0 && row[prev] <= bestD {
 				best, bestD = prev, row[prev]
 			}
-			if best == prev && prev >= 0 {
-				// Reciprocal nearest neighbors: merge x and prev.
-				chain = chain[:len(chain)-2]
-				a, b := prev, x
+			// On an asymmetric matrix (caller dissimilarities, or DBHT's
+			// shortest-path distances, which are not bitwise symmetric) the
+			// nearest neighbours can close a longer cycle back into the
+			// chain, which a symmetric matrix never does. Merge x with best
+			// then too and restart the chain, so the loop always ends.
+			cycle := best != prev && inChain.Test(best)
+			if best == prev || cycle {
+				// Reciprocal nearest neighbors (or a closed cycle): merge x
+				// and best.
+				if cycle {
+					for _, v := range chain {
+						inChain.Clear(v)
+					}
+					chain = chain[:0]
+				} else {
+					inChain.Clear(prev)
+					inChain.Clear(x)
+					chain = chain[:len(chain)-2]
+				}
+				a, b := best, x
 				if a > b {
 					a, b = b, a
 				}
@@ -335,6 +354,7 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 				break
 			}
 			chain = append(chain, best)
+			inChain.Set(best)
 		}
 	}
 	mine := out[base:]

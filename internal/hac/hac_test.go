@@ -389,3 +389,28 @@ func TestNewLinkageStrings(t *testing.T) {
 		t.Fatal("bad new linkage names")
 	}
 }
+
+// TestAsymmetricCycleTerminates: on an asymmetric matrix whose nearest
+// neighbours form a cycle longer than two, the NN-chain must still finish
+// with n−1 merges instead of growing the chain forever.
+func TestAsymmetricCycleTerminates(t *testing.T) {
+	const n = 6
+	d := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				d[i*n+j] = 3 + float64(i*n+j)/100
+			}
+		}
+		d[i*n+(i+1)%n] = 1
+	}
+	for _, l := range []Linkage{Complete, Average} {
+		dg, err := RunMatrix(n, append([]float64(nil), d...), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dg.Merges) != n-1 {
+			t.Fatalf("%v: %d merges, want %d", l, len(dg.Merges), n-1)
+		}
+	}
+}

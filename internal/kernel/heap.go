@@ -57,11 +57,12 @@ func (h *Heap4) Storage() (verts []int32, dist []float64, pos []int32) {
 }
 
 // DecreaseKey inserts v with distance d, or lowers its key if already
-// present with a larger distance. Calls with d ≥ dist[v] are no-ops, so
-// relax loops need no pre-check.
-func (h *Heap4) DecreaseKey(v int32, d float64) {
+// present with a larger distance, and reports whether it did. Calls with
+// d ≥ dist[v] are no-ops that return false, so relax loops need no
+// pre-check.
+func (h *Heap4) DecreaseKey(v int32, d float64) bool {
 	if d >= h.dist[v] {
-		return
+		return false
 	}
 	h.dist[v] = d
 	i := h.pos[v]
@@ -83,6 +84,7 @@ func (h *Heap4) DecreaseKey(v int32, d float64) {
 	}
 	h.verts[i] = v
 	h.pos[v] = i
+	return true
 }
 
 // PopMin removes and returns the vertex with the smallest distance. The heap

@@ -172,12 +172,11 @@ type builder struct {
 	rounds  int
 
 	// scratch (recycled via builderPool)
-	cands    []candidate
-	candsBuf []candidate // merge-sort scratch for cands
-	batch    []candidate
-	need     []int32 // face ids requiring gain recomputation this round
-	wedges   []graph.Edge
-	taken    *bitset.Set // workspace bitset, cleared between uses
+	cands  []candidate // top-prefix heap of selectBatch
+	batch  []candidate
+	need   []int32 // face ids requiring gain recomputation this round
+	wedges []graph.Edge
+	taken  *bitset.Set // workspace bitset, cleared between uses
 }
 
 // init prepares a (possibly recycled) builder for one construction.
@@ -327,10 +326,7 @@ func (b *builder) round() error {
 		return err
 	}
 	b.rounds++
-	batch, err := b.selectBatch()
-	if err != nil {
-		return err
-	}
+	batch := b.selectBatch()
 	if len(batch) == 0 {
 		// Cannot happen while remaining is non-empty: every alive face has
 		// a best vertex whenever remaining vertices exist.
@@ -368,73 +364,41 @@ func (b *builder) round() error {
 }
 
 // selectBatch returns up to prefix (vertex, face) insertion pairs: the
-// highest-gain candidate per face, globally sorted by gain, deduplicated so
-// each vertex appears once (keeping its highest-gain pair), truncated to the
-// prefix size (Lines 9–10 of Algorithm 1).
-func (b *builder) selectBatch() ([]candidate, error) {
-	if b.prefix == 1 {
-		// Parallel maximum instead of a sort (the PREFIX=1 special case).
-		bi, err := b.pool.MaxIndex(b.ctx, len(b.faces), func(i int) float64 {
-			f := &b.faces[i]
-			if !f.alive || f.best < 0 {
-				return math.Inf(-1)
-			}
-			return f.gain
-		})
-		if err != nil {
-			return nil, err
-		}
-		f := &b.faces[bi]
-		if !f.alive || f.best < 0 {
-			// MaxIndex cannot tell an alive face whose gain sits at -Inf
-			// (overflowed similarities) from the dead-face sentinel, so its
-			// pick may be dead; fall back to the first live candidate.
-			bi = -1
-			for i := range b.faces {
-				g := &b.faces[i]
-				if g.alive && g.best >= 0 {
-					bi = i
-					break
-				}
-			}
-			if bi < 0 {
-				panic("tmfg: no candidate face")
-			}
-			f = &b.faces[bi]
-		}
-		// MaxIndex breaks gain ties toward the smaller face id; for parity
-		// with the sorted path, prefer the smaller vertex id first.
-		best := candidate{gain: f.gain, vert: f.best, face: int32(bi)}
-		for i := range b.faces {
-			g := &b.faces[i]
-			if g.alive && g.best >= 0 && g.gain == best.gain {
-				c := candidate{gain: g.gain, vert: g.best, face: int32(i)}
-				if candLess(c, best) {
-					best = c
-				}
-			}
-		}
-		b.batch = append(b.batch[:0], best)
-		return b.batch, nil
-	}
-	b.cands = b.cands[:0]
+// highest-gain candidate per face, globally ordered by candLess,
+// deduplicated so each vertex appears once (keeping its highest-gain pair),
+// truncated to the prefix size (Lines 9–10 of Algorithm 1).
+//
+// Only the top prefix candidates are ever ordered. A bounded heap keeps the
+// best prefix seen so far with its worst at the root, so a face that cannot
+// enter costs one comparison; the survivors are then heap-sorted in place.
+// candLess is a total order (face ids are unique), so this is the same list,
+// in the same order, as sorting every candidate and keeping the first
+// prefix, at O(F log prefix) per round instead of O(F log F) for F live
+// faces.
+func (b *builder) selectBatch() []candidate {
+	top := b.cands[:0]
 	for i := range b.faces {
 		f := &b.faces[i]
-		if f.alive && f.best >= 0 {
-			b.cands = append(b.cands, candidate{gain: f.gain, vert: f.best, face: int32(i)})
+		if !f.alive || f.best < 0 {
+			continue
+		}
+		c := candidate{gain: f.gain, vert: f.best, face: int32(i)}
+		switch {
+		case len(top) < b.prefix:
+			top = append(top, c)
+			siftUpWorst(top, len(top)-1)
+		case candLess(c, top[0]):
+			top[0] = c
+			siftDownWorst(top, 0, len(top))
 		}
 	}
-	if cap(b.candsBuf) < len(b.cands) {
-		b.candsBuf = make([]candidate, len(b.cands))
+	// Heap-sort: moving the worst survivor to the back each step leaves the
+	// slice best-first under candLess.
+	for end := len(top) - 1; end > 0; end-- {
+		top[0], top[end] = top[end], top[0]
+		siftDownWorst(top, 0, end)
 	}
-	if err := exec.SortWithBuf(b.ctx, b.pool, b.cands, b.candsBuf, candLess); err != nil {
-		return nil, err
-	}
-	limit := b.prefix
-	if limit > len(b.cands) {
-		limit = len(b.cands)
-	}
-	top := b.cands[:limit]
+	b.cands = top
 	// Deduplicate by vertex: the sorted order guarantees the first
 	// occurrence has the maximum gain for that vertex.
 	out := b.batch[:0]
@@ -447,7 +411,42 @@ func (b *builder) selectBatch() ([]candidate, error) {
 		b.taken.Clear(c.vert)
 	}
 	b.batch = out
-	return out, nil
+	return out
+}
+
+// siftUpWorst restores the heap property of h (the worst candidate under
+// candLess at the root) after h[i] was appended.
+func siftUpWorst(h []candidate, i int) {
+	c := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !candLess(h[p], c) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = c
+}
+
+// siftDownWorst restores the heap property of h[:n] after h[i] was replaced.
+func siftDownWorst(h []candidate, i, n int) {
+	c := h[i]
+	for {
+		k := 2*i + 1
+		if k >= n {
+			break
+		}
+		if k+1 < n && candLess(h[k], h[k+1]) {
+			k++
+		}
+		if !candLess(c, h[k]) {
+			break
+		}
+		h[i] = h[k]
+		i = k
+	}
+	h[i] = c
 }
 
 // insert adds vertex v into face fi: three new edges, three new faces, one

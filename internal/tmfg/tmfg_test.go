@@ -1,15 +1,20 @@
 package tmfg
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pfg/internal/bubbletree"
+	"pfg/internal/exec"
 	"pfg/internal/matrix"
 	"pfg/internal/planarity"
+	"pfg/internal/ws"
 )
 
 // randomSym returns a random symmetric similarity matrix with unit diagonal
@@ -550,4 +555,100 @@ func TestDeterminismAcrossThreadCounts(t *testing.T) {
 	if a.Tree.Root != b.Tree.Root || a.Tree.NumNodes() != b.Tree.NumNodes() {
 		t.Fatal("bubble tree differs across thread counts")
 	}
+}
+
+// selectBatchFullSort is the selection rule before selectBatch kept only a
+// top-prefix heap, as a test oracle: sort every live face candidate by
+// candLess, keep the first prefix, and drop repeated vertices.
+func selectBatchFullSort(faces []face, prefix int) []candidate {
+	var cands []candidate
+	for i := range faces {
+		if f := &faces[i]; f.alive && f.best >= 0 {
+			cands = append(cands, candidate{gain: f.gain, vert: f.best, face: int32(i)})
+		}
+	}
+	if err := exec.Sort(context.Background(), exec.Default(), cands, candLess); err != nil {
+		panic(err)
+	}
+	var out []candidate
+	seen := map[int32]bool{}
+	for _, c := range cands[:min(prefix, len(cands))] {
+		if !seen[c.vert] {
+			seen[c.vert] = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// quantizedSym returns a random symmetric matrix whose entries are
+// scale·k/8 for small integers k, so exact gain ties are common and
+// candLess's vertex and face tie rules decide the batch.
+func quantizedSym(rng *rand.Rand, n int, scale float64) *matrix.Sym {
+	s := matrix.NewSym(n)
+	for i := 0; i < n; i++ {
+		s.Set(i, i, scale)
+		for j := i + 1; j < n; j++ {
+			s.Set(i, j, scale*float64(rng.Intn(9))/8)
+		}
+	}
+	return s
+}
+
+// TestSelectBatchMatchesFullSort drives real builders round by round and
+// checks every batch against the full-sort oracle, computed from the face
+// table just before the round.
+func TestSelectBatchMatchesFullSort(t *testing.T) {
+	ctx := context.Background()
+	pool := exec.New(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(16))
+	type input struct {
+		name string
+		s    *matrix.Sym
+	}
+	var inputs []input
+	for _, n := range []int{9, 40, 120} {
+		inputs = append(inputs, input{fmt.Sprintf("eighths n=%d", n), quantizedSym(rng, n, 1)})
+	}
+	// Entries near -MaxFloat64/3: some three-row gains overflow to -Inf and
+	// some faces have no finite candidate at all (recomputeGain's -Inf path).
+	huge := quantizedSym(rng, 40, 1)
+	for i := range huge.Data {
+		huge.Data[i] = -math.MaxFloat64 / 3 * (1 + (huge.Data[i]-0.5)/16)
+	}
+	inputs = append(inputs, input{"near -MaxFloat64/3", huge})
+	rounds, infFaces := 0, 0
+	for _, in := range inputs {
+		n := in.s.N
+		for _, prefix := range []int{1, 2, 3, 10, 50, n} {
+			w := ws.Get()
+			b := builderPool.Get().(*builder)
+			b.init(ctx, pool, w, in.s, prefix)
+			if err := b.initClique(); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; len(b.remaining) > 0; r++ {
+				for i := range b.faces {
+					if f := &b.faces[i]; f.alive && f.best >= 0 && math.IsInf(f.gain, -1) {
+						infFaces++
+					}
+				}
+				want := selectBatchFullSort(b.faces, prefix)
+				if err := b.round(); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(b.batch, want) {
+					t.Fatalf("%s prefix=%d round %d: batch %v, full sort %v", in.name, prefix, r, b.batch, want)
+				}
+				rounds++
+			}
+			b.recycle()
+			ws.Put(w)
+		}
+	}
+	if infFaces == 0 {
+		t.Fatal("no round had a face whose every gain overflowed to -Inf")
+	}
+	t.Logf("%d rounds compared, %d face-rounds at -Inf gain", rounds, infFaces)
 }

@@ -442,7 +442,10 @@ func ClusterContext(ctx context.Context, series [][]float64, opts Options) (*Res
 }
 
 // ClusterMatrix clusters from a precomputed similarity matrix and optional
-// dissimilarity matrix (pass nil to derive it as sqrt(2(1−s))).
+// dissimilarity matrix (pass nil to derive it as sqrt(2(1−s))). Both must
+// be n×n with finite entries. TMFGDBHT and PMFGDBHT run shortest paths over
+// the dissimilarities, so for them a negative off-diagonal dissimilarity is
+// also rejected with an error naming the entry.
 func ClusterMatrix(sim, dis *Matrix, opts Options) (*Result, error) {
 	return ClusterMatrixContext(context.Background(), sim, dis, opts)
 }
@@ -453,8 +456,9 @@ func ClusterMatrix(sim, dis *Matrix, opts Options) (*Result, error) {
 //
 // Because the matrices come from the caller rather than from Pearson (whose
 // outputs are finite by construction), they are validated up front: shape
-// mismatches and non-finite entries return an error instead of poisoning
-// gain comparisons (or panicking) deep inside a pipeline stage.
+// mismatches, non-finite entries and, for the DBHT methods, negative
+// off-diagonal dissimilarities return an error instead of poisoning gain
+// comparisons (or panicking) deep inside a pipeline stage.
 func ClusterMatrixContext(ctx context.Context, sim, dis *Matrix, opts Options) (*Result, error) {
 	if err := validateMatrix("similarity", sim); err != nil {
 		return nil, err
@@ -465,6 +469,13 @@ func ClusterMatrixContext(ctx context.Context, sim, dis *Matrix, opts Options) (
 		}
 		if dis.N != sim.N {
 			return nil, fmt.Errorf("pfg: dissimilarity matrix is %d×%d, similarity is %d×%d", dis.N, dis.N, sim.N, sim.N)
+		}
+		if opts.Method == TMFGDBHT || opts.Method == PMFGDBHT {
+			for i, v := range dis.Data {
+				if v < 0 && i/dis.N != i%dis.N {
+					return nil, fmt.Errorf("pfg: dissimilarity matrix entry (%d,%d) is negative (%v); %v needs non-negative shortest-path weights", i/dis.N, i%dis.N, v, opts.Method)
+				}
+			}
 		}
 	}
 	pool, release := poolFor(opts)

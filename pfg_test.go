@@ -142,6 +142,75 @@ func TestUndersizedInputsRejected(t *testing.T) {
 	}
 }
 
+// TestClusterMatrixNegativeDissimilarityRejected: a caller-supplied
+// dissimilarity with a negative off-diagonal entry is an error for the
+// DBHT methods, whose shortest paths need non-negative weights, instead of
+// a panic inside APSP. HAC takes it as given.
+func TestClusterMatrixNegativeDissimilarityRejected(t *testing.T) {
+	const n = 6
+	sim := &Matrix{N: n, Data: make([]float64, n*n)}
+	dis := &Matrix{N: n, Data: make([]float64, n*n)}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			sim.Data[i*n+j], dis.Data[i*n+j] = 0.5, 1
+			if i == j {
+				sim.Data[i*n+j], dis.Data[i*n+j] = 1, 0
+			}
+		}
+	}
+	dis.Data[0*n+1], dis.Data[1*n+0] = -0.5, -0.5
+	for _, m := range []Method{TMFGDBHT, PMFGDBHT} {
+		_, err := ClusterMatrix(sim, dis, Options{Method: m, Workers: 1})
+		if err == nil {
+			t.Fatalf("%v: negative dissimilarity accepted", m)
+		}
+		if !strings.Contains(err.Error(), "(0,1)") || !strings.Contains(err.Error(), "negative") {
+			t.Fatalf("%v: error does not name the entry: %v", m, err)
+		}
+	}
+	if _, err := ClusterMatrix(sim, dis, Options{Method: CompleteLinkage, Workers: 1}); err != nil {
+		t.Fatalf("complete linkage: %v", err)
+	}
+	// A negative diagonal is never read as an edge weight.
+	dis.Data[0*n+1], dis.Data[1*n+0] = 1, 1
+	dis.Data[2*n+2] = -1
+	if _, err := ClusterMatrix(sim, dis, Options{Method: TMFGDBHT, Workers: 1}); err != nil {
+		t.Fatalf("negative diagonal rejected: %v", err)
+	}
+}
+
+// TestClusterMatrixAsymmetricDissimilarity: a caller dissimilarity need not
+// be symmetric. Here every object's nearest neighbour is the next one round
+// a five-cycle, which the NN-chain used to follow forever (in HAC directly,
+// and in DBHT's linkage over shortest-path distances); every method must
+// return a full dendrogram instead.
+func TestClusterMatrixAsymmetricDissimilarity(t *testing.T) {
+	const n = 5
+	sim := &Matrix{N: n, Data: make([]float64, n*n)}
+	dis := &Matrix{N: n, Data: make([]float64, n*n)}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			switch {
+			case i == j:
+				sim.Data[i*n+j] = 1
+			case j == (i+1)%n:
+				sim.Data[i*n+j], dis.Data[i*n+j] = 0.5, 1
+			default:
+				sim.Data[i*n+j], dis.Data[i*n+j] = 0.5, 2+float64(i+j)/100
+			}
+		}
+	}
+	for _, m := range []Method{TMFGDBHT, PMFGDBHT, CompleteLinkage, AverageLinkage} {
+		res, err := ClusterMatrix(sim, dis, Options{Method: m, Workers: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if labels, err := res.Cut(2); err != nil || len(labels) != n {
+			t.Fatalf("%v: Cut(2) = %v, %v", m, labels, err)
+		}
+	}
+}
+
 func TestResultNewickAndCophenetic(t *testing.T) {
 	ds := tsgen.GenerateClassed("api", 30, 48, 2, 0.3, 12)
 	sim, err := Pearson(ds.Series)
