@@ -8,8 +8,10 @@
 // important 3n−6 of the Θ(n²) similarities — and then extracts a
 // hierarchical clustering dendrogram with the Directed Bubble Hierarchy
 // Tree (DBHT) technique. Neither step needs parameter tuning; the only knob
-// is the TMFG construction prefix, which trades a little filtering quality
-// for parallelism (prefix 1 reproduces the sequential TMFG exactly).
+// is the TMFG construction prefix, the most vertices inserted per round
+// (prefix 1 reproduces the sequential TMFG exactly). Larger prefixes give
+// up a little filtering quality for fewer rounds; since TMFG face gains are
+// recomputed lazily, a small prefix builds no slower than a large one.
 //
 // The library also ships the baselines the paper evaluates against — PMFG
 // (the slower planar filter TMFG approximates), complete/average-linkage

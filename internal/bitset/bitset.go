@@ -64,9 +64,6 @@ func (s *Set) TestAndSet(i int32) bool {
 	return old
 }
 
-// ClearAll clears every bit, keeping the capacity.
-func (s *Set) ClearAll() { clear(s.words) }
-
 // ClearList clears exactly the listed bits — O(len(ids)) instead of
 // O(n/64), the cheap way to undo a sparse marking pass on a large set.
 func (s *Set) ClearList(ids []int32) {

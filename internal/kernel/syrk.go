@@ -295,20 +295,9 @@ func AddUpper(dst, src []float64, n int, i0, i1 int) {
 	}
 }
 
-// Dot is the sequential ascending-index dot product over one panel of
-// samples; DotPanels is the scalar reference every SYRK entry is
-// bit-identical to.
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for t := range a {
-		s += a[t] * b[t]
-	}
-	return s
-}
-
 // DotPanels is the ascending-panel fold of per-panel ascending-index dot
 // products — the per-entry reference semantics of SyrkUpperBand. For
-// len(a) ≤ PanelLen it coincides with Dot.
+// len(a) ≤ PanelLen it is the plain ascending-index dot product.
 func DotPanels(a, b []float64) float64 {
 	s := 0.0
 	for p := 0; p < len(a); p += PanelLen {

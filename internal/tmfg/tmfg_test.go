@@ -557,28 +557,76 @@ func TestDeterminismAcrossThreadCounts(t *testing.T) {
 	}
 }
 
-// selectBatchFullSort is the selection rule before selectBatch kept only a
-// top-prefix heap, as a test oracle: sort every live face candidate by
-// candLess, keep the first prefix, and drop repeated vertices.
-func selectBatchFullSort(faces []face, prefix int) []candidate {
+// selectBatchFullSort is the selection rule as a test oracle that trusts
+// nothing the builder stores about gains: it finds every live face's best
+// vertex from scratch, with a naive ascending scan of b.remaining in the
+// kernel's addition order and the remaining[0] fallback when every gain is
+// -Inf, sorts all the candidates by candLess, keeps the first prefix and
+// drops repeated vertices. dead marks the faces earlier batches consumed.
+// It also returns how many live faces had only -Inf gains. b.remaining must
+// be non-empty.
+func selectBatchFullSort(b *builder, dead map[int32]bool, prefix int) (batch []candidate, infFaces int) {
+	n, data := b.s.N, b.s.Data
 	var cands []candidate
-	for i := range faces {
-		if f := &faces[i]; f.alive && f.best >= 0 {
-			cands = append(cands, candidate{gain: f.gain, vert: f.best, face: int32(i)})
+	for i, f := range b.faces {
+		if dead[int32(i)] {
+			continue
 		}
+		c := candidate{gain: math.Inf(-1), vert: -1, face: int32(i)}
+		for _, u := range b.remaining {
+			g := data[int(f.v[0])*n+int(u)] + data[int(f.v[1])*n+int(u)] + data[int(f.v[2])*n+int(u)]
+			if g > c.gain {
+				c.gain, c.vert = g, u
+			}
+		}
+		if c.vert < 0 {
+			c.vert = b.remaining[0]
+			infFaces++
+		}
+		cands = append(cands, c)
 	}
 	if err := exec.Sort(context.Background(), exec.Default(), cands, candLess); err != nil {
 		panic(err)
 	}
-	var out []candidate
 	seen := map[int32]bool{}
 	for _, c := range cands[:min(prefix, len(cands))] {
 		if !seen[c.vert] {
 			seen[c.vert] = true
-			out = append(out, c)
+			batch = append(batch, c)
 		}
 	}
-	return out
+	return batch, infFaces
+}
+
+// checkBatches drives a real builder on s round by round and fails the test
+// unless every batch equals the full-sort oracle's, computed just before
+// the round. It returns the rounds compared and the face-rounds at -Inf
+// gain.
+func checkBatches(t *testing.T, pool *exec.Pool, name string, s *matrix.Sym, prefix int) (rounds, infFaces int) {
+	t.Helper()
+	w := ws.Get()
+	defer ws.Put(w)
+	b := builderPool.Get().(*builder)
+	defer b.recycle()
+	b.init(context.Background(), pool, w, s, prefix)
+	if err := b.initClique(); err != nil {
+		t.Fatal(err)
+	}
+	dead := map[int32]bool{}
+	for ; len(b.remaining) > 0; rounds++ {
+		want, inf := selectBatchFullSort(b, dead, prefix)
+		infFaces += inf
+		if err := b.round(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(b.batch, want) {
+			t.Fatalf("%s prefix=%d round %d: batch %v, full sort %v", name, prefix, rounds, b.batch, want)
+		}
+		for _, c := range want {
+			dead[c.face] = true
+		}
+	}
+	return rounds, infFaces
 }
 
 // quantizedSym returns a random symmetric matrix whose entries are
@@ -596,10 +644,9 @@ func quantizedSym(rng *rand.Rand, n int, scale float64) *matrix.Sym {
 }
 
 // TestSelectBatchMatchesFullSort drives real builders round by round and
-// checks every batch against the full-sort oracle, computed from the face
-// table just before the round.
+// checks every batch against the full-sort oracle. The n=400 input at large
+// prefixes has rescans big enough to split across the pool.
 func TestSelectBatchMatchesFullSort(t *testing.T) {
-	ctx := context.Background()
 	pool := exec.New(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(16))
@@ -618,37 +665,51 @@ func TestSelectBatchMatchesFullSort(t *testing.T) {
 		huge.Data[i] = -math.MaxFloat64 / 3 * (1 + (huge.Data[i]-0.5)/16)
 	}
 	inputs = append(inputs, input{"near -MaxFloat64/3", huge})
+	inputs = append(inputs, input{"eighths n=400", quantizedSym(rng, 400, 1)})
 	rounds, infFaces := 0, 0
 	for _, in := range inputs {
-		n := in.s.N
-		for _, prefix := range []int{1, 2, 3, 10, 50, n} {
-			w := ws.Get()
-			b := builderPool.Get().(*builder)
-			b.init(ctx, pool, w, in.s, prefix)
-			if err := b.initClique(); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; len(b.remaining) > 0; r++ {
-				for i := range b.faces {
-					if f := &b.faces[i]; f.alive && f.best >= 0 && math.IsInf(f.gain, -1) {
-						infFaces++
-					}
-				}
-				want := selectBatchFullSort(b.faces, prefix)
-				if err := b.round(); err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(b.batch, want) {
-					t.Fatalf("%s prefix=%d round %d: batch %v, full sort %v", in.name, prefix, r, b.batch, want)
-				}
-				rounds++
-			}
-			b.recycle()
-			ws.Put(w)
+		for _, prefix := range []int{1, 2, 3, 10, 50, in.s.N} {
+			r, inf := checkBatches(t, pool, in.name, in.s, prefix)
+			rounds += r
+			infFaces += inf
 		}
 	}
 	if infFaces == 0 {
 		t.Fatal("no round had a face whose every gain overflowed to -Inf")
 	}
 	t.Logf("%d rounds compared, %d face-rounds at -Inf gain", rounds, infFaces)
+}
+
+// FuzzTMFGBatches checks every batch of a real build against the full-sort
+// oracle. The payload decodes to an n×n symmetric matrix, n in [4, 24],
+// whose entries are eighths (so gain ties are common) or, in huge mode,
+// near -MaxFloat64/3 (so gains overflow to -Inf), and a prefix in [1, n].
+func FuzzTMFGBatches(f *testing.F) {
+	f.Add(uint8(5), uint8(0), false, []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3})
+	f.Add(uint8(20), uint8(2), false, []byte{8, 8, 0, 0, 4, 4, 8, 0})
+	f.Add(uint8(12), uint8(11), true, []byte{0, 8, 1, 7, 2, 6, 3, 5, 4})
+	f.Add(uint8(20), uint8(0), true, []byte{7})
+	pool := exec.New(2)
+	defer pool.Close()
+	f.Fuzz(func(t *testing.T, nRaw, prefixRaw uint8, huge bool, entries []byte) {
+		n := 4 + int(nRaw)%21
+		prefix := 1 + int(prefixRaw)%n
+		s := matrix.NewSym(n)
+		k := 0
+		for i := 0; i < n; i++ {
+			s.Set(i, i, 1)
+			for j := i + 1; j < n; j++ {
+				x := 0.0
+				if len(entries) > 0 {
+					x = float64(entries[k%len(entries)]%9) / 8
+				}
+				k++
+				if huge {
+					x = -math.MaxFloat64 / 3 * (1 + (x-0.5)/16)
+				}
+				s.Set(i, j, x)
+			}
+		}
+		checkBatches(t, pool, "fuzz", s, prefix)
+	})
 }

@@ -79,8 +79,11 @@ func (m Method) String() string {
 type Options struct {
 	// Method selects the algorithm (default TMFGDBHT).
 	Method Method
-	// Prefix is the TMFG batch size (default 10, the paper's sweet spot;
-	// 1 reproduces the sequential TMFG exactly).
+	// Prefix is the TMFG batch size, the most vertices inserted per round
+	// (default 10, the paper's sweet spot; 1 reproduces the sequential TMFG
+	// exactly). Larger prefixes need fewer rounds and keep a little less
+	// edge weight; face gains are recomputed lazily, so a small prefix
+	// builds no slower than a large one.
 	Prefix int
 	// Workers bounds the number of goroutines the call may run concurrently
 	// (0 = GOMAXPROCS, via a shared process-wide pool). A positive value
@@ -579,8 +582,13 @@ func clusterMatrixOn(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim,
 
 // TMFG builds just the filtered graph from a similarity matrix with the
 // given prefix, returning the undirected edge list (3n−6 edges) and the
-// captured edge weight.
+// captured edge weight. sim is validated as ClusterMatrix validates it: a
+// nil matrix, a backing slice that is not n×n long or a non-finite entry
+// returns an error.
 func TMFG(sim *Matrix, prefix int) (edges [][2]int32, weight float64, err error) {
+	if err := validateMatrix("similarity", sim); err != nil {
+		return nil, 0, err
+	}
 	r, err := tmfg.Build(sim, prefix)
 	if err != nil {
 		return nil, 0, err

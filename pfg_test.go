@@ -1,6 +1,7 @@
 package pfg
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -76,6 +77,37 @@ func TestTMFGFacade(t *testing.T) {
 	}
 	if weight <= 0 {
 		t.Fatalf("weight %v", weight)
+	}
+}
+
+// TestTMFGRejectsMalformedMatrix: TMFG validates its matrix as
+// ClusterMatrix does, returning an error instead of panicking on a short
+// backing slice or a nil matrix, or building a graph from a NaN.
+func TestTMFGRejectsMalformedMatrix(t *testing.T) {
+	const n = 6
+	nan := &Matrix{N: n, Data: make([]float64, n*n)}
+	for i := range nan.Data {
+		nan.Data[i] = 0.5
+	}
+	nan.Data[1*n+2], nan.Data[2*n+1] = math.NaN(), math.NaN()
+	for _, tc := range []struct {
+		name string
+		sim  *Matrix
+	}{
+		{"short backing slice", &Matrix{N: 5, Data: make([]float64, 3)}},
+		{"nil matrix", nil},
+		{"NaN entry", nan},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: TMFG panicked: %v", tc.name, r)
+				}
+			}()
+			if _, _, err := TMFG(tc.sim, 1); err == nil {
+				t.Errorf("%s: TMFG returned no error", tc.name)
+			}
+		}()
 	}
 }
 
