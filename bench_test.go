@@ -11,12 +11,14 @@ package pfg
 // cmd/pfg-experiments.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"pfg/internal/core"
+	"pfg/internal/exec"
 	"pfg/internal/hac"
 	"pfg/internal/matrix"
 	"pfg/internal/metrics"
@@ -24,6 +26,7 @@ import (
 	"pfg/internal/pmfg"
 	"pfg/internal/tmfg"
 	"pfg/internal/tsgen"
+	"pfg/internal/ws"
 )
 
 // benchData caches generated workloads across benchmark iterations.
@@ -41,7 +44,7 @@ func workload(b *testing.B, name string, n, l, classes int, noise float64) *benc
 		return w
 	}
 	ds := tsgen.GenerateClassed(name, n, l, classes, noise, 42)
-	sim, dis, err := core.Correlate(ds.Series)
+	sim, dis, err := matrix.PearsonDissimWS(context.Background(), exec.Default(), nil, ds.Series)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,73 +53,89 @@ func workload(b *testing.B, name string, n, l, classes int, noise float64) *benc
 	return w
 }
 
+// benchEnv returns a background context, the default pool at the current
+// GOMAXPROCS, and a workspace the benchmark holds until it ends, so its
+// timed loop runs on warm scratch.
+func benchEnv(b *testing.B) (context.Context, *exec.Pool, *ws.Workspace) {
+	w := ws.Get()
+	b.Cleanup(func() { ws.Put(w) })
+	return context.Background(), exec.Default(), w
+}
+
 // --- Figure 1 / Figure 3: per-method runtimes -------------------------------
 
 func BenchmarkFig1_TMFGDBHT_Prefix1(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TMFGDBHT(w.sim, w.dis, 1); err != nil {
+		if _, err := core.TMFGDBHTWS(ctx, pool, scratch, w.sim, w.dis, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig1_TMFGDBHT_Prefix10(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TMFGDBHT(w.sim, w.dis, 10); err != nil {
+		if _, err := core.TMFGDBHTWS(ctx, pool, scratch, w.sim, w.dis, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig1_PMFGDBHT(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	w := workload(b, "pmfg", 250, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PMFGDBHT(w.sim, w.dis); err != nil {
+		if _, err := core.PMFGDBHTWS(ctx, pool, scratch, w.sim, w.dis); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig1_CompleteLinkage(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.HAC(w.dis, hac.Complete); err != nil {
+		if _, err := core.HACWS(ctx, pool, scratch, w.dis, hac.Complete); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig1_AverageLinkage(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.HAC(w.dis, hac.Average); err != nil {
+		if _, err := core.HACWS(ctx, pool, scratch, w.dis, hac.Average); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig3_KMeans(b *testing.B) {
+	ctx, pool := context.Background(), exec.Default()
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KMeans(w.ds.Series, w.ds.NumClasses, 1); err != nil {
+		if _, err := core.KMeansCtx(ctx, pool, w.ds.Series, w.ds.NumClasses, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig3_KMeansSpectral(b *testing.B) {
+	ctx, pool := context.Background(), exec.Default()
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KMeansSpectral(w.ds.Series, w.ds.NumClasses, 50, 1); err != nil {
+		if _, err := core.KMeansSpectralCtx(ctx, pool, w.ds.Series, w.ds.NumClasses, 50, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,8 +151,9 @@ func BenchmarkFig4_ThreadScaling(b *testing.B) {
 			b.Run(fmt.Sprintf("prefix=%d/threads=%d", prefix, threads), func(b *testing.B) {
 				old := runtime.GOMAXPROCS(threads)
 				defer runtime.GOMAXPROCS(old)
+				ctx, pool, scratch := benchEnv(b)
 				for i := 0; i < b.N; i++ {
-					if _, err := core.TMFGDBHT(w.sim, w.dis, prefix); err != nil {
+					if _, err := core.TMFGDBHTWS(ctx, pool, scratch, w.sim, w.dis, prefix); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -149,9 +169,10 @@ func BenchmarkFig5_TMFGOnly(b *testing.B) {
 	w := workload(b, "ecg", 800, 140, 5, 0.8)
 	for _, prefix := range []int{1, 10, 50} {
 		b.Run(fmt.Sprintf("prefix=%d", prefix), func(b *testing.B) {
+			ctx, pool, scratch := benchEnv(b)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := tmfg.Build(w.sim, prefix); err != nil {
+				if _, err := tmfg.BuildWS(ctx, pool, scratch, w.sim, prefix); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -160,14 +181,17 @@ func BenchmarkFig5_TMFGOnly(b *testing.B) {
 }
 
 func BenchmarkFig5_APSP(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	w := workload(b, "ecg", 800, 140, 5, 0.8)
-	tm, err := tmfg.Build(w.sim, 10)
+	tm, err := tmfg.BuildWS(ctx, pool, nil, w.sim, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tm.Graph.AllPairsShortestPaths()
+		if _, err := tm.Graph.AllPairsShortestPathsWS(ctx, pool, scratch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -177,9 +201,10 @@ func BenchmarkFig6_QualityByPrefix(b *testing.B) {
 	w := workload(b, "quality", 600, 96, 8, 0.5)
 	for _, prefix := range []int{1, 10, 50} {
 		b.Run(fmt.Sprintf("prefix=%d", prefix), func(b *testing.B) {
+			ctx, pool, scratch := benchEnv(b)
 			var lastARI float64
 			for i := 0; i < b.N; i++ {
-				r, err := core.TMFGDBHT(w.sim, w.dis, prefix)
+				r, err := core.TMFGDBHTWS(ctx, pool, scratch, w.sim, w.dis, prefix)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,16 +221,17 @@ func BenchmarkFig6_QualityByPrefix(b *testing.B) {
 
 func BenchmarkFig7_EdgeWeight(b *testing.B) {
 	w := workload(b, "quality", 600, 96, 8, 0.5)
-	exact, err := tmfg.Build(w.sim, 1)
+	exact, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, w.sim, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	base := exact.EdgeWeightSum(w.sim)
 	for _, prefix := range []int{10, 50, 200} {
 		b.Run(fmt.Sprintf("prefix=%d", prefix), func(b *testing.B) {
+			ctx, pool, scratch := benchEnv(b)
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				r, err := tmfg.Build(w.sim, prefix)
+				r, err := tmfg.BuildWS(ctx, pool, scratch, w.sim, prefix)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -219,14 +245,15 @@ func BenchmarkFig7_EdgeWeight(b *testing.B) {
 // --- Figure 10: stock pipeline ----------------------------------------------
 
 func BenchmarkFig10_StockPipeline(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	sd := tsgen.GenerateStocks(400, 300, 3)
-	sim, dis, err := core.Correlate(sd.Returns)
+	sim, dis, err := matrix.PearsonDissimWS(ctx, pool, nil, sd.Returns)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := core.TMFGDBHT(sim, dis, 30)
+		r, err := core.TMFGDBHTWS(ctx, pool, scratch, sim, dis, 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,11 +266,12 @@ func BenchmarkFig10_StockPipeline(b *testing.B) {
 // --- Substrate micro-benchmarks ----------------------------------------------
 
 func BenchmarkMicro_Pearson(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	ds := tsgen.GenerateClassed("micro", 1000, 128, 4, 0.5, 1)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := matrix.Pearson(ds.Series); err != nil {
+		if _, err := matrix.PearsonWS(ctx, pool, scratch, ds.Series); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,6 +281,7 @@ func BenchmarkMicro_TMFGBuild(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		for _, prefix := range []int{1, 50} {
 			b.Run(fmt.Sprintf("n=%d/prefix=%d", n, prefix), func(b *testing.B) {
+				ctx, pool, scratch := benchEnv(b)
 				rng := rand.New(rand.NewSource(1))
 				s := matrix.NewSym(n)
 				for i := 0; i < n; i++ {
@@ -264,7 +293,7 @@ func BenchmarkMicro_TMFGBuild(b *testing.B) {
 				b.ResetTimer()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := tmfg.Build(s, prefix); err != nil {
+					if _, err := tmfg.BuildWS(ctx, pool, scratch, s, prefix); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -274,6 +303,7 @@ func BenchmarkMicro_TMFGBuild(b *testing.B) {
 }
 
 func BenchmarkMicro_PMFGBuild(b *testing.B) {
+	ctx, pool := context.Background(), exec.Default()
 	rng := rand.New(rand.NewSource(1))
 	n := 200
 	s := matrix.NewSym(n)
@@ -285,18 +315,19 @@ func BenchmarkMicro_PMFGBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pmfg.Build(s); err != nil {
+		if _, err := pmfg.BuildCtx(ctx, pool, s); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkMicro_HACComplete(b *testing.B) {
+	ctx, pool, scratch := benchEnv(b)
 	w := workload(b, "micro", 1000, 64, 4, 0.5)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.HAC(w.dis, hac.Complete); err != nil {
+		if _, err := core.HACWS(ctx, pool, scratch, w.dis, hac.Complete); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,6 +336,7 @@ func BenchmarkMicro_HACComplete(b *testing.B) {
 func BenchmarkMicro_APSPByGraphSize(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ctx, pool, scratch := benchEnv(b)
 			rng := rand.New(rand.NewSource(1))
 			s := matrix.NewSym(n)
 			for i := 0; i < n; i++ {
@@ -313,13 +345,15 @@ func BenchmarkMicro_APSPByGraphSize(b *testing.B) {
 					s.Set(i, j, rng.Float64())
 				}
 			}
-			tm, err := tmfg.Build(s, 50)
+			tm, err := tmfg.BuildWS(ctx, pool, nil, s, 50)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tm.Graph.AllPairsShortestPaths()
+				if _, err := tm.Graph.AllPairsShortestPathsWS(ctx, pool, scratch); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

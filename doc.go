@@ -156,7 +156,7 @@
 //
 // The hottest kernels carry two backends selected at init: hand-written
 // AVX2 assembly on capable amd64 hosts, and the always-compiled pure-Go
-// scalar cores everywhere else (forced by -tags purego or PFG_NOSIMD=1).
+// scalar cores everywhere else (forced by -tags purego).
 // The backends are bit-identical in float64 — the vector code avoids FMA,
 // vectorizes across matrix columns rather than the time dimension, and
 // mirrors scalar operand order — and KernelISA reports which one this

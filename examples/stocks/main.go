@@ -8,10 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pfg"
+	"pfg/internal/exec"
 	"pfg/internal/spectral"
 	"pfg/internal/tsgen"
 )
@@ -28,7 +30,7 @@ func main() {
 	cluster := func(prefix int) []int {
 		// Spectral embedding of the detrended log-returns (the paper's
 		// preprocessing), then correlation of the embedding, then TMFG+DBHT.
-		emb, err := spectral.Embed(sd.Returns, spectral.Options{
+		emb, err := spectral.EmbedCtx(context.Background(), exec.Default(), sd.Returns, spectral.Options{
 			Neighbors:  nStocks / 10,
 			Components: k,
 			Seed:       seed,

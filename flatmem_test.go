@@ -11,10 +11,11 @@ import (
 	"testing"
 
 	"pfg/internal/bubbletree"
-	"pfg/internal/core"
 	"pfg/internal/exec"
+	"pfg/internal/matrix"
 	"pfg/internal/tmfg"
 	"pfg/internal/tsgen"
+	"pfg/internal/ws"
 )
 
 func treeFingerprint(t *bubbletree.Tree) string {
@@ -32,13 +33,16 @@ func treeFingerprint(t *bubbletree.Tree) string {
 // pooled runs, including repeated pooled runs on warm workspaces.
 func TestBubbleEnumerationDeterminism(t *testing.T) {
 	ds := tsgen.GenerateClassed("determinism", 150, 64, 5, 0.7, 11)
-	sim, _, err := core.Correlate(ds.Series)
+	ctx := context.Background()
+	sim, err := matrix.PearsonWS(ctx, exec.Default(), nil, ds.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, prefix := range []int{1, 10} {
 		seq := exec.New(1)
-		rSeq, err := tmfg.BuildCtx(context.Background(), seq, sim, prefix)
+		rSeq, err := tmfg.BuildWS(ctx, seq, nil, sim, prefix)
 		seq.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +50,7 @@ func TestBubbleEnumerationDeterminism(t *testing.T) {
 		want := treeFingerprint(rSeq.Tree)
 		wantVB := fmt.Sprint(rSeq.Tree.VertexBubbles(sim.N))
 		for trial := 0; trial < 3; trial++ {
-			rPar, err := tmfg.Build(sim, prefix) // shared pooled default
+			rPar, err := tmfg.BuildWS(ctx, exec.Default(), w, sim, prefix) // default pool, warm workspace
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,6 +68,8 @@ func TestBubbleEnumerationDeterminism(t *testing.T) {
 					t.Fatalf("prefix=%d: edge %d differs: %v vs %v", prefix, i, rPar.Edges[i], rSeq.Edges[i])
 				}
 			}
+			// The next trial builds on this trial's recycled CSR arrays.
+			rPar.Graph.Release(w)
 		}
 	}
 }

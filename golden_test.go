@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pfg/internal/tsgen"
@@ -79,10 +80,34 @@ func goldenPath(c goldenCase) string {
 func runGoldenCase(t *testing.T, c goldenCase) goldenFixture {
 	t.Helper()
 	// Workers:1 — the deterministic sequential pipeline the corpus pins.
-	res, err := Cluster(goldenSeries(c.N), Options{Method: c.Method, Prefix: 2, Workers: 1})
+	opts := Options{Method: c.Method, Prefix: 2, Workers: 1}
+	series := goldenSeries(c.N)
+	res, err := Cluster(series, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := goldenFixtureOf(t, c, res)
+	// The public matrix path must reproduce the same fixture.
+	sim, err := Pearson(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dis, err := Dissimilarity(sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = ClusterMatrix(sim, dis, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaMatrix := goldenFixtureOf(t, c, res); !reflect.DeepEqual(viaMatrix, got) {
+		t.Fatalf("ClusterMatrix(Pearson, Dissimilarity) differs from Cluster:\nmatrix  %+v\ncluster %+v", viaMatrix, got)
+	}
+	return got
+}
+
+func goldenFixtureOf(t *testing.T, c goldenCase, res *Result) goldenFixture {
+	t.Helper()
 	labels, err := res.Cut(c.K)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,6 @@
 // ws.Workspace.
 package bitset
 
-import "math/bits"
-
 const (
 	wordShift = 6
 	wordMask  = 63
@@ -70,51 +68,4 @@ func (s *Set) ClearList(ids []int32) {
 	for _, i := range ids {
 		s.words[i>>wordShift] &^= 1 << (uint(i) & wordMask)
 	}
-}
-
-// SetRange sets every bit in [lo, hi), word-at-a-time.
-func (s *Set) SetRange(lo, hi int32) {
-	if lo >= hi {
-		return
-	}
-	lw, hw := lo>>wordShift, (hi-1)>>wordShift
-	first := ^uint64(0) << (uint(lo) & wordMask)
-	last := ^uint64(0) >> (wordMask - (uint(hi-1) & wordMask))
-	if lw == hw {
-		s.words[lw] |= first & last
-		return
-	}
-	s.words[lw] |= first
-	for w := lw + 1; w < hw; w++ {
-		s.words[w] = ^uint64(0)
-	}
-	s.words[hw] |= last
-}
-
-// ClearRange clears every bit in [lo, hi), word-at-a-time.
-func (s *Set) ClearRange(lo, hi int32) {
-	if lo >= hi {
-		return
-	}
-	lw, hw := lo>>wordShift, (hi-1)>>wordShift
-	first := ^uint64(0) << (uint(lo) & wordMask)
-	last := ^uint64(0) >> (wordMask - (uint(hi-1) & wordMask))
-	if lw == hw {
-		s.words[lw] &^= first & last
-		return
-	}
-	s.words[lw] &^= first
-	for w := lw + 1; w < hw; w++ {
-		s.words[w] = 0
-	}
-	s.words[hw] &^= last
-}
-
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }

@@ -5,11 +5,11 @@
 //
 // Two constructions are provided. TMFG construction (package tmfg) builds
 // the tree incrementally in O(n) work using Algorithm 2 of Yu & Shun.
-// BuildGeneric implements the original O(n²) algorithm (triangle enumeration
-// plus separation testing) and works for any maximal planar graph, e.g. the
-// PMFG baseline. DirectEdges implements Algorithm 3 (the linear-work interior
-// versus exterior strength computation), generalized to arbitrary bubble
-// sizes so it applies to both constructions.
+// BuildGenericCtx implements the original O(n²) algorithm (triangle
+// enumeration plus separation testing) and works for any maximal planar
+// graph, e.g. the PMFG baseline. DirectEdgesCtx implements Algorithm 3 (the
+// linear-work interior versus exterior strength computation), generalized
+// to arbitrary bubble sizes so it applies to both constructions.
 //
 // Scratch sets on these paths are dense bitsets and flat CSR groupings from
 // a ws.Workspace rather than map[int32]bool, so repeated constructions on a
@@ -192,14 +192,8 @@ func (t *Tree) SubtreeVertices(b int32) []int32 {
 	return out
 }
 
-// SeparatingTriangles returns all triangles of g whose removal disconnects
-// g, in canonical (sorted-corner) order.
-func SeparatingTriangles(g *graph.Graph) [][3]int32 {
-	out, _ := SeparatingTrianglesCtx(context.Background(), exec.Default(), g)
-	return out
-}
-
-// SeparatingTrianglesCtx is SeparatingTriangles on an explicit pool with
+// SeparatingTrianglesCtx returns all triangles of g whose removal
+// disconnects g, in canonical (sorted-corner) order, on pool with
 // cooperative cancellation (the per-triangle separation tests dominate).
 func SeparatingTrianglesCtx(ctx context.Context, pool *exec.Pool, g *graph.Graph) ([][3]int32, error) {
 	w := ws.Get()
@@ -223,17 +217,13 @@ func SeparatingTrianglesCtx(ctx context.Context, pool *exec.Pool, g *graph.Graph
 	return out, nil
 }
 
-// BuildGeneric constructs the bubble tree of a maximal planar graph using
-// the original algorithm: enumerate triangles, test each for separation, and
-// recursively split the graph at separating triangles. The tree is rooted at
-// the bubble with the smallest vertex set start so that the interior
-// invariant holds (any rooting of a bubble tree satisfies it).
-func BuildGeneric(g *graph.Graph) (*Tree, error) {
-	return BuildGenericCtx(context.Background(), exec.Default(), g)
-}
-
-// BuildGenericCtx is BuildGeneric on an explicit pool with cooperative
-// cancellation, checked during triangle testing and between recursive splits.
+// BuildGenericCtx constructs the bubble tree of a maximal planar graph
+// using the original algorithm: enumerate triangles, test each for
+// separation, and recursively split the graph at separating triangles. The
+// tree is rooted at the bubble with the smallest vertex set start so that
+// the interior invariant holds (any rooting of a bubble tree satisfies it).
+// It runs on pool with cooperative cancellation, checked during triangle
+// testing and between recursive splits.
 func BuildGenericCtx(ctx context.Context, pool *exec.Pool, g *graph.Graph) (*Tree, error) {
 	if g.N < 3 {
 		return nil, fmt.Errorf("bubbletree: graph too small (n=%d)", g.N)

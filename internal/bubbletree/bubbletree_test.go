@@ -1,9 +1,11 @@
 package bubbletree
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"pfg/internal/exec"
 	"pfg/internal/graph"
 )
 
@@ -71,7 +73,7 @@ func stackedTMFG(rng *rand.Rand, n int) (*graph.Graph, *Tree) {
 			faceRec{v: [3]int32{v, f.v[0], f.v[2]}, bubble: nb},
 		)
 	}
-	g, err := graph.FromEdges(n, edges)
+	g, err := graph.FromEdgesWS(nil, n, edges)
 	if err != nil {
 		panic(err)
 	}
@@ -119,7 +121,10 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 func TestSeparatingTrianglesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g, tree := stackedTMFG(rng, 20)
-	sep := SeparatingTriangles(g)
+	sep, err := SeparatingTrianglesCtx(context.Background(), exec.Default(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A TMFG on n vertices has n-4 separating triangles (one per tree edge).
 	if len(sep) != g.N-4 {
 		t.Fatalf("got %d separating triangles, want %d", len(sep), g.N-4)
@@ -145,7 +150,7 @@ func TestBuildGenericMatchesSimulatedTree(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 6 + rng.Intn(25)
 		g, tree := stackedTMFG(rng, n)
-		gen, err := BuildGeneric(g)
+		gen, err := BuildGenericCtx(context.Background(), exec.Default(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,11 +184,11 @@ func TestBuildGenericSingleBubble(t *testing.T) {
 			edges = append(edges, graph.Edge{U: i, V: j, W: 1})
 		}
 	}
-	g, err := graph.FromEdges(4, edges)
+	g, err := graph.FromEdgesWS(nil, 4, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := BuildGeneric(g)
+	tree, err := BuildGenericCtx(context.Background(), exec.Default(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +230,7 @@ func TestDirectEdgesMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 6 + rng.Intn(40)
 		g, tree := stackedTMFG(rng, n)
-		d := DirectEdges(tree, g)
+		d := directEdges(t, tree, g)
 		for b := int32(0); int(b) < tree.NumNodes(); b++ {
 			if b == tree.Root {
 				continue
@@ -247,11 +252,11 @@ func TestDirectEdgesOnGenericTree(t *testing.T) {
 	// produce identical per-triangle directions.
 	rng := rand.New(rand.NewSource(5))
 	g, tree := stackedTMFG(rng, 25)
-	gen, err := BuildGeneric(g)
+	gen, err := BuildGenericCtx(context.Background(), exec.Default(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dGen := DirectEdges(gen, g)
+	dGen := directEdges(t, gen, g)
 	for b := int32(0); int(b) < gen.NumNodes(); b++ {
 		if b == gen.Root {
 			continue
@@ -263,7 +268,7 @@ func TestDirectEdgesOnGenericTree(t *testing.T) {
 		}
 	}
 	// Converging bubbles must agree between the two trees as vertex sets.
-	dFly := DirectEdges(tree, g)
+	dFly := directEdges(t, tree, g)
 	convSet := func(d *Directed) map[[4]int32]bool {
 		out := map[[4]int32]bool{}
 		for _, c := range d.Converging {
@@ -287,7 +292,7 @@ func TestDirectEdgesOnGenericTree(t *testing.T) {
 func TestOutDegreesAndConverging(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g, tree := stackedTMFG(rng, 30)
-	d := DirectEdges(tree, g)
+	d := directEdges(t, tree, g)
 	// Sum of out-degrees equals the number of tree edges.
 	var total int32
 	for _, od := range d.OutDeg {
@@ -309,7 +314,7 @@ func TestOutDegreesAndConverging(t *testing.T) {
 func TestReachableConverging(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, tree := stackedTMFG(rng, 30)
-	d := DirectEdges(tree, g)
+	d := directEdges(t, tree, g)
 	reach := d.ReachableConverging()
 	// Every bubble reaches at least one converging bubble (directed paths in
 	// a finite tree end at out-degree-0 nodes).
@@ -374,4 +379,14 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// directEdges runs DirectEdgesCtx on the default pool.
+func directEdges(t *testing.T, tree *Tree, g *graph.Graph) *Directed {
+	t.Helper()
+	d, err := DirectEdgesCtx(context.Background(), exec.Default(), tree, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -29,13 +29,6 @@ type Directed struct {
 	Converging []int32
 }
 
-// DirectEdges runs the recursive interior-strength computation on the shared
-// default pool, without cancellation.
-func DirectEdges(t *Tree, g *graph.Graph) *Directed {
-	d, _ := DirectEdgesCtx(context.Background(), exec.Default(), t, g)
-	return d
-}
-
 // DirectEdgesCtx runs the recursive interior-strength computation on the
 // tree, using g (the filtered graph) for edge weights. It is O(Σ|bubble|)
 // work: linear for TMFG trees. Children are processed with nested

@@ -53,25 +53,14 @@ type Result struct {
 	DBHT *dbht.Result
 }
 
-// TMFGDBHT runs the paper's pipeline on a similarity matrix: TMFG with the
-// given prefix, then DBHT. dis may be nil, in which case √(2(1−s)) is used.
-func TMFGDBHT(sim *matrix.Sym, dis *matrix.Sym, prefix int) (*Result, error) {
-	return TMFGDBHTCtx(context.Background(), exec.Default(), sim, dis, prefix)
-}
-
-// TMFGDBHTCtx is TMFGDBHT on an explicit pool: every parallel stage (TMFG
-// rounds, APSP, DBHT assignment, hierarchy) runs within the pool's worker
-// budget and aborts with ctx.Err() once ctx is cancelled.
-func TMFGDBHTCtx(ctx context.Context, pool *exec.Pool, sim *matrix.Sym, dis *matrix.Sym, prefix int) (*Result, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return TMFGDBHTWS(ctx, pool, w, sim, dis, prefix)
-}
-
-// TMFGDBHTWS is TMFGDBHTCtx with explicit workspace scratch: the derived
-// dissimilarity matrix (when dis is nil), the TMFG's CSR arrays, the APSP
-// matrix, and every per-stage scratch buffer are drawn from and returned to
-// w, so repeated same-shape runs on a warm workspace perform only the
+// TMFGDBHTWS runs the paper's pipeline on a similarity matrix: TMFG with
+// the given prefix, then DBHT. dis may be nil, in which case √(2(1−s)) is
+// used. Every parallel stage (TMFG rounds, APSP, DBHT assignment,
+// hierarchy) runs within the pool's worker budget and aborts with
+// ctx.Err() once ctx is cancelled. The derived dissimilarity matrix (when
+// dis is nil), the TMFG's CSR arrays, the APSP matrix, and every per-stage
+// scratch buffer are drawn from and returned to w (nil allocates), so
+// repeated same-shape runs on a warm workspace perform only the
 // allocations that escape into the Result.
 func TMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, dis *matrix.Sym, prefix int) (*Result, error) {
 	start := time.Now()
@@ -120,23 +109,21 @@ func TMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matr
 	return out, nil
 }
 
-// PMFGDBHT runs the baseline pipeline: sequential PMFG, the original
-// (generic) bubble tree construction, then DBHT.
-func PMFGDBHT(sim *matrix.Sym, dis *matrix.Sym) (*Result, error) {
-	return PMFGDBHTCtx(context.Background(), exec.Default(), sim, dis)
-}
-
-// PMFGDBHTCtx is PMFGDBHT on an explicit pool with cooperative cancellation
-// through every stage (PMFG planarity tests, bubble tree, DBHT).
-func PMFGDBHTCtx(ctx context.Context, pool *exec.Pool, sim *matrix.Sym, dis *matrix.Sym) (*Result, error) {
+// PMFGDBHTWS runs the baseline pipeline: sequential PMFG, the original
+// (generic) bubble tree construction, then DBHT, on pool with cooperative
+// cancellation through every stage (PMFG planarity tests, bubble tree,
+// DBHT). dis may be nil, in which case √(2(1−s)) is used. DBHT's scratch
+// and the derived dissimilarity matrix come from w (nil allocates).
+func PMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, dis *matrix.Sym) (*Result, error) {
 	start := time.Now()
 	var bd Breakdown
 	if dis == nil {
-		var err error
-		dis, err = matrix.DissimilarityCtx(ctx, pool, sim)
+		d, err := matrix.DissimilarityWS(ctx, pool, w, sim)
 		if err != nil {
 			return nil, err
 		}
+		defer d.Release(w)
+		dis = d
 	}
 	t0 := time.Now()
 	pm, err := pmfg.BuildCtx(ctx, pool, sim)
@@ -150,7 +137,7 @@ func PMFGDBHTCtx(ctx context.Context, pool *exec.Pool, sim *matrix.Sym, dis *mat
 		return nil, err
 	}
 	genericTree := time.Since(t0)
-	res, err := dbht.BuildCtx(ctx, pool, pm.Graph, tree, dis)
+	res, err := dbht.BuildWS(ctx, pool, w, pm.Graph, tree, dis, dbht.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -169,22 +156,10 @@ func PMFGDBHTCtx(ctx context.Context, pool *exec.Pool, sim *matrix.Sym, dis *mat
 	}, nil
 }
 
-// HAC runs complete- or average-linkage clustering on a dissimilarity
-// matrix (the COMP and AVG baselines).
-func HAC(dis *matrix.Sym, linkage hac.Linkage) (*Result, error) {
-	return HACCtx(context.Background(), exec.Default(), dis, linkage)
-}
-
-// HACCtx is HAC on an explicit pool with cooperative cancellation, checked
-// once per NN-chain merge.
-func HACCtx(ctx context.Context, pool *exec.Pool, dis *matrix.Sym, linkage hac.Linkage) (*Result, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return HACWS(ctx, pool, w, dis, linkage)
-}
-
-// HACWS is HACCtx with explicit workspace scratch: the NN-chain's working
-// copy of the matrix comes from the workspace instead of a fresh append.
+// HACWS runs complete- or average-linkage clustering on a dissimilarity
+// matrix (the COMP and AVG baselines) on pool, with cooperative
+// cancellation checked once per NN-chain merge. The NN-chain's working copy
+// of the matrix comes from w (nil allocates).
 func HACWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, dis *matrix.Sym, linkage hac.Linkage) (*Result, error) {
 	start := time.Now()
 	buf := w.Float64(len(dis.Data))
@@ -200,29 +175,6 @@ func HACWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, dis *matrix.Sy
 	}, nil
 }
 
-// Correlate computes the similarity (Pearson) and dissimilarity matrices of
-// a time-series collection.
-func Correlate(series [][]float64) (sim, dis *matrix.Sym, err error) {
-	return CorrelateCtx(context.Background(), exec.Default(), series)
-}
-
-// CorrelateCtx is Correlate on an explicit pool with cooperative
-// cancellation at row-block boundaries.
-func CorrelateCtx(ctx context.Context, pool *exec.Pool, series [][]float64) (sim, dis *matrix.Sym, err error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return CorrelateWS(ctx, pool, w, series)
-}
-
-// CorrelateWS is CorrelateCtx with workspace-backed results: both matrices
-// draw their backing arrays from w, and callers that control their lifetime
-// (pfg.ClusterContext) release them back with Sym.Release once clustering
-// is done. The dissimilarity is derived inside the Pearson finish kernel, so
-// the pair costs one matrix traversal instead of two.
-func CorrelateWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, series [][]float64) (sim, dis *matrix.Sym, err error) {
-	return matrix.PearsonDissimWS(ctx, pool, w, series)
-}
-
 // CutLabels cuts a result's dendrogram into k clusters.
 func (r *Result) CutLabels(k int) ([]int, error) {
 	if r.Dendrogram == nil {
@@ -231,13 +183,9 @@ func (r *Result) CutLabels(k int) ([]int, error) {
 	return r.Dendrogram.Cut(k)
 }
 
-// KMeans clusters raw series with k-means (the K-MEANS baseline; the
-// scalable k-means|| seeding is used, as in the paper's comparison).
-func KMeans(series [][]float64, k int, seed int64) ([]int, error) {
-	return KMeansCtx(context.Background(), exec.Default(), series, k, seed)
-}
-
-// KMeansCtx is KMeans on an explicit pool with cooperative cancellation.
+// KMeansCtx clusters raw series with k-means (the K-MEANS baseline; the
+// scalable k-means|| seeding is used, as in the paper's comparison) on pool
+// with cooperative cancellation.
 func KMeansCtx(ctx context.Context, pool *exec.Pool, series [][]float64, k int, seed int64) ([]int, error) {
 	res, err := kmeans.RunCtx(ctx, pool, series, kmeans.Options{K: k, Seed: seed, Scalable: true})
 	if err != nil {
@@ -246,14 +194,10 @@ func KMeansCtx(ctx context.Context, pool *exec.Pool, series [][]float64, k int, 
 	return res.Labels, nil
 }
 
-// KMeansSpectral clusters series with a spectral embedding onto k components
-// using β nearest neighbors, then k-means (the K-MEANS-S baseline).
-func KMeansSpectral(series [][]float64, k, beta int, seed int64) ([]int, error) {
-	return KMeansSpectralCtx(context.Background(), exec.Default(), series, k, beta, seed)
-}
-
-// KMeansSpectralCtx is KMeansSpectral on an explicit pool with cooperative
-// cancellation through both the embedding and the k-means stages.
+// KMeansSpectralCtx clusters series with a spectral embedding onto k
+// components using β nearest neighbors, then k-means (the K-MEANS-S
+// baseline), on pool with cooperative cancellation through both the
+// embedding and the k-means stages.
 func KMeansSpectralCtx(ctx context.Context, pool *exec.Pool, series [][]float64, k, beta int, seed int64) ([]int, error) {
 	emb, err := spectral.EmbedCtx(ctx, pool, series, spectral.Options{
 		Neighbors:  beta,

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"pfg/internal/exec"
 	"pfg/internal/hac"
+	"pfg/internal/matrix"
 	"pfg/internal/metrics"
 	"pfg/internal/tsgen"
 )
@@ -14,6 +17,17 @@ import (
 // small data sets, where the prefix is a large share of the edges.
 func easyDataset() *tsgen.Dataset {
 	return tsgen.GenerateClassed("easy", 150, 128, 3, 0.25, 57)
+}
+
+// correlate computes the similarity and dissimilarity of series on the
+// default pool.
+func correlate(t *testing.T, series [][]float64) (sim, dis *matrix.Sym) {
+	t.Helper()
+	sim, dis, err := matrix.PearsonDissimWS(context.Background(), exec.Default(), nil, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, dis
 }
 
 func ariOf(t *testing.T, labels []int, truth []int) float64 {
@@ -27,16 +41,13 @@ func ariOf(t *testing.T, labels []int, truth []int) float64 {
 
 func TestTMFGDBHTPipelineRecoversEasyClusters(t *testing.T) {
 	ds := easyDataset()
-	sim, dis, err := Correlate(ds.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim, dis := correlate(t, ds.Series)
 	// Quality thresholds follow Figure 6: exact TMFG (prefix 1-2) recovers
 	// the clusters; larger prefixes on a small data set (prefix/n ≈ 7%)
 	// degrade gracefully but measurably.
 	thresholds := map[int]float64{1: 0.9, 2: 0.9, 10: 0.4}
 	for _, prefix := range []int{1, 2, 10} {
-		res, err := TMFGDBHT(sim, dis, prefix)
+		res, err := TMFGDBHTWS(context.Background(), exec.Default(), nil, sim, dis, prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +69,8 @@ func TestTMFGDBHTPipelineRecoversEasyClusters(t *testing.T) {
 
 func TestPMFGDBHTPipeline(t *testing.T) {
 	ds := easyDataset()
-	sim, dis, err := Correlate(ds.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := PMFGDBHT(sim, dis)
+	sim, dis := correlate(t, ds.Series)
+	res, err := PMFGDBHTWS(context.Background(), exec.Default(), nil, sim, dis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +90,9 @@ func TestPMFGDBHTPipeline(t *testing.T) {
 
 func TestHACBaselines(t *testing.T) {
 	ds := easyDataset()
-	_, dis, err := Correlate(ds.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dis := correlate(t, ds.Series)
 	for _, linkage := range []hac.Linkage{hac.Complete, hac.Average} {
-		res, err := HAC(dis, linkage)
+		res, err := HACWS(context.Background(), exec.Default(), nil, dis, linkage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,14 +114,14 @@ func TestKMeansBaselines(t *testing.T) {
 	// Plain k-means struggles with the multi-modal class manifolds (the
 	// paper's k-means is likewise competitive but not dominant); the
 	// spectral variant should do well.
-	labels, err := KMeans(ds.Series, ds.NumClasses, 1)
+	labels, err := KMeansCtx(context.Background(), exec.Default(), ds.Series, ds.NumClasses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ari := ariOf(t, labels, ds.Labels); ari < 0.3 {
 		t.Fatalf("k-means ARI %.3f", ari)
 	}
-	sLabels, err := KMeansSpectral(ds.Series, ds.NumClasses, 15, 1)
+	sLabels, err := KMeansSpectralCtx(context.Background(), exec.Default(), ds.Series, ds.NumClasses, 15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +134,12 @@ func TestPMFGAndTMFGQualityComparable(t *testing.T) {
 	// Figure 7 shape: TMFG edge-weight sums land within a few percent of
 	// PMFG's.
 	ds := easyDataset()
-	sim, dis, err := Correlate(ds.Series)
+	sim, dis := correlate(t, ds.Series)
+	tm, err := TMFGDBHTWS(context.Background(), exec.Default(), nil, sim, dis, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := TMFGDBHT(sim, dis, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := PMFGDBHT(sim, dis)
+	pm, err := PMFGDBHTWS(context.Background(), exec.Default(), nil, sim, dis)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,13 @@ import (
 func TestAPSPMatchesDijkstraOnTMFG(t *testing.T) {
 	for _, n := range []int{64, 256} {
 		ds := tsgen.Generate(tsgen.Catalog()[0], n, 256, 1)
-		sim, err := matrix.Pearson(ds.Series)
+		sim, err := matrix.PearsonWS(context.Background(), exec.Default(), nil, ds.Series)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dis := matrix.Dissimilarity(sim)
+		dis := dissimilarity(sim)
 		for _, prefix := range []int{1, 10} {
-			tr, err := tmfg.Build(sim, prefix)
+			tr, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, sim, prefix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func TestAPSPMatchesDijkstraOnTMFG(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2} {
 				pool := exec.New(workers)
-				a, err := dg.AllPairsShortestPathsCtx(context.Background(), pool)
+				a, err := dg.AllPairsShortestPathsWS(context.Background(), pool, nil)
 				pool.Close()
 				if err != nil {
 					t.Fatal(err)

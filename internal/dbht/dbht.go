@@ -68,39 +68,14 @@ type Options struct {
 	PaperAssignment bool
 }
 
-// Build runs DBHT with default options on the shared default pool. g is the
-// filtered graph weighted by similarity, tree its bubble tree, and dis the
-// full dissimilarity matrix used for shortest paths. dis must have the same
-// vertex count as g.
-func Build(g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym) (*Result, error) {
-	return BuildWithOptionsCtx(context.Background(), exec.Default(), g, tree, dis, Options{})
-}
-
-// BuildCtx runs DBHT with default options on an explicit pool, honouring
-// cancellation between and within the pipeline stages.
-func BuildCtx(ctx context.Context, pool *exec.Pool, g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym) (*Result, error) {
-	return BuildWithOptionsCtx(ctx, pool, g, tree, dis, Options{})
-}
-
-// BuildWithOptions runs DBHT with explicit variant options on the shared
-// default pool.
-func BuildWithOptions(g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym, opts Options) (*Result, error) {
-	return BuildWithOptionsCtx(context.Background(), exec.Default(), g, tree, dis, opts)
-}
-
-// BuildWithOptionsCtx runs DBHT with explicit variant options on an explicit
-// pool, with a workspace from the process-wide pool.
-func BuildWithOptionsCtx(ctx context.Context, pool *exec.Pool, g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym, opts Options) (*Result, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return BuildWS(ctx, pool, w, g, tree, dis, opts)
-}
-
-// BuildWS is BuildWithOptionsCtx with explicit workspace scratch. Each stage
-// (direction, APSP, assignment, hierarchy) runs its parallel loops on the
-// pool and aborts with ctx.Err() once the context is cancelled; every
+// BuildWS runs DBHT on pool. g is the filtered graph weighted by
+// similarity, tree its bubble tree, and dis the full dissimilarity matrix
+// used for shortest paths; dis must have the same vertex count as g. Each
+// stage (direction, APSP, assignment, hierarchy) runs its parallel loops on
+// the pool and aborts with ctx.Err() once the context is cancelled; every
 // transient buffer (the dissimilarity-weighted graph, the APSP matrix, the
-// flat membership and reachability sets) is drawn from and returned to w.
+// flat membership and reachability sets) is drawn from and returned to w
+// (nil allocates).
 func BuildWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym, opts Options) (*Result, error) {
 	n := g.N
 	if dis.N != n {

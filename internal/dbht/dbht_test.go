@@ -1,15 +1,28 @@
 package dbht
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"pfg/internal/bubbletree"
+	"pfg/internal/exec"
 	"pfg/internal/graph"
 	"pfg/internal/matrix"
 	"pfg/internal/tmfg"
 )
+
+// build runs BuildWS on the default pool without a workspace.
+func build(g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym, opts Options) (*Result, error) {
+	return BuildWS(context.Background(), exec.Default(), nil, g, tree, dis, opts)
+}
+
+// dissimilarity converts s on the default pool without a workspace.
+func dissimilarity(s *matrix.Sym) *matrix.Sym {
+	d, _ := matrix.DissimilarityWS(context.Background(), exec.Default(), nil, s)
+	return d
+}
 
 // appendixMatrix is the 6×6 correlation matrix from Figure 12 of the paper;
 // ground truth clusters are {0,1,2} and {3,4,5}.
@@ -47,12 +60,12 @@ func randomSym(rng *rand.Rand, n int) *matrix.Sym {
 
 func runPipeline(t *testing.T, s *matrix.Sym, prefix int) (*tmfg.Result, *Result) {
 	t.Helper()
-	tr, err := tmfg.Build(s, prefix)
+	tr, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := matrix.Dissimilarity(s)
-	res, err := Build(tr.Graph, tr.Tree, dis)
+	dis := dissimilarity(s)
+	res, err := build(tr.Graph, tr.Tree, dis, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,20 +211,20 @@ func TestGenericTreeGivesSameGroups(t *testing.T) {
 	// directed triangles are identical.
 	rng := rand.New(rand.NewSource(4))
 	s := randomSym(rng, 40)
-	tr, err := tmfg.Build(s, 5)
+	tr, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := matrix.Dissimilarity(s)
-	resFly, err := Build(tr.Graph, tr.Tree, dis)
+	dis := dissimilarity(s)
+	resFly, err := build(tr.Graph, tr.Tree, dis, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := bubbletree.BuildGeneric(tr.Graph)
+	gen, err := bubbletree.BuildGenericCtx(context.Background(), exec.Default(), tr.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resGen, err := Build(tr.Graph, gen, dis)
+	resGen, err := build(tr.Graph, gen, dis, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +287,11 @@ func TestDeterminism(t *testing.T) {
 func TestBuildRejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := randomSym(rng, 10)
-	tr, err := tmfg.Build(s, 1)
+	tr, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(tr.Graph, tr.Tree, matrix.NewSym(5)); err == nil {
+	if _, err := build(tr.Graph, tr.Tree, matrix.NewSym(5), Options{}); err == nil {
 		t.Fatal("mismatched dissimilarity size accepted")
 	}
 }
@@ -300,12 +313,12 @@ func TestTimingsPopulated(t *testing.T) {
 func TestSecondPassAssignmentBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := randomSym(rng, 70)
-	tr, err := tmfg.Build(s, 5)
+	tr, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := matrix.Dissimilarity(s)
-	res, err := Build(tr.Graph, tr.Tree, dis)
+	dis := dissimilarity(s)
+	res, err := build(tr.Graph, tr.Tree, dis, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +348,14 @@ func TestSecondPassAssignmentBruteForce(t *testing.T) {
 	for i := range edges {
 		edges[i].W = dis.At(int(edges[i].U), int(edges[i].V))
 	}
-	dg, err := graph.FromEdges(70, edges)
+	dg, err := graph.FromEdgesWS(nil, 70, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	apsp := dg.AllPairsShortestPaths()
+	apsp, err := dg.AllPairsShortestPathsWS(context.Background(), exec.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < 70; v++ {
 		if inConv[v] {
 			continue
@@ -375,16 +391,16 @@ func TestSecondPassAssignmentBruteForce(t *testing.T) {
 func TestPaperAssignmentVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	s := randomSym(rng, 60)
-	tr, err := tmfg.Build(s, 5)
+	tr, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := matrix.Dissimilarity(s)
-	impl, err := Build(tr.Graph, tr.Tree, dis)
+	dis := dissimilarity(s)
+	impl, err := build(tr.Graph, tr.Tree, dis, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := BuildWithOptions(tr.Graph, tr.Tree, dis, Options{PaperAssignment: true})
+	paper, err := build(tr.Graph, tr.Tree, dis, Options{PaperAssignment: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package dbht
 
 import (
+	"context"
 	"sort"
 	"testing"
 
+	"pfg/internal/exec"
 	"pfg/internal/matrix"
 	"pfg/internal/tmfg"
 )
@@ -41,7 +43,7 @@ func figure2Matrix() *matrix.Sym {
 
 func TestFigure2BubbleTree(t *testing.T) {
 	s := figure2Matrix()
-	r, err := tmfg.Build(s, 1)
+	r, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +123,11 @@ func TestFigure2BubbleTree(t *testing.T) {
 
 func TestFigure2DBHTEndToEnd(t *testing.T) {
 	s := figure2Matrix()
-	r, err := tmfg.Build(s, 1)
+	r, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Build(r.Graph, r.Tree, matrix.Dissimilarity(s))
+	res, err := build(r.Graph, r.Tree, dissimilarity(s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,32 +140,3 @@ func (d *Dendrogram) Cut(k int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// LeafCounts returns the number of leaves under every node (leaves have 1).
-func (d *Dendrogram) LeafCounts() []int32 {
-	counts := make([]int32, d.N+len(d.Merges))
-	for i := 0; i < d.N; i++ {
-		counts[i] = 1
-	}
-	for i, m := range d.Merges {
-		counts[d.N+i] = counts[m.A] + counts[m.B]
-	}
-	return counts
-}
-
-// Leaves returns the leaf ids under node id, in discovery order.
-func (d *Dendrogram) Leaves(node int32) []int32 {
-	var out []int32
-	stack := []int32{node}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x < int32(d.N) {
-			out = append(out, x)
-			continue
-		}
-		m := d.Merges[x-int32(d.N)]
-		stack = append(stack, m.B, m.A)
-	}
-	return out
-}

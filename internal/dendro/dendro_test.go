@@ -155,32 +155,6 @@ func TestCutWithTiedHeights(t *testing.T) {
 	}
 }
 
-func TestLeafCounts(t *testing.T) {
-	counts := chain4().LeafCounts()
-	want := []int32{1, 1, 1, 1, 2, 3, 4}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts=%v want %v", counts, want)
-		}
-	}
-}
-
-func TestLeaves(t *testing.T) {
-	d := chain4()
-	got := d.Leaves(d.Root())
-	if len(got) != 4 {
-		t.Fatalf("root leaves %v", got)
-	}
-	got5 := d.Leaves(4)
-	if len(got5) != 2 {
-		t.Fatalf("node 4 leaves %v", got5)
-	}
-	gotLeaf := d.Leaves(2)
-	if len(gotLeaf) != 1 || gotLeaf[0] != 2 {
-		t.Fatalf("leaf node leaves %v", gotLeaf)
-	}
-}
-
 func TestNewickChain(t *testing.T) {
 	d := chain4()
 	s, err := d.Newick(nil)

@@ -16,6 +16,7 @@ import (
 	"pfg/internal/mst"
 	"pfg/internal/tmfg"
 	"pfg/internal/tsgen"
+	"pfg/internal/ws"
 )
 
 // Extras compares DBHT against the additional related-work baselines the
@@ -25,16 +26,15 @@ func Extras(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Extras: related-work baselines (MST single-linkage, k-medoids)\n")
 	tw := newTable(&b, "ID", "TDBHT-10", "MST-SL", "K-MEDOIDS")
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, d := range sortedIDs(Datasets(cfg)) {
-		sim, dis, err := core.Correlate(d.Data.Series)
-		if err != nil {
-			panic(err)
-		}
+		sim, dis := correlate(w, d.Data.Series)
 		k := d.Data.NumClasses
 		truth := d.Data.Labels
 		row := []string{fmt.Sprint(d.Entry.ID)}
 		// TMFG+DBHT.
-		r := mustTMFGDBHT(sim, dis, 10)
+		r := mustTMFGDBHT(w, sim, dis, 10)
 		labels, err := r.CutLabels(k)
 		if err != nil {
 			panic(err)
@@ -72,11 +72,10 @@ func Extras(cfg Config) string {
 func AblationAPSP(cfg Config) string {
 	entry := tsgen.Catalog()[5]
 	data := tsgen.Generate(entry, cfg.ScaleN, cfg.MaxLen, cfg.Seed)
-	sim, dis, err := core.Correlate(data.Series)
-	if err != nil {
-		panic(err)
-	}
-	tm, err := tmfg.Build(sim, 10)
+	w := ws.Get()
+	defer ws.Put(w)
+	sim, dis := correlate(w, data.Series)
+	tm, err := tmfg.BuildWS(context.Background(), exec.Default(), w, sim, 10)
 	if err != nil {
 		panic(err)
 	}
@@ -86,7 +85,7 @@ func AblationAPSP(cfg Config) string {
 		edges[i].W = dis.At(int(edges[i].U), int(edges[i].V))
 	}
 	n := len(data.Series)
-	dg, err := graph.FromEdges(n, edges)
+	dg, err := graph.FromEdgesWS(w, n, edges)
 	if err != nil {
 		panic(err)
 	}
@@ -98,7 +97,11 @@ func AblationAPSP(cfg Config) string {
 		name string
 		run  func()
 	}{
-		{"warm-started chains (ours)", func() { dg.AllPairsShortestPaths() }},
+		{"warm-started chains (ours)", func() {
+			if _, err := dg.AllPairsShortestPathsWS(context.Background(), exec.Default(), w); err != nil {
+				panic(err)
+			}
+		}},
 		{"per-source Dijkstra", func() {
 			exec.Default().ForGrain(context.Background(), n, 1, func(src int) {
 				dg.Dijkstra(int32(src), rows[src*n:(src+1)*n])
@@ -121,11 +124,11 @@ func AblationCophenetic(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Ablation: cophenetic correlation with the input dissimilarities\n")
 	tw := newTable(&b, "ID", "TDBHT-10", "COMP", "AVG")
+	w := ws.Get()
+	defer ws.Put(w)
+	ctx := context.Background()
 	for _, d := range sortedIDs(Datasets(cfg)) {
-		sim, dis, err := core.Correlate(d.Data.Series)
-		if err != nil {
-			panic(err)
-		}
+		sim, dis := correlate(w, d.Data.Series)
 		row := []string{fmt.Sprint(d.Entry.ID)}
 		cc := func(r *core.Result, err error) string {
 			if err != nil {
@@ -137,9 +140,9 @@ func AblationCophenetic(cfg Config) string {
 			}
 			return fmt.Sprintf("%.3f", v)
 		}
-		row = append(row, cc(core.TMFGDBHT(sim, dis, 10)))
-		row = append(row, cc(core.HAC(dis, hac.Complete)))
-		row = append(row, cc(core.HAC(dis, hac.Average)))
+		row = append(row, cc(core.TMFGDBHTWS(ctx, exec.Default(), w, sim, dis, 10)))
+		row = append(row, cc(core.HACWS(ctx, exec.Default(), w, dis, hac.Complete)))
+		row = append(row, cc(core.HACWS(ctx, exec.Default(), w, dis, hac.Average)))
 		tw.row(row...)
 	}
 	tw.flush()
@@ -155,18 +158,18 @@ func AblationFootnote(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Ablation: DBHT bubble-assignment variant (footnote 2)\n")
 	tw := newTable(&b, "ID", "implementation (χ′ re-assign)", "paper text (pinned)")
+	w := ws.Get()
+	defer ws.Put(w)
+	ctx := context.Background()
 	for _, d := range sortedIDs(Datasets(cfg)) {
-		sim, dis, err := core.Correlate(d.Data.Series)
-		if err != nil {
-			panic(err)
-		}
-		tm, err := tmfg.Build(sim, 10)
+		sim, dis := correlate(w, d.Data.Series)
+		tm, err := tmfg.BuildWS(ctx, exec.Default(), w, sim, 10)
 		if err != nil {
 			panic(err)
 		}
 		k := d.Data.NumClasses
 		cell := func(opts dbht.Options) string {
-			r, err := dbht.BuildWithOptions(tm.Graph, tm.Tree, dis, opts)
+			r, err := dbht.BuildWS(ctx, exec.Default(), w, tm.Graph, tm.Tree, dis, opts)
 			if err != nil {
 				return "err"
 			}

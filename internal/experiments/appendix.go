@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pfg/internal/matrix"
+	"pfg/internal/ws"
 )
 
 // appendixMatrix is the 6×6 correlation matrix from Figure 12 of the paper;
@@ -35,8 +36,10 @@ func Appendix(Config) string {
 	s := appendixMatrix()
 	var b strings.Builder
 	b.WriteString("Appendix example (Figures 12-13): prefix=1 vs prefix=3\n\n")
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, prefix := range []int{1, 3} {
-		r := mustTMFGDBHT(s, nil, prefix)
+		r := mustTMFGDBHT(w, s, nil, prefix)
 		labels, err := r.CutLabels(2)
 		if err != nil {
 			panic(err)

@@ -6,13 +6,18 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
+	"pfg/internal/core"
+	"pfg/internal/exec"
+	"pfg/internal/matrix"
 	"pfg/internal/tsgen"
+	"pfg/internal/ws"
 )
 
 // Config scales the experiments to the host. The paper's full sizes (n up to
@@ -89,6 +94,28 @@ func Table2(cfg Config) string {
 	}
 	tw.flush()
 	return b.String()
+}
+
+// Each experiment holds one workspace for its whole run and runs without
+// cancellation. Stages take exec.Default() at the call, so they follow the
+// GOMAXPROCS that withThreads sets.
+
+// correlate computes the similarity and dissimilarity matrices of series,
+// with scratch from w.
+func correlate(w *ws.Workspace, series [][]float64) (sim, dis *matrix.Sym) {
+	sim, dis, err := matrix.PearsonDissimWS(context.Background(), exec.Default(), w, series)
+	if err != nil {
+		panic(err)
+	}
+	return sim, dis
+}
+
+func mustTMFGDBHT(w *ws.Workspace, sim, dis *matrix.Sym, prefix int) *core.Result {
+	r, err := core.TMFGDBHTWS(context.Background(), exec.Default(), w, sim, dis, prefix)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // withThreads runs f with GOMAXPROCS set to p, restoring it afterwards.

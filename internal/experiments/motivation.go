@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"pfg/internal/core"
 	"pfg/internal/exec"
 	"pfg/internal/graph"
 	"pfg/internal/tmfg"
+	"pfg/internal/ws"
 )
 
 // Motivation quantifies the introduction's argument for topological
@@ -21,11 +21,10 @@ func Motivation(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Motivation: same edge budget, threshold filter vs TMFG\n")
 	tw := newTable(&b, "ID", "n", "edges", "thr components", "thr isolated", "thr largest", "tmfg components")
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, d := range sortedIDs(Datasets(cfg)) {
-		sim, _, err := core.Correlate(d.Data.Series)
-		if err != nil {
-			panic(err)
-		}
+		sim, _ := correlate(w, d.Data.Series)
 		n := sim.N
 		budget := 3*n - 6
 		// Top-budget edges by similarity.
@@ -39,7 +38,7 @@ func Motivation(cfg Config) string {
 				cands = append(cands, cand{w: sim.At(i, j), u: int32(i), v: int32(j)})
 			}
 		}
-		err = exec.Sort(context.Background(), exec.Default(), cands, func(a, c cand) bool {
+		err := exec.Sort(context.Background(), exec.Default(), cands, func(a, c cand) bool {
 			if a.w != c.w {
 				return a.w > c.w
 			}
@@ -55,7 +54,7 @@ func Motivation(cfg Config) string {
 		for _, c := range cands[:budget] {
 			edges = append(edges, graph.Edge{U: c.u, V: c.v, W: c.w})
 		}
-		tg, err := graph.FromEdges(n, edges)
+		tg, err := graph.FromEdgesWS(w, n, edges)
 		if err != nil {
 			panic(err)
 		}
@@ -69,7 +68,7 @@ func Motivation(cfg Config) string {
 				isolated++
 			}
 		}
-		tm, err := tmfg.Build(sim, 10)
+		tm, err := tmfg.BuildWS(context.Background(), exec.Default(), w, sim, 10)
 		if err != nil {
 			panic(err)
 		}

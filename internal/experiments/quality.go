@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 
 	"pfg/internal/core"
+	"pfg/internal/exec"
 	"pfg/internal/hac"
 	"pfg/internal/metrics"
 	"pfg/internal/pmfg"
 	"pfg/internal/tmfg"
+	"pfg/internal/ws"
 )
 
 // Fig6 reproduces Figure 6: ARI of PAR-TDBHT across prefix sizes per
@@ -23,14 +26,13 @@ func Fig6(cfg Config) string {
 		headers = append(headers, fmt.Sprintf("pfx=%d", p))
 	}
 	tw := newTable(&b, headers...)
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, d := range sortedIDs(Datasets(cfg)) {
-		sim, dis, err := core.Correlate(d.Data.Series)
-		if err != nil {
-			panic(err)
-		}
+		sim, dis := correlate(w, d.Data.Series)
 		row := []string{fmt.Sprint(d.Entry.ID), d.Entry.Name}
 		for _, prefix := range prefixes {
-			r := mustTMFGDBHT(sim, dis, prefix)
+			r := mustTMFGDBHT(w, sim, dis, prefix)
 			labels, err := r.CutLabels(d.Data.NumClasses)
 			if err != nil {
 				row = append(row, "err")
@@ -60,19 +62,19 @@ func Fig7(cfg Config) string {
 		headers = append(headers, fmt.Sprintf("pfx=%d", p))
 	}
 	tw := newTable(&b, headers...)
+	w := ws.Get()
+	defer ws.Put(w)
+	ctx := context.Background()
 	for _, d := range sortedIDs(Datasets(cfg)) {
-		sim, _, err := core.Correlate(d.Data.Series)
-		if err != nil {
-			panic(err)
-		}
-		exact, err := tmfg.Build(sim, 1)
+		sim, _ := correlate(w, d.Data.Series)
+		exact, err := tmfg.BuildWS(ctx, exec.Default(), w, sim, 1)
 		if err != nil {
 			panic(err)
 		}
 		base := exact.EdgeWeightSum(sim)
 		row := []string{fmt.Sprint(d.Entry.ID)}
 		if len(d.Data.Series) <= cfg.PMFGMaxN {
-			p, err := pmfg.Build(sim)
+			p, err := pmfg.BuildCtx(ctx, exec.Default(), sim)
 			if err != nil {
 				panic(err)
 			}
@@ -84,7 +86,7 @@ func Fig7(cfg Config) string {
 			if prefix == 1 {
 				continue
 			}
-			r, err := tmfg.Build(sim, prefix)
+			r, err := tmfg.BuildWS(ctx, exec.Default(), w, sim, prefix)
 			if err != nil {
 				panic(err)
 			}
@@ -102,11 +104,11 @@ func Fig8(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Figure 8: clustering quality (ARI) of all methods\n")
 	tw := newTable(&b, "ID", "TDBHT-1", "TDBHT-10", "PMFG", "COMP", "AVG", "KMEANS", "KMEANS-S")
+	w := ws.Get()
+	defer ws.Put(w)
+	ctx := context.Background()
 	for _, d := range sortedIDs(Datasets(cfg)) {
-		sim, dis, err := core.Correlate(d.Data.Series)
-		if err != nil {
-			panic(err)
-		}
+		sim, dis := correlate(w, d.Data.Series)
 		k := d.Data.NumClasses
 		truth := d.Data.Labels
 		cell := func(labels []int, err error) string {
@@ -124,18 +126,19 @@ func Fig8(cfg Config) string {
 			return cell(labels, err)
 		}
 		row := []string{fmt.Sprint(d.Entry.ID)}
-		row = append(row, hierCell(core.TMFGDBHT(sim, dis, 1)))
-		row = append(row, hierCell(core.TMFGDBHT(sim, dis, 10)))
+		pool := exec.Default()
+		row = append(row, hierCell(core.TMFGDBHTWS(ctx, pool, w, sim, dis, 1)))
+		row = append(row, hierCell(core.TMFGDBHTWS(ctx, pool, w, sim, dis, 10)))
 		if len(d.Data.Series) <= cfg.PMFGMaxN {
-			row = append(row, hierCell(core.PMFGDBHT(sim, dis)))
+			row = append(row, hierCell(core.PMFGDBHTWS(ctx, pool, w, sim, dis)))
 		} else {
 			row = append(row, "timeout")
 		}
-		row = append(row, hierCell(core.HAC(dis, hac.Complete)))
-		row = append(row, hierCell(core.HAC(dis, hac.Average)))
-		row = append(row, cell(core.KMeans(d.Data.Series, k, cfg.Seed)))
+		row = append(row, hierCell(core.HACWS(ctx, pool, w, dis, hac.Complete)))
+		row = append(row, hierCell(core.HACWS(ctx, pool, w, dis, hac.Average)))
+		row = append(row, cell(core.KMeansCtx(ctx, pool, d.Data.Series, k, cfg.Seed)))
 		beta := bestBeta(len(d.Data.Series))
-		row = append(row, cell(core.KMeansSpectral(d.Data.Series, k, beta, cfg.Seed)))
+		row = append(row, cell(core.KMeansSpectralCtx(ctx, pool, d.Data.Series, k, beta, cfg.Seed)))
 		tw.row(row...)
 	}
 	tw.flush()
@@ -172,7 +175,7 @@ func Fig9(cfg Config) string {
 			if beta < 2 || beta >= n {
 				continue
 			}
-			labels, err := core.KMeansSpectral(d.Data.Series, d.Data.NumClasses, beta, cfg.Seed)
+			labels, err := core.KMeansSpectralCtx(context.Background(), exec.Default(), d.Data.Series, d.Data.NumClasses, beta, cfg.Seed)
 			if err != nil {
 				continue
 			}

@@ -1,16 +1,18 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"time"
 
 	"pfg/internal/core"
+	"pfg/internal/exec"
 	"pfg/internal/hac"
-	"pfg/internal/matrix"
 	"pfg/internal/metrics"
 	"pfg/internal/tsgen"
+	"pfg/internal/ws"
 )
 
 // methodRun couples a method's runtime and quality on one data set.
@@ -22,12 +24,11 @@ type methodRun struct {
 }
 
 // runAllMethods executes the hierarchical methods of Figures 1/3/8 on a
-// data set, cutting each dendrogram at the ground-truth class count.
-func runAllMethods(cfg Config, d Dataset, includePMFG bool) []methodRun {
-	sim, dis, err := core.Correlate(d.Data.Series)
-	if err != nil {
-		panic(err)
-	}
+// data set, cutting each dendrogram at the ground-truth class count, with
+// scratch from w.
+func runAllMethods(cfg Config, w *ws.Workspace, d Dataset, includePMFG bool) []methodRun {
+	sim, dis := correlate(w, d.Data.Series)
+	ctx := context.Background()
 	truth := d.Data.Labels
 	k := d.Data.NumClasses
 	cutARI := func(r *core.Result) float64 {
@@ -45,37 +46,25 @@ func runAllMethods(cfg Config, d Dataset, includePMFG bool) []methodRun {
 		out = append(out, methodRun{name: name, elapsed: el, ari: cutARI(r)})
 	}
 	run("COMP", func() *core.Result {
-		r, err := core.HAC(dis, hac.Complete)
+		r, err := core.HACWS(ctx, exec.Default(), w, dis, hac.Complete)
 		if err != nil {
 			panic(err)
 		}
 		return r
 	})
 	run("AVG", func() *core.Result {
-		r, err := core.HAC(dis, hac.Average)
+		r, err := core.HACWS(ctx, exec.Default(), w, dis, hac.Average)
 		if err != nil {
 			panic(err)
 		}
 		return r
 	})
-	run("PAR-TDBHT-1", func() *core.Result {
-		r, err := core.TMFGDBHT(sim, dis, 1)
-		if err != nil {
-			panic(err)
-		}
-		return r
-	})
-	run("PAR-TDBHT-10", func() *core.Result {
-		r, err := core.TMFGDBHT(sim, dis, 10)
-		if err != nil {
-			panic(err)
-		}
-		return r
-	})
+	run("PAR-TDBHT-1", func() *core.Result { return mustTMFGDBHT(w, sim, dis, 1) })
+	run("PAR-TDBHT-10", func() *core.Result { return mustTMFGDBHT(w, sim, dis, 10) })
 	if includePMFG {
 		if len(d.Data.Series) <= cfg.PMFGMaxN {
 			run("PMFG-DBHT", func() *core.Result {
-				r, err := core.PMFGDBHT(sim, dis)
+				r, err := core.PMFGDBHTWS(ctx, exec.Default(), w, sim, dis)
 				if err != nil {
 					panic(err)
 				}
@@ -94,9 +83,11 @@ func Fig1(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Figure 1: sequential runtime vs clustering quality (ARI)\n")
 	tw := newTable(&b, "ID", "dataset", "method", "1-thread time", "ARI")
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, d := range sortedIDs(Datasets(cfg)) {
 		var runs []methodRun
-		withThreads(1, func() { runs = runAllMethods(cfg, d, true) })
+		withThreads(1, func() { runs = runAllMethods(cfg, w, d, true) })
 		for _, r := range runs {
 			if r.skipped {
 				tw.row(fmt.Sprint(d.Entry.ID), d.Entry.Name, r.name, "timeout", "-")
@@ -116,6 +107,8 @@ func Fig3(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Figure 3: runtimes on 1 thread and on all cores\n")
 	tw := newTable(&b, "ID", "method", "1-thread", "all-cores", "speedup")
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, d := range sortedIDs(Datasets(cfg)) {
 		type pair struct {
 			seq, par time.Duration
@@ -124,12 +117,12 @@ func Fig3(cfg Config) string {
 		acc := map[string]*pair{}
 		order := []string{}
 		withThreads(1, func() {
-			for _, r := range runAllMethods(cfg, d, true) {
+			for _, r := range runAllMethods(cfg, w, d, true) {
 				acc[r.name] = &pair{seq: r.elapsed, skipped: r.skipped}
 				order = append(order, r.name)
 			}
 		})
-		for _, r := range runAllMethods(cfg, d, true) {
+		for _, r := range runAllMethods(cfg, w, d, true) {
 			acc[r.name].par = r.elapsed
 		}
 		for _, name := range order {
@@ -152,10 +145,9 @@ func Fig3(cfg Config) string {
 func Fig4(cfg Config) string {
 	entry := tsgen.Catalog()[16] // Crop
 	data := tsgen.Generate(entry, cfg.ScaleN, cfg.MaxLen, cfg.Seed)
-	sim, dis, err := core.Correlate(data.Series)
-	if err != nil {
-		panic(err)
-	}
+	w := ws.Get()
+	defer ws.Put(w)
+	sim, dis := correlate(w, data.Series)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 4: self-relative speedup vs threads (%s-like, n=%d)\n", entry.Name, len(data.Series))
 	threads := threadCounts()
@@ -170,11 +162,7 @@ func Fig4(cfg Config) string {
 		for i, p := range threads {
 			var el time.Duration
 			withThreads(p, func() {
-				el = timeIt(func() {
-					if _, err := core.TMFGDBHT(sim, dis, prefix); err != nil {
-						panic(err)
-					}
-				})
+				el = timeIt(func() { mustTMFGDBHT(w, sim, dis, prefix) })
 			})
 			if i == 0 {
 				base = el
@@ -198,10 +186,9 @@ func Fig4(cfg Config) string {
 func Fig5(cfg Config) string {
 	entry := tsgen.Catalog()[5] // ECG5000
 	data := tsgen.Generate(entry, cfg.ScaleN, cfg.MaxLen, cfg.Seed)
-	sim, dis, err := core.Correlate(data.Series)
-	if err != nil {
-		panic(err)
-	}
+	w := ws.Get()
+	defer ws.Put(w)
+	sim, dis := correlate(w, data.Series)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5: runtime breakdown (%s-like, n=%d)\n", entry.Name, len(data.Series))
 	for _, mode := range []struct {
@@ -212,13 +199,7 @@ func Fig5(cfg Config) string {
 		tw := newTable(&b, "prefix", "tmfg", "apsp", "bubble-tree", "hierarchy", "total")
 		for _, prefix := range prefixSweep(cfg) {
 			var r *core.Result
-			f := func() {
-				var err error
-				r, err = core.TMFGDBHT(sim, dis, prefix)
-				if err != nil {
-					panic(err)
-				}
-			}
+			f := func() { r = mustTMFGDBHT(w, sim, dis, prefix) }
 			if mode.threads > 0 {
 				withThreads(mode.threads, f)
 			} else {
@@ -250,17 +231,16 @@ func Scaling(cfg Config) string {
 		seq, par float64
 	}
 	var observations []obs
+	w := ws.Get()
+	defer ws.Put(w)
 	for _, n := range sizes {
 		data := tsgen.Generate(entry, n, cfg.MaxLen, cfg.Seed)
-		sim, dis, err := core.Correlate(data.Series)
-		if err != nil {
-			panic(err)
-		}
+		sim, dis := correlate(w, data.Series)
 		var seq, par time.Duration
 		withThreads(1, func() {
-			seq = timeIt(func() { mustTMFGDBHT(sim, dis, 10) })
+			seq = timeIt(func() { mustTMFGDBHT(w, sim, dis, 10) })
 		})
-		par = timeIt(func() { mustTMFGDBHT(sim, dis, 10) })
+		par = timeIt(func() { mustTMFGDBHT(w, sim, dis, 10) })
 		observations = append(observations, obs{n: len(data.Series), seq: seq.Seconds(), par: par.Seconds()})
 		tw.row(fmt.Sprint(len(data.Series)), fmtDur(seq), fmtDur(par))
 	}
@@ -281,12 +261,4 @@ func Scaling(cfg Config) string {
 	fmt.Fprintf(&b, "\nfitted exponents: sequential n^%.2f, parallel n^%.2f\n", fit(func(o obs) float64 { return o.seq }), fit(func(o obs) float64 { return o.par }))
 	b.WriteString("(paper: n^2.22 sequential, n^1.79 on 48 cores)\n")
 	return b.String()
-}
-
-func mustTMFGDBHT(sim, dis *matrix.Sym, prefix int) *core.Result {
-	r, err := core.TMFGDBHT(sim, dis, prefix)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

@@ -1,15 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 
-	"pfg/internal/core"
+	"pfg/internal/exec"
 	"pfg/internal/metrics"
 	"pfg/internal/spectral"
 	"pfg/internal/tsgen"
+	"pfg/internal/ws"
 )
 
 // stockClusters runs the paper's stock pipeline: detrended log-returns →
@@ -26,7 +28,7 @@ func stockClusters(cfg Config, prefix int) (*tsgen.StockData, []int, float64) {
 	}
 	sd := tsgen.GenerateStocks(n, days, cfg.Seed)
 	k := len(tsgen.SectorNames)
-	emb, err := spectral.Embed(sd.Returns, spectral.Options{
+	emb, err := spectral.EmbedCtx(context.Background(), exec.Default(), sd.Returns, spectral.Options{
 		Neighbors:  bestBeta(n),
 		Components: k,
 		Seed:       cfg.Seed,
@@ -34,11 +36,10 @@ func stockClusters(cfg Config, prefix int) (*tsgen.StockData, []int, float64) {
 	if err != nil {
 		panic(err)
 	}
-	sim, dis, err := core.Correlate(emb)
-	if err != nil {
-		panic(err)
-	}
-	r := mustTMFGDBHT(sim, dis, prefix)
+	w := ws.Get()
+	defer ws.Put(w)
+	sim, dis := correlate(w, emb)
+	r := mustTMFGDBHT(w, sim, dis, prefix)
 	labels, err := r.CutLabels(k)
 	if err != nil {
 		panic(err)

@@ -1,9 +1,13 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"pfg/internal/exec"
+	"pfg/internal/ws"
 )
 
 // benchGraph builds a deterministic sparse graph with ~3n edges (each vertex
@@ -23,7 +27,7 @@ func benchGraph(tb testing.TB, n int) *Graph {
 			}
 		}
 	}
-	g, err := FromEdges(n, edges)
+	g, err := FromEdgesWS(nil, n, edges)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -36,14 +40,18 @@ func BenchmarkAPSP(b *testing.B) {
 	for _, n := range []int{128, 512, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := benchGraph(b, n)
-			// Warm-up so b.N iterations run on a warm workspace pool.
-			g.AllPairsShortestPaths()
+			ctx, pool := context.Background(), exec.Default()
+			w := ws.Get()
+			defer ws.Put(w)
+			// Warm-up so b.N iterations run on a warm workspace.
+			if _, err := g.AllPairsShortestPathsWS(ctx, pool, w); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := g.AllPairsShortestPaths()
-				if a == nil {
-					b.Fatal("nil APSP")
+				if _, err := g.AllPairsShortestPathsWS(ctx, pool, w); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -13,7 +13,7 @@ func TestComponentsWithoutRemovals(t *testing.T) {
 		{2, 3, 1},
 		{3, 4, 1}, {4, 5, 1}, {3, 5, 1},
 	}
-	g, err := FromEdges(6, edges)
+	g, err := FromEdgesWS(nil, 6, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestConnectedMatchesComponents(t *testing.T) {
 	defer ws.Put(w)
 	for _, removed := range [][]int32{nil, {6}, {0}, {0, 11}, {1, 10}} {
 		want := g.NumComponentsWithout(w, removed) <= 1
-		if got := g.ConnectedWS(w, removed...); got != want {
+		if got := g.Connected(removed...); got != want {
 			t.Fatalf("Connected(%v) = %v, NumComponents disagrees", removed, got)
 		}
 	}

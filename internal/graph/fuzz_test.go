@@ -73,7 +73,7 @@ func FuzzAPSP(f *testing.F) {
 		for i, a := range arcs {
 			edges[i] = Edge{U: a.u, V: a.v, W: a.uv}
 		}
-		g, err := FromEdges(n, edges)
+		g, err := FromEdgesWS(nil, n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func FuzzAPSP(f *testing.F) {
 		}
 		for _, workers := range []int{1, 3} {
 			p := exec.New(workers)
-			a, err := g.AllPairsShortestPathsCtx(context.Background(), p)
+			a, err := g.AllPairsShortestPathsWS(context.Background(), p, nil)
 			p.Close()
 			if err != nil {
 				t.Fatal(err)

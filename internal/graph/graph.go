@@ -1,14 +1,14 @@
 // Package graph provides the weighted undirected graph representation and
-// shortest-path machinery used by filtered-graph clustering: BFS, Dijkstra
+// shortest-path machinery used by filtered-graph clustering: Dijkstra
 // single-source shortest paths, parallel warm-started all-pairs shortest
 // paths, triangle enumeration, and connectivity queries.
 //
 // All hot paths run on flat memory: the graph itself is CSR, visited sets
 // are dense bitsets, and component enumeration produces flat CSR-offset
-// groupings (ws.Grouping) instead of ragged [][]int32. Every *WS variant
-// draws its scratch (and, where documented, its result buffers) from a
-// ws.Workspace so repeated same-shape calls allocate nothing at steady
-// state; the plain variants delegate with a pooled workspace.
+// groupings (ws.Grouping) instead of ragged [][]int32. Every function that
+// takes a ws.Workspace draws its scratch (and, where documented, its result
+// buffers) from it, so repeated same-shape calls allocate nothing at steady
+// state; a nil workspace allocates.
 package graph
 
 import (
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 
+	"pfg/internal/bitset"
 	"pfg/internal/ws"
 )
 
@@ -63,15 +64,11 @@ func CanonicalEdges(edges [][2]int32) [][2]int32 {
 	return out
 }
 
-// FromEdges builds a Graph on n vertices from an undirected edge list.
-// Duplicate and self edges are rejected.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	return FromEdgesWS(nil, n, edges)
-}
-
-// FromEdgesWS is FromEdges drawing both its scratch and the graph's CSR
-// arrays from the workspace. The arrays remain owned by the returned graph;
-// call Release to hand them back once the graph is no longer needed.
+// FromEdgesWS builds a Graph on n vertices from an undirected edge list,
+// drawing both its scratch and the graph's CSR arrays from w (nil
+// allocates). Duplicate and self edges are rejected. The arrays remain owned
+// by the returned graph; call Release to hand them back once the graph is no
+// longer needed.
 func FromEdgesWS(w *ws.Workspace, n int, edges []Edge) (*Graph, error) {
 	deg := w.Int32(n)
 	clear(deg)
@@ -167,19 +164,10 @@ func (g *Graph) ReleaseWeights(w *ws.Workspace) {
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
 
-// Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int32) int { return int(g.Off[v+1] - g.Off[v]) }
-
 // Neighbors returns v's adjacency and weight slices (views; do not modify).
 func (g *Graph) Neighbors(v int32) ([]int32, []float64) {
 	lo, hi := g.Off[v], g.Off[v+1]
 	return g.Adj[lo:hi], g.Weight[lo:hi]
-}
-
-// HasEdge reports whether {u, v} is an edge, using binary search.
-func (g *Graph) HasEdge(u, v int32) bool {
-	_, ok := g.EdgeWeight(u, v)
-	return ok
 }
 
 // EdgeWeight returns the weight of edge {u, v} and whether it exists.
@@ -219,15 +207,6 @@ func (g *Graph) WeightedDegree(v int32) float64 {
 	return s
 }
 
-// TotalWeight returns the sum of all edge weights (each edge once).
-func (g *Graph) TotalWeight() float64 {
-	s := 0.0
-	for _, w := range g.Weight {
-		s += w
-	}
-	return s / 2
-}
-
 // Edges returns the undirected edge list with U < V, sorted.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
@@ -245,15 +224,7 @@ func (g *Graph) Edges() []Edge {
 // Connected reports whether the graph is connected (vacuously true for
 // n ≤ 1). excluded vertices (if any) are treated as removed.
 func (g *Graph) Connected(excluded ...int32) bool {
-	w := ws.Get()
-	defer ws.Put(w)
-	return g.ConnectedWS(w, excluded...)
-}
-
-// ConnectedWS is Connected with explicit workspace scratch.
-func (g *Graph) ConnectedWS(w *ws.Workspace, excluded ...int32) bool {
-	skip := w.Bitset(g.N)
-	defer w.PutBitset(skip)
+	skip := bitset.New(g.N)
 	for _, v := range excluded {
 		skip.Set(v)
 	}
@@ -270,8 +241,7 @@ func (g *Graph) ConnectedWS(w *ws.Workspace, excluded ...int32) bool {
 	if remaining <= 1 {
 		return true
 	}
-	queue := w.Int32(g.N)
-	defer w.PutInt32(queue)
+	queue := make([]int32, g.N)
 	// Reuse skip as the visited set: a vertex is enqueued at most once.
 	skip.Set(start)
 	queue[0] = start

@@ -11,16 +11,31 @@ import (
 	"time"
 
 	"pfg/internal/exec"
-	"pfg/internal/ws"
 )
 
 func mustGraph(t *testing.T, n int, edges []Edge) *Graph {
 	t.Helper()
-	g, err := FromEdges(n, edges)
+	g, err := FromEdgesWS(nil, n, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// hasEdge reports whether {u, v} is an edge of g.
+func hasEdge(g *Graph, u, v int32) bool {
+	_, ok := g.EdgeWeight(u, v)
+	return ok
+}
+
+// allPairs runs APSP on the default pool without a workspace.
+func allPairs(t *testing.T, g *Graph) *APSP {
+	t.Helper()
+	a, err := g.AllPairsShortestPathsWS(context.Background(), exec.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 // pathGraph returns 0-1-2-...-(n-1) with unit weights.
@@ -69,11 +84,14 @@ func TestFromEdgesBasics(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Fatalf("NumEdges=%d want 3", g.NumEdges())
 	}
-	if g.Degree(1) != 2 || g.Degree(3) != 1 {
-		t.Fatal("wrong degrees")
+	if adj, _ := g.Neighbors(1); len(adj) != 2 {
+		t.Fatal("wrong degree of 1")
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || g.HasEdge(2, 3) {
-		t.Fatal("HasEdge wrong")
+	if adj, _ := g.Neighbors(3); len(adj) != 1 {
+		t.Fatal("wrong degree of 3")
+	}
+	if !hasEdge(g, 0, 1) || !hasEdge(g, 1, 0) || hasEdge(g, 2, 3) {
+		t.Fatal("EdgeWeight membership wrong")
 	}
 	if w, ok := g.EdgeWeight(1, 2); !ok || w != 2.5 {
 		t.Fatalf("EdgeWeight(1,2)=%v,%v", w, ok)
@@ -84,19 +102,23 @@ func TestFromEdgesBasics(t *testing.T) {
 	if got := g.WeightedDegree(0); got != 2.0 {
 		t.Fatalf("WeightedDegree(0)=%v want 2", got)
 	}
-	if got := g.TotalWeight(); got != 4.5 {
-		t.Fatalf("TotalWeight=%v want 4.5", got)
+	total := 0.0
+	for _, e := range g.Edges() {
+		total += e.W
+	}
+	if total != 4.5 {
+		t.Fatalf("total edge weight %v want 4.5", total)
 	}
 }
 
 func TestFromEdgesRejectsBadInput(t *testing.T) {
-	if _, err := FromEdges(3, []Edge{{0, 0, 1}}); err == nil {
+	if _, err := FromEdgesWS(nil, 3, []Edge{{0, 0, 1}}); err == nil {
 		t.Fatal("self loop accepted")
 	}
-	if _, err := FromEdges(3, []Edge{{0, 5, 1}}); err == nil {
+	if _, err := FromEdgesWS(nil, 3, []Edge{{0, 5, 1}}); err == nil {
 		t.Fatal("out of range accepted")
 	}
-	if _, err := FromEdges(3, []Edge{{0, 1, 1}, {1, 0, 2}}); err == nil {
+	if _, err := FromEdgesWS(nil, 3, []Edge{{0, 1, 1}, {1, 0, 2}}); err == nil {
 		t.Fatal("duplicate edge accepted")
 	}
 }
@@ -204,7 +226,7 @@ func TestTrianglesCountsMatchBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(8)
 		edges := randomConnectedGraph(rng, n, 2*n)
-		g, err := FromEdges(n, edges)
+		g, err := FromEdgesWS(nil, n, edges)
 		if err != nil {
 			return false
 		}
@@ -213,7 +235,7 @@ func TestTrianglesCountsMatchBruteForce(t *testing.T) {
 		for a := int32(0); int(a) < n; a++ {
 			for b := a + 1; int(b) < n; b++ {
 				for c := b + 1; int(c) < n; c++ {
-					if g.HasEdge(a, b) && g.HasEdge(b, c) && g.HasEdge(a, c) {
+					if hasEdge(g, a, b) && hasEdge(g, b, c) && hasEdge(g, a, c) {
 						want++
 					}
 				}
@@ -223,22 +245,6 @@ func TestTrianglesCountsMatchBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBFSDistances(t *testing.T) {
-	g := pathGraph(t, 6)
-	d := g.BFSDistances(0)
-	for i := 0; i < 6; i++ {
-		if d[i] != int32(i) {
-			t.Fatalf("d[%d]=%d want %d", i, d[i], i)
-		}
-	}
-	// Disconnected vertex.
-	g2 := mustGraph(t, 3, []Edge{{0, 1, 1}})
-	d2 := g2.BFSDistances(0)
-	if d2[2] != -1 {
-		t.Fatal("unreachable vertex should be -1")
 	}
 }
 
@@ -291,7 +297,7 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(20)
 		edges := randomConnectedGraph(rng, n, n)
-		g, err := FromEdges(n, edges)
+		g, err := FromEdgesWS(nil, n, edges)
 		if err != nil {
 			return false
 		}
@@ -316,7 +322,7 @@ func TestAPSPMatchesDijkstraAndIsSymmetric(t *testing.T) {
 	n := 60
 	edges := randomConnectedGraph(rng, n, 3*n)
 	g := mustGraph(t, n, edges)
-	a := g.AllPairsShortestPaths()
+	a := allPairs(t, g)
 	for src := 0; src < n; src += 7 {
 		d := g.Dijkstra(int32(src), nil)
 		for v := 0; v < n; v++ {
@@ -338,7 +344,7 @@ func TestAPSPTriangleInequality(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 40
 	g := mustGraph(t, n, randomConnectedGraph(rng, n, 2*n))
-	a := g.AllPairsShortestPaths()
+	a := allPairs(t, g)
 	for u := int32(0); int(u) < n; u++ {
 		for v := int32(0); int(v) < n; v++ {
 			for w := int32(0); int(w) < n; w += 5 {
@@ -359,22 +365,6 @@ func TestDijkstraReusesOutSlice(t *testing.T) {
 	}
 }
 
-// TestBFSDistancesWS checks the workspace-backed variant matches the
-// allocating one and that its result releases cleanly.
-func TestBFSDistancesWS(t *testing.T) {
-	g := pathGraph(t, 9)
-	w := ws.Get()
-	defer ws.Put(w)
-	want := g.BFSDistances(2)
-	got := g.BFSDistancesWS(w, 2)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("d[%d]=%d want %d", i, got[i], want[i])
-		}
-	}
-	w.PutInt32(got)
-}
-
 // TestAPSPWorkersBitIdentical pins the Dijkstra APSP to the same bits for
 // every worker budget: each source's run is sequential, so the partition of
 // sources across workers cannot change any distance.
@@ -383,13 +373,13 @@ func TestAPSPWorkersBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	p1 := exec.New(1)
 	defer p1.Close()
-	a1, err := g.AllPairsShortestPathsCtx(ctx, p1)
+	a1, err := g.AllPairsShortestPathsWS(ctx, p1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7} {
 		p := exec.New(workers)
-		a, err := g.AllPairsShortestPathsCtx(ctx, p)
+		a, err := g.AllPairsShortestPathsWS(ctx, p, nil)
 		p.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -437,7 +427,7 @@ func checkAPSPEverySource(t *testing.T, name string, g *Graph) {
 	}
 	for _, workers := range []int{1, 2, 3, 7} {
 		p := exec.New(workers)
-		a, err := g.AllPairsShortestPathsCtx(context.Background(), p)
+		a, err := g.AllPairsShortestPathsWS(context.Background(), p, nil)
 		p.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -538,7 +528,7 @@ func TestAPSPNegativeWeightPanics(t *testing.T) {
 				defer func() { done <- recover() }()
 				p := exec.New(workers)
 				defer p.Close()
-				g.AllPairsShortestPathsCtx(context.Background(), p)
+				g.AllPairsShortestPathsWS(context.Background(), p, nil)
 			}()
 			select {
 			case r := <-done:
@@ -574,7 +564,7 @@ func TestAPSPCancelledMidRun(t *testing.T) {
 		ctx := &countdownCtx{Context: context.Background()}
 		ctx.left.Store(60)
 		p := exec.New(workers)
-		a, err := g.AllPairsShortestPathsCtx(ctx, p)
+		a, err := g.AllPairsShortestPathsWS(ctx, p, nil)
 		p.Close()
 		if err != context.Canceled || a != nil {
 			t.Fatalf("workers=%d: got (%v, %v), want (nil, context.Canceled)", workers, a, err)

@@ -94,48 +94,6 @@ func (g *Graph) Dijkstra(src int32, out []float64) []float64 {
 	return out
 }
 
-// BFSDistances computes hop-count distances from src (-1 for unreachable).
-// The result is freshly allocated; hot paths use BFSDistancesWS.
-func (g *Graph) BFSDistances(src int32) []int32 {
-	w := ws.Get()
-	defer ws.Put(w)
-	out := make([]int32, g.N)
-	g.bfsDistancesInto(w, src, out)
-	return out
-}
-
-// BFSDistancesWS is BFSDistances with both the queue scratch and the result
-// drawn from the workspace; release the returned slice with w.PutInt32 when
-// done.
-func (g *Graph) BFSDistancesWS(w *ws.Workspace, src int32) []int32 {
-	out := w.Int32(g.N)
-	g.bfsDistancesInto(w, src, out)
-	return out
-}
-
-func (g *Graph) bfsDistancesInto(w *ws.Workspace, src int32, dist []int32) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := w.Int32(g.N)
-	defer w.PutInt32(queue)
-	queue[0] = src
-	qh, qt := 0, 1
-	for qh < qt {
-		v := queue[qh]
-		qh++
-		adj, _ := g.Neighbors(v)
-		for _, u := range adj {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue[qt] = u
-				qt++
-			}
-		}
-	}
-}
-
 // APSP holds all-pairs shortest path distances as an n×n row-major matrix:
 // row u holds the distances from source u. DBHT reads all of them; the
 // paper computes them with one Dijkstra per source, in parallel, since
@@ -148,26 +106,12 @@ type APSP struct {
 // At returns the shortest-path distance from u to v.
 func (a *APSP) At(u, v int32) float64 { return a.Dist[int(u)*a.N+int(v)] }
 
-// AllPairsShortestPaths computes every source's distances on the shared
-// default pool, without cancellation.
-func (g *Graph) AllPairsShortestPaths() *APSP {
-	a, _ := g.AllPairsShortestPathsCtx(context.Background(), exec.Default())
-	return a
-}
-
-// AllPairsShortestPathsCtx computes every source's distances on the given
-// pool; cancellation is checked between sources.
-func (g *Graph) AllPairsShortestPathsCtx(ctx context.Context, pool *exec.Pool) (*APSP, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return g.AllPairsShortestPathsWS(ctx, pool, w)
-}
-
-// AllPairsShortestPathsWS is AllPairsShortestPathsCtx with explicit
-// workspace scratch. Weights must be non-negative (+Inf is allowed); a
-// negative or NaN weight panics. The result's Dist array is drawn from the
-// workspace: callers that discard the APSP before releasing the workspace
-// may return it with w.PutFloat64(a.Dist).
+// AllPairsShortestPathsWS computes every source's distances on pool;
+// cancellation is checked between sources. Weights must be non-negative
+// (+Inf is allowed); a negative or NaN weight panics. Scratch and the
+// result's Dist array are drawn from w (nil allocates): callers that
+// discard the APSP before releasing the workspace may return it with
+// w.PutFloat64(a.Dist).
 //
 // Sources are visited in BFS order, so consecutive sources are mostly
 // neighbours, and that order is cut into chains, about eight per worker.

@@ -33,12 +33,6 @@ const (
 	Average
 	// Single linkage: d(A∪B, C) = min(d(A,C), d(B,C)).
 	Single
-	// Weighted linkage (WPGMA): unweighted mean of the two halves.
-	Weighted
-	// Ward linkage: minimum within-cluster variance increase. Heights are
-	// reported in the input distance units (the Lance-Williams update runs
-	// on squared distances internally).
-	Ward
 )
 
 func (l Linkage) String() string {
@@ -49,96 +43,22 @@ func (l Linkage) String() string {
 		return "average"
 	case Single:
 		return "single"
-	case Weighted:
-		return "weighted"
-	case Ward:
-		return "ward"
 	default:
 		return fmt.Sprintf("Linkage(%d)", int(l))
 	}
 }
 
-// Run clusters n points whose pairwise dissimilarities are given by dist
-// (which must be symmetric; the diagonal is ignored), on the shared default
-// pool without cancellation. It returns a full dendrogram whose merge
-// heights are the linkage distances.
-func Run(n int, dist func(i, j int) float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	return RunCtx(context.Background(), exec.Default(), n, dist, linkage)
-}
-
-// RunCtx is Run on an explicit pool; cancellation is checked while the
-// dissimilarity matrix is materialized and once per NN-chain merge.
-func RunCtx(ctx context.Context, pool *exec.Pool, n int, dist func(i, j int) float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return RunWS(ctx, pool, w, n, dist, linkage)
-}
-
-// RunWS is RunCtx with explicit workspace scratch: the working matrix and
-// the NN-chain state are drawn from (and returned to) the workspace, so
-// repeated same-size runs allocate only the resulting dendrogram.
-func RunWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, dist func(i, j int) float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("hac: n must be ≥ 1, got %d", n)
-	}
-	if n == 1 {
-		return &dendro.Dendrogram{N: 1}, nil
-	}
-	// Working copy of the dissimilarity matrix.
-	d := w.Float64(n * n)
-	defer w.PutFloat64(d)
-	err := pool.ForGrain(ctx, n, 4, func(i int) {
-		row := d[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			if i != j {
-				row[j] = dist(i, j)
-			} else {
-				row[j] = 0
-			}
-		}
-	})
+// RunMatrixWS clusters using a prebuilt row-major n×n dissimilarity matrix,
+// which is consumed (overwritten) by the algorithm, on pool with
+// cooperative cancellation checked once per NN-chain merge. The NN-chain
+// state is drawn from w (nil allocates). It returns a full dendrogram whose
+// merge heights are the linkage distances.
+func RunMatrixWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage) (*dendro.Dendrogram, error) {
+	out, err := RunMatrixIntoWS(ctx, pool, w, n, d, linkage, make([]dendro.Merge, 0, max(n-1, 0)))
 	if err != nil {
 		return nil, err
 	}
-	return runOnMatrix(ctx, pool, w, n, d, linkage)
-}
-
-// RunMatrix clusters using a prebuilt row-major n×n dissimilarity matrix,
-// which is consumed (overwritten) by the algorithm.
-func RunMatrix(n int, d []float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	return RunMatrixCtx(context.Background(), exec.Default(), n, d, linkage)
-}
-
-// RunMatrixCtx is RunMatrix on an explicit pool with cooperative
-// cancellation, checked once per NN-chain merge.
-func RunMatrixCtx(ctx context.Context, pool *exec.Pool, n int, d []float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("hac: n must be ≥ 1, got %d", n)
-	}
-	if len(d) != n*n {
-		return nil, fmt.Errorf("hac: matrix length %d, want %d", len(d), n*n)
-	}
-	if n == 1 {
-		return &dendro.Dendrogram{N: 1}, nil
-	}
-	w := ws.Get()
-	defer ws.Put(w)
-	return runOnMatrix(ctx, pool, w, n, d, linkage)
-}
-
-// RunMatrixWS is RunMatrixCtx with explicit workspace scratch for the
-// NN-chain state. d is consumed (overwritten) as in RunMatrix.
-func RunMatrixWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("hac: n must be ≥ 1, got %d", n)
-	}
-	if len(d) != n*n {
-		return nil, fmt.Errorf("hac: matrix length %d, want %d", len(d), n*n)
-	}
-	if n == 1 {
-		return &dendro.Dendrogram{N: 1}, nil
-	}
-	return runOnMatrix(ctx, pool, w, n, d, linkage)
+	return &dendro.Dendrogram{N: n, Merges: out}, nil
 }
 
 // RunMatrixIntoWS is RunMatrixWS writing the dendrogram's merges into
@@ -146,7 +66,7 @@ func RunMatrixWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d
 // (its length is ignored), and the returned slice aliases it. Repeated runs
 // through a shared backing array allocate nothing, which is what the DBHT
 // hierarchy construction leans on for its many tiny per-subgroup linkages.
-// d is consumed (overwritten) as in RunMatrix.
+// d is consumed (overwritten) as in RunMatrixWS.
 func RunMatrixIntoWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage, out []dendro.Merge) ([]dendro.Merge, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hac: n must be ≥ 1, got %d", n)
@@ -170,7 +90,6 @@ const lwSeqCutoff = 2048
 // lwState carries the per-merge Lance-Williams update parameters.
 type lwState struct {
 	d       []float64
-	size    []int32
 	dead    *bitset.Set
 	linkage Linkage
 	n       int
@@ -184,7 +103,7 @@ type lwState struct {
 // (and the diagonal, poisoned once at the start) then scan as +Inf, which
 // lets the nearest-neighbor search run the branch-free kernel.MinIdx over
 // whole rows instead of testing a dead bitset per entry. d[ma][mb] is
-// poisoned by the caller after the update (Ward reads it throughout).
+// poisoned by the caller, since the update skips rows ma and mb.
 func (u *lwState) update(lo, hi int) {
 	d, n := u.d, u.n
 	inf := math.Inf(1)
@@ -198,11 +117,6 @@ func (u *lwState) update(lo, hi int) {
 			nd = math.Max(d[u.na+y], d[u.nb+y])
 		case Single:
 			nd = math.Min(d[u.na+y], d[u.nb+y])
-		case Weighted:
-			nd = (d[u.na+y] + d[u.nb+y]) / 2
-		case Ward:
-			sy := float64(u.size[y])
-			nd = ((u.sa+sy)*d[u.na+y] + (u.sb+sy)*d[u.nb+y] - sy*d[u.na+int(u.mb)]) / (u.sa + u.sb + sy)
 		default: // Average
 			nd = (u.sa*d[u.na+y] + u.sb*d[u.nb+y]) / (u.sa + u.sb)
 		}
@@ -210,14 +124,6 @@ func (u *lwState) update(lo, hi int) {
 		d[y*n+int(u.ma)] = nd
 		d[y*n+int(u.mb)] = inf
 	}
-}
-
-func runOnMatrix(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage) (*dendro.Dendrogram, error) {
-	out, err := runOnMatrixInto(ctx, pool, w, n, d, linkage, make([]dendro.Merge, 0, n-1))
-	if err != nil {
-		return nil, err
-	}
-	return &dendro.Dendrogram{N: n, Merges: out}, nil
 }
 
 // runOnMatrixInto is the allocation-free core: it appends the n−1 merges to
@@ -229,12 +135,6 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 		// One merge, no chain bookkeeping: the common case for the tiny
 		// per-subgroup linkages inside DBHT hierarchy construction.
 		return append(out, dendro.Merge{A: 0, B: 1, Height: d[1]}), nil
-	}
-	// Ward's Lance-Williams recurrence operates on squared distances.
-	if linkage == Ward {
-		for i := range d {
-			d[i] *= d[i]
-		}
 	}
 	// Poison the diagonal so the nearest-neighbor scans never select self;
 	// merged-away columns get the same treatment as clusters die, so the
@@ -261,7 +161,7 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 	// merge loop passes one long-lived method value to the pool instead of
 	// allocating a closure (and boxed captures) per merge. Small matrices
 	// skip the pool dispatch entirely.
-	lw := lwState{d: d, size: size, dead: dead, linkage: linkage, n: n}
+	lw := lwState{d: d, dead: dead, linkage: linkage, n: n}
 	var lwApply func(lo, hi int)
 	parallelUpdate := n > lwSeqCutoff && pool.Workers() > 1
 	if parallelUpdate {
@@ -345,8 +245,7 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 					lw.update(0, n)
 				}
 				// The update skips rows a and b, so a's own slot for the dead
-				// column is poisoned here (after the update: Ward reads
-				// d[a][b] for every row).
+				// column is poisoned here.
 				d[int(a)*n+int(b)] = math.Inf(1)
 				size[a] += size[b]
 				dead.Set(b)
@@ -357,13 +256,7 @@ func runOnMatrixInto(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n in
 			inChain.Set(best)
 		}
 	}
-	mine := out[base:]
-	if linkage == Ward {
-		for i := range mine {
-			mine[i].Height = math.Sqrt(mine[i].Height)
-		}
-	}
-	labelInPlace(w, n, mine)
+	labelInPlace(w, n, out[base:])
 	return out, nil
 }
 

@@ -1,15 +1,34 @@
 package hac
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"pfg/internal/dendro"
+	"pfg/internal/exec"
 )
 
-var _ = dendro.Merge{} // used by both brute-force references
+// runMatrix clusters d (consumed) on the default pool without a workspace.
+func runMatrix(n int, d []float64, linkage Linkage) (*dendro.Dendrogram, error) {
+	return RunMatrixWS(context.Background(), exec.Default(), nil, n, d, linkage)
+}
+
+// runDist clusters n points whose pairwise dissimilarities are given by dist
+// (the diagonal is ignored).
+func runDist(n int, dist func(i, j int) float64, linkage Linkage) (*dendro.Dendrogram, error) {
+	d := make([]float64, max(n, 0)*max(n, 0))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				d[i*n+j] = dist(i, j)
+			}
+		}
+	}
+	return runMatrix(n, d, linkage)
+}
 
 // bruteForce performs naive agglomeration: repeatedly merge the pair of
 // clusters with the smallest linkage distance, computing set distances from
@@ -132,7 +151,7 @@ func TestMatchesBruteForceAllLinkages(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			n := 3 + rng.Intn(25)
 			d := randomDist(rng, n)
-			got, err := RunMatrix(n, append([]float64{}, d...), linkage)
+			got, err := runMatrix(n, append([]float64{}, d...), linkage)
 			if err != nil {
 				return false
 			}
@@ -162,7 +181,7 @@ func TestMatchesBruteForceAllLinkages(t *testing.T) {
 func TestRunWithDistFunc(t *testing.T) {
 	// Points on a line: 0, 1, 10, 11. Complete linkage pairs (0,1), (2,3).
 	pos := []float64{0, 1, 10, 11}
-	d, err := Run(4, func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) }, Complete)
+	d, err := runDist(4, func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) }, Complete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +206,7 @@ func TestRunWithDistFunc(t *testing.T) {
 
 func TestAverageLinkageHeight(t *testing.T) {
 	pos := []float64{0, 1, 10, 11}
-	d, err := Run(4, func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) }, Average)
+	d, err := runDist(4, func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) }, Average)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +219,7 @@ func TestAverageLinkageHeight(t *testing.T) {
 func TestSingleLinkageChain(t *testing.T) {
 	// Single linkage chains through closely spaced points.
 	pos := []float64{0, 1, 2, 3, 100}
-	d, err := Run(5, func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) }, Single)
+	d, err := runDist(5, func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) }, Single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,21 +233,21 @@ func TestSingleLinkageChain(t *testing.T) {
 }
 
 func TestEdgeCases(t *testing.T) {
-	if _, err := Run(0, nil, Complete); err == nil {
+	if _, err := runDist(0, nil, Complete); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	d, err := Run(1, nil, Complete)
+	d, err := runDist(1, nil, Complete)
 	if err != nil || len(d.Merges) != 0 {
 		t.Fatal("n=1 should give empty dendrogram")
 	}
-	d2, err := Run(2, func(i, j int) float64 { return 3 }, Average)
+	d2, err := runDist(2, func(i, j int) float64 { return 3 }, Average)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d2.Merges) != 1 || d2.Merges[0].Height != 3 {
 		t.Fatalf("n=2 merges %v", d2.Merges)
 	}
-	if _, err := RunMatrix(3, make([]float64, 4), Complete); err == nil {
+	if _, err := runMatrix(3, make([]float64, 4), Complete); err == nil {
 		t.Fatal("bad matrix size accepted")
 	}
 }
@@ -239,7 +258,7 @@ func TestMonotoneHeights(t *testing.T) {
 		n := 5 + rng.Intn(60)
 		d := randomDist(rng, n)
 		for _, linkage := range []Linkage{Complete, Average, Single} {
-			dd, err := RunMatrix(n, append([]float64{}, d...), linkage)
+			dd, err := runMatrix(n, append([]float64{}, d...), linkage)
 			if err != nil {
 				return false
 			}
@@ -260,136 +279,6 @@ func TestLinkageString(t *testing.T) {
 	}
 }
 
-// wardBruteForce agglomerates Euclidean points by minimum variance increase,
-// reporting heights as sqrt(2·ΔSS) — the convention our Lance-Williams
-// implementation (and scipy) uses.
-func wardBruteForce(points [][]float64) *dendro.Dendrogram {
-	type cluster struct {
-		node     int32
-		count    float64
-		centroid []float64
-	}
-	dim := len(points[0])
-	var clusters []cluster
-	for i, p := range points {
-		c := cluster{node: int32(i), count: 1, centroid: append([]float64{}, p...)}
-		clusters = append(clusters, c)
-	}
-	wardDist := func(a, b cluster) float64 {
-		ss := 0.0
-		for d := 0; d < dim; d++ {
-			diff := a.centroid[d] - b.centroid[d]
-			ss += diff * diff
-		}
-		return math.Sqrt(2 * a.count * b.count / (a.count + b.count) * ss)
-	}
-	out := &dendro.Dendrogram{N: len(points)}
-	next := int32(len(points))
-	for len(clusters) > 1 {
-		bi, bj := 0, 1
-		bd := math.Inf(1)
-		for i := range clusters {
-			for j := i + 1; j < len(clusters); j++ {
-				if dd := wardDist(clusters[i], clusters[j]); dd < bd {
-					bd, bi, bj = dd, i, j
-				}
-			}
-		}
-		a, b := clusters[bi], clusters[bj]
-		out.Merges = append(out.Merges, dendro.Merge{A: a.node, B: b.node, Height: bd})
-		merged := cluster{node: next, count: a.count + b.count, centroid: make([]float64, dim)}
-		for d := 0; d < dim; d++ {
-			merged.centroid[d] = (a.count*a.centroid[d] + b.count*b.centroid[d]) / (a.count + b.count)
-		}
-		next++
-		nc := []cluster{}
-		for i := range clusters {
-			if i != bi && i != bj {
-				nc = append(nc, clusters[i])
-			}
-		}
-		clusters = append(nc, merged)
-	}
-	return out
-}
-
-func TestWardMatchesBruteForceOnPoints(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(20)
-		dim := 1 + rng.Intn(3)
-		points := make([][]float64, n)
-		for i := range points {
-			points[i] = make([]float64, dim)
-			for d := range points[i] {
-				points[i][d] = rng.NormFloat64() * 5
-			}
-		}
-		euclid := func(i, j int) float64 {
-			ss := 0.0
-			for d := 0; d < dim; d++ {
-				diff := points[i][d] - points[j][d]
-				ss += diff * diff
-			}
-			return math.Sqrt(ss)
-		}
-		got, err := Run(n, euclid, Ward)
-		if err != nil {
-			return false
-		}
-		want := wardBruteForce(points)
-		if !sameHeights(got, want) {
-			return false
-		}
-		ga, err1 := got.Cut(3)
-		gb, err2 := want.Cut(3)
-		if n < 3 {
-			return true
-		}
-		return err1 == nil && err2 == nil && samePartition(ga, gb)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedLinkageHandComputed(t *testing.T) {
-	// Points 0, 1, 2, 10 on a line. WPGMA merges: (0,1)@1, (+2)@1.5,
-	// (+10)@8.75 — distinguishable from UPGMA's 9 at the root.
-	pos := []float64{0, 1, 2, 10}
-	d, err := Run(4, func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) }, Weighted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1.5, 8.75}
-	for i, m := range d.Merges {
-		if math.Abs(m.Height-want[i]) > 1e-12 {
-			t.Fatalf("merge %d height %v want %v", i, m.Height, want[i])
-		}
-	}
-}
-
-func TestWardAndWeightedMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 60
-	d := randomDist(rng, n)
-	for _, linkage := range []Linkage{Ward, Weighted} {
-		dd, err := RunMatrix(n, append([]float64{}, d...), linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dd.Validate(1e-9); err != nil {
-			t.Fatalf("%v: %v", linkage, err)
-		}
-	}
-}
-
-func TestNewLinkageStrings(t *testing.T) {
-	if Weighted.String() != "weighted" || Ward.String() != "ward" {
-		t.Fatal("bad new linkage names")
-	}
-}
-
 // TestAsymmetricCycleTerminates: on an asymmetric matrix whose nearest
 // neighbours form a cycle longer than two, the NN-chain must still finish
 // with n−1 merges instead of growing the chain forever.
@@ -405,7 +294,7 @@ func TestAsymmetricCycleTerminates(t *testing.T) {
 		d[i*n+(i+1)%n] = 1
 	}
 	for _, l := range []Linkage{Complete, Average} {
-		dg, err := RunMatrix(n, append([]float64(nil), d...), l)
+		dg, err := runMatrix(n, append([]float64(nil), d...), l)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,27 +2,15 @@
 
 package kernel
 
-import (
-	"os"
-	"sync"
-)
+import "sync"
 
 // useAVX2 selects the vector backend for the hot kernels. It is decided once
 // at init from CPUID: AVX2 requires the CPU to advertise AVX2
 // (CPUID.7.0:EBX[5]) and AVX+OSXSAVE (CPUID.1:ECX[28,27]), and the OS to
-// have enabled XMM+YMM state saving (XGETBV(0) & 0x6 == 0x6). The PFG_NOSIMD
-// environment variable (any non-empty value) forces the scalar backend — the
-// escape hatch for debugging and for A/B bit-equality checks in production
-// builds (the purego build tag removes the vector backend at compile time
-// instead).
-var useAVX2 bool
-
-func init() {
-	if os.Getenv("PFG_NOSIMD") != "" {
-		return
-	}
-	useAVX2 = detectAVX2()
-}
+// have enabled XMM+YMM state saving (XGETBV(0) & 0x6 == 0x6). Both backends
+// produce bit-identical results; the purego build tag removes the vector
+// backend at compile time, for debugging and bisecting on the scalar cores.
+var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -43,8 +31,8 @@ func detectAVX2() bool {
 }
 
 // ISA reports the instruction-set backend the kernels were dispatched to at
-// init: "avx2" when the AVX2 microkernels are active, "scalar" otherwise
-// (unsupported CPU or the PFG_NOSIMD override).
+// init: "avx2" when the AVX2 microkernels are active, "scalar" on a CPU
+// without AVX2.
 func ISA() string {
 	if useAVX2 {
 		return "avx2"

@@ -9,9 +9,8 @@ package kernel
 const useAVX2 = false
 
 // ISA reports the instruction-set backend the kernels were dispatched to at
-// init: "avx2" or "scalar". On this build it is always "scalar" (non-amd64
-// platform, the purego build tag, or — on amd64 dispatch builds — missing
-// CPU support or the PFG_NOSIMD environment override).
+// init: "avx2" or "scalar". On this build (a non-amd64 platform or the
+// purego build tag) it is always "scalar".
 func ISA() string { return "scalar" }
 
 func syrkUpperRangeAVX2(z []float64, n, ld int, c []float64, i0, i1, k0, k1 int, first bool) {

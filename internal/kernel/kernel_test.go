@@ -9,10 +9,30 @@ import (
 
 // --- SYRK -------------------------------------------------------------------
 
+// dotPanels is the ascending-panel fold of per-panel ascending-index dot
+// products — the per-entry reference semantics of SyrkUpperBand. For
+// len(a) ≤ PanelLen it is the plain ascending-index dot product.
+func dotPanels(a, b []float64) float64 {
+	s := 0.0
+	for p := 0; p < len(a); p += PanelLen {
+		hi := min(p+PanelLen, len(a))
+		partial := 0.0
+		for t := p; t < hi; t++ {
+			partial += a[t] * b[t]
+		}
+		if p == 0 {
+			s = partial
+		} else {
+			s += partial
+		}
+	}
+	return s
+}
+
 // TestSyrkMatchesDot pins every upper-triangle entry of the blocked kernel
 // to the panel-folded scalar dot product — bit-exact, not within tolerance:
 // within a T-panel the kernel accumulates in ascending t order regardless of
-// tiling, and panels fold in ascending order (DotPanels; for l ≤ syrkKC this
+// tiling, and panels fold in ascending order (dotPanels; for l ≤ syrkKC this
 // is the plain sequential dot).
 func TestSyrkMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -29,7 +49,7 @@ func TestSyrkMatchesDot(t *testing.T) {
 			SyrkUpperBand(z, n, l, c, 0, n)
 			for i := 0; i < n; i++ {
 				for j := i; j < n; j++ {
-					want := DotPanels(z[i*l:(i+1)*l], z[j*l:(j+1)*l])
+					want := dotPanels(z[i*l:(i+1)*l], z[j*l:(j+1)*l])
 					got := c[i*n+j]
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("n=%d l=%d: c[%d,%d]=%v, scalar dot %v", n, l, i, j, got, want)

@@ -62,9 +62,9 @@ const RowBandGrain = 128
 // n×n product C = Z·Zᵀ, where Z is n×l row-major (z[i*l+t]). Entries of C
 // outside the band's upper triangle are left untouched. Every C entry is the
 // ascending-panel fold of ascending-t partial dot products of its two Z rows
-// (see PanelLen), bit-identical to DotPanels(z[i·l:…], z[j·l:…]), so results
-// depend on neither the band partition nor the panel partition: callers may
-// parallelize over disjoint bands and panels freely.
+// (see PanelLen), so results depend on neither the band partition nor the
+// panel partition: callers may parallelize over disjoint bands and panels
+// freely.
 func SyrkUpperBand(z []float64, n, l int, c []float64, i0, i1 int) {
 	SyrkUpperRange(z, n, l, c, i0, i1, 0, l, true)
 }
@@ -293,24 +293,4 @@ func AddUpper(dst, src []float64, n int, i0, i1 int) {
 			d[j] += s[j]
 		}
 	}
-}
-
-// DotPanels is the ascending-panel fold of per-panel ascending-index dot
-// products — the per-entry reference semantics of SyrkUpperBand. For
-// len(a) ≤ PanelLen it is the plain ascending-index dot product.
-func DotPanels(a, b []float64) float64 {
-	s := 0.0
-	for p := 0; p < len(a); p += PanelLen {
-		hi := min(p+PanelLen, len(a))
-		partial := 0.0
-		for t := p; t < hi; t++ {
-			partial += a[t] * b[t]
-		}
-		if p == 0 {
-			s = partial
-		} else {
-			s += partial
-		}
-	}
-	return s
 }

@@ -46,14 +46,9 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// Run clusters the points (each a vector of equal dimension) on the shared
-// default pool, without cancellation.
-func Run(points [][]float64, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), exec.Default(), points, opts)
-}
-
-// RunCtx is Run on an explicit pool; cancellation is checked once per Lloyd
-// iteration and inside the parallel assignment loops.
+// RunCtx clusters the points (each a vector of equal dimension) on pool;
+// cancellation is checked once per Lloyd iteration and inside the parallel
+// assignment loops.
 func RunCtx(ctx context.Context, pool *exec.Pool, points [][]float64, opts Options) (*Result, error) {
 	n := len(points)
 	if n == 0 {

@@ -1,10 +1,18 @@
 package kmeans
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+
+	"pfg/internal/exec"
 )
+
+// run clusters points on the default pool.
+func run(points [][]float64, opts Options) (*Result, error) {
+	return RunCtx(context.Background(), exec.Default(), points, opts)
+}
 
 // blobs generates k well-separated Gaussian clusters.
 func blobs(rng *rand.Rand, k, perCluster, dim int, sep float64) (points [][]float64, truth []int) {
@@ -47,7 +55,7 @@ func TestRecoversSeparatedBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	points, truth := blobs(rng, 4, 50, 6, 10)
 	for _, scalable := range []bool{false, true} {
-		res, err := Run(points, Options{K: 4, Seed: 7, Scalable: scalable})
+		res, err := run(points, Options{K: 4, Seed: 7, Scalable: scalable})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +68,7 @@ func TestRecoversSeparatedBlobs(t *testing.T) {
 func TestCentersAreMeans(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	points, _ := blobs(rng, 3, 40, 4, 8)
-	res, err := Run(points, Options{K: 3, Seed: 3})
+	res, err := run(points, Options{K: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +100,7 @@ func TestInertiaDecreasesWithK(t *testing.T) {
 	points, _ := blobs(rng, 5, 30, 3, 5)
 	var prev float64 = math.Inf(1)
 	for _, k := range []int{1, 2, 5, 20} {
-		res, err := Run(points, Options{K: k, Seed: 11})
+		res, err := run(points, Options{K: k, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +114,11 @@ func TestInertiaDecreasesWithK(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	points, _ := blobs(rng, 3, 30, 4, 6)
-	a, err := Run(points, Options{K: 3, Seed: 42})
+	a, err := run(points, Options{K: 3, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(points, Options{K: 3, Seed: 42})
+	b, err := run(points, Options{K: 3, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,21 +130,21 @@ func TestDeterministicWithSeed(t *testing.T) {
 }
 
 func TestEdgeCases(t *testing.T) {
-	if _, err := Run(nil, Options{K: 1}); err == nil {
+	if _, err := run(nil, Options{K: 1}); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	pts := [][]float64{{1, 2}, {3, 4}}
-	if _, err := Run(pts, Options{K: 0}); err == nil {
+	if _, err := run(pts, Options{K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Run(pts, Options{K: 3}); err == nil {
+	if _, err := run(pts, Options{K: 3}); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	if _, err := Run([][]float64{{1}, {1, 2}}, Options{K: 1}); err == nil {
+	if _, err := run([][]float64{{1}, {1, 2}}, Options{K: 1}); err == nil {
 		t.Fatal("ragged input accepted")
 	}
 	// k = n: every point its own cluster, inertia 0.
-	res, err := Run(pts, Options{K: 2, Seed: 1})
+	res, err := run(pts, Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +152,7 @@ func TestEdgeCases(t *testing.T) {
 		t.Fatalf("k=n inertia %v, want 0", res.Inertia)
 	}
 	// k = 1: center is the global mean.
-	res1, err := Run(pts, Options{K: 1, Seed: 1})
+	res1, err := run(pts, Options{K: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +163,7 @@ func TestEdgeCases(t *testing.T) {
 
 func TestIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	res, err := Run(pts, Options{K: 2, Seed: 5})
+	res, err := run(pts, Options{K: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +175,11 @@ func TestIdenticalPoints(t *testing.T) {
 func TestScalableInitQualityComparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	points, _ := blobs(rng, 6, 40, 5, 8)
-	pp, err := Run(points, Options{K: 6, Seed: 9})
+	pp, err := run(points, Options{K: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Run(points, Options{K: 6, Seed: 9, Scalable: true})
+	sc, err := run(points, Options{K: 6, Seed: 9, Scalable: true})
 	if err != nil {
 		t.Fatal(err)
 	}

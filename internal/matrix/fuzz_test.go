@@ -52,7 +52,7 @@ func FuzzPearson(f *testing.F) {
 		n := int(nRaw) % 13
 		l := int(lRaw) % 33
 		series := fuzzSeries(n, l, data)
-		sim, err := Pearson(series)
+		sim, err := pearson(series)
 		if err != nil {
 			return // rejection is a valid outcome; panics are not
 		}
@@ -73,7 +73,7 @@ func FuzzPearson(f *testing.F) {
 				}
 			}
 		}
-		dis := Dissimilarity(sim)
+		dis := dissimilarity(sim)
 		for i, v := range dis.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				t.Fatalf("dissimilarity[%d] = %v", i, v)

@@ -61,46 +61,6 @@ func (m *Sym) RowSum(i int) float64 {
 	return s
 }
 
-// Clone returns a deep copy of m.
-func (m *Sym) Clone() *Sym {
-	c := NewSym(m.N)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Validate checks that the matrix is finite and symmetric to within tol.
-func (m *Sym) Validate(tol float64) error {
-	if len(m.Data) != m.N*m.N {
-		return fmt.Errorf("matrix: data length %d != n²=%d", len(m.Data), m.N*m.N)
-	}
-	for i := 0; i < m.N; i++ {
-		for j := i; j < m.N; j++ {
-			a, b := m.At(i, j), m.At(j, i)
-			if math.IsNaN(a) || math.IsInf(a, 0) {
-				return fmt.Errorf("matrix: non-finite entry at (%d,%d)", i, j)
-			}
-			if math.Abs(a-b) > tol {
-				return fmt.Errorf("matrix: asymmetric at (%d,%d): %v vs %v", i, j, a, b)
-			}
-		}
-	}
-	return nil
-}
-
-// Pearson computes the n×n Pearson correlation matrix of the given series
-// using the shared default pool and no cancellation.
-func Pearson(series [][]float64) (*Sym, error) {
-	return PearsonCtx(context.Background(), exec.Default(), series)
-}
-
-// PearsonCtx is Pearson on the given pool, honouring cancellation at chunk
-// boundaries.
-func PearsonCtx(ctx context.Context, pool *exec.Pool, series [][]float64) (*Sym, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return PearsonWS(ctx, pool, w, series)
-}
-
 // PearsonWS computes the n×n Pearson correlation matrix of the given series
 // (each series[i] must have the same length ≥ 2, with finite values) on the
 // given pool, honouring cancellation at chunk boundaries, with workspace
@@ -336,25 +296,12 @@ func FinishMomentsWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim,
 	})
 }
 
-// Dissimilarity converts a correlation matrix into the metric dissimilarity
-// using the shared default pool and no cancellation.
-func Dissimilarity(corr *Sym) *Sym {
-	d, _ := DissimilarityCtx(context.Background(), exec.Default(), corr)
-	return d
-}
-
-// DissimilarityCtx converts a correlation matrix into the metric
+// DissimilarityWS converts a correlation matrix into the metric
 // dissimilarity d(i,j) = sqrt(2·(1−p(i,j))) used by the paper (Marti et
 // al.). For normalized zero-mean vectors this equals the Euclidean distance.
-func DissimilarityCtx(ctx context.Context, pool *exec.Pool, corr *Sym) (*Sym, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return DissimilarityWS(ctx, pool, w, corr)
-}
-
-// DissimilarityWS is DissimilarityCtx with a workspace-backed result. (When
-// the correlation matrix is also being computed, PearsonDissimWS derives the
-// dissimilarity in the same traversal instead.)
+// The result is drawn from w (nil allocates). When the correlation matrix is
+// also being computed, PearsonDissimWS derives the dissimilarity in the
+// same traversal instead.
 func DissimilarityWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, corr *Sym) (*Sym, error) {
 	d := NewSymWS(w, corr.N)
 	err := pool.ForGrain(ctx, corr.N, 16, func(i int) {

@@ -1,10 +1,14 @@
 package matrix
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"pfg/internal/exec"
+	"pfg/internal/ws"
 )
 
 // BenchmarkPearson guards the blocked correlation kernel (the hot loop of
@@ -24,15 +28,18 @@ func BenchmarkPearson(b *testing.B) {
 				}
 				series[i] = s
 			}
-			// Warm-up so b.N iterations run on a warm workspace pool.
-			if _, err := Pearson(series); err != nil {
+			ctx, pool := context.Background(), exec.Default()
+			w := ws.Get()
+			defer ws.Put(w)
+			// Warm-up so b.N iterations run on a warm workspace.
+			if _, err := PearsonWS(ctx, pool, w, series); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(n * n / 2 * l * 8))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Pearson(series); err != nil {
+				if _, err := PearsonWS(ctx, pool, w, series); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -55,7 +62,7 @@ func TestPearsonMatchesScalarReference(t *testing.T) {
 			}
 			series[i] = s
 		}
-		m, err := Pearson(series)
+		m, err := pearson(series)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func TestPearsonZeroVariancePinned(t *testing.T) {
 		{4, 3, 2, 1},
 		{0, 0, 0, 0}, // constant at zero
 	}
-	m, err := Pearson(series)
+	m, err := pearson(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestPearsonZeroVariancePinned(t *testing.T) {
 		t.Fatalf("corr(0,2) = %v, want -1", v)
 	}
 	// Dissimilarity stays finite and metric-ish on the result.
-	d := Dissimilarity(m)
+	d := dissimilarity(m)
 	for i := range d.Data {
 		if math.IsNaN(d.Data[i]) || math.IsInf(d.Data[i], 0) {
 			t.Fatalf("dissimilarity entry %d non-finite", i)
@@ -69,7 +69,7 @@ func TestPearsonRejectsNonFinite(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Pearson(tc.series)
+			_, err := pearson(tc.series)
 			if err == nil {
 				t.Fatal("Pearson accepted non-finite input")
 			}

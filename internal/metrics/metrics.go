@@ -148,45 +148,3 @@ func AMI(a, b []int) (float64, error) {
 	}
 	return (mi - emi) / denom, nil
 }
-
-// RandIndex computes the unadjusted Rand index (fraction of agreeing pairs).
-func RandIndex(a, b []int) (float64, error) {
-	table, rowSum, colSum, n, err := contingency(a, b)
-	if err != nil {
-		return 0, err
-	}
-	var sumIJ, sumI, sumJ float64
-	for _, v := range table {
-		sumIJ += choose2(v)
-	}
-	for _, v := range rowSum {
-		sumI += choose2(v)
-	}
-	for _, v := range colSum {
-		sumJ += choose2(v)
-	}
-	total := choose2(n)
-	if total == 0 {
-		return 1, nil // a single point: no pairs to disagree on
-	}
-	return (total + 2*sumIJ - sumI - sumJ) / total, nil
-}
-
-// Purity returns the weighted purity of labeling b against ground truth a.
-func Purity(truth, pred []int) (float64, error) {
-	table, _, _, n, err := contingency(pred, truth)
-	if err != nil {
-		return 0, err
-	}
-	best := map[int]float64{}
-	for k, v := range table {
-		if v > best[k[0]] {
-			best[k[0]] = v
-		}
-	}
-	s := 0.0
-	for _, v := range best {
-		s += v
-	}
-	return s / n, nil
-}

@@ -174,34 +174,3 @@ func TestAMIHigherForBetterClustering(t *testing.T) {
 		t.Fatalf("AMI(good)=%v should exceed AMI(bad)=%v", g, b)
 	}
 }
-
-func TestRandIndex(t *testing.T) {
-	a := []int{0, 0, 1, 1}
-	ri, err := RandIndex(a, a)
-	if err != nil || ri != 1 {
-		t.Fatalf("RI(a,a)=%v want 1", ri)
-	}
-	b := []int{0, 1, 0, 1}
-	ri, err = RandIndex(a, b)
-	// Agreeing pairs: pairs split in both = C(4,2)=6 pairs total; same-same
-	// pairs: none; diff-diff: (0,1),(0,3),(1,2),(2,3) → wait compute: a pairs
-	// same: (0,1),(2,3); b pairs same: (0,2),(1,3). Agreements = pairs that
-	// are same in both (0) + different in both (2): (0,3) and (1,2). So 2/6.
-	if err != nil || math.Abs(ri-2.0/6) > 1e-12 {
-		t.Fatalf("RI=%v want 1/3", ri)
-	}
-}
-
-func TestPurity(t *testing.T) {
-	truth := []int{0, 0, 1, 1}
-	pred := []int{5, 5, 5, 7}
-	// Cluster 5 has 2 of class 0, 1 of class 1 → best 2. Cluster 7 → 1.
-	p, err := Purity(truth, pred)
-	if err != nil || math.Abs(p-0.75) > 1e-12 {
-		t.Fatalf("purity=%v want 0.75", p)
-	}
-	perfect, _ := Purity(truth, truth)
-	if perfect != 1 {
-		t.Fatalf("perfect purity=%v", perfect)
-	}
-}

@@ -65,23 +65,6 @@ func MinimumSpanningTree(dis *matrix.Sym) ([]graph.Edge, error) {
 	return edges, nil
 }
 
-// MaximumSpanningTree computes the maximum spanning tree of a similarity
-// matrix (Mantegna's original formulation keeps the strongest correlations).
-func MaximumSpanningTree(sim *matrix.Sym) ([]graph.Edge, error) {
-	neg := matrix.NewSym(sim.N)
-	for i, v := range sim.Data {
-		neg.Data[i] = -v
-	}
-	edges, err := MinimumSpanningTree(neg)
-	if err != nil {
-		return nil, err
-	}
-	for i := range edges {
-		edges[i].W = -edges[i].W
-	}
-	return edges, nil
-}
-
 // SingleLinkage builds the single-linkage dendrogram directly from the MST:
 // sorting the tree's edges by weight and merging with union-find yields
 // exactly the single-linkage hierarchy of the full matrix (Gower &

@@ -1,11 +1,13 @@
 package mst
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"pfg/internal/exec"
 	"pfg/internal/graph"
 	"pfg/internal/hac"
 	"pfg/internal/matrix"
@@ -97,7 +99,7 @@ func TestMSTIsSpanningTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromEdges(25, edges)
+	g, err := graph.FromEdgesWS(nil, 25, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,31 +117,6 @@ func TestMSTRejectsTiny(t *testing.T) {
 	}
 }
 
-func TestMaximumSpanningTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	s := randomDis(rng, 15)
-	maxEdges, err := MaximumSpanningTree(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Max spanning weight ≥ min spanning weight, and weights restored to
-	// positive originals.
-	minEdges, _ := MinimumSpanningTree(s)
-	var maxW, minW float64
-	for _, e := range maxEdges {
-		maxW += e.W
-		if got := s.At(int(e.U), int(e.V)); got != e.W {
-			t.Fatalf("edge weight %v not restored (want %v)", e.W, got)
-		}
-	}
-	for _, e := range minEdges {
-		minW += e.W
-	}
-	if maxW < minW {
-		t.Fatalf("max tree weight %v below min tree weight %v", maxW, minW)
-	}
-}
-
 func TestSingleLinkageMatchesHAC(t *testing.T) {
 	// The MST-derived hierarchy must equal NN-chain single linkage.
 	f := func(seed int64) bool {
@@ -150,7 +127,7 @@ func TestSingleLinkageMatchesHAC(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := hac.RunMatrix(n, append([]float64{}, d.Data...), hac.Single)
+		b, err := hac.RunMatrixWS(context.Background(), exec.Default(), nil, n, append([]float64{}, d.Data...), hac.Single)
 		if err != nil {
 			return false
 		}

@@ -9,7 +9,6 @@ package pmfg
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"pfg/internal/exec"
 	"pfg/internal/graph"
@@ -27,14 +26,9 @@ type Result struct {
 	Tested int
 }
 
-// Build constructs the PMFG of the similarity matrix s on the shared default
-// pool, without cancellation.
-func Build(s *matrix.Sym) (*Result, error) {
-	return BuildCtx(context.Background(), exec.Default(), s)
-}
-
-// BuildCtx constructs the PMFG, honouring cancellation between planarity
-// tests (each test is the expensive unit of work here).
+// BuildCtx constructs the PMFG of the similarity matrix s on pool,
+// honouring cancellation between planarity tests (each test is the
+// expensive unit of work here).
 func BuildCtx(ctx context.Context, pool *exec.Pool, s *matrix.Sym) (*Result, error) {
 	n := s.N
 	if n < 3 {
@@ -87,7 +81,7 @@ func BuildCtx(ctx context.Context, pool *exec.Pool, s *matrix.Sym) (*Result, err
 	for i, e := range accepted {
 		edges[i] = graph.Edge{U: e[0], V: e[1], W: s.At(int(e[0]), int(e[1]))}
 	}
-	g, err := graph.FromEdges(n, edges)
+	g, err := graph.FromEdgesWS(nil, n, edges)
 	if err != nil {
 		return nil, fmt.Errorf("pmfg: internal error: %w", err)
 	}
@@ -98,23 +92,4 @@ func BuildCtx(ctx context.Context, pool *exec.Pool, s *matrix.Sym) (*Result, err
 // EdgeWeightSum returns the total similarity weight captured by the PMFG.
 func (r *Result) EdgeWeightSum(s *matrix.Sym) float64 {
 	return matrix.EdgeWeightSum(s, r.Edges)
-}
-
-// SortEdges returns the accepted edges in canonical (u<v, sorted) order,
-// mainly for tests.
-func (r *Result) SortEdges() [][2]int32 {
-	out := make([][2]int32, len(r.Edges))
-	copy(out, r.Edges)
-	for i := range out {
-		if out[i][0] > out[i][1] {
-			out[i][0], out[i][1] = out[i][1], out[i][0]
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
 }

@@ -1,10 +1,13 @@
 package pmfg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"pfg/internal/bubbletree"
+	"pfg/internal/exec"
+	"pfg/internal/graph"
 	"pfg/internal/matrix"
 	"pfg/internal/planarity"
 	"pfg/internal/tmfg"
@@ -25,7 +28,7 @@ func TestBuildBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{3, 4, 5, 10, 30, 60} {
 		s := randomSym(rng, n)
-		r, err := Build(s)
+		r, err := BuildCtx(context.Background(), exec.Default(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +45,7 @@ func TestBuildBasics(t *testing.T) {
 }
 
 func TestBuildRejectsTiny(t *testing.T) {
-	if _, err := Build(matrix.NewSym(2)); err == nil {
+	if _, err := BuildCtx(context.Background(), exec.Default(), matrix.NewSym(2)); err == nil {
 		t.Fatal("n=2 accepted")
 	}
 }
@@ -51,12 +54,12 @@ func TestMaximality(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 16
 	s := randomSym(rng, n)
-	r, err := Build(s)
+	r, err := BuildCtx(context.Background(), exec.Default(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	have := map[[2]int32]bool{}
-	for _, e := range r.SortEdges() {
+	for _, e := range graph.CanonicalEdges(r.Edges) {
 		have[e] = true
 	}
 	for a := int32(0); int(a) < n; a++ {
@@ -83,7 +86,7 @@ func TestTopEdgeAlwaysIncluded(t *testing.T) {
 			}
 		}
 	}
-	r, err := Build(s)
+	r, err := BuildCtx(context.Background(), exec.Default(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +103,11 @@ func TestPMFGWeightAtLeastTMFG(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 20 + rng.Intn(30)
 		s := randomSym(rng, n)
-		p, err := Build(s)
+		p, err := BuildCtx(context.Background(), exec.Default(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm, err := tmfg.Build(s, 1)
+		tm, err := tmfg.BuildWS(context.Background(), exec.Default(), nil, s, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +123,11 @@ func TestGenericBubbleTreeOnPMFG(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 40
 	s := randomSym(rng, n)
-	r, err := Build(s)
+	r, err := BuildCtx(context.Background(), exec.Default(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := bubbletree.BuildGeneric(r.Graph)
+	tree, err := bubbletree.BuildGenericCtx(context.Background(), exec.Default(), r.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +146,11 @@ func TestGenericBubbleTreeOnPMFG(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s := randomSym(rng, 25)
-	a, err := Build(s)
+	a, err := BuildCtx(context.Background(), exec.Default(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(s)
+	b, err := BuildCtx(context.Background(), exec.Default(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,9 @@ type Options struct {
 	Seed int64
 }
 
-// Embed computes the spectral embedding of the points on the shared default
-// pool, without cancellation.
-func Embed(points [][]float64, opts Options) ([][]float64, error) {
-	return EmbedCtx(context.Background(), exec.Default(), points, opts)
-}
-
-// EmbedCtx is Embed on an explicit pool; cancellation is checked during kNN
-// graph construction and once per orthogonal-iteration step.
+// EmbedCtx computes the spectral embedding of the points on pool;
+// cancellation is checked during kNN graph construction and once per
+// orthogonal-iteration step.
 func EmbedCtx(ctx context.Context, pool *exec.Pool, points [][]float64, opts Options) ([][]float64, error) {
 	n := len(points)
 	if n == 0 {
@@ -72,15 +67,10 @@ type sparse struct {
 	adj [][]int32
 }
 
-// KNNGraph builds the symmetrized connectivity kNN graph: i~j if j is among
-// i's k nearest neighbors or vice versa (scikit-learn's default affinity).
-func KNNGraph(points [][]float64, k int) *sparse {
-	s, _ := KNNGraphCtx(context.Background(), exec.Default(), points, k)
-	return s
-}
-
-// KNNGraphCtx is KNNGraph on an explicit pool with cooperative cancellation
-// (the per-point neighbor scans are the expensive chunks).
+// KNNGraphCtx builds the symmetrized connectivity kNN graph: i~j if j is
+// among i's k nearest neighbors or vice versa (scikit-learn's default
+// affinity), on pool with cooperative cancellation (the per-point neighbor
+// scans are the expensive chunks).
 func KNNGraphCtx(ctx context.Context, pool *exec.Pool, points [][]float64, k int) (*sparse, error) {
 	n := len(points)
 	nbrs := make([][]int32, n)

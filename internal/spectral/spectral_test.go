@@ -10,6 +10,20 @@ import (
 	"pfg/internal/kmeans"
 )
 
+// embed and knnGraph run the entry points on the default pool.
+func embed(points [][]float64, opts Options) ([][]float64, error) {
+	return EmbedCtx(context.Background(), exec.Default(), points, opts)
+}
+
+func knnGraph(t *testing.T, points [][]float64, k int) *sparse {
+	t.Helper()
+	g, err := KNNGraphCtx(context.Background(), exec.Default(), points, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func twoBlobs(rng *rand.Rand, per int) ([][]float64, []int) {
 	var pts [][]float64
 	var truth []int
@@ -28,7 +42,7 @@ func twoBlobs(rng *rand.Rand, per int) ([][]float64, []int) {
 func TestKNNGraphSymmetricAndSized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts, _ := twoBlobs(rng, 20)
-	g := KNNGraph(pts, 5)
+	g := knnGraph(t, pts, 5)
 	for i := range g.adj {
 		if len(g.adj[i]) < 5 {
 			t.Fatalf("vertex %d has only %d neighbors", i, len(g.adj[i]))
@@ -49,7 +63,7 @@ func TestKNNGraphSymmetricAndSized(t *testing.T) {
 
 func TestKNNGraphNearestNeighborIncluded(t *testing.T) {
 	pts := [][]float64{{0}, {0.1}, {5}, {5.1}, {10}}
-	g := KNNGraph(pts, 1)
+	g := knnGraph(t, pts, 1)
 	has := func(i int, j int32) bool {
 		for _, x := range g.adj[i] {
 			if x == j {
@@ -66,11 +80,11 @@ func TestKNNGraphNearestNeighborIncluded(t *testing.T) {
 func TestEmbedSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts, truth := twoBlobs(rng, 40)
-	emb, err := Embed(pts, Options{Neighbors: 10, Components: 2, Seed: 3})
+	emb, err := embed(pts, Options{Neighbors: 10, Components: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := kmeans.Run(emb, kmeans.Options{K: 2, Seed: 4})
+	res, err := kmeans.RunCtx(context.Background(), exec.Default(), emb, kmeans.Options{K: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +106,7 @@ func TestEmbedSeparatesBlobs(t *testing.T) {
 func TestEmbedOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts, _ := twoBlobs(rng, 15)
-	emb, err := Embed(pts, Options{Neighbors: 4, Components: 3, Seed: 1})
+	emb, err := embed(pts, Options{Neighbors: 4, Components: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +127,16 @@ func TestEmbedOutputShape(t *testing.T) {
 
 func TestEmbedErrors(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {2}}
-	if _, err := Embed(nil, Options{Neighbors: 1, Components: 1}); err == nil {
+	if _, err := embed(nil, Options{Neighbors: 1, Components: 1}); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := Embed(pts, Options{Neighbors: 0, Components: 1}); err == nil {
+	if _, err := embed(pts, Options{Neighbors: 0, Components: 1}); err == nil {
 		t.Fatal("neighbors=0 accepted")
 	}
-	if _, err := Embed(pts, Options{Neighbors: 5, Components: 1}); err == nil {
+	if _, err := embed(pts, Options{Neighbors: 5, Components: 1}); err == nil {
 		t.Fatal("neighbors ≥ n accepted")
 	}
-	if _, err := Embed(pts, Options{Neighbors: 1, Components: 0}); err == nil {
+	if _, err := embed(pts, Options{Neighbors: 1, Components: 0}); err == nil {
 		t.Fatal("components=0 accepted")
 	}
 }
@@ -133,7 +147,7 @@ func TestEigenvectorResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts, _ := twoBlobs(rng, 30)
 	n := len(pts)
-	g := KNNGraph(pts, 8)
+	g := knnGraph(t, pts, 8)
 	opts := Options{Neighbors: 8, Components: 2, Seed: 7, Iterations: 500, Tolerance: 1e-12}
 	emb, err := embedFromAdjacency(context.Background(), exec.Default(), g, n, opts)
 	if err != nil {

@@ -101,22 +101,10 @@ func candLess(a, b candidate) bool {
 	return a.face < b.face
 }
 
-// Build constructs the TMFG of the n×n similarity matrix s with the given
-// prefix size (batch bound) on the shared default pool, without cancellation.
-func Build(s *matrix.Sym, prefix int) (*Result, error) {
-	return BuildCtx(context.Background(), exec.Default(), s, prefix)
-}
-
-// BuildCtx constructs the TMFG on the given pool, honouring cancellation at
-// batch-round boundaries, with a workspace from the process-wide pool.
-func BuildCtx(ctx context.Context, pool *exec.Pool, s *matrix.Sym, prefix int) (*Result, error) {
-	w := ws.Get()
-	defer ws.Put(w)
-	return BuildWS(ctx, pool, w, s, prefix)
-}
-
-// BuildWS is BuildCtx with explicit workspace scratch. prefix must be ≥ 1
-// and n ≥ 4. The returned graph's CSR arrays are drawn from the workspace
+// BuildWS constructs the TMFG of the n×n similarity matrix s with the given
+// prefix size (batch bound) on pool, honouring cancellation at batch-round
+// boundaries. prefix must be ≥ 1 and n ≥ 4. Scratch comes from w (nil
+// allocates). The returned graph's CSR arrays are drawn from the workspace
 // and owned by the result (release with Result.Graph.Release when the
 // caller controls the graph's lifetime).
 func BuildWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, s *matrix.Sym, prefix int) (*Result, error) {

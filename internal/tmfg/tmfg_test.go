@@ -20,6 +20,11 @@ import (
 // randomSym returns a random symmetric similarity matrix with unit diagonal
 // and off-diagonal entries in (0, 1); entries are distinct with probability
 // one, keeping tie-breaking out of comparisons with the reference code.
+// buildDefault runs BuildWS on the default pool without a workspace.
+func buildDefault(s *matrix.Sym, prefix int) (*Result, error) {
+	return BuildWS(context.Background(), exec.Default(), nil, s, prefix)
+}
+
 func randomSym(rng *rand.Rand, n int) *matrix.Sym {
 	s := matrix.NewSym(n)
 	for i := 0; i < n; i++ {
@@ -136,10 +141,10 @@ func edgeSet(edges [][2]int32) map[[2]int32]bool {
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
-	if _, err := Build(matrix.NewSym(3), 1); err == nil {
+	if _, err := buildDefault(matrix.NewSym(3), 1); err == nil {
 		t.Fatal("n=3 must be rejected")
 	}
-	if _, err := Build(matrix.NewSym(5), 0); err == nil {
+	if _, err := buildDefault(matrix.NewSym(5), 0); err == nil {
 		t.Fatal("prefix=0 must be rejected")
 	}
 }
@@ -147,7 +152,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 func TestBuildN4(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := randomSym(rng, 4)
-	r, err := Build(s, 1)
+	r, err := buildDefault(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +172,7 @@ func TestEdgeCountAndPlanarity(t *testing.T) {
 	for _, n := range []int{5, 8, 20, 67, 150} {
 		for _, prefix := range []int{1, 2, 5, 10, 50} {
 			s := randomSym(rng, n)
-			r, err := Build(s, prefix)
+			r, err := buildDefault(s, prefix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +194,7 @@ func TestMaximality(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 24
 	s := randomSym(rng, n)
-	r, err := Build(s, 5)
+	r, err := buildDefault(s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +215,7 @@ func TestPrefix1MatchesSequentialReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(40)
 		s := randomSym(rng, n)
-		r, err := Build(s, 1)
+		r, err := buildDefault(s, 1)
 		if err != nil {
 			return false
 		}
@@ -235,11 +240,11 @@ func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randomSym(rng, 80)
 	for _, prefix := range []int{1, 7, 30} {
-		a, err := Build(s, prefix)
+		a, err := buildDefault(s, prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Build(s, prefix)
+		b, err := buildDefault(s, prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +264,7 @@ func TestBubbleTreeStructure(t *testing.T) {
 	for _, n := range []int{5, 12, 60} {
 		for _, prefix := range []int{1, 4, 16} {
 			s := randomSym(rng, n)
-			r, err := Build(s, prefix)
+			r, err := buildDefault(s, prefix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +291,7 @@ func TestBubbleTreeInteriorInvariant(t *testing.T) {
 	for _, prefix := range []int{1, 3, 10} {
 		n := 40
 		s := randomSym(rng, n)
-		r, err := Build(s, prefix)
+		r, err := buildDefault(s, prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,11 +330,11 @@ func TestGenericBubbleTreeMatches(t *testing.T) {
 	for _, prefix := range []int{1, 5} {
 		n := 30
 		s := randomSym(rng, n)
-		r, err := Build(s, prefix)
+		r, err := buildDefault(s, prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := bubbletree.BuildGeneric(r.Graph)
+		gen, err := bubbletree.BuildGenericCtx(context.Background(), exec.Default(), r.Graph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +392,7 @@ func TestAppendixExamplePrefix1(t *testing.T) {
 	// Figure 13(a): with PREFIX=1 the algorithm starts from clique
 	// {0,1,3,4}, inserts 5 into {0,3,4}, then 2 into {0,4,5}.
 	s := appendixMatrix()
-	r, err := Build(s, 1)
+	r, err := buildDefault(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +432,7 @@ func TestAppendixExamplePrefix3(t *testing.T) {
 	// Figure 13(e): with PREFIX=3, vertices 5 and 2 are inserted in one
 	// round; 2 goes into {0,1,4} because {0,4,5} does not exist yet.
 	s := appendixMatrix()
-	r, err := Build(s, 3)
+	r, err := buildDefault(s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +468,11 @@ func TestAppendixExamplePrefix3(t *testing.T) {
 func TestLargerPrefixFewerRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	s := randomSym(rng, 200)
-	r1, err := Build(s, 1)
+	r1, err := buildDefault(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r50, err := Build(s, 50)
+	r50, err := buildDefault(s, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,13 +489,13 @@ func TestEdgeWeightSumQualityAcrossPrefixes(t *testing.T) {
 	// percent of the exact (prefix=1) TMFG.
 	rng := rand.New(rand.NewSource(11))
 	s := randomSym(rng, 150)
-	exact, err := Build(s, 1)
+	exact, err := buildDefault(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := exact.EdgeWeightSum(s)
 	for _, prefix := range []int{2, 5, 10, 30, 50} {
-		r, err := Build(s, prefix)
+		r, err := buildDefault(s, prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +509,7 @@ func TestEdgeWeightSumQualityAcrossPrefixes(t *testing.T) {
 func TestVertexBubblesConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := randomSym(rng, 50)
-	r, err := Build(s, 5)
+	r, err := buildDefault(s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +541,7 @@ func TestDeterminismAcrossThreadCounts(t *testing.T) {
 	build := func(threads int) *Result {
 		old := runtime.GOMAXPROCS(threads)
 		defer runtime.GOMAXPROCS(old)
-		r, err := Build(s, 20)
+		r, err := buildDefault(s, 20)
 		if err != nil {
 			t.Fatal(err)
 		}

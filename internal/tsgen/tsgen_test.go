@@ -1,11 +1,18 @@
 package tsgen
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"pfg/internal/exec"
 	"pfg/internal/matrix"
 )
+
+// pearson correlates series on the default pool without a workspace.
+func pearson(series [][]float64) (*matrix.Sym, error) {
+	return matrix.PearsonWS(context.Background(), exec.Default(), nil, series)
+}
 
 func TestCatalogShape(t *testing.T) {
 	cat := Catalog()
@@ -88,7 +95,7 @@ func TestLabelsBalanced(t *testing.T) {
 
 func TestWithinClassCorrelationHigher(t *testing.T) {
 	ds := GenerateClassed("x", 60, 128, 3, 0.4, 5)
-	corr, err := matrix.Pearson(ds.Series)
+	corr, err := pearson(ds.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +123,7 @@ func TestNoiseControlsDifficulty(t *testing.T) {
 	easy := GenerateClassed("e", 40, 128, 2, 0.1, 6)
 	hard := GenerateClassed("h", 40, 128, 2, 3.0, 6)
 	sep := func(ds *Dataset) float64 {
-		corr, _ := matrix.Pearson(ds.Series)
+		corr, _ := pearson(ds.Series)
 		var within, across float64
 		var nw, na int
 		for i := 0; i < 40; i++ {
@@ -178,7 +185,7 @@ func TestGenerateStocksBasics(t *testing.T) {
 
 func TestStockSectorCorrelationStructure(t *testing.T) {
 	sd := GenerateStocks(150, 400, 8)
-	corr, err := matrix.Pearson(sd.Returns)
+	corr, err := pearson(sd.Returns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +212,7 @@ func TestStockSectorCorrelationStructure(t *testing.T) {
 func TestSmallCapsNoisier(t *testing.T) {
 	sd := GenerateStocks(300, 300, 9)
 	// Correlation of small caps with their sector peers should be weaker.
-	corr, _ := matrix.Pearson(sd.Returns)
+	corr, _ := pearson(sd.Returns)
 	sectorPeerCorr := func(i int) float64 {
 		s, c := 0.0, 0
 		for j := range sd.Returns {

@@ -131,8 +131,13 @@ func (r *Result) Newick(names []string) (string, error) { return r.Dendrogram.Ne
 // CopheneticCorrelation measures how faithfully the dendrogram's merge
 // heights reproduce the given dissimilarities (1 = perfect). Note that DBHT
 // heights are ordinal by design, so this is most meaningful for the HAC
-// methods.
+// methods. dis is validated as ClusterMatrix validates it: a nil matrix, a
+// backing slice that is not n×n long or a non-finite entry returns an
+// error.
 func (r *Result) CopheneticCorrelation(dis *Matrix) (float64, error) {
+	if err := validateMatrix("dissimilarity", dis); err != nil {
+		return 0, err
+	}
 	return r.Dendrogram.CopheneticCorrelation(dis.Data)
 }
 
@@ -399,11 +404,24 @@ func (r *ResultJSON) ApplyDelta(d *ResultDeltaJSON) (*ResultJSON, error) {
 
 // Pearson computes the Pearson correlation matrix of a time-series
 // collection (one row per series, equal lengths).
-func Pearson(series [][]float64) (*Matrix, error) { return matrix.Pearson(series) }
+func Pearson(series [][]float64) (*Matrix, error) {
+	w := ws.Get()
+	defer ws.Put(w)
+	return matrix.PearsonWS(context.Background(), exec.Default(), w, series)
+}
 
 // Dissimilarity converts correlations into the metric dissimilarity
-// d = sqrt(2(1−p)).
-func Dissimilarity(corr *Matrix) *Matrix { return matrix.Dissimilarity(corr) }
+// d = sqrt(2(1−p)). corr is validated as ClusterMatrix validates it: a nil
+// matrix, a backing slice that is not n×n long or a non-finite entry
+// returns an error.
+func Dissimilarity(corr *Matrix) (*Matrix, error) {
+	if err := validateMatrix("correlation", corr); err != nil {
+		return nil, err
+	}
+	w := ws.Get()
+	defer ws.Put(w)
+	return matrix.DissimilarityWS(context.Background(), exec.Default(), w, corr)
+}
 
 // Cluster computes a hierarchical clustering of raw time series: Pearson
 // correlation → filtered graph (or HAC) → dendrogram. It is
@@ -432,7 +450,7 @@ func ClusterContext(ctx context.Context, series [][]float64, opts Options) (*Res
 	defer release()
 	w := ws.Get()
 	defer ws.Put(w)
-	sim, dis, err := core.CorrelateWS(ctx, pool, w, series)
+	sim, dis, err := matrix.PearsonDissimWS(ctx, pool, w, series)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +566,7 @@ func clusterMatrixOn(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim,
 		}
 		return &Result{Dendrogram: r.Dendrogram, EdgeWeightSum: r.EdgeWeightSum, Groups: r.Groups, Edges: r.Edges}, nil
 	case PMFGDBHT:
-		r, err := core.PMFGDBHTCtx(ctx, pool, sim, dis)
+		r, err := core.PMFGDBHTWS(ctx, pool, w, sim, dis)
 		if err != nil {
 			return nil, err
 		}
@@ -589,10 +607,14 @@ func TMFG(sim *Matrix, prefix int) (edges [][2]int32, weight float64, err error)
 	if err := validateMatrix("similarity", sim); err != nil {
 		return nil, 0, err
 	}
-	r, err := tmfg.Build(sim, prefix)
+	w := ws.Get()
+	defer ws.Put(w)
+	r, err := tmfg.BuildWS(context.Background(), exec.Default(), w, sim, prefix)
 	if err != nil {
 		return nil, 0, err
 	}
+	// Only the edge list leaves this call; the CSR graph goes back to w.
+	r.Graph.Release(w)
 	return r.Edges, r.EdgeWeightSum(sim), nil
 }
 
@@ -601,10 +623,10 @@ func TMFG(sim *Matrix, prefix int) (edges [][2]int32, weight float64, err error)
 const DefaultRebuildEvery = stream.DefaultRebuildEvery
 
 // KernelISA reports which compute-kernel backend this process selected at
-// init: "avx2" on amd64 hosts with AVX2 (unless built with -tags purego or
-// started with PFG_NOSIMD set), "scalar" otherwise. Both backends produce
-// bit-identical float64 results; the name is operational metadata for logs
-// and /statsz, not a correctness signal.
+// init: "avx2" on amd64 hosts with AVX2 (unless built with -tags purego),
+// "scalar" otherwise. Both backends produce bit-identical float64 results;
+// the name is operational metadata for logs and /statsz, not a correctness
+// signal.
 func KernelISA() string { return kernel.ISA() }
 
 // ErrClosed is the sentinel returned by Push, Snapshot, SnapshotGen, and

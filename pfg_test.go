@@ -80,34 +80,48 @@ func TestTMFGFacade(t *testing.T) {
 	}
 }
 
-// TestTMFGRejectsMalformedMatrix: TMFG validates its matrix as
-// ClusterMatrix does, returning an error instead of panicking on a short
-// backing slice or a nil matrix, or building a graph from a NaN.
-func TestTMFGRejectsMalformedMatrix(t *testing.T) {
+// TestRejectsMalformedMatrix: TMFG, Dissimilarity and
+// Result.CopheneticCorrelation validate their matrix as ClusterMatrix does,
+// returning an error instead of panicking on a short backing slice or a nil
+// matrix, or computing from a NaN.
+func TestRejectsMalformedMatrix(t *testing.T) {
 	const n = 6
 	nan := &Matrix{N: n, Data: make([]float64, n*n)}
 	for i := range nan.Data {
 		nan.Data[i] = 0.5
 	}
 	nan.Data[1*n+2], nan.Data[2*n+1] = math.NaN(), math.NaN()
-	for _, tc := range []struct {
+	res, err := Cluster(tsgen.GenerateClassed("api", n, 32, 2, 0.3, 11).Series, Options{Method: CompleteLinkage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range []struct {
 		name string
-		sim  *Matrix
+		call func(*Matrix) error
 	}{
-		{"short backing slice", &Matrix{N: 5, Data: make([]float64, 3)}},
-		{"nil matrix", nil},
-		{"NaN entry", nan},
+		{"TMFG", func(m *Matrix) error { _, _, err := TMFG(m, 1); return err }},
+		{"Dissimilarity", func(m *Matrix) error { _, err := Dissimilarity(m); return err }},
+		{"CopheneticCorrelation", func(m *Matrix) error { _, err := res.CopheneticCorrelation(m); return err }},
 	} {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("%s: TMFG panicked: %v", tc.name, r)
+		for _, tc := range []struct {
+			name string
+			m    *Matrix
+		}{
+			{"short backing slice", &Matrix{N: 5, Data: make([]float64, 3)}},
+			{"nil matrix", nil},
+			{"NaN entry", nan},
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s, %s: panicked: %v", fn.name, tc.name, r)
+					}
+				}()
+				if err := fn.call(tc.m); err == nil {
+					t.Errorf("%s, %s: returned no error", fn.name, tc.name)
 				}
 			}()
-			if _, _, err := TMFG(tc.sim, 1); err == nil {
-				t.Errorf("%s: TMFG returned no error", tc.name)
-			}
-		}()
+		}
 	}
 }
 
@@ -249,7 +263,10 @@ func TestResultNewickAndCophenetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := Dissimilarity(sim)
+	dis, err := Dissimilarity(sim)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := ClusterMatrix(sim, dis, Options{Method: CompleteLinkage})
 	if err != nil {
 		t.Fatal(err)
