@@ -53,8 +53,8 @@
 //	            Prometheus text exposition, nil-safe stage timers)
 //	durability  internal/ckpt (versioned CRC32C-framed checkpoints,
 //	            segment-rotating push WAL, torn-tail-tolerant replay)
-//	serving     pfg.Streamer + internal/stream + internal/inc (stateful
-//	            rolling windows, cross-tick incremental clustering)
+//	serving     pfg.Streamer + internal/stream (stateful rolling
+//	            windows, cross-tick incremental clustering)
 //	api         pfg.Cluster / ClusterContext (stateless batch calls)
 //	algorithms  internal/{matrix, tmfg, pmfg, dbht, hac, graph, ...}
 //	kernels     internal/kernel (SYRK, rank-1 roll, finish, heap, scans)
@@ -71,9 +71,11 @@
 // the most recent exact clustering across ticks instead of re-clustering
 // the window from scratch every time. The layer keeps the reference
 // result and its correlation matrix, and serves the result while a chain
-// of gates admits it: engine-exact boundaries (fill, rebuilds) always force
-// an exact re-cluster, as do entrywise correlation drift beyond
-// DriftThreshold and reference age beyond MaxStale. Served-stale results
+// of gates admits it: engine-exact boundaries (fill, rebuilds) and moments
+// older than the reference always force an exact re-cluster, as do
+// entrywise correlation drift beyond DriftThreshold and reference age
+// beyond MaxStale. A re-cluster takes the same finish-and-cluster path as
+// a non-incremental snapshot. Served-stale results
 // carry Result.TicksSinceExact and Result.Drift (stale_ticks/drift on the
 // wire); exact results report 0/0, so a snapshot is always bit-identical
 // (Workers:1) to the exact clustering of the window TicksSinceExact ticks

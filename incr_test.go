@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -435,6 +436,86 @@ func TestIncrementalStalenessSurfaced(t *testing.T) {
 	if _, ok := edecoded["drift"]; ok {
 		t.Fatal("drift present on an exact result")
 	}
+}
+
+// TestIncrementalHitsAreOwned: every snapshot is an owned copy, so a caller
+// scribbling over one — the hit's or the refresh's — cannot corrupt the
+// reference that later hits are served from.
+func TestIncrementalHitsAreOwned(t *testing.T) {
+	const n, window = 8, 10
+	stream := tickStream(t, n, window+8, 103)
+	for _, m := range []Method{TMFGDBHT, CompleteLinkage} {
+		t.Run(m.String(), func(t *testing.T) {
+			is := newIncShadow(t, window, StreamOptions{
+				Cluster:      Options{Method: m, Workers: 1},
+				RebuildEvery: 1 << 20,
+				// Correlation drift never exceeds 2: every snapshot after the
+				// first refresh is a hit.
+				Incremental: IncrementalOptions{Enabled: true, MaxStale: -1, DriftThreshold: 2},
+			})
+			defer is.Close()
+			for p, x := range stream {
+				is.push(t, x)
+				snap := is.check(t, fmt.Sprintf("tick-%d", p+1), 2)
+				if snap == nil {
+					continue
+				}
+				// check compares everything but the edge list.
+				want := is.byGen[is.inc.Generation()-uint64(snap.TicksSinceExact)]
+				if !slices.Equal(snap.Edges, want.Edges) {
+					t.Fatalf("tick %d: edges %v, want %v", p+1, snap.Edges, want.Edges)
+				}
+				clear(snap.Dendrogram.Merges)
+				clear(snap.Edges)
+			}
+			if stats, _ := is.inc.IncrementalStats(); stats.Hits < 2 {
+				t.Fatalf("want at least 2 hits, got %+v", stats)
+			}
+		})
+	}
+}
+
+// TestIncrementalOlderStampRefreshes drives the gate with moments stamped
+// one generation before the reference, as a snapshot that copied them just
+// before another snapshot refreshed the reference would: the result must be
+// an exact clustering of those moments, counted as a boundary refresh, not a
+// hit with negative staleness.
+func TestIncrementalOlderStampRefreshes(t *testing.T) {
+	const n, window = 8, 10
+	stream := tickStream(t, n, window+4, 107)
+	is := newIncShadow(t, window, StreamOptions{
+		Cluster:      Options{Method: CompleteLinkage, Workers: 1},
+		RebuildEvery: 1 << 20,
+		Incremental:  IncrementalOptions{Enabled: true, MaxStale: -1, DriftThreshold: 2},
+	})
+	defer is.Close()
+	for _, x := range stream {
+		is.push(t, x)
+	}
+	is.check(t, "refresh", 2)
+	st := is.inc
+	st.mu.RLock()
+	sim := &Matrix{N: n, Data: make([]float64, n*n)}
+	sums := make([]float64, n)
+	count, err := st.eng.CopyState(sim.Data, sums)
+	gen := st.eng.Generation()
+	st.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := st.IncrementalStats()
+	r, err := st.incSnapshot(context.Background(), nil, sim, sums, count, gen-1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := st.IncrementalStats()
+	if r.TicksSinceExact != 0 || r.Drift != 0 {
+		t.Fatalf("older stamp served stale=%d drift=%v", r.TicksSinceExact, r.Drift)
+	}
+	if after.FullBoundary != before.FullBoundary+1 || after.Hits != before.Hits {
+		t.Fatalf("older stamp counted as %+v, was %+v", after, before)
+	}
+	sameResult(t, "older-stamp", r, is.byGen[gen], 2)
 }
 
 // FuzzIncrementalCluster is the incremental-vs-exact oracle as a fuzz

@@ -38,8 +38,6 @@ type Breakdown struct {
 // Result is a hierarchical clustering outcome.
 type Result struct {
 	Dendrogram *dendro.Dendrogram
-	// Graph is the filtered graph used (nil for non-graph methods).
-	GraphEdges int
 	// Edges lists the filtered graph's undirected edges in insertion order
 	// (nil for non-graph methods). The slice is owned by the Result.
 	Edges [][2]int32
@@ -49,8 +47,6 @@ type Result struct {
 	Groups int
 	// Timings is the stage breakdown.
 	Timings Breakdown
-	// DBHT carries the full DBHT output for inspection (nil for HAC).
-	DBHT *dbht.Result
 }
 
 // TMFGDBHTWS runs the paper's pipeline on a similarity matrix: TMFG with
@@ -92,11 +88,9 @@ func TMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matr
 	}
 	out := &Result{
 		Dendrogram:    res.Dendrogram,
-		GraphEdges:    tm.Graph.NumEdges(),
 		Edges:         tm.Edges,
 		EdgeWeightSum: tm.EdgeWeightSum(sim),
 		Groups:        len(res.Groups),
-		DBHT:          res,
 	}
 	// The filtered graph is internal to the pipeline: nothing in Result
 	// references it, so its CSR arrays go back to the workspace.
@@ -147,12 +141,10 @@ func PMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matr
 	bd.Total = time.Since(start)
 	return &Result{
 		Dendrogram:    res.Dendrogram,
-		GraphEdges:    pm.Graph.NumEdges(),
 		Edges:         pm.Edges,
 		EdgeWeightSum: pm.EdgeWeightSum(sim),
 		Groups:        len(res.Groups),
 		Timings:       bd,
-		DBHT:          res,
 	}, nil
 }
 

@@ -58,8 +58,8 @@ func TestTMFGDBHTPipelineRecoversEasyClusters(t *testing.T) {
 		if ari := ariOf(t, labels, ds.Labels); ari < thresholds[prefix] {
 			t.Fatalf("prefix=%d: ARI %.3f < %.2f on easy data", prefix, ari, thresholds[prefix])
 		}
-		if res.GraphEdges != 3*len(ds.Series)-6 {
-			t.Fatalf("graph has %d edges", res.GraphEdges)
+		if len(res.Edges) != 3*len(ds.Series)-6 {
+			t.Fatalf("graph has %d edges", len(res.Edges))
 		}
 		if res.Timings.Total <= 0 {
 			t.Fatal("timings missing")

@@ -69,7 +69,7 @@ type instruments struct {
 	snapFinish  *obs.Histogram
 	snapCluster *obs.Histogram
 
-	// Incremental gate-chain stages (internal/inc).
+	// Incremental gate-chain stages.
 	incDrift   *obs.Histogram
 	incRefresh *obs.Histogram
 
@@ -175,7 +175,6 @@ func (s *Server) attachMetrics(sess *Session) {
 		IncDrift:        obs.NewStage(s.ins.incDrift),
 		IncRefresh:      obs.NewStage(s.ins.incRefresh),
 	}
-	sess.met.Store(m)
 	sess.st.SetMetrics(m)
 	t := &sess.drift
 	s.obs.GaugeFunc("pfg_session_drift_ari", "adjusted Rand index between the session's two most recent computed generations (1 = unchanged clustering)",
@@ -198,7 +197,7 @@ func (s *Server) detachMetrics(id string) {
 // Last pins). Rebuild's Last persists from the most recent rebuild tick,
 // which may predate this batch.
 func logSlowPush(sess *Session, admitted int, elapsed time.Duration) {
-	m := sess.met.Load()
+	m := sess.st.Metrics()
 	if m == nil {
 		return
 	}
@@ -211,7 +210,7 @@ func logSlowPush(sess *Session, admitted int, elapsed time.Duration) {
 // over the threshold: the non-incremental finish/cluster split plus the
 // incremental gate-chain stages (zero for sessions that never ran them).
 func logSlowSnapshot(sess *Session, gen uint64, elapsed time.Duration) {
-	m := sess.met.Load()
+	m := sess.st.Metrics()
 	if m == nil {
 		return
 	}

@@ -63,12 +63,6 @@ type Session struct {
 	lastStale atomic.Int64
 	lastDrift atomic.Uint64 // math.Float64bits
 
-	// met is the session's per-stage timing (attachMetrics); nil for a
-	// session an embedder created straight through the Registry. An atomic
-	// pointer because the slow-tick log reads it from both the push path
-	// and clustering-run goroutines.
-	met atomic.Pointer[pfg.StreamerMetrics]
-
 	// drift tracks structure change between consecutive computed
 	// generations (see drift.go); updated on clustering-run goroutines.
 	drift driftTracker

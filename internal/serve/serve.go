@@ -177,10 +177,6 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Registry exposes the session table, for embedders that pre-create
-// sessions programmatically.
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Drain ends the server's open push-delivery work: every SSE event stream
 // closes with a terminal "bye" frame and every parked long-poll returns
 // 304, so a subsequent http.Server.Shutdown — which waits for in-flight

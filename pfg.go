@@ -16,7 +16,6 @@ import (
 	"pfg/internal/exec"
 	"pfg/internal/graph"
 	"pfg/internal/hac"
-	"pfg/internal/inc"
 	"pfg/internal/kernel"
 	"pfg/internal/matrix"
 	"pfg/internal/metrics"
@@ -664,12 +663,15 @@ type StreamOptions struct {
 // Serving contract. A snapshot is re-clustered exactly (and becomes the new
 // reference) whenever (1) the engine's moments are exact — during window
 // fill and on the first snapshot after a periodic or forced Rebuild, which
-// preserves the streamer's bit-identity guarantees at every exact boundary;
-// (2) the measured entrywise correlation drift since the reference exceeds
+// preserves the streamer's bit-identity guarantees at every exact boundary
+// — or the snapshot's generation precedes the reference's; (2) the
+// entrywise correlation drift since the reference, measured straight from
+// the rolling moments without finishing them into a matrix, exceeds
 // DriftThreshold; or (3) the reference is MaxStale generations old.
 // Otherwise the snapshot serves an owned copy of the reference, with
 // Result.TicksSinceExact and Result.Drift reporting its age and the measured
-// drift.
+// drift; that copy is bit-identical to the exact clustering of the
+// reference's window.
 type IncrementalOptions struct {
 	// Enabled turns the incremental layer on. Supported for the TMFGDBHT,
 	// CompleteLinkage, and AverageLinkage methods.
@@ -718,9 +720,8 @@ type StreamerMetrics struct {
 	SnapshotFinish  *obs.Stage
 	SnapshotCluster *obs.Stage
 
-	// Incremental gate-chain stages (internal/inc): the drift measurement
-	// and exact refreshes (which subsume finish + cluster for incremental
-	// sessions).
+	// Incremental gate-chain stages: the drift measurement and exact
+	// refreshes (which subsume finish + cluster for incremental sessions).
 	IncDrift   *obs.Stage
 	IncRefresh *obs.Stage
 }
@@ -769,7 +770,7 @@ type Streamer struct {
 	ownPool bool
 	w       *ws.Workspace
 	eng     *stream.Engine   // created by the first Push
-	inc     *inc.Manager     // non-nil iff Incremental.Enabled
+	inc     *incGate         // non-nil iff Incremental.Enabled
 	met     *StreamerMetrics // per-stage timing, nil = uninstrumented
 	closed  bool
 
@@ -802,27 +803,16 @@ func newStreamer(window int, opts StreamOptions, w *ws.Workspace) (*Streamer, er
 	}
 	st := &Streamer{window: window, opts: opts, w: w, watchCh: make(chan struct{})}
 	if opts.Incremental.Enabled {
-		cfg := inc.Config{
-			DriftThreshold: opts.Incremental.DriftThreshold,
-			MaxStale:       opts.Incremental.MaxStale,
-		}
 		switch opts.Cluster.Method {
-		case TMFGDBHT:
-			cfg.Kind = inc.TMFGDBHT
-			cfg.Prefix = opts.Cluster.Prefix
-			if cfg.Prefix == 0 {
-				cfg.Prefix = 10
-			}
-		case CompleteLinkage:
-			cfg.Kind = inc.HACLinkage
-			cfg.Linkage = hac.Complete
-		case AverageLinkage:
-			cfg.Kind = inc.HACLinkage
-			cfg.Linkage = hac.Average
+		case TMFGDBHT, CompleteLinkage, AverageLinkage:
 		default:
 			return nil, fmt.Errorf("pfg: incremental streaming does not support method %v", opts.Cluster.Method)
 		}
-		st.inc = inc.NewManager(cfg)
+		// A checkpoint could not carry a non-finite threshold back in.
+		if eps := opts.Incremental.DriftThreshold; math.IsNaN(eps) || math.IsInf(eps, 0) {
+			return nil, fmt.Errorf("pfg: incremental DriftThreshold must be finite, got %v", eps)
+		}
+		st.inc = newIncGate(opts.Incremental)
 	}
 	if opts.Cluster.Workers > 0 {
 		st.pool = exec.New(opts.Cluster.Workers)
@@ -890,13 +880,6 @@ func (st *Streamer) SetMetrics(m *StreamerMetrics) {
 			st.eng.SetMetrics(streamMetrics(m))
 		}
 	}
-	if st.inc != nil {
-		if m == nil {
-			st.inc.SetMetrics(nil)
-		} else {
-			st.inc.SetMetrics(&inc.Metrics{Drift: m.IncDrift, Refresh: m.IncRefresh})
-		}
-	}
 }
 
 // Metrics returns the installed stage-timing set (nil when uninstrumented).
@@ -954,45 +937,42 @@ func (st *Streamer) SnapshotGen(ctx context.Context) (*Result, uint64, error) {
 		return nil, 0, err
 	}
 
+	var r *Result
 	if st.inc != nil {
-		out, err := st.inc.Snapshot(ctx, st.pool, st.w, sim, sums, count, gen, exact)
-		sim.Release(st.w)
-		st.w.PutFloat64(sums)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &Result{
-			Dendrogram:      out.Dendrogram,
-			EdgeWeightSum:   out.EdgeWeightSum,
-			Groups:          out.Groups,
-			Edges:           out.Edges,
-			TicksSinceExact: out.Stale,
-			Drift:           out.Drift,
-		}, gen, nil
+		r, err = st.incSnapshot(ctx, met, sim, sums, count, gen, exact)
+	} else {
+		r, err = st.finishAndCluster(ctx, met, sim, sums, count)
 	}
+	sim.Release(st.w)
+	st.w.PutFloat64(sums)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, gen, nil
+}
 
+// finishAndCluster is the one exact path of every snapshot that clusters: it
+// finishes the copied moments into correlations (in place in sim) and
+// dissimilarities, then clusters them. met laps the non-incremental snapshot
+// stages; the incremental layer passes nil and times its refresh whole.
+func (st *Streamer) finishAndCluster(ctx context.Context, met *StreamerMetrics, sim *Matrix, sums []float64, count int) (*Result, error) {
 	var sw obs.Stopwatch
 	if met != nil {
 		sw.Start()
 	}
-	dis := matrix.NewSymWS(st.w, n)
-	err = matrix.FinishMomentsWS(ctx, st.pool, st.w, sim, dis, sums, count)
-	st.w.PutFloat64(sums)
-	if err != nil {
-		sim.Release(st.w)
-		dis.Release(st.w)
-		return nil, 0, err
+	dis := matrix.NewSymWS(st.w, sim.N)
+	defer dis.Release(st.w)
+	if err := matrix.FinishMomentsWS(ctx, st.pool, st.w, sim, dis, sums, count); err != nil {
+		return nil, err
 	}
 	if met != nil {
 		sw.Lap(met.SnapshotFinish)
 	}
 	r, err := clusterMatrixOn(ctx, st.pool, st.w, sim, dis, st.opts.Cluster)
-	sim.Release(st.w)
-	dis.Release(st.w)
 	if met != nil && err == nil {
 		sw.Lap(met.SnapshotCluster)
 	}
-	return r, gen, err
+	return r, err
 }
 
 // Rebuild forces an exact recomputation of the window's moments (O(n²·T)),
@@ -1187,15 +1167,11 @@ func (st *Streamer) IncrementalStats() (IncrementalStats, bool) {
 	if st.inc == nil {
 		return IncrementalStats{}, false
 	}
-	s := st.inc.Stats()
-	return IncrementalStats{
-		Hits:         s.Hits,
-		Fulls:        s.Fulls,
-		FullInit:     s.FullInit,
-		FullBoundary: s.FullBoundary,
-		FullDrift:    s.FullDrift,
-		FullStale:    s.FullStale,
-	}, true
+	st.inc.mu.Lock()
+	defer st.inc.mu.Unlock()
+	s := st.inc.stats
+	s.Fulls = s.FullInit + s.FullBoundary + s.FullDrift + s.FullStale
+	return s, true
 }
 
 // Close releases the streamer's owned worker pool (if any) and marks it

@@ -180,13 +180,29 @@ func TestStreamerPartialWindow(t *testing.T) {
 
 // TestStreamerConcurrentPushSnapshot exercises the concurrency contract
 // under the race detector: one pusher, several snapshotters, plus forced
-// rebuilds, all in flight at once.
+// rebuilds, all in flight at once. The incremental case also holds every
+// snapshot to the serving contract: a snapshot whose moments were copied
+// before another snapshot refreshed the reference at a newer generation
+// must not be served that newer reference.
 func TestStreamerConcurrentPushSnapshot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		inc  IncrementalOptions
+	}{
+		{"exact", IncrementalOptions{}},
+		{"incremental", IncrementalOptions{Enabled: true, DriftThreshold: 1, MaxStale: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) { concurrentPushSnapshot(t, c.inc) })
+	}
+}
+
+func concurrentPushSnapshot(t *testing.T, inc IncrementalOptions) {
 	const n, window, ticks = 16, 32, 200
 	rng := rand.New(rand.NewSource(77))
 	st, err := NewStreamer(window, StreamOptions{
 		Cluster:      Options{Method: CompleteLinkage},
 		RebuildEvery: 16,
+		Incremental:  inc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +233,14 @@ func TestStreamerConcurrentPushSnapshot(t *testing.T) {
 				}
 				if _, err := res.Cut(2); err != nil {
 					t.Errorf("cut: %v", err)
+					return
+				}
+				if s := res.TicksSinceExact; s < 0 || (inc.Enabled && s >= inc.MaxStale) || (!inc.Enabled && s != 0) {
+					t.Errorf("snapshot served with staleness %d", s)
+					return
+				}
+				if res.Drift > inc.DriftThreshold {
+					t.Errorf("snapshot served with drift %v beyond %v", res.Drift, inc.DriftThreshold)
 					return
 				}
 			}
@@ -253,6 +277,13 @@ func TestStreamerValidation(t *testing.T) {
 	}
 	if _, err := NewStreamer(8, StreamOptions{Cluster: Options{Prefix: -1}}); err == nil {
 		t.Fatal("negative Prefix accepted")
+	}
+	// A checkpoint cannot carry a non-finite drift threshold back in.
+	for _, eps := range []float64{math.Inf(1), math.NaN()} {
+		_, err := NewStreamer(8, StreamOptions{Incremental: IncrementalOptions{Enabled: true, DriftThreshold: eps}})
+		if err == nil || !strings.Contains(err.Error(), "DriftThreshold") {
+			t.Fatalf("DriftThreshold %v: got %v, want an error naming it", eps, err)
+		}
 	}
 	st, err := NewStreamer(8, StreamOptions{Cluster: Options{Method: TMFGDBHT, Workers: 1}})
 	if err != nil {
