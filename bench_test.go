@@ -1,7 +1,8 @@
 package pfg
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §3), plus micro-benchmarks for the substrates.
+// evaluation (cmd/pfg-experiments' usage block lists them), plus
+// micro-benchmarks for the substrates.
 // Run everything with:
 //
 //	go test -bench=. -benchmem

@@ -1,6 +1,6 @@
 // Command pfg-experiments regenerates the tables and figures of the paper's
 // evaluation section on synthetic workloads. Each figure is a subcommand;
-// "all" runs everything (see DESIGN.md §3 for the experiment index).
+// "all" runs everything.
 //
 // Usage:
 //

@@ -82,9 +82,6 @@ func TestClusterContextCancelMidRun(t *testing.T) {
 // pipeline, whose cancellation points are the exec.Pool chunk boundaries and
 // the TMFG round loop.
 func TestClusterContextCancelMidRunTMFG(t *testing.T) {
-	if testing.Short() {
-		t.Skip("larger input; skipped in -short mode")
-	}
 	ds := tsgen.GenerateClassed("api", 1200, 64, 8, 0.3, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -62,8 +62,8 @@
 //	execution   internal/exec (bounded context-aware worker pools)
 //
 // See README.md ("Streaming" and "Serving over HTTP") for the exactness
-// guarantee and the concurrency contract, BENCH_stream.json for measured
-// tick costs, and BENCH_serve.json for cached vs uncached serving costs.
+// guarantee and the concurrency contract; perfbench (bash perfbench/run.sh)
+// measures the serving path end to end.
 //
 // # Incremental cross-tick clustering
 //
@@ -79,9 +79,7 @@
 // carry Result.TicksSinceExact and Result.Drift (stale_ticks/drift on the
 // wire); exact results report 0/0, so a snapshot is always bit-identical
 // (Workers:1) to the exact clustering of the window TicksSinceExact ticks
-// ago. Streamer.IncrementalStats counts gate outcomes; BENCH_incr.json
-// records the amortized speedups with the exact fallbacks inside the
-// measured loop.
+// ago. Streamer.IncrementalStats counts gate outcomes.
 //
 // # Durability
 //
@@ -90,14 +88,14 @@
 // binary form (internal/ckpt, format v1), and RestoreStreamer reconstructs
 // a streamer from it that resumes at the checkpointed generation with
 // bit-identical (Workers:1) snapshots: the restored streamer's next Push
-// and Snapshot behave exactly as the original's would have. Encoding is one pass with O(1) allocations
-// (BENCH_ckpt.json); decoding rejects truncated or corrupted input with
-// the typed sentinels ckpt.ErrBadMagic / ErrVersion / ErrCorrupt /
-// ErrFormat and never panics or over-allocates on crafted headers. The
-// incremental layer's warm reference is a cache, not state — it is not
-// persisted, so the first snapshot after a restore is an exact
-// re-cluster (TicksSinceExact 0) and the gate trajectory matches from
-// then on.
+// and Snapshot behave exactly as the original's would have. Encoding is
+// one pass with O(1) allocations, whatever the state size; decoding
+// rejects truncated or corrupted input with the typed sentinels
+// ckpt.ErrBadMagic / ErrVersion / ErrCorrupt / ErrFormat and never panics
+// or over-allocates on crafted headers. The incremental layer's warm
+// reference is a cache, not state — it is not persisted, so the first
+// snapshot after a restore is an exact re-cluster (TicksSinceExact 0) and
+// the gate trajectory matches from then on.
 //
 // pfg-serve builds session durability on this: with -state-dir set, each
 // session checkpoints every -checkpoint-every admitted pushes and
@@ -120,9 +118,9 @@
 // structure drift between consecutive clustering generations — adjusted
 // Rand index between flat cuts plus filtered-graph edge churn — served on
 // /driftz and as the drift field of SSE frames. README.md
-// ("Observability") documents the metric families and the overhead
-// contract; BENCH_obs.json records the measured cost (0 extra
-// allocations, ~1% ns/op on the hot paths).
+// ("Observability") documents the metric families, the overhead contract
+// (0 extra allocations, ≤5% ns/op on the hot paths) and how it is
+// measured.
 //
 // # Wire form
 //
@@ -135,10 +133,10 @@
 //
 // Every call runs on flat memory — CSR graphs and groupings, dense bitsets
 // — with scratch drawn from a pooled per-call workspace (internal/ws).
-// Repeated calls on same-shaped inputs therefore reach steady state with
-// near-zero allocation churn, which keeps GC pressure flat under heavy
-// concurrent serving; see README.md ("Flat memory and workspaces") and
-// BENCH_flatmem.json for the measured steady-state profile.
+// Repeated calls on same-shaped inputs therefore reach a steady state that
+// allocates a fixed handful of objects per call, which keeps GC pressure
+// flat under heavy concurrent serving; see README.md ("Flat memory and
+// workspaces").
 //
 // # Kernel layer
 //
@@ -167,8 +165,7 @@
 // partitioning and lets matrix.SyrkUpperWS parallelize one large-T
 // correlation build across panels with bit-identical output at any worker
 // count. README.md ("Kernel layer") documents the tiling scheme, the
-// determinism guarantee, and how to pick tile sizes; BENCH_kernels.json
-// and BENCH_simd.json record the measured speedups.
+// determinism guarantee, and how to pick tile sizes.
 //
 // See the examples/ directory for runnable programs and README.md for the
 // architecture overview and the context-aware API.

@@ -1,13 +1,15 @@
 package pfg
 
-// Determinism tests for the flat-memory refactor: the bubble enumeration
-// and the final clustering must be identical whether the pipeline runs
-// sequentially (Workers:1) or on a pooled multi-worker schedule, and
-// repeated pooled runs must not be perturbed by recycled workspace state.
+// Tests for the flat-memory design: the bubble enumeration and the final
+// clustering must be identical whether the pipeline runs sequentially
+// (Workers:1) or on a pooled multi-worker schedule, repeated pooled runs
+// must not be perturbed by recycled workspace state, and a warm call
+// allocates a fixed number of objects.
 
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"pfg/internal/bubbletree"
@@ -111,6 +113,41 @@ func TestClusterLabelsDeterminism(t *testing.T) {
 					t.Fatalf("%v trial %d: label[%d] = %d, want %d", method, trial, i, gotLabels[i], wantLabels[i])
 				}
 			}
+		}
+	}
+}
+
+// TestClusterContextSteadyStateAllocs pins the steady state the workspace
+// pool buys: once a same-shape call has warmed it, a Workers:1
+// ClusterContext allocates a fixed number of objects, the same at every n
+// for the HAC baseline. The TMFG-DBHT count follows the shape of the bubble
+// tree, so it holds for this one input. A garbage collection empties the
+// pool, and the next call warms it again, so the count runs with the
+// collector off.
+func TestClusterContextSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	for _, c := range []struct {
+		method Method
+		n      int
+		want   float64
+	}{
+		{CompleteLinkage, 128, 13},
+		{CompleteLinkage, 256, 13},
+		{TMFGDBHT, 128, 96},
+	} {
+		series := tsgen.GenerateClassed("flatmem", c.n, 96, 6, 0.6, 7).Series
+		opts := Options{Method: c.method, Prefix: 10, Workers: 1}
+		got := testing.AllocsPerRun(4, func() {
+			if _, err := ClusterContext(ctx, series, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%v n=%d: %v allocs per warm call, want %v", c.method, c.n, got, c.want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"slices"
 	"testing"
+	"time"
 )
 
 // incShadow pairs an incremental streamer with a bit-identical shadow: a
@@ -516,6 +517,44 @@ func TestIncrementalOlderStampRefreshes(t *testing.T) {
 		t.Fatalf("older stamp counted as %+v, was %+v", after, before)
 	}
 	sameResult(t, "older-stamp", r, is.byGen[gen], 2)
+}
+
+// TestIncrementalStatsDuringRefresh: a snapshot holds the gate lock for a
+// whole exact re-cluster, so a stats read (and with it /statsz) that took
+// that lock would wait behind every refresh.
+func TestIncrementalStatsDuringRefresh(t *testing.T) {
+	const n, window = 6, 8
+	st, err := NewStreamer(window, StreamOptions{
+		Cluster:     Options{Method: CompleteLinkage, Workers: 1},
+		Incremental: IncrementalOptions{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, x := range tickStream(t, n, window, 5) {
+		if err := st.Push(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Snapshot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st.inc.mu.Lock() // as a snapshot in the middle of a refresh does
+	defer st.inc.mu.Unlock()
+	got := make(chan IncrementalStats, 1)
+	go func() {
+		s, _ := st.IncrementalStats()
+		got <- s
+	}()
+	select {
+	case s := <-got:
+		if s.FullInit != 1 || s.Fulls != 1 || s.Hits != 0 {
+			t.Fatalf("stats %+v, want one init full", s)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("IncrementalStats waited for the gate lock")
+	}
 }
 
 // FuzzIncrementalCluster is the incremental-vs-exact oracle as a fuzz

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"pfg/internal/kernel"
 	"pfg/internal/obs"
@@ -18,8 +19,11 @@ type incGate struct {
 	eps      float64 // DriftThreshold with its default applied
 	maxStale int     // MaxStale with its default applied
 
-	mu    sync.Mutex
-	stats IncrementalStats // Fulls is summed on read
+	// The gate counters are written under mu but read without it, so
+	// IncrementalStats never waits behind a refresh holding mu.
+	hits, fullInit, fullBoundary, fullDrift, fullStale atomic.Uint64
+
+	mu sync.Mutex
 	// ref is the exact clustering of generation refGen, whose window held
 	// refCount samples and finished to the correlations refCorr. It is nil
 	// before the first refresh and after a failed one.
@@ -52,12 +56,12 @@ func (st *Streamer) incSnapshot(ctx context.Context, met *StreamerMetrics, sim *
 	var sw obs.Stopwatch
 	switch {
 	case g.ref == nil:
-		g.stats.FullInit++
+		g.fullInit.Add(1)
 	case exact || count != g.refCount || gen < g.refGen:
 		// gen < refGen: another snapshot refreshed the reference at a newer
 		// generation after these moments were copied; serving it would
 		// answer for a window newer than the stamp.
-		g.stats.FullBoundary++
+		g.fullBoundary.Add(1)
 	default:
 		if met != nil {
 			sw.Start()
@@ -72,11 +76,11 @@ func (st *Streamer) incSnapshot(ctx context.Context, met *StreamerMetrics, sim *
 		stale := int(gen - g.refGen)
 		switch {
 		case drift > g.eps:
-			g.stats.FullDrift++
+			g.fullDrift.Add(1)
 		case g.maxStale > 0 && stale >= g.maxStale:
-			g.stats.FullStale++
+			g.fullStale.Add(1)
 		default:
-			g.stats.Hits++
+			g.hits.Add(1)
 			return g.serve(stale, drift), nil
 		}
 	}

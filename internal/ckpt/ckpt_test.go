@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -133,6 +134,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 			sameEngine(t, tc.name+"/evolved", e, r)
 		})
+	}
+}
+
+// TestCheckpointAllocs pins the encoder's O(1) allocation contract: the
+// state streams through one fixed chunk buffer, so the count follows the
+// number of frames, never their size (the n=512, W=4096 checkpoint is
+// 21 MB).
+func TestCheckpointAllocs(t *testing.T) {
+	for _, c := range []struct {
+		n, window int
+		want      float64
+	}{
+		{8, 16, 10},
+		{512, 4096, 12},
+	} {
+		e := buildEngine(t, c.n, c.window, 64, 24, 7)
+		got := testing.AllocsPerRun(4, func() {
+			if _, err := CheckpointTo(io.Discard, e, testParams); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("n=%d W=%d: %v allocs per checkpoint, want %v", c.n, c.window, got, c.want)
+		}
 	}
 }
 
@@ -268,6 +293,25 @@ func TestWALRoundTrip(t *testing.T) {
 				t.Fatalf("frame %d sample[%d] %v != %v", i, j, v, samples[i][j])
 			}
 		}
+	}
+}
+
+// TestWALAppendAllocs: logging a push allocates once per frame, whatever
+// the sample's length.
+func TestWALAppendAllocs(t *testing.T) {
+	w, err := NewWALWriter(io.Discard, 0, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := feed(1, 512, 1)[0]
+	var gen uint64
+	if got := testing.AllocsPerRun(64, func() {
+		gen++
+		if err := w.Append(gen, sample); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("Append: %v allocs per frame, want 1", got)
 	}
 }
 

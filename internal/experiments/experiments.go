@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section on the synthetic workloads (see DESIGN.md §3 for the
-// experiment index and §4 for the data substitutions). Each function returns
-// a formatted text table; cmd/pfg-experiments exposes them as subcommands
-// and EXPERIMENTS.md records representative output.
+// evaluation section on the synthetic workloads of internal/tsgen, which
+// stand in for the paper's data sets. Each function returns a formatted
+// text table; cmd/pfg-experiments exposes them as subcommands, listed in
+// its usage block.
 package experiments
 
 import (

@@ -15,18 +15,19 @@ import (
 	"pfg/internal/exec"
 )
 
+const (
+	maxIter          = 100 // bound on the Lloyd iterations
+	oversampleRounds = 5   // k-means|| rounds
+)
+
 // Options configures a clustering run.
 type Options struct {
 	// K is the number of clusters (required).
 	K int
-	// MaxIter bounds the Lloyd iterations (default 100).
-	MaxIter int
 	// Seed makes the run deterministic.
 	Seed int64
 	// Scalable selects k-means|| initialization instead of k-means++.
 	Scalable bool
-	// OversampleRounds is the number of k-means|| rounds (default 5).
-	OversampleRounds int
 }
 
 // Result holds the clustering output.
@@ -63,17 +64,11 @@ func RunCtx(ctx context.Context, pool *exec.Pool, points [][]float64, opts Optio
 			return nil, fmt.Errorf("kmeans: point %d has dimension %d, want %d", i, len(p), dim)
 		}
 	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
-	}
-	if opts.OversampleRounds <= 0 {
-		opts.OversampleRounds = 5
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var centers [][]float64
 	var err error
 	if opts.Scalable {
-		centers, err = initScalable(ctx, pool, points, opts.K, opts.OversampleRounds, rng)
+		centers, err = initScalable(ctx, pool, points, opts.K, rng)
 	} else {
 		centers, err = initPlusPlus(ctx, pool, points, opts.K, rng)
 	}
@@ -83,7 +78,7 @@ func RunCtx(ctx context.Context, pool *exec.Pool, points [][]float64, opts Optio
 	labels := make([]int, n)
 	dists := make([]float64, n)
 	iter := 0
-	for ; iter < opts.MaxIter; iter++ {
+	for ; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -218,7 +213,7 @@ func initPlusPlus(ctx context.Context, pool *exec.Pool, points [][]float64, k in
 // initScalable is k-means|| seeding: oversample ~2k candidates per round for
 // a few rounds, then weight candidates by attraction counts and run
 // k-means++ on the weighted candidate set.
-func initScalable(ctx context.Context, pool *exec.Pool, points [][]float64, k, rounds int, rng *rand.Rand) ([][]float64, error) {
+func initScalable(ctx context.Context, pool *exec.Pool, points [][]float64, k int, rng *rand.Rand) ([][]float64, error) {
 	n := len(points)
 	var cand [][]float64
 	first := rng.Intn(n)
@@ -228,7 +223,7 @@ func initScalable(ctx context.Context, pool *exec.Pool, points [][]float64, k, r
 		d2[i] = sqDist(points[i], cand[0])
 	}
 	l := 2 * k // oversampling factor
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < oversampleRounds; r++ {
 		total, err := pool.Sum(ctx, n, func(i int) float64 { return d2[i] })
 		if err != nil {
 			return nil, err

@@ -59,8 +59,7 @@ func TestSyrkUpperWSWorkersBitIdentical(t *testing.T) {
 // Workers:8 assigns one panel per worker). On multi-core hosts the sweep
 // measures parallel wall-clock scaling; on a single-core host (like the CI
 // bench smoke) the Workers>1 entries measure the private-band fold overhead
-// instead, and the scaling claim is carried by the recorded BENCH_simd.json
-// environment note.
+// instead.
 func BenchmarkSyrkParallel(b *testing.B) {
 	const n, l = 512, 4096
 	z := make([]float64, n*l)

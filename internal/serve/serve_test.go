@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"pfg"
@@ -355,6 +356,62 @@ func TestSnapshot(t *testing.T) {
 	if status, _ := h.do("GET", "/v1/sessions/nope/snapshot", nil); status != http.StatusNotFound {
 		t.Fatal("snapshot of missing session not 404")
 	}
+}
+
+// TestSnapshotReadAllocs pins the allocations of the two hot read paths,
+// served in-process into a reusable ResponseWriter: a cached full GET, and
+// a header-only If-Generation re-poll, which the pre-router fast path
+// answers with one allocation (the echoed header's value slice). The GET is
+// counted over runs of snapSampleEvery requests, so each run holds one
+// latency-timed request.
+func TestSnapshotReadAllocs(t *testing.T) {
+	h := newTestServer(t, Options{})
+	pushServeSession(h, "a", "complete-linkage", 16, 16, 0)
+	var snap SnapshotResponse
+	h.mustJSON("GET", "/v1/sessions/a/snapshot?k=8", nil, http.StatusOK, &snap)
+	handler := h.srv.Handler()
+	w := &statusWriter{hdr: http.Header{}}
+	serve := func(req *http.Request, want int) {
+		clear(w.hdr)
+		w.code = 0
+		handler.ServeHTTP(w, req)
+		if w.code != want {
+			t.Fatalf("%s: status %d, want %d", req.URL, w.code, want)
+		}
+	}
+	get := httptest.NewRequest("GET", "/v1/sessions/a/snapshot?k=8", nil)
+	if got := testing.AllocsPerRun(16, func() {
+		for range snapSampleEvery {
+			serve(get, http.StatusOK)
+		}
+	}); got != 13*snapSampleEvery {
+		t.Errorf("cached GET: %v allocs per %d requests, want %d", got, snapSampleEvery, 13*snapSampleEvery)
+	}
+	cond := httptest.NewRequest("GET", "/v1/sessions/a/snapshot", nil)
+	cond.Header.Set("If-Generation", strconv.FormatUint(snap.Generation, 10))
+	if got := testing.AllocsPerRun(64, func() { serve(cond, http.StatusNotModified) }); got != 1 {
+		t.Errorf("If-Generation 304: %v allocs, want 1", got)
+	}
+}
+
+// statusWriter is a reusable ResponseWriter that keeps only the status, so
+// an allocation count sees the server's work and not a recorder's.
+type statusWriter struct {
+	hdr  http.Header
+	code int
+}
+
+func (w *statusWriter) Header() http.Header { return w.hdr }
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(p), nil
 }
 
 func TestSnapshotMinSeries(t *testing.T) {

@@ -334,9 +334,6 @@ func TestEngineRebuildDisabled(t *testing.T) {
 // batch pipeline, and rebuilds mid-fill must reconstruct the split state
 // exactly.
 func TestEngineLargeWindowFillBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-panel fill is slow in -short mode")
-	}
 	const n = 5
 	window := 2*kernel.PanelLen + 37
 	e, err := New(n, window, 0, ws.New())

@@ -1,5 +1,5 @@
 // Package tsgen generates the synthetic workloads that substitute for the
-// paper's data sets (documented in DESIGN.md §4):
+// paper's data sets:
 //
 //   - A catalog of UCR-like time-series classification data sets mirroring
 //     Table II's (n, length, #classes) shapes, generated from random smooth

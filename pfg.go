@@ -1161,15 +1161,20 @@ func (st *Streamer) Exact() bool {
 
 // IncrementalStats returns the incremental layer's gate counters and
 // whether the layer is enabled; a disabled streamer reports zeroes and
-// false. Counters accumulate over the streamer's lifetime and may be read
-// concurrently with snapshots.
+// false. Counters accumulate over the streamer's lifetime; a read never
+// waits behind a snapshot, even one that is re-clustering.
 func (st *Streamer) IncrementalStats() (IncrementalStats, bool) {
 	if st.inc == nil {
 		return IncrementalStats{}, false
 	}
-	st.inc.mu.Lock()
-	defer st.inc.mu.Unlock()
-	s := st.inc.stats
+	g := st.inc
+	s := IncrementalStats{
+		Hits:         g.hits.Load(),
+		FullInit:     g.fullInit.Load(),
+		FullBoundary: g.fullBoundary.Load(),
+		FullDrift:    g.fullDrift.Load(),
+		FullStale:    g.fullStale.Load(),
+	}
 	s.Fulls = s.FullInit + s.FullBoundary + s.FullDrift + s.FullStale
 	return s, true
 }

@@ -4,17 +4,19 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"pfg/internal/obs"
 	"pfg/internal/tsgen"
 )
 
 // tickStream transposes a tsgen dataset into per-tick samples: tick t holds
 // one observation per series.
-func tickStream(t *testing.T, n, count int, seed int64) [][]float64 {
-	t.Helper()
+func tickStream(tb testing.TB, n, count int, seed int64) [][]float64 {
+	tb.Helper()
 	ds := tsgen.GenerateClassed("stream", n, count, 3, 0.5, seed)
 	out := make([][]float64, count)
 	for k := range out {
@@ -47,7 +49,8 @@ func windowSeries(stream [][]float64, pushed, window, n int) [][]float64 {
 
 // sameResult asserts two results are bit-identical through the public
 // surface: cut labels, Newick serialization (which embeds every merge and
-// height), the edge weight sum, and the group count.
+// height), the filtered graph's edge list, the edge weight sum, and the
+// group count.
 func sameResult(t *testing.T, tag string, got, want *Result, k int) {
 	t.Helper()
 	gl, err := got.Cut(k)
@@ -73,6 +76,9 @@ func sameResult(t *testing.T, tag string, got, want *Result, k int) {
 	}
 	if gn != wn {
 		t.Fatalf("%s: newick differs:\nstream %s\nbatch  %s", tag, gn, wn)
+	}
+	if !slices.Equal(got.Edges, want.Edges) {
+		t.Fatalf("%s: filtered-graph edges differ:\nstream %v\nbatch  %v", tag, got.Edges, want.Edges)
 	}
 	if math.Float64bits(got.EdgeWeightSum) != math.Float64bits(want.EdgeWeightSum) {
 		t.Fatalf("%s: EdgeWeightSum %v != %v", tag, got.EdgeWeightSum, want.EdgeWeightSum)
@@ -178,6 +184,135 @@ func TestStreamerPartialWindow(t *testing.T) {
 	}
 }
 
+// fullStreamer returns a streamer holding a full window of ticks.
+func fullStreamer(tb testing.TB, ticks [][]float64, window int, opts StreamOptions) *Streamer {
+	tb.Helper()
+	st, err := NewStreamer(window, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(st.Close)
+	for _, x := range ticks[:window] {
+		if err := st.Push(x); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return st
+}
+
+// pushOptions keeps every steady-state Push the same O(n²) roll: one
+// worker, no periodic rebuilds.
+var pushOptions = StreamOptions{Cluster: Options{Method: CompleteLinkage, Workers: 1}, RebuildEvery: -1}
+
+// pushStages returns registry-backed push stages, as the serving layer
+// installs them.
+func pushStages() *StreamerMetrics {
+	reg := obs.NewRegistry()
+	stage := func(name string) *obs.Stage {
+		return obs.NewStage(reg.Histogram("pfg_tick_stage_ns", "per-tick stage wall time", "stage", name))
+	}
+	return &StreamerMetrics{PushAdmit: stage("admit"), PushRoll: stage("roll"), Rebuild: stage("rebuild")}
+}
+
+// TestPushAllocs pins steady-state Push at Workers:1 to two allocations —
+// the next generation's watch channel and one worker-pool closure — and
+// pins that installing stage metrics adds none.
+func TestPushAllocs(t *testing.T) {
+	const n, window = 32, 16
+	ticks := tickStream(t, n, 2*window, 3)
+	var got [2]float64
+	for i, met := range []*StreamerMetrics{nil, pushStages()} {
+		st := fullStreamer(t, ticks, window, pushOptions)
+		st.SetMetrics(met)
+		k := 0
+		got[i] = testing.AllocsPerRun(64, func() {
+			if err := st.Push(ticks[window+k%window]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+	}
+	if got[0] != got[1] {
+		t.Errorf("Push allocates %v with stage metrics, %v without", got[1], got[0])
+	}
+	if got[0] != 2 {
+		t.Errorf("Push allocates %v per call, want 2", got[0])
+	}
+}
+
+// BenchmarkPushMetrics is the one instrumented-vs-uninstrumented pair the
+// code still has: steady-state Push with registry-backed stages against nil
+// metrics. README ("Observability") says how to run it for the ≤5% bar.
+func BenchmarkPushMetrics(b *testing.B) {
+	const n, window = 512, 64
+	ticks := tickStream(b, n, 2*window, 42)
+	for _, side := range []struct {
+		name string
+		met  *StreamerMetrics
+	}{{"instrumented", pushStages()}, {"nil-metrics", nil}} {
+		b.Run(side.name, func(b *testing.B) {
+			st := fullStreamer(b, ticks, window, pushOptions)
+			st.SetMetrics(side.met)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.Push(ticks[window+i%window]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestTickAllocs pins the allocations of one steady-state serving tick
+// (Push + Snapshot at Workers:1) independent of n: an exact complete-linkage
+// tick, and an incremental hit, which serves an owned copy of the reference
+// clustering. The hit cases disable every gate that could force an exact
+// re-cluster, and check that each measured tick was a hit.
+func TestTickAllocs(t *testing.T) {
+	hit := IncrementalOptions{Enabled: true, DriftThreshold: 4, MaxStale: -1}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		method Method
+		inc    IncrementalOptions
+		want   float64
+	}{
+		{"exact", CompleteLinkage, IncrementalOptions{}, 9},
+		{"hit", CompleteLinkage, hit, 6},
+		{"hit", TMFGDBHT, hit, 7},
+	} {
+		for _, n := range []int{32, 128} {
+			const window, runs = 16, 16
+			ticks := tickStream(t, n, 2*window, 9)
+			st := fullStreamer(t, ticks, window, StreamOptions{
+				Cluster:      Options{Method: c.method, Workers: 1},
+				RebuildEvery: -1,
+				Incremental:  c.inc,
+			})
+			if _, err := st.Snapshot(ctx); err != nil {
+				t.Fatal(err)
+			}
+			k := 0
+			got := testing.AllocsPerRun(runs, func() {
+				if err := st.Push(ticks[window+k%window]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.Snapshot(ctx); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			})
+			if stats, on := st.IncrementalStats(); on && (stats.Hits != runs+1 || stats.Fulls != 1) {
+				t.Fatalf("%s %v n=%d: %d hits and %d fulls, want %d hits after one full", c.name, c.method, n, stats.Hits, stats.Fulls, runs+1)
+			}
+			if got != c.want {
+				t.Errorf("%s %v n=%d: %v allocs per tick, want %v", c.name, c.method, n, got, c.want)
+			}
+		}
+	}
+}
+
 // TestStreamerConcurrentPushSnapshot exercises the concurrency contract
 // under the race detector: one pusher, several snapshotters, plus forced
 // rebuilds, all in flight at once. The incremental case also holds every
@@ -241,6 +376,11 @@ func concurrentPushSnapshot(t *testing.T, inc IncrementalOptions) {
 				}
 				if res.Drift > inc.DriftThreshold {
 					t.Errorf("snapshot served with drift %v beyond %v", res.Drift, inc.DriftThreshold)
+					return
+				}
+				// The gate counters are read while other snapshots write them.
+				if s, on := st.IncrementalStats(); on != inc.Enabled || (on && s.Hits+s.Fulls == 0) {
+					t.Errorf("stats %+v (enabled %v) after a served snapshot", s, on)
 					return
 				}
 			}
