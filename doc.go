@@ -154,9 +154,12 @@
 // correct it to a fixed point; every row equals a per-source Dijkstra's
 // bit for bit, whichever tree it started from.
 //
-// The hottest kernels carry two backends selected at init: hand-written
-// AVX2 assembly on capable amd64 hosts, and the always-compiled pure-Go
-// scalar cores everywhere else (forced by -tags purego).
+// The hottest kernels — the SYRK tile, the rank-1 roll, the Pearson finish,
+// the incremental drift gate's CorrDriftRows scan (whose oracle is its
+// scalar row core) and the MinIdx/DissimRow scans — carry two backends
+// selected at init: hand-written AVX2 assembly on capable amd64 hosts, and
+// the always-compiled pure-Go scalar cores everywhere else (forced by
+// -tags purego).
 // The backends are bit-identical in float64 — the vector code avoids FMA,
 // vectorizes across matrix columns rather than the time dimension, and
 // mirrors scalar operand order — and KernelISA reports which one this

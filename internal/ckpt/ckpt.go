@@ -44,8 +44,9 @@
 // The decoder trusts nothing: magic and version gate first (ErrBadMagic,
 // ErrVersion), every shape is bounds-checked against format limits before
 // any allocation sized from it (ErrFormat), payload bytes accrue into
-// chunk-grown buffers so a truncated file can never force an allocation
-// beyond the bytes actually present, CRCs gate every frame (ErrCorrupt),
+// buffers that grow by doubling only as bytes arrive, so a truncated file
+// can never force an allocation larger than one chunk or twice the bytes
+// actually present (see decoder), CRCs gate every frame (ErrCorrupt),
 // and the reconstructed state passes the engine's full invariant validation
 // (stream.NewFromState) before an Engine is handed back.
 package ckpt
@@ -354,10 +355,14 @@ func (e *encoder) writeF64Frame(vals []float64) {
 	e.writeU32(crc)
 }
 
-// decoder reads CRC32C frames through one reused chunk buffer. Destination
-// slices grow chunk by chunk as payload bytes actually arrive, so a
-// truncated or crafted input can never force an allocation beyond the bytes
-// it contains (plus one chunk).
+// decoder reads CRC32C frames through one reused chunk buffer. A float
+// frame's destination starts at one chunk (or the frame's declared length,
+// if smaller) and grows by doubling, capped at the declared length, only
+// after the payload bytes that need the room have arrived. So each
+// allocation is at most one chunk or 2× the frame bytes read so far,
+// whichever is larger; a frame's allocations sum to under 4× its bytes read
+// plus one chunk, however the input is truncated or crafted, and a whole
+// frame costs O(log size) allocations.
 type decoder struct {
 	r   io.Reader
 	buf []byte
@@ -418,6 +423,9 @@ func (d *decoder) readF64Frame(want int) ([]float64, error) {
 			return nil, err
 		}
 		crc = crc32.Update(crc, castagnoli, chunk)
+		if len(dst)+k/8 > cap(dst) {
+			dst = append(make([]float64, 0, min(2*cap(dst), want)), dst...)
+		}
 		for off := 0; off < k; off += 8 {
 			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(chunk[off:])))
 		}

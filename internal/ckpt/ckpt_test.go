@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pfg/internal/exec"
@@ -158,6 +160,52 @@ func TestCheckpointAllocs(t *testing.T) {
 		if got != c.want {
 			t.Errorf("n=%d W=%d: %v allocs per checkpoint, want %v", c.n, c.window, got, c.want)
 		}
+	}
+}
+
+// TestRestoreAllocBound pins the decoder's allocation bound on the n=512,
+// W=4096 checkpoint: a whole restore allocates under 3.5× the checkpoint's
+// bytes (the doubling frames plus the engine they are copied into), and the
+// same file cut after 1 MiB of ring payload fails with ErrCorrupt having
+// allocated under 4× the bytes it holds plus a chunk per frame.
+func TestRestoreAllocBound(t *testing.T) {
+	const n, window = 512, 4096
+	var buf bytes.Buffer
+	if _, err := CheckpointTo(&buf, buildEngine(t, n, window, 64, 24, 7), testParams); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	restoreAlloc := func(in []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, _, err := RestoreEngine(bytes.NewReader(in), ws.New())
+		runtime.ReadMemStats(&after)
+		if e != nil {
+			e.Release()
+		}
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+
+	got, err := restoreAlloc(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("whole restore: %d bytes allocated for %d bytes of checkpoint", got, len(data))
+	if ratio := float64(got) / float64(len(data)); ratio > 3.5 {
+		t.Errorf("restore allocated %d bytes for a %d-byte checkpoint (%.2f×), want ≤ 3.5×", got, len(data), ratio)
+	}
+
+	// Header frame, sums frame, then the ring frame's length word and
+	// 1 MiB of its payload.
+	cut := data[:(4+headerLen+4)+(4+8*n+4)+4+1<<20]
+	got, err = restoreAlloc(cut)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated restore: err %v, want ErrCorrupt", err)
+	}
+	t.Logf("truncated restore: %d bytes allocated for %d bytes of input", got, len(cut))
+	if limit := uint64(4*len(cut) + 3*chunkBytes); got > limit {
+		t.Errorf("truncated restore allocated %d bytes for %d bytes of input, want ≤ %d", got, len(cut), limit)
 	}
 }
 

@@ -1,6 +1,11 @@
 package dendro
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -198,5 +203,114 @@ func TestNewickBalanced(t *testing.T) {
 	}
 	if s != "((L0:1,L1:1):3,(L2:2,L3:2):2);" {
 		t.Fatalf("newick %q", s)
+	}
+}
+
+// newickSprintf is the nested-fmt.Sprintf Newick writer the one-pass writer
+// replaced, kept as its oracle: every level re-copies its subtree's string,
+// so it is quadratic on deep trees, but its output is the compatibility
+// surface.
+func newickSprintf(d *Dendrogram, names []string) string {
+	name := func(i int32) string {
+		if names != nil {
+			s := names[i]
+			if strings.ContainsAny(s, "(),:;'\" \t\n[]") {
+				return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+			}
+			return s
+		}
+		return "L" + strconv.Itoa(int(i))
+	}
+	height := func(node int32) float64 {
+		if node < int32(d.N) {
+			return 0
+		}
+		return d.Merges[node-int32(d.N)].Height
+	}
+	var build func(node int32, parentHeight float64) string
+	build = func(node int32, parentHeight float64) string {
+		length := parentHeight - height(node)
+		if length < 0 {
+			length = 0
+		}
+		if node < int32(d.N) {
+			return fmt.Sprintf("%s:%g", name(node), length)
+		}
+		m := d.Merges[node-int32(d.N)]
+		return fmt.Sprintf("(%s,%s):%g", build(m.A, m.Height), build(m.B, m.Height), length)
+	}
+	if d.N == 1 {
+		return name(0) + ";"
+	}
+	m := d.Merges[d.Root()-int32(d.N)]
+	return fmt.Sprintf("(%s,%s);", build(m.A, m.Height), build(m.B, m.Height))
+}
+
+// randomDendrogram merges random pairs of live nodes. Heights mix ties,
+// children above their parent (the branch length clamps to 0), and the
+// values %g formats specially: ±Inf, NaN, −0, the smallest subnormal, 1e21
+// and MaxFloat64.
+func randomDendrogram(rng *rand.Rand, n int) *Dendrogram {
+	specials := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0,
+		5e-324, 1e21, math.MaxFloat64, -math.MaxFloat64, 1e-7, 123456789,
+	}
+	live := make([]int32, n)
+	for i := range live {
+		live[i] = int32(i)
+	}
+	d := &Dendrogram{N: n}
+	h := 0.0
+	for len(live) > 1 {
+		a := rng.Intn(len(live))
+		na := live[a]
+		live[a] = live[len(live)-1]
+		live = live[:len(live)-1]
+		b := rng.Intn(len(live))
+		nb := live[b]
+		switch rng.Intn(5) {
+		case 0: // tie with the previous merge
+		case 1:
+			h = specials[rng.Intn(len(specials))]
+		case 2:
+			h -= rng.Float64() // below its children: clamps
+		default:
+			h += rng.ExpFloat64()
+		}
+		d.Merges = append(d.Merges, Merge{A: na, B: nb, Height: h})
+		live[b] = int32(n + len(d.Merges) - 1)
+	}
+	return d
+}
+
+// TestNewickMatchesSprintf pins the one-pass writer to the Sprintf oracle
+// byte for byte, with default and escaped leaf names.
+func TestNewickMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 4, 7, 16, 33, 100, 257} {
+		for trial := 0; trial < 8; trial++ {
+			d := randomDendrogram(rng, n)
+			var names []string
+			if trial%2 == 1 {
+				names = make([]string, n)
+				for i := range names {
+					switch rng.Intn(4) {
+					case 0:
+						names[i] = fmt.Sprintf("it's (%d)", i)
+					case 1:
+						names[i] = fmt.Sprintf("a b:%d;[x]", i)
+					default:
+						names[i] = fmt.Sprintf("s%d", i)
+					}
+				}
+			}
+			got, err := d.Newick(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := newickSprintf(d, names); got != want {
+				t.Fatalf("n=%d trial=%d: newick diverges from the Sprintf oracle\n got: %s\nwant: %s", n, trial, got, want)
+			}
+		}
 	}
 }

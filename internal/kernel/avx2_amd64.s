@@ -32,6 +32,9 @@ GLOBL two64<>(SB), RODATA|NOPTR, $8
 DATA inf64<>+0(SB)/8, $0x7FF0000000000000 // +Inf
 GLOBL inf64<>(SB), RODATA|NOPTR, $8
 
+DATA absmask64<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF // clears the sign bit
+GLOBL absmask64<>(SB), RODATA|NOPTR, $8
+
 DATA four64<>+0(SB)/8, $4 // int64 4
 GLOBL four64<>(SB), RODATA|NOPTR, $8
 
@@ -351,5 +354,70 @@ finnodis:
 	ADDQ $16, DX
 	DECQ CX
 	JNZ  finloop
+	VZEROUPPER
+	RET
+
+// func driftSeg(rowp, refp, mup, invp *float64, zerop *int32, si, invi, acc float64, count int) float64
+//
+// The drift gate's scan over count (multiple of 4) strictly-upper columns of
+// one row: p is finishSeg's per-entry arithmetic and pinning ladder, in the
+// same operation and operand order, then d = |p − ref[j]| (VANDPD clears the
+// sign bit, exactly the scalar −d for d < 0) and a per-lane running maximum
+// seeded with acc. The maximum is VMAXPD with the running value as
+// Intel-src2, so a NaN d (from a NaN ref entry) returns the running value —
+// the scalar `d > d0` a NaN fails — and so does a tie of zeros. acc is never
+// NaN and never negative, so the lane fold at the end is order-free: the
+// result is the scalar core's bits.
+TEXT ·driftSeg(SB), NOSPLIT, $0-80
+	MOVQ rowp+0(FP), DI
+	MOVQ refp+8(FP), R8
+	MOVQ mup+16(FP), SI
+	MOVQ invp+24(FP), BX
+	MOVQ zerop+32(FP), DX
+	VBROADCASTSD si+40(FP), Y12
+	VBROADCASTSD invi+48(FP), Y13
+	VBROADCASTSD acc+56(FP), Y10 // running maxima, every lane from acc
+	MOVQ count+64(FP), CX
+	SHRQ $2, CX
+	VBROADCASTSD one64<>(SB), Y14
+	VBROADCASTSD negone64<>(SB), Y15
+	VBROADCASTSD absmask64<>(SB), Y9
+	VXORPD Y11, Y11, Y11
+
+driftloop:
+	VMOVUPD (SI), Y0    // mu[j]
+	VMULPD  Y0, Y12, Y0 // si * mu[j]
+	VMOVUPD (DI), Y1    // row[j]
+	VSUBPD  Y0, Y1, Y1  // row − si*mu
+	VMULPD  Y13, Y1, Y1 // · invi
+	VMOVUPD (BX), Y2
+	VMULPD  Y2, Y1, Y1  // · inv[j]  = p
+
+	VCMPPD  $0x3, Y1, Y1, Y2 // NaN mask
+	VMAXPD  Y1, Y15, Y1      // max(−1, p), NaN passes
+	VMINPD  Y1, Y14, Y1      // min(1, ·), NaN passes
+	VANDNPD Y1, Y2, Y1       // NaN → 0
+	VPMOVSXDQ (DX), Y3       // zero[j] int32 → int64
+	VPCMPEQQ Y11, Y3, Y3     // keep mask: zero[j] == 0
+	VANDPD  Y3, Y1, Y1       // zero-variance → 0
+
+	VMOVUPD (R8), Y4
+	VSUBPD  Y4, Y1, Y1   // p − ref[j]
+	VANDPD  Y9, Y1, Y1   // |p − ref[j]|
+	VMAXPD  Y10, Y1, Y10 // max(|d|, run), NaN |d| keeps run
+
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, SI
+	ADDQ $32, BX
+	ADDQ $16, DX
+	DECQ CX
+	JNZ  driftloop
+
+	VEXTRACTF128 $1, Y10, X0
+	VMAXPD  X0, X10, X10 // lanes 0|2 and 1|3
+	VPERMILPD $1, X10, X0
+	VMAXSD  X0, X10, X10
+	VMOVSD  X10, ret+72(FP)
 	VZEROUPPER
 	RET

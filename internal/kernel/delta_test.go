@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,6 +56,28 @@ func TestCorrDriftRows(t *testing.T) {
 		}
 		if merged != want {
 			t.Fatalf("n=%d: per-row partition drift=%v want %v", n, merged, want)
+		}
+	}
+}
+
+// BenchmarkCorrDriftRows times one full drift-gate scan, the dispatched
+// kernel against the scalar core, at the serving shape (n=256) and a larger
+// universe.
+func BenchmarkCorrDriftRows(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		raw, s, ref := driftFixture(rand.New(rand.NewSource(3)), n, 0)
+		mu, inv, zero := make([]float64, n), make([]float64, n), make([]int32, n)
+		PrepPearsonMoments(raw, n, s, 24, mu, inv, zero)
+		for _, side := range []struct {
+			name string
+			scan func(g []float64, n int, s, mu, inv []float64, zero []int32, ref []float64, lo, hi int) float64
+		}{{"dispatched", CorrDriftRows}, {"scalar", corrDriftRowsGo}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, side.name), func(b *testing.B) {
+				b.SetBytes(int64(n * (n - 1) / 2 * 16)) // band + reference entries read
+				for b.Loop() {
+					side.scan(raw, n, s, mu, inv, zero, ref, 0, n)
+				}
+			})
 		}
 	}
 }

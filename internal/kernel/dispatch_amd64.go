@@ -62,6 +62,9 @@ func rank1RollSeg(row, xNew, xOld *float64, a, b float64, q int)
 func finishSeg(rowp, mirrorp *float64, mstride uintptr, mup, invp *float64, zerop *int32, si, invi float64, count int, disp, dismp *float64)
 
 //go:noescape
+func driftSeg(rowp, refp, mup, invp *float64, zerop *int32, si, invi, acc float64, count int) float64
+
+//go:noescape
 func minIdxSeg(row *float64, count int, outV *[4]float64, outI *[4]int64)
 
 //go:noescape

@@ -29,6 +29,10 @@ func finishRowAVX2(sim, dis []float64, n int, si, invi float64, mu, inv []float6
 	panic("kernel: no vector backend")
 }
 
+func driftSeg(rowp, refp, mup, invp *float64, zerop *int32, si, invi, acc float64, count int) float64 {
+	panic("kernel: no vector backend")
+}
+
 func minIdxSeg(row *float64, count int, outV *[4]float64, outI *[4]int64) {
 	panic("kernel: no vector backend")
 }

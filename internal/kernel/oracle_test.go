@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -235,6 +236,143 @@ func finishTilesGo(sim, dis []float64, n int, s, mu, inv []float64, zero []int32
 			}
 		}
 	}
+}
+
+// corrDriftRowsGo runs the whole drift scan on the scalar cores.
+func corrDriftRowsGo(g []float64, n int, s, mu, inv []float64, zero []int32, ref []float64, lo, hi int) float64 {
+	drift := 0.0
+	for i := lo; i < hi; i++ {
+		refRow := ref[i*n : (i+1)*n]
+		if zero[i] != 0 {
+			drift = driftZeroRowGo(refRow, i+1, drift)
+			continue
+		}
+		drift = driftRowGo(g[i*n:(i+1)*n], refRow, mu, inv, zero, s[i], inv[i], i+1, drift)
+	}
+	return drift
+}
+
+// driftFixture returns raw moments, sums and a reference for an n-series
+// drift scan:
+//
+//   - fuzz 0: well-scaled moments against a perturbed finish of themselves;
+//   - fuzz 1: fuzzFill values in the band and the reference (±Inf,
+//     ±MaxFloat64 and subnormals, so centring overflows and the reference
+//     holds infinities);
+//   - fuzz 2: well-scaled moments against their own finish, except that each
+//     row carries one bump followed four columns later (the same vector
+//     lane) by a NaN, so a NaN that reset a lane's running maximum would
+//     lose the bump.
+//
+// Every case pins a few rows to zero variance and puts NaN into a few
+// reference entries.
+func driftFixture(rng *rand.Rand, n, fuzz int) (raw, s, ref []float64) {
+	const l = 24
+	if fuzz == 1 {
+		raw, s, ref = make([]float64, n*n), make([]float64, n), make([]float64, n*n)
+		fuzzFill(rng, raw)
+		fuzzFill(rng, ref)
+		for i := 0; i < n; i++ {
+			s[i] = rng.NormFloat64() * 10
+			raw[i*n+i] = math.Abs(rng.NormFloat64())*100 + 1 // usable diagonal
+		}
+	} else {
+		raw, s = momentsFixture(rng, n, l)
+		mu, inv, zero := make([]float64, n), make([]float64, n), make([]int32, n)
+		PrepPearsonMoments(raw, n, s, l, mu, inv, zero)
+		ref = append([]float64(nil), raw...)
+		FinishPearsonMoments(ref, nil, n, s, mu, inv, zero, 0, FinishTiles(n))
+		for i := 0; i < n; i++ {
+			if fuzz == 0 {
+				for j := i + 1; j < n; j++ {
+					ref[i*n+j] += rng.NormFloat64() * 0.01
+				}
+			} else if i+5 < n {
+				j := i + 1 + rng.Intn(n-i-5)
+				ref[i*n+j] += rng.Float64()
+				ref[i*n+j+4] = math.NaN()
+			}
+		}
+	}
+	for k := 0; k < 1+n/8; k++ {
+		i := rng.Intn(n)
+		raw[i*n+i], s[i] = 0, 0 // zero variance
+	}
+	for k := 0; k < 1+n/4; k++ {
+		ref[rng.Intn(n*n)] = math.NaN() // a NaN difference never wins
+	}
+	return raw, s, ref
+}
+
+// TestOracleCorrDrift pins the dispatched drift scan to the scalar core bit
+// for bit, from every starting row, so every vector segment length and
+// scalar tail length occurs.
+func TestOracleCorrDrift(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	for _, n := range []int{1, 2, 5, 7, 8, 9, 65, 257} {
+		for fuzz := 0; fuzz < 3; fuzz++ {
+			raw, s, ref := driftFixture(rng, n, fuzz)
+			mu, inv, zero := make([]float64, n), make([]float64, n), make([]int32, n)
+			PrepPearsonMoments(raw, n, s, 24, mu, inv, zero)
+			for lo := 0; lo < n; lo++ {
+				got := CorrDriftRows(raw, n, s, mu, inv, zero, ref, lo, n)
+				want := corrDriftRowsGo(raw, n, s, mu, inv, zero, ref, lo, n)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d fuzz=%d lo=%d: drift %v, scalar core %v", n, fuzz, lo, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCorrDriftRows checks the dispatched drift scan against the scalar
+// core on raw float bits: the band, sums and reference are 8 payload bytes
+// each (cycled when short), so NaN, ±Inf, −0, subnormals and centring that
+// overflows all occur; n (≤ 64), the first row and the sample count come
+// from the other arguments.
+func FuzzCorrDriftRows(f *testing.F) {
+	rng := rand.New(rand.NewSource(77))
+	for _, n := range []int{1, 9, 17, 33} {
+		for fuzz := 0; fuzz < 3; fuzz++ {
+			raw, s, ref := driftFixture(rng, n, fuzz)
+			var data []byte
+			for _, v := range append(append(raw, s...), ref...) {
+				data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+			}
+			f.Add(uint8(n-1), uint8(n/3), uint16(23), data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, nRaw, loRaw uint8, count uint16, data []byte) {
+		n := 1 + int(nRaw)%64
+		lo := int(loRaw) % n
+		pos := 0
+		var buf [8]byte
+		fill := func(dst []float64) {
+			for k := range dst {
+				for b := range buf {
+					if len(data) == 0 {
+						buf[b] = byte(pos)
+					} else {
+						buf[b] = data[pos%len(data)]
+					}
+					pos++
+				}
+				dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+			}
+		}
+		raw, s, ref := make([]float64, n*n), make([]float64, n), make([]float64, n*n)
+		fill(raw)
+		fill(s)
+		fill(ref)
+		mu, inv, zero := make([]float64, n), make([]float64, n), make([]int32, n)
+		PrepPearsonMoments(raw, n, s, 1+int(count), mu, inv, zero)
+		got := CorrDriftRows(raw, n, s, mu, inv, zero, ref, lo, n)
+		want := corrDriftRowsGo(raw, n, s, mu, inv, zero, ref, lo, n)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d lo=%d: drift %v (%#x), scalar core %v (%#x)",
+				n, lo, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 func TestOracleScans(t *testing.T) {

@@ -133,6 +133,26 @@ func (c *snapCache) body(gen uint64, key string, build func() (*pfg.ResultJSON, 
 	return b, nil
 }
 
+// refView returns a stored wire view of the reference clustering ref for
+// this cut key, or nil. A view of generation g with StaleTicks s was built
+// from the clustering of reference generation g − s, whichever result object
+// carried it, so each view's reference follows from its own stamp. Both the
+// current and the previous generation's views are searched: a build for a
+// new generation runs before storeBody rotates the maps to it, and once one
+// cut set of the new generation is stored, the others' views of the same
+// reference sit in the previous map.
+func (c *snapCache) refView(ref uint64, key string) *pfg.ResultJSON {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v := c.views[key]; v != nil && c.bodiesGen-uint64(v.StaleTicks) == ref {
+		return v
+	}
+	if v := c.prevViews[key]; v != nil && c.prevGen-uint64(v.StaleTicks) == ref {
+		return v
+	}
+	return nil
+}
+
 // storeBody records the marshaled response and its view for (gen, key),
 // rotating the maps when the generation moves — the outgoing generation's
 // views become the delta bases — and capping their size. Callers must not
@@ -271,7 +291,9 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 			// publishes: every response body of this generation — built only
 			// after f.done closes or c.res lands below — then embeds the
 			// same drift record.
+			noted := time.Now()
 			s.noteStructure(sess, res, actualGen)
+			s.ins.serveStructure.ObserveDuration(time.Since(noted))
 			if slow := s.opts.LogSlowTick; slow > 0 && elapsed >= slow {
 				logSlowSnapshot(sess, actualGen, elapsed)
 			}

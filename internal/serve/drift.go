@@ -83,12 +83,14 @@ type DriftzResponse struct {
 }
 
 // driftTracker is one session's structure-drift state: the previous
-// computed generation's labels and canonical edge list, and the last
+// computed generation's labels and canonical edge list, the reference
+// generation of the clustering they were derived from, and the last
 // comparison. The mutex only ever contends clustering-run goroutines with
 // /driftz readers and body builds — never the push or cached-GET paths.
 type driftTracker struct {
 	mu     sync.Mutex
 	gen    uint64 // most recent computed generation (0 = none yet)
+	ref    uint64 // reference generation of gen's clustering
 	labels []int
 	edges  [][2]int32 // canonical: lo < hi, sorted
 	last   StructureDrift
@@ -132,6 +134,11 @@ func (t *driftTracker) state() (uint64, *StructureDrift) {
 // clustering run's goroutine after SnapshotGen succeeds and before the run
 // publishes its result, so the record is in place before any response body
 // of that generation is built.
+//
+// An incremental hit is a copy of the reference clustering of generation
+// gen − TicksSinceExact; when the tracker's labels and edges came from that
+// same reference they are this result's too, so the comparison reuses them
+// (ARI 1, churn 0) instead of cutting and sorting again.
 func (s *Server) noteStructure(sess *Session, res *pfg.Result, gen uint64) {
 	k := sess.cfg.DriftCut
 	if k <= 0 {
@@ -140,11 +147,7 @@ func (s *Server) noteStructure(sess *Session, res *pfg.Result, gen uint64) {
 	if n := res.Dendrogram.N; k > n {
 		k = n
 	}
-	labels, err := res.Cut(k)
-	if err != nil {
-		return
-	}
-	edges := graph.CanonicalEdges(res.Edges)
+	ref := gen - uint64(res.TicksSinceExact)
 
 	t := &sess.drift
 	t.mu.Lock()
@@ -153,6 +156,14 @@ func (s *Server) noteStructure(sess *Session, res *pfg.Result, gen uint64) {
 	// monotone so drift always compares forward in time.
 	if t.gen >= gen && t.gen != 0 {
 		return
+	}
+	labels, edges := t.labels, t.edges
+	if t.gen == 0 || t.ref != ref {
+		var err error
+		if labels, err = res.Cut(k); err != nil {
+			return
+		}
+		edges = graph.CanonicalEdges(res.Edges)
 	}
 	if t.gen != 0 {
 		ari := labelARI(t.labels, labels)
@@ -177,7 +188,7 @@ func (s *Server) noteStructure(sess *Session, res *pfg.Result, gen uint64) {
 		s.ins.driftAri.Observe(uint64(dist))
 		s.ins.driftChurn.Observe(uint64(added + removed))
 	}
-	t.gen, t.labels, t.edges = gen, labels, edges
+	t.gen, t.ref, t.labels, t.edges = gen, ref, labels, edges
 }
 
 // labelARI is pfg.ARI hardened for the tracker: identical labelings are 1

@@ -517,11 +517,26 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // stampede; the unmarshaled view is retained by the cache as the base for
 // the next generation's deltas. Shared by the GET path and the broadcaster,
 // so pollers and subscribers of one generation receive byte-identical bodies.
+//
+// An incremental hit serves a copy of its reference clustering, so its view
+// differs from any earlier view of that reference, for the same cuts, only in
+// stale_ticks and drift: the build copies that view and replaces the two,
+// sharing the Newick, edge list and cut labels (views are immutable once
+// stored), and derives a view with Result.JSON only for a reference it has
+// not served yet.
 func (s *Server) snapshotBody(sess *Session, res *pfg.Result, gen uint64, ks []int, key string) ([]byte, error) {
 	return sess.cache.body(gen, key, func() (*pfg.ResultJSON, []byte, error) {
-		view, err := res.JSON(ks, nil)
-		if err != nil {
-			return nil, nil, err
+		start := time.Now()
+		var view *pfg.ResultJSON
+		if v := sess.cache.refView(gen-uint64(res.TicksSinceExact), key); v != nil {
+			cp := *v
+			cp.StaleTicks, cp.Drift = res.TicksSinceExact, res.Drift
+			view = &cp
+		} else {
+			var err error
+			if view, err = res.JSON(ks, nil); err != nil {
+				return nil, nil, err
+			}
 		}
 		b, err := json.Marshal(SnapshotResponse{
 			Session:    sess.ID,
@@ -538,6 +553,7 @@ func (s *Server) snapshotBody(sess *Session, res *pfg.Result, gen uint64, ks []i
 			return nil, nil, err
 		}
 		s.ins.snapshotEncodes.Add(1)
+		s.ins.serveEncode.ObserveDuration(time.Since(start))
 		return view, append(b, '\n'), nil
 	})
 }

@@ -6,9 +6,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"pfg"
 )
 
 // incrCreate creates an incremental session with the given knobs.
@@ -136,5 +139,131 @@ func TestNonIncrementalSessionOmitsMetadata(t *testing.T) {
 	h.mustJSON("GET", "/statsz", nil, http.StatusOK, &stats)
 	if stats.IncrementalHits != 0 || stats.IncrementalFulls != 0 {
 		t.Fatalf("plain session moved incremental counters: %+v", stats)
+	}
+}
+
+// TestIncrementalHitReusesView drives a Workers:1 incremental session with
+// two cut sets through hits, drift refreshes, staleness refreshes and rebuild
+// boundaries, in lockstep with a shadow Streamer of the same configuration
+// snapshotted at the same generations. Every GET body must equal the bytes
+// the shadow's result gives through Result.JSON and marshal — so a hit's
+// reused view must carry the hit's own stale_ticks and drift, and a new
+// reference must never be served an older reference's view — and so must
+// every view a subscriber rebuilds from the event stream with ApplyDelta.
+// After a hit, /driftz reads ARI 1 and no edge churn.
+func TestIncrementalHitReusesView(t *testing.T) {
+	const (
+		id     = "reuse"
+		window = 24
+		n      = 12
+	)
+	inc := pfg.IncrementalOptions{Enabled: true, DriftThreshold: 0.4, MaxStale: 5}
+	h := newTestServer(t, Options{})
+	h.mustJSON("POST", "/v1/sessions", CreateSessionRequest{
+		ID: id, Window: window, Method: "tmfg-dbht", Workers: 1, RebuildEvery: 20,
+		Incremental: &IncrementalRequest{DriftThreshold: inc.DriftThreshold, MaxStale: inc.MaxStale},
+	}, http.StatusCreated, nil)
+	shadow, err := pfg.NewStreamer(window, pfg.StreamOptions{
+		Cluster:      pfg.Options{Method: pfg.TMFGDBHT, Workers: 1},
+		RebuildEvery: 20,
+		Incremental:  inc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shadow.Close()
+
+	stream := ticks(t, n, window+90, 13)
+	push := func(x []float64) {
+		h.mustJSON("POST", "/v1/sessions/"+id+"/push", PushRequest{Sample: x}, http.StatusOK, nil)
+		if err := shadow.Push(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range stream[:window] {
+		push(x)
+	}
+
+	cutSets := [][]int{{2}, {3, 5}}
+	// want returns the body the GET path must serve for each cut set, from
+	// the shadow's one snapshot of the current generation.
+	want := func() (uint64, *pfg.Result, [][]byte) {
+		res, gen, err := shadow.SnapshotGen(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies := make([][]byte, len(cutSets))
+		for i, ks := range cutSets {
+			view, err := res.JSON(ks, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(SnapshotResponse{Session: id, Method: "tmfg-dbht", Window: window, Generation: gen, Result: view})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = append(b, '\n')
+		}
+		return gen, res, bodies
+	}
+	query := func(ks []int) string { return "k=" + cutsKey(ks) }
+
+	gen, res, bodies := want()
+	subs := make([]*sseClient, len(cutSets))
+	views := make([]*pfg.ResultJSON, len(cutSets))
+	for i, ks := range cutSets {
+		subs[i] = openEvents(h, "/v1/sessions/"+id+"/events?"+query(ks))
+	}
+	for step, x := range append([][]float64{nil}, stream[window:]...) {
+		if x != nil {
+			push(x)
+			gen, res, bodies = want()
+		}
+		for i, ks := range cutSets {
+			status, got := h.do("GET", "/v1/sessions/"+id+"/snapshot?"+query(ks), nil)
+			if status != http.StatusOK || !bytes.Equal(got, bodies[i]) {
+				t.Fatalf("step %d gen %d %s: status %d, GET body\n got: %s\nwant: %s", step, gen, query(ks), status, got, bodies[i])
+			}
+			ev := subs[i].next()
+			if ev.id != gen {
+				t.Fatalf("step %d %s: event for generation %d, want %d", step, query(ks), ev.id, gen)
+			}
+			switch ev.name {
+			case "snapshot":
+				var snap SnapshotResponse
+				if err := json.Unmarshal(ev.data, &snap); err != nil {
+					t.Fatal(err)
+				}
+				views[i] = snap.Result
+			case "delta":
+				var dr DeltaResponse
+				if err := json.Unmarshal(ev.data, &dr); err != nil {
+					t.Fatal(err)
+				}
+				if views[i], err = views[i].ApplyDelta(dr.Delta); err != nil {
+					t.Fatalf("step %d %s: %v", step, query(ks), err)
+				}
+			default:
+				t.Fatalf("step %d %s: unexpected event %q", step, query(ks), ev.name)
+			}
+			b, err := json.Marshal(SnapshotResponse{Session: id, Method: "tmfg-dbht", Window: window, Generation: gen, Result: views[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b = append(b, '\n'); !bytes.Equal(b, bodies[i]) {
+				t.Fatalf("step %d gen %d %s: %s event rebuilds\n got: %s\nwant: %s", step, gen, query(ks), ev.name, b, bodies[i])
+			}
+		}
+		var dz DriftzResponse
+		h.mustJSON("GET", "/driftz", nil, http.StatusOK, &dz)
+		if d := dz.Sessions[0].Drift; res.TicksSinceExact > 0 &&
+			(dz.Sessions[0].Generation != gen || d == nil || d.ARI != 1 || d.EdgesAdded+d.EdgesRemoved != 0) {
+			t.Fatalf("step %d gen %d: /driftz after a hit reads %+v at generation %d, want ARI 1 and no churn",
+				step, gen, d, dz.Sessions[0].Generation)
+		}
+	}
+	st, _ := shadow.IncrementalStats()
+	if st.Hits == 0 || st.FullDrift == 0 || st.FullStale == 0 || st.FullBoundary == 0 {
+		t.Fatalf("the run must cover hits and drift, staleness and rebuild-boundary refreshes: %+v", st)
 	}
 }

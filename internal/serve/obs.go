@@ -73,6 +73,11 @@ type instruments struct {
 	incDrift   *obs.Histogram
 	incRefresh *obs.Histogram
 
+	// Serving stages that run once per generation: the body build (wire
+	// view plus marshal, once per cut set) and the structure-drift record.
+	serveEncode    *obs.Histogram
+	serveStructure *obs.Histogram
+
 	// Durability write volumes and latencies.
 	ckptNs        *obs.Histogram
 	ckptBytes     *obs.Histogram
@@ -141,6 +146,9 @@ func newInstruments(r *obs.Registry) instruments {
 
 		incDrift:   h("pfg_inc_stage_ns", "incremental gate-chain stage wall time, in nanoseconds", "stage", "drift"),
 		incRefresh: h("pfg_inc_stage_ns", "incremental gate-chain stage wall time, in nanoseconds", "stage", "refresh"),
+
+		serveEncode:    h("pfg_serve_stage_ns", "per-generation serving stage wall time, in nanoseconds", "stage", "encode"),
+		serveStructure: h("pfg_serve_stage_ns", "per-generation serving stage wall time, in nanoseconds", "stage", "structure"),
 
 		ckptNs:        h("pfg_checkpoint_write_ns", "wall time of one checkpoint write (write + fsync + rename + WAL rotate), in nanoseconds"),
 		ckptBytes:     h("pfg_checkpoint_write_bytes", "bytes of one checkpoint file"),
@@ -243,6 +251,8 @@ func (ins *instruments) summaries() map[string]obs.Summary {
 		"snapshot_cluster_ns":       obs.Summarize(ins.snapCluster),
 		"inc_drift_ns":              obs.Summarize(ins.incDrift),
 		"inc_refresh_ns":            obs.Summarize(ins.incRefresh),
+		"serve_encode_ns":           obs.Summarize(ins.serveEncode),
+		"serve_structure_ns":        obs.Summarize(ins.serveStructure),
 		"checkpoint_write_ns":       obs.Summarize(ins.ckptNs),
 		"checkpoint_write_bytes":    obs.Summarize(ins.ckptBytes),
 		"wal_frame_bytes":           obs.Summarize(ins.walFrameBytes),

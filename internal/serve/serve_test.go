@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strconv"
 	"testing"
 
@@ -391,6 +392,58 @@ func TestSnapshotReadAllocs(t *testing.T) {
 	cond.Header.Set("If-Generation", strconv.FormatUint(snap.Generation, 10))
 	if got := testing.AllocsPerRun(64, func() { serve(cond, http.StatusNotModified) }); got != 1 {
 		t.Errorf("If-Generation 304: %v allocs, want 1", got)
+	}
+}
+
+// TestHitGenerationAllocs pins what one incremental hit generation costs in
+// allocations: a push followed by a GET that serves the unchanged reference
+// clustering. The count must not grow with the series count — a hit reuses
+// the reference's wire view and drift inputs, so no Newick, edge sort or
+// cut runs on it. The push goes through the session's streamer: the HTTP
+// push's JSON decode grows its sample slice with the tick's length. The
+// collector is off so that encoding/json's pooled buffers stay warm.
+func TestHitGenerationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var got []float64
+	for _, n := range []int{32, 128} {
+		h := newTestServer(t, Options{})
+		incrCreate(h, "hit", 16, "tmfg-dbht", &IncrementalRequest{DriftThreshold: 10, MaxStale: -1})
+		stream := ticks(t, n, 64, 5)
+		pushTicks(h, "hit", stream[:17])
+		h.mustJSON("GET", "/v1/sessions/hit/snapshot?k=4", nil, http.StatusOK, nil)
+		sess, _ := h.srv.reg.Get("hit")
+		before, _ := sess.st.IncrementalStats()
+
+		handler := h.srv.Handler()
+		w := &statusWriter{hdr: http.Header{}}
+		get := httptest.NewRequest("GET", "/v1/sessions/hit/snapshot?k=4", nil)
+		k := 17
+		const runs = 16
+		got = append(got, testing.AllocsPerRun(runs, func() {
+			if err := sess.st.Push(stream[k]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+			clear(w.hdr)
+			w.code = 0
+			handler.ServeHTTP(w, get)
+			if w.code != http.StatusOK {
+				t.Fatalf("GET: status %d", w.code)
+			}
+		}))
+		after, _ := sess.st.IncrementalStats()
+		if hits, fulls := after.Hits-before.Hits, after.Fulls-before.Fulls; hits != runs+1 || fulls != 0 {
+			t.Fatalf("n=%d: %d hits and %d fulls over %d generations, want every one a hit", n, hits, fulls, runs+1)
+		}
+	}
+	if got[0] != got[1] {
+		t.Errorf("a hit generation allocates %v at n=32 but %v at n=128", got[0], got[1])
+	}
+	if got[0] != 36 {
+		t.Errorf("a hit generation allocates %v, want 36", got[0])
 	}
 }
 
