@@ -57,7 +57,8 @@
 //	            windows, cross-tick incremental clustering)
 //	api         pfg.Cluster / ClusterContext (stateless batch calls)
 //	algorithms  internal/{matrix, tmfg, pmfg, dbht, hac, graph, ...}
-//	kernels     internal/kernel (SYRK, rank-1 roll, finish, heap, scans)
+//	kernels     internal/kernel (SYRK, rank-1 roll, finish, relaxation
+//	            sweep, heap, scans)
 //	memory      internal/ws + internal/bitset (flat pooled scratch)
 //	execution   internal/exec (bounded context-aware worker pools)
 //
@@ -144,19 +145,21 @@
 // register-tiled SYRK for the Pearson product Z·Zᵀ (2×4 micro-tiles sized
 // to amd64's register file), a finish pass that fuses the correlation
 // fixups, the mirror, and the dissimilarity transform into one blocked
-// traversal, a 4-ary implicit heap for Dijkstra, and unrolled
+// traversal, an eight-lane relaxation sweep for all-pairs shortest paths,
+// a 4-ary implicit heap for the Dijkstra oracle, and unrolled
 // min/argmin and max-gain scan kernels used by the HAC NN-chain and TMFG
 // gain recomputation. Kernels are sequential over explicit ranges — the
 // algorithm layers drive them in parallel — and bit-deterministic: worker
 // count and chunk partitioning can change the work order but never an
-// output bit. The all-pairs shortest paths DBHT reads (internal/graph)
-// start each source from the previous source's shortest-path tree and
-// correct it to a fixed point; every row equals a per-source Dijkstra's
-// bit for bit, whichever tree it started from.
+// output bit. The all-pairs shortest paths DBHT reads (internal/graph) run
+// eight sources at once, one per SIMD lane, sweeping the graph forward and
+// backward from 0/+Inf labels to the fixed point; every row equals a
+// per-source Dijkstra's bit for bit.
 //
 // The hottest kernels — the SYRK tile, the rank-1 roll, the Pearson finish,
 // the incremental drift gate's CorrDriftRows scan (whose oracle is its
-// scalar row core) and the MinIdx/DissimRow scans — carry two backends
+// scalar row core), the RelaxSweep behind all-pairs shortest paths and the
+// MinIdx/DissimRow scans — carry two backends
 // selected at init: hand-written AVX2 assembly on capable amd64 hosts, and
 // the always-compiled pure-Go scalar cores everywhere else (forced by
 // -tags purego).

@@ -48,7 +48,8 @@
 // can never force an allocation larger than one chunk or twice the bytes
 // actually present (see decoder), CRCs gate every frame (ErrCorrupt),
 // and the reconstructed state passes the engine's full invariant validation
-// (stream.NewFromState) before an Engine is handed back.
+// (stream.NewFromState) before an Engine is handed back. The engine adopts
+// the decoded frames as its buffers, so a restore holds the state once.
 package ckpt
 
 import (

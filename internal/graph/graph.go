@@ -1,7 +1,8 @@
 // Package graph provides the weighted undirected graph representation and
 // shortest-path machinery used by filtered-graph clustering: Dijkstra
-// single-source shortest paths, parallel warm-started all-pairs shortest
-// paths, triangle enumeration, and connectivity queries.
+// single-source shortest paths, parallel all-pairs shortest paths by
+// eight-source relaxation sweeps, triangle enumeration, and connectivity
+// queries.
 //
 // All hot paths run on flat memory: the graph itself is CSR, visited sets
 // are dense bitsets, and component enumeration produces flat CSR-offset

@@ -418,7 +418,7 @@ func setArc(t *testing.T, g *Graph, u, v int32, w float64) {
 
 // checkAPSPEverySource compares every (src, v) entry of the APSP matrix,
 // bit for bit, against a per-source Graph.Dijkstra, for pools of 1, 2, 3 and
-// 7 workers (8 to 56 chains, so the chain layout changes with each pool).
+// 7 workers, so the source batches split differently with each pool.
 func checkAPSPEverySource(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	want := make([]float64, 0, g.N*g.N)
@@ -440,11 +440,11 @@ func checkAPSPEverySource(t *testing.T, name string, g *Graph) {
 	}
 }
 
-// TestAPSPMatchesDijkstraEverySource pins the warm-started APSP to
-// Dijkstra's bits on every entry, across the inputs that stress the warm
-// start: components the previous tree cannot reach, +Inf arcs in one or
-// both directions, asymmetric and zero weights, and path sums that
-// overflow to +Inf.
+// TestAPSPMatchesDijkstraEverySource pins the swept APSP to Dijkstra's
+// bits on every entry, across the inputs that stress the sweeps: minimum
+// walks that run against the BFS order the sweeps visit, components a
+// batch's sources cannot reach, +Inf arcs in one or both directions,
+// asymmetric and zero weights, and path sums that overflow to +Inf.
 func TestAPSPMatchesDijkstraEverySource(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	inf := math.Inf(1)
@@ -453,8 +453,34 @@ func TestAPSPMatchesDijkstraEverySource(t *testing.T) {
 	}
 	checkAPSPEverySource(t, "benchGraph", benchGraph(t, 150))
 
-	// Two components and an isolated vertex.
+	// A path whose vertex ids are shuffled: BFS starts from vertex 0 in the
+	// middle of the path, so half of every long walk runs backwards
+	// through the positions.
+	perm := rng.Perm(97)
 	var edges []Edge
+	for i := 0; i+1 < len(perm); i++ {
+		edges = append(edges, Edge{U: int32(perm[i]), V: int32(perm[i+1]), W: 0.1 + rng.Float64()})
+	}
+	checkAPSPEverySource(t, "shuffled path", mustGraph(t, len(perm), edges))
+
+	// A ladder: the heavy rail is numbered 0…m−1 and the light rail in
+	// reverse, so BFS from vertex 0 reaches the light rail from its far
+	// end and minimum walks (down a rung, along the light rail, back up)
+	// run against the BFS order.
+	const m = 40
+	edges = edges[:0]
+	for i := int32(0); i < m; i++ {
+		edges = append(edges, Edge{U: i, V: 2*m - 1 - i, W: 0.5})
+		if i+1 < m {
+			edges = append(edges,
+				Edge{U: i, V: i + 1, W: 1 + rng.Float64()},
+				Edge{U: 2*m - 1 - i, V: 2*m - 2 - i, W: 0.001 * (1 + rng.Float64())})
+		}
+	}
+	checkAPSPEverySource(t, "backward ladder", mustGraph(t, 2*m, edges))
+
+	// Two components and an isolated vertex.
+	edges = edges[:0]
 	for _, e := range randomConnectedGraph(rng, 25, 40) {
 		edges = append(edges, e, Edge{U: e.U + 25, V: e.V + 25, W: e.W * 2})
 	}

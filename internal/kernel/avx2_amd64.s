@@ -421,3 +421,87 @@ driftloop:
 	VMOVSD  X10, ret+72(FP)
 	VZEROUPPER
 	RET
+
+// func relaxSweepAVX2(d *float64, off, adj *int32, wt *float64, n, m int, back bool) int
+//
+// One RelaxSweep over n positions: position p's eight labels sit at
+// d[8p : 8p+8] (Y0 lanes 0–3, Y1 lanes 4–7) and take, arc by arc, the
+// minimum with d[8·adj[e] : 8·adj[e]+8] + wt[e]. The add keeps the scalar
+// operand order (label, then weight); VMINPD has the candidate as Intel-src1
+// and the running label as src2, so an equal or NaN candidate keeps the
+// label's bits, like the scalar `x < l`. A label's bits change only when it
+// is lowered, so the XOR of old and new bits, OR-ed over the sweep, is the
+// changed flag. Every slot range is checked against m (the arc arrays'
+// length) and every arc tail against n before anything is read through it.
+// Returns 0 (nothing lowered), 1 (something lowered) or −1 (bad arc).
+TEXT ·relaxSweepAVX2(SB), NOSPLIT, $0-64
+	MOVQ d+0(FP), DI
+	MOVQ off+8(FP), R8
+	MOVQ adj+16(FP), R9
+	MOVQ wt+24(FP), R10
+	MOVQ n+32(FP), R11
+	MOVQ m+40(FP), R12
+	MOVQ R11, BX // positions left
+	XORQ CX, CX  // p
+	MOVQ $1, R13 // step
+	MOVBLZX back+48(FP), AX
+	TESTL AX, AX
+	JZ   relaxstart
+	LEAQ -1(R11), CX
+	MOVQ $-1, R13
+
+relaxstart:
+	VXORPD Y15, Y15, Y15 // OR of changed label bits
+
+relaxpos:
+	MOVQ CX, AX
+	SHLQ $6, AX // byte offset of position p's labels
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD 32(DI)(AX*1), Y1
+	MOVLQSX (R8)(CX*4), SI  // lo
+	MOVLQSX 4(R8)(CX*4), DX // hi
+	CMPQ SI, DX
+	JGE  relaxstore // no in-arcs
+	CMPQ DX, R12
+	JHI  relaxbad   // hi > m (or negative)
+	TESTQ SI, SI
+	JS   relaxbad   // lo < 0
+
+relaxarc:
+	MOVLQSX (R9)(SI*4), R14 // tail position
+	CMPQ R14, R11
+	JCC  relaxbad           // unsigned ≥ n
+	SHLQ $6, R14
+	VBROADCASTSD (R10)(SI*8), Y3 // w
+	VMOVUPD (DI)(R14*1), Y4
+	VADDPD  Y3, Y4, Y4 // d[tail] + w
+	VMINPD  Y0, Y4, Y0 // x < label ? x : label
+	VMOVUPD 32(DI)(R14*1), Y5
+	VADDPD  Y3, Y5, Y5
+	VMINPD  Y1, Y5, Y1
+	INCQ SI
+	CMPQ SI, DX
+	JLT  relaxarc
+
+relaxstore:
+	VXORPD  (DI)(AX*1), Y0, Y6
+	VORPD   Y6, Y15, Y15
+	VXORPD  32(DI)(AX*1), Y1, Y6
+	VORPD   Y6, Y15, Y15
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	ADDQ R13, CX
+	DECQ BX
+	JNZ  relaxpos
+
+	XORQ AX, AX
+	VPTEST Y15, Y15
+	SETNE AL
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+relaxbad:
+	MOVQ $-1, ret+56(FP)
+	VZEROUPPER
+	RET

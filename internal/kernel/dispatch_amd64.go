@@ -70,6 +70,9 @@ func minIdxSeg(row *float64, count int, outV *[4]float64, outI *[4]int64)
 //go:noescape
 func dissimSeg(dst, src *float64, count int)
 
+//go:noescape
+func relaxSweepAVX2(d *float64, off, adj *int32, wt *float64, n, m int, back bool) int
+
 // syrkPackPool recycles the packed-B panel buffers of the AVX2 SYRK driver;
 // concurrent band workers each draw their own buffer.
 var syrkPackPool = sync.Pool{New: func() any { return new([]float64) }}

@@ -40,3 +40,7 @@ func minIdxSeg(row *float64, count int, outV *[4]float64, outI *[4]int64) {
 func dissimSeg(dst, src *float64, count int) {
 	panic("kernel: no vector backend")
 }
+
+func relaxSweepAVX2(d *float64, off, adj *int32, wt *float64, n, m int, back bool) int {
+	panic("kernel: no vector backend")
+}

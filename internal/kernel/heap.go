@@ -19,17 +19,11 @@ type Heap4 struct {
 }
 
 // Init attaches storage sized for n vertices (len(verts) ≥ n, len(dist) ≥ n,
-// len(pos) ≥ n) and resets the heap.
+// len(pos) ≥ n) and starts the heap empty, with every distance +Inf.
 func (h *Heap4) Init(verts []int32, dist []float64, pos []int32) {
 	h.verts = verts[:0]
 	h.dist = dist
 	h.pos = pos
-	h.Reset()
-}
-
-// Reset empties the heap and re-initializes every distance to +Inf.
-func (h *Heap4) Reset() {
-	h.verts = h.verts[:0]
 	inf := math.Inf(1)
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -57,12 +51,11 @@ func (h *Heap4) Storage() (verts []int32, dist []float64, pos []int32) {
 }
 
 // DecreaseKey inserts v with distance d, or lowers its key if already
-// present with a larger distance, and reports whether it did. Calls with
-// d ≥ dist[v] are no-ops that return false, so relax loops need no
-// pre-check.
-func (h *Heap4) DecreaseKey(v int32, d float64) bool {
+// present with a larger distance. Calls with d ≥ dist[v] are no-ops, so
+// relax loops need no pre-check.
+func (h *Heap4) DecreaseKey(v int32, d float64) {
 	if d >= h.dist[v] {
-		return false
+		return
 	}
 	h.dist[v] = d
 	i := h.pos[v]
@@ -84,7 +77,6 @@ func (h *Heap4) DecreaseKey(v int32, d float64) bool {
 	}
 	h.verts[i] = v
 	h.pos[v] = i
-	return true
 }
 
 // PopMin removes and returns the vertex with the smallest distance. The heap

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -416,4 +417,162 @@ func TestOracleScans(t *testing.T) {
 			}
 		}
 	}
+}
+
+// relaxFixture returns a label block and a pull CSR of n positions for
+// RelaxSweep, in the kernel's domain (no NaN, no negative value):
+//
+//   - fuzz 0: a few finite labels among +Inf, positive weights;
+//   - fuzz 1: special labels and weights: 0, subnormals, MaxFloat64 (so two
+//     of them overflow to +Inf) and +Inf;
+//   - fuzz 2: every label +Inf except one 0 per lane, the start of eight
+//     shortest-path problems.
+//
+// Degrees run 0–6, so empty in-arc lists occur; an arc may come from its
+// own position.
+func relaxFixture(rng *rand.Rand, n, fuzz int) (d []float64, off, adj []int32, wt []float64) {
+	inf := math.Inf(1)
+	specials := []float64{0, math.SmallestNonzeroFloat64, math.MaxFloat64, inf, 1, 0.5}
+	draw := func() float64 {
+		if fuzz == 1 && rng.Intn(2) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.Float64() * 4
+	}
+	off = make([]int32, n+1)
+	for p := 0; p < n; p++ {
+		deg := rng.Intn(7)
+		for k := 0; k < deg; k++ {
+			adj = append(adj, int32(rng.Intn(n)))
+			wt = append(wt, draw())
+		}
+		off[p+1] = int32(len(adj))
+	}
+	d = make([]float64, RelaxLanes*n)
+	for i := range d {
+		d[i] = inf
+		if fuzz != 2 && rng.Intn(3) == 0 {
+			d[i] = draw()
+		}
+	}
+	if fuzz == 2 {
+		for k := 0; k < RelaxLanes; k++ {
+			d[RelaxLanes*rng.Intn(n)+k] = 0
+		}
+	}
+	return d, off, adj, wt
+}
+
+// checkRelaxSweeps runs sweeps, alternating direction from the first, on
+// the dispatched kernel and on the scalar core side by side, comparing the
+// labels bit for bit and the changed flags after every sweep, until a sweep
+// lowers nothing. Labels only fall to float sums of walks of at most n−1
+// arcs, so a fixed point must come within n sweeps plus the confirming one.
+func checkRelaxSweeps(t *testing.T, name string, d []float64, off, adj []int32, wt []float64, back bool) {
+	t.Helper()
+	n := len(off) - 1
+	got := append([]float64(nil), d...)
+	want := append([]float64(nil), d...)
+	for sweep := 0; ; sweep++ {
+		if sweep > n {
+			t.Fatalf("%s: no fixed point after %d sweeps", name, sweep)
+		}
+		gc := RelaxSweep(got, off, adj, wt, back)
+		wc := relaxSweepGo(want, off, adj, wt, back)
+		if i := bitsEqual(got, want); i >= 0 || gc != wc {
+			t.Fatalf("%s: sweep %d (back=%v): changed %v vs scalar %v; first label diff at %d",
+				name, sweep, back, gc, wc, i)
+		}
+		if !gc {
+			return
+		}
+		back = !back
+	}
+}
+
+// TestOracleRelaxSweep pins the dispatched relaxation sweep to the scalar
+// core, labels and changed flag, sweep by sweep in both directions, on
+// position counts around the lane and register widths.
+func TestOracleRelaxSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	for _, n := range []int{1, 7, 8, 9, 63} {
+		for fuzz := 0; fuzz < 3; fuzz++ {
+			for _, back := range []bool{false, true} {
+				d, off, adj, wt := relaxFixture(rng, n, fuzz)
+				checkRelaxSweeps(t, fmt.Sprintf("n=%d fuzz=%d", n, fuzz), d, off, adj, wt, back)
+			}
+		}
+	}
+	// No arcs at all, and a block longer than 8n: nothing may change, and
+	// the labels past 8n stay untouched.
+	d := []float64{3, math.Inf(1), 0, 1, 2, 5, 8, 13, 21}
+	if RelaxSweep(d, []int32{0, 0}, nil, nil, false) || d[8] != 21 {
+		t.Fatalf("sweep without arcs changed labels: %v", d)
+	}
+}
+
+// FuzzRelaxSweep checks the dispatched sweep against the scalar core on raw
+// float bits mapped into the kernel's domain (|x|, NaN sent to +Inf), so
+// zeros, subnormals, huge values whose sums overflow, and +Inf all occur.
+// The position count (≤ 64), each position's in-arcs and every label and
+// weight come from the payload, cycled when short.
+func FuzzRelaxSweep(f *testing.F) {
+	rng := rand.New(rand.NewSource(79))
+	for _, n := range []int{1, 9, 17, 33} {
+		for fuzz := 0; fuzz < 3; fuzz++ {
+			d, off, adj, wt := relaxFixture(rng, n, fuzz)
+			var data []byte
+			for p := 0; p < n; p++ {
+				lo, hi := off[p], off[p+1]
+				data = append(data, byte(hi-lo))
+				for e := lo; e < hi; e++ {
+					data = append(data, byte(adj[e]))
+					data = binary.LittleEndian.AppendUint64(data, math.Float64bits(wt[e]))
+				}
+			}
+			for _, v := range d {
+				data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+			}
+			f.Add(uint8(n-1), fuzz == 1, data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, nRaw uint8, back bool, data []byte) {
+		n := 1 + int(nRaw)%64
+		pos := 0
+		next := func() byte {
+			b := byte(pos)
+			if len(data) > 0 {
+				b = data[pos%len(data)]
+			}
+			pos++
+			return b
+		}
+		float := func() float64 {
+			var raw [8]byte
+			for i := range raw {
+				raw[i] = next()
+			}
+			x := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(raw[:])))
+			if math.IsNaN(x) {
+				x = math.Inf(1)
+			}
+			return x
+		}
+		off := make([]int32, n+1)
+		var adj []int32
+		var wt []float64
+		for p := 0; p < n; p++ {
+			deg := int(next()) % 9
+			for k := 0; k < deg; k++ {
+				adj = append(adj, int32(int(next())%n))
+				wt = append(wt, float())
+			}
+			off[p+1] = int32(len(adj))
+		}
+		d := make([]float64, RelaxLanes*n)
+		for i := range d {
+			d[i] = float()
+		}
+		checkRelaxSweeps(t, fmt.Sprintf("n=%d", n), d, off, adj, wt, back)
+	})
 }

@@ -18,8 +18,8 @@ import (
 // The slices returned by Engine.State are views of the engine's live
 // buffers, valid only until the next writer call (Push/Rebuild/Release);
 // serializers must finish with them under the same lock discipline that
-// protects CopyState. NewFromState copies out of the given slices, so the
-// caller keeps ownership.
+// protects CopyState. NewFromState takes ownership of the given slices: the
+// restored engine runs on them, so the caller must not reuse them.
 //
 // Dirty is not part of the state: it is derivable (the engine sets it
 // exactly when a slide has happened since the last exact state, i.e.
@@ -74,39 +74,38 @@ func (e *Engine) State() (State, error) {
 	}, nil
 }
 
-// NewFromState reconstructs an engine from a State, drawing its long-lived
-// buffers from w (exactly as New does) and copying the state arrays in. The
-// state is validated against every structural invariant an engine maintains
-// — shape, counter ranges, buffer lengths, the gCur split, ring finiteness
-// and the overflow-safe magnitude bound — so a checkpoint decoder can hand
-// over untrusted contents and rely on a non-nil error instead of a later
-// panic or a poisoned band. On success the restored engine is bit-identical
-// to the one State was read from.
+// NewFromState reconstructs an engine from a State. The engine adopts the
+// state's Ring, G, GCur and Sums as its long-lived buffers instead of
+// copying them, so a restore holds the state once; the caller must not read
+// or write those slices afterwards, and w (which the caller must keep alive
+// alongside the engine) receives them when the engine is released. The
+// state is validated against every structural invariant an engine
+// maintains — shape, counter ranges, buffer lengths, the gCur split, ring
+// finiteness and the overflow-safe magnitude bound — so a checkpoint
+// decoder can hand over untrusted contents and rely on a non-nil error
+// instead of a later panic or a poisoned band. On error nothing is adopted.
+// On success the restored engine is bit-identical to the one State was
+// read from.
 func NewFromState(st State, w *ws.Workspace) (*Engine, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
-	e, err := New(st.N, st.Window, st.RebuildEvery, w)
-	if err != nil {
-		return nil, err
-	}
-	copy(e.ring, st.Ring)
-	copy(e.g, st.G)
-	if st.GCur != nil {
-		copy(e.gCur, st.GCur)
-	} else if e.gCur != nil {
-		// New allocates the current-panel band for every multi-panel
-		// window; a filled window has already retired it.
-		e.w.PutFloat64(e.gCur)
-		e.gCur = nil
-	}
-	copy(e.s, st.Sums)
-	e.count = st.Count
-	e.head = st.Head
-	e.slides = st.Slides
-	e.gen = st.Gen
-	e.dirty = st.Slides > 0
-	return e, nil
+	return &Engine{
+		n:            st.N,
+		window:       st.Window,
+		rebuildEvery: st.RebuildEvery,
+		count:        st.Count,
+		head:         st.Head,
+		slides:       st.Slides,
+		gen:          st.Gen,
+		dirty:        st.Slides > 0,
+		ring:         st.Ring,
+		g:            st.G,
+		gCur:         st.GCur,
+		s:            st.Sums,
+		maxMag:       maxSampleMagnitude(st.Window),
+		w:            w,
+	}, nil
 }
 
 // validate checks every structural invariant a restored engine relies on.
