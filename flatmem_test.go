@@ -137,7 +137,7 @@ func TestClusterContextSteadyStateAllocs(t *testing.T) {
 	}{
 		{CompleteLinkage, 128, 13},
 		{CompleteLinkage, 256, 13},
-		{TMFGDBHT, 128, 96},
+		{TMFGDBHT, 128, 94},
 	} {
 		series := tsgen.GenerateClassed("flatmem", c.n, 96, 6, 0.6, 7).Series
 		opts := Options{Method: c.method, Prefix: 10, Workers: 1}

@@ -42,7 +42,7 @@ func DirectEdgesCtx(ctx context.Context, pool *exec.Pool, t *Tree, g *graph.Grap
 		OutDeg:  make([]int32, len(t.Nodes)),
 	}
 	wdeg := make([]float64, g.N)
-	if err := pool.For(ctx, g.N, func(v int) { wdeg[v] = g.WeightedDegree(int32(v)) }); err != nil {
+	if err := pool.ForGrain(ctx, g.N, 0, func(v int) { wdeg[v] = g.WeightedDegree(int32(v)) }); err != nil {
 		return nil, err
 	}
 	d.visit(ctx, pool, t.Root, g, wdeg)

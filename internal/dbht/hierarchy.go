@@ -1,6 +1,7 @@
 package dbht
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -70,20 +71,15 @@ func buildHierarchy(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int
 	for i := range ord {
 		ord[i] = int32(i)
 	}
-	sortBuf := w.Int32(n)
-	defer w.PutInt32(sortBuf)
-	err := exec.SortWithBuf(ctx, pool, ord, sortBuf, func(a, b int32) bool {
-		if group[a] != group[b] {
-			return group[a] < group[b]
+	slices.SortFunc(ord, func(a, b int32) int {
+		if c := cmp.Compare(group[a], group[b]); c != 0 {
+			return c
 		}
-		if bubble[a] != bubble[b] {
-			return bubble[a] < bubble[b]
+		if c := cmp.Compare(bubble[a], bubble[b]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
-	if err != nil {
-		return nil, err
-	}
 
 	setDist := func(a, b []int32) float64 {
 		// Complete linkage between vertex sets: for each row the inner max
@@ -139,7 +135,7 @@ func buildHierarchy(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int
 		jobs = append(jobs, sgJob{g: group[v], b: bubble[v], verts: ord[lo:hi], merges: segment(hi - lo - 1)})
 		lo = hi
 	}
-	err = pool.ForGrain(ctx, len(jobs), 1, func(i int) {
+	err := pool.ForGrain(ctx, len(jobs), 1, func(i int) {
 		j := &jobs[i]
 		k := len(j.verts)
 		if k == 1 {

@@ -1,10 +1,11 @@
 // Package exec is the bounded, context-aware execution engine underlying all
 // parallel algorithms in this module. A Pool owns a fixed budget of reusable
-// worker goroutines and exposes the fork/join primitives of Table I of
-// Yu & Shun (ICDE 2023) that the pipeline uses — parallel for loops, reduce
-// (Sum) and sort — as cooperative, cancellable operations: every primitive
-// takes a context.Context, checks it at chunk boundaries, and
-// returns ctx.Err() promptly once the context is cancelled.
+// worker goroutines and exposes the one fork/join primitive of Table I of
+// Yu & Shun (ICDE 2023) that the pipeline runs in parallel — the parallel
+// for loop, per block (ForBlocked) or per index (ForGrain) — as a
+// cooperative, cancellable operation: it takes a context.Context, checks it
+// at chunk boundaries, and returns ctx.Err() promptly once the context is
+// cancelled.
 //
 // Concurrency model. A Pool of size w runs at most w chunks of one logical
 // operation at a time: w−1 persistent helper goroutines plus the calling
@@ -19,7 +20,7 @@
 // that has started runs to completion, but no new chunk starts once the
 // context is cancelled, and the operation returns ctx.Err(). Callers must
 // treat any non-nil error as fatal for the output (slices may be partially
-// written, sorts partially applied).
+// written).
 package exec
 
 import (
@@ -126,20 +127,11 @@ func (p *Pool) trySubmit(f func()) bool {
 	}
 }
 
-// For runs f(i) for every i in [0, n) and returns when all calls complete or
-// the context is cancelled at a chunk boundary. Iterations must be safe to
-// run concurrently.
-func (p *Pool) For(ctx context.Context, n int, f func(i int)) error {
-	return p.ForBlocked(ctx, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
-}
-
-// ForGrain is like For but with an explicit minimum grain size. A grain of 1
-// forces maximal parallelism (one chunk per worker regardless of n), which is
-// useful when each iteration is itself expensive.
+// ForGrain runs f(i) for every i in [0, n), over the blocks that
+// ForBlocked forms for the same n and grain. A grain of 1 forces maximal
+// parallelism (up to eight chunks per worker, however small n is), which is
+// useful when each iteration is itself expensive; grain ≤ 0 selects the
+// automatic grain.
 func (p *Pool) ForGrain(ctx context.Context, n, grain int, f func(i int)) error {
 	return p.ForBlocked(ctx, n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -234,112 +226,4 @@ func (p *Pool) ForBlocked(ctx context.Context, n, grain int, f func(lo, hi int))
 	work()
 	wg.Wait()
 	return ctx.Err()
-}
-
-// Do runs the given functions concurrently and returns when all complete.
-// Once the context is cancelled, functions that have not yet started are
-// skipped and ctx.Err() is returned.
-func (p *Pool) Do(ctx context.Context, fs ...func()) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(fs) == 0 {
-		return nil
-	}
-	if len(fs) == 1 {
-		fs[0]()
-		return nil
-	}
-	if p.workers == 1 {
-		for _, f := range fs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			f()
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(fs) - 1)
-	for _, f := range fs[1:] {
-		f := f
-		task := func() {
-			defer wg.Done()
-			if ctx.Err() == nil {
-				f()
-			}
-		}
-		if !p.trySubmit(task) {
-			task()
-		}
-	}
-	if ctx.Err() == nil {
-		fs[0]()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// runBlocks partitions [0, n) into at most p.Workers() contiguous blocks and
-// runs body(w, lo, hi) on each in parallel (w is the block index, usable for
-// disjoint partial-result slots). It returns the number of blocks. Blocks
-// skip their body once the context is cancelled; callers must check ctx.Err()
-// before trusting the partial results.
-func (p *Pool) runBlocks(ctx context.Context, n int, body func(w, lo, hi int)) int {
-	chunk := (n + p.workers - 1) / p.workers
-	nb := (n + chunk - 1) / chunk
-	var wg sync.WaitGroup
-	for w := 0; w < nb; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		w, lo, hi := w, lo, hi
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			if ctx.Err() == nil {
-				body(w, lo, hi)
-			}
-		}
-		if !p.trySubmit(task) {
-			task()
-		}
-	}
-	wg.Wait()
-	return nb
-}
-
-// Sum returns the sum of val(i) for i in [0, n), computed with per-block
-// partial sums (deterministic for a fixed pool size).
-func (p *Pool) Sum(ctx context.Context, n int, val func(i int) float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	if p.workers == 1 || n < 4*minGrain {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += val(i)
-		}
-		return s, nil
-	}
-	partial := make([]float64, p.workers)
-	nb := p.runBlocks(ctx, n, func(w, lo, hi int) {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += val(i)
-		}
-		partial[w] = s
-	})
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, s := range partial[:nb] {
-		total += s
-	}
-	return total, nil
 }

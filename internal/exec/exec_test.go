@@ -2,22 +2,20 @@ package exec
 
 import (
 	"context"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestForCoversAllIndices: For, and ForBlocked at the maximal-parallelism
-// grain 1, each visit every index exactly once.
+// TestForCoversAllIndices: ForGrain at the automatic grain, and ForBlocked
+// at the maximal-parallelism grain 1, each visit every index exactly once.
 func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := New(workers)
 		for _, n := range []int{0, 1, 7, 511, 512, 513, 10000} {
 			seen := make([]int32, n)
-			if err := p.For(context.Background(), n, func(i int) { atomic.AddInt32(&seen[i], 1) }); err != nil {
+			if err := p.ForGrain(context.Background(), n, 0, func(i int) { atomic.AddInt32(&seen[i], 1) }); err != nil {
 				t.Fatal(err)
 			}
 			err := p.ForBlocked(context.Background(), n, 1, func(lo, hi int) {
@@ -30,7 +28,7 @@ func TestForCoversAllIndices(t *testing.T) {
 			}
 			for i, c := range seen {
 				if c != 2 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times by For+ForBlocked, want 2", workers, n, i, c)
+					t.Fatalf("workers=%d n=%d: index %d visited %d times by ForGrain+ForBlocked, want 2", workers, n, i, c)
 				}
 			}
 		}
@@ -130,17 +128,11 @@ func TestCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if err := p.For(ctx, 100, func(i int) { ran = true }); err != context.Canceled {
-		t.Fatalf("For: err=%v want context.Canceled", err)
+	if err := p.ForGrain(ctx, 100, 0, func(i int) { ran = true }); err != context.Canceled {
+		t.Fatalf("ForGrain: err=%v want context.Canceled", err)
 	}
-	if err := p.Do(ctx, func() { ran = true }); err != context.Canceled {
-		t.Fatalf("Do: err=%v want context.Canceled", err)
-	}
-	if _, err := p.Sum(ctx, 100, func(i int) float64 { return 1 }); err != context.Canceled {
-		t.Fatalf("Sum: err=%v want context.Canceled", err)
-	}
-	if err := Sort(ctx, p, make([]int, 100), func(a, b int) bool { return a < b }); err != context.Canceled {
-		t.Fatalf("Sort: err=%v want context.Canceled", err)
+	if err := p.ForBlocked(ctx, 100000, 1, func(lo, hi int) { ran = true }); err != context.Canceled {
+		t.Fatalf("ForBlocked: err=%v want context.Canceled", err)
 	}
 	if ran {
 		t.Fatal("work ran under a cancelled context")
@@ -174,26 +166,6 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestDoRunsAll(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	var a, b, c int32
-	err := p.Do(context.Background(),
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 2) },
-		func() { atomic.StoreInt32(&c, 3) },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != 1 || b != 2 || c != 3 {
-		t.Fatalf("Do did not run all functions: %d %d %d", a, b, c)
-	}
-	if err := p.Do(context.Background()); err != nil { // must not panic
-		t.Fatal(err)
-	}
-}
-
 // TestNestedOperationsNoDeadlock exercises nesting: chunks of an outer loop
 // issue inner pool operations on the same pool. The inline-fallback design
 // must make progress regardless of how many helpers are busy.
@@ -202,49 +174,18 @@ func TestNestedOperationsNoDeadlock(t *testing.T) {
 	defer p.Close()
 	var total atomic.Int64
 	err := p.ForGrain(context.Background(), 64, 1, func(i int) {
-		s, err := p.Sum(context.Background(), 4096, func(j int) float64 { return 1 })
-		if err == nil {
-			total.Add(int64(s))
+		err := p.ForBlocked(context.Background(), 4096, 1, func(lo, hi int) {
+			total.Add(int64(hi - lo))
+		})
+		if err != nil {
+			t.Error(err)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total.Load() != 64*4096 {
-		t.Fatalf("nested sum %d want %d", total.Load(), 64*4096)
-	}
-}
-
-func TestSortMatchesStdlib(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	for _, n := range []int{0, 1, 100, sortSeqCutoff, 3 * sortSeqCutoff} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = rng.Float64()
-		}
-		want := append([]float64(nil), s...)
-		sort.Float64s(want)
-		if err := Sort(context.Background(), p, s, func(a, b float64) bool { return a < b }); err != nil {
-			t.Fatal(err)
-		}
-		for i := range s {
-			if s[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d", n, i)
-			}
-		}
-	}
-}
-
-func TestSum(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	for _, n := range []int{0, 1, 100, 4 * minGrain, 30000} {
-		got, err := p.Sum(context.Background(), n, func(i int) float64 { return 1 })
-		if err != nil || got != float64(n) {
-			t.Fatalf("Sum n=%d: got %v err %v", n, got, err)
-		}
+		t.Fatalf("nested loops covered %d indices, want %d", total.Load(), 64*4096)
 	}
 }
 
@@ -257,7 +198,7 @@ func TestCloseDegradesGracefully(t *testing.T) {
 	// Give the helpers a moment to exit so trySubmit reliably fails.
 	time.Sleep(time.Millisecond)
 	seen := make([]int32, 10000)
-	if err := p.For(context.Background(), len(seen), func(i int) { atomic.AddInt32(&seen[i], 1) }); err != nil {
+	if err := p.ForGrain(context.Background(), len(seen), 0, func(i int) { atomic.AddInt32(&seen[i], 1) }); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range seen {
@@ -274,7 +215,7 @@ func TestWorkersOneIsSequentialAndSpawnsNothing(t *testing.T) {
 		t.Fatal("size-1 pool should not create a task channel")
 	}
 	order := make([]int, 0, 2000)
-	if err := p.For(context.Background(), 2000, func(i int) { order = append(order, i) }); err != nil {
+	if err := p.ForGrain(context.Background(), 2000, 0, func(i int) { order = append(order, i) }); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {

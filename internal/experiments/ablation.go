@@ -108,9 +108,9 @@ func AblationAPSP(cfg Config) string {
 			})
 		}},
 	} {
-		par := timeIt(alg.run)
+		par := timeWarm(alg.run)
 		var seq time.Duration
-		withThreads(1, func() { seq = timeIt(alg.run) })
+		withThreads(1, func() { seq = timeWarm(alg.run) })
 		tw.row(alg.name, fmtDur(par), fmtDur(seq))
 	}
 	tw.flush()

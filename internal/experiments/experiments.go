@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -130,6 +131,20 @@ func timeIt(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
+}
+
+// timeWarm makes one untimed warm-up call of f and returns the median
+// wall-clock time of three more. Cells read as a ratio of two timings use
+// it, so that neither side pays alone for the cold first call, which grows
+// the workspace to the input's size.
+func timeWarm(f func()) time.Duration {
+	f()
+	var d [3]time.Duration
+	for i := range d {
+		d[i] = timeIt(f)
+	}
+	slices.Sort(d[:])
+	return d[1]
 }
 
 // threadCounts returns the sweep 1, 2, 4, ..., up to the machine size.

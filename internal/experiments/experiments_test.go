@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+
+	"pfg/internal/exec"
 )
 
 // tinyConfig keeps the smoke tests fast.
@@ -181,5 +184,22 @@ func TestAblationFootnoteSmoke(t *testing.T) {
 	out := AblationFootnote(tinyConfig())
 	if !strings.Contains(out, "paper text") {
 		t.Fatalf("ablation-footnote malformed:\n%s", out)
+	}
+}
+
+// TestWithThreadsSizesDefaultPool: exec.Default rebuilds its pool when
+// GOMAXPROCS changes, so a stage that takes exec.Default() inside
+// withThreads(p) runs p workers, and the old size is back afterwards.
+func TestWithThreadsSizesDefaultPool(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	for _, p := range []int{1, 2, 3} {
+		got := 0
+		withThreads(p, func() { got = exec.Default().Workers() })
+		if got != p {
+			t.Fatalf("withThreads(%d): Default().Workers() = %d", p, got)
+		}
+	}
+	if got := exec.Default().Workers(); got != before {
+		t.Fatalf("after withThreads: Default().Workers() = %d, want %d", got, before)
 	}
 }

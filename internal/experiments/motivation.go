@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pfg/internal/exec"
@@ -38,18 +40,15 @@ func Motivation(cfg Config) string {
 				cands = append(cands, cand{w: sim.At(i, j), u: int32(i), v: int32(j)})
 			}
 		}
-		err := exec.Sort(context.Background(), exec.Default(), cands, func(a, c cand) bool {
-			if a.w != c.w {
-				return a.w > c.w
+		slices.SortFunc(cands, func(a, c cand) int {
+			if r := cmp.Compare(c.w, a.w); r != 0 {
+				return r
 			}
-			if a.u != c.u {
-				return a.u < c.u
+			if r := cmp.Compare(a.u, c.u); r != 0 {
+				return r
 			}
-			return a.v < c.v
+			return cmp.Compare(a.v, c.v)
 		})
-		if err != nil {
-			panic(err)
-		}
 		edges := make([]graph.Edge, 0, budget)
 		for _, c := range cands[:budget] {
 			edges = append(edges, graph.Edge{U: c.u, V: c.v, W: c.w})

@@ -162,7 +162,7 @@ func Fig4(cfg Config) string {
 		for i, p := range threads {
 			var el time.Duration
 			withThreads(p, func() {
-				el = timeIt(func() { mustTMFGDBHT(w, sim, dis, prefix) })
+				el = timeWarm(func() { mustTMFGDBHT(w, sim, dis, prefix) })
 			})
 			if i == 0 {
 				base = el
@@ -175,8 +175,8 @@ func Fig4(cfg Config) string {
 	}
 	tw.flush()
 	b.WriteString("\nShape check: TMFG face gains are lazy, so the prefix barely moves the 1-thread\n" +
-		"time; the speedup comes mostly from APSP (Quick mode, 2 vCPUs: 0.7-1.5x at\n" +
-		"p=2 run to run, at every prefix).\n")
+		"time. Each cell is the median of three calls after a warm-up (Quick mode,\n" +
+		"2 vCPUs: 0.97-1.02x at p=2 in 8 of 9 cells over three runs, 1.56x in the ninth).\n")
 	return b.String()
 }
 
@@ -238,9 +238,9 @@ func Scaling(cfg Config) string {
 		sim, dis := correlate(w, data.Series)
 		var seq, par time.Duration
 		withThreads(1, func() {
-			seq = timeIt(func() { mustTMFGDBHT(w, sim, dis, 10) })
+			seq = timeWarm(func() { mustTMFGDBHT(w, sim, dis, 10) })
 		})
-		par = timeIt(func() { mustTMFGDBHT(w, sim, dis, 10) })
+		par = timeWarm(func() { mustTMFGDBHT(w, sim, dis, 10) })
 		observations = append(observations, obs{n: len(data.Series), seq: seq.Seconds(), par: par.Seconds()})
 		tw.row(fmt.Sprint(len(data.Series)), fmtDur(seq), fmtDur(par))
 	}

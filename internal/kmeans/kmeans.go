@@ -96,9 +96,9 @@ func RunCtx(ctx context.Context, pool *exec.Pool, points [][]float64, opts Optio
 	if _, err := assign(ctx, pool, points, centers, labels, dists); err != nil {
 		return nil, err
 	}
-	inertia, err := pool.Sum(ctx, n, func(i int) float64 { return dists[i] })
-	if err != nil {
-		return nil, err
+	inertia := 0.0
+	for _, d := range dists {
+		inertia += d
 	}
 	return &Result{Labels: labels, Centers: centers, Inertia: inertia, Iterations: iter}, nil
 }
@@ -224,9 +224,12 @@ func initScalable(ctx context.Context, pool *exec.Pool, points [][]float64, k in
 	}
 	l := 2 * k // oversampling factor
 	for r := 0; r < oversampleRounds; r++ {
-		total, err := pool.Sum(ctx, n, func(i int) float64 { return d2[i] })
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		total := 0.0
+		for _, d := range d2 {
+			total += d
 		}
 		if total == 0 {
 			break
@@ -241,7 +244,7 @@ func initScalable(ctx context.Context, pool *exec.Pool, points [][]float64, k in
 		for _, i := range newIdx {
 			cand = append(cand, append([]float64{}, points[i]...))
 		}
-		err = pool.ForBlocked(ctx, n, 1024, func(lo, hi int) {
+		err := pool.ForBlocked(ctx, n, 1024, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for _, idx := range newIdx {
 					if d := sqDist(points[i], points[idx]); d < d2[i] {

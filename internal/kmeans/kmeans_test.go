@@ -129,6 +129,44 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestWorkersBitIdentical: the pool size changes only the schedule. At
+// n ≥ 2048, where every loop over points splits across workers, labels,
+// centers and inertia are bit-identical at Workers 1, 2 and 4.
+func TestWorkersBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	points, _ := blobs(rng, 5, 820, 8, 1.5)
+	for _, scalable := range []bool{false, true} {
+		var want *Result
+		for _, workers := range []int{1, 2, 4} {
+			pool := exec.New(workers)
+			got, err := RunCtx(context.Background(), pool, points, Options{K: 5, Seed: 9, Scalable: scalable})
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+				t.Fatalf("scalable=%v workers=%d: inertia %v, want %v (Workers 1)", scalable, workers, got.Inertia, want.Inertia)
+			}
+			for i := range want.Labels {
+				if got.Labels[i] != want.Labels[i] {
+					t.Fatalf("scalable=%v workers=%d: label[%d] = %d, want %d", scalable, workers, i, got.Labels[i], want.Labels[i])
+				}
+			}
+			for c := range want.Centers {
+				for d := range want.Centers[c] {
+					if math.Float64bits(got.Centers[c][d]) != math.Float64bits(want.Centers[c][d]) {
+						t.Fatalf("scalable=%v workers=%d: center[%d][%d] = %v, want %v", scalable, workers, c, d, got.Centers[c][d], want.Centers[c][d])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEdgeCases(t *testing.T) {
 	if _, err := run(nil, Options{K: 1}); err == nil {
 		t.Fatal("empty input accepted")

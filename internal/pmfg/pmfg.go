@@ -7,8 +7,10 @@
 package pmfg
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"pfg/internal/exec"
 	"pfg/internal/graph"
@@ -26,9 +28,10 @@ type Result struct {
 	Tested int
 }
 
-// BuildCtx constructs the PMFG of the similarity matrix s on pool,
-// honouring cancellation between planarity tests (each test is the
-// expensive unit of work here).
+// BuildCtx constructs the PMFG of the similarity matrix s, honouring
+// cancellation between planarity tests (each test is the expensive unit of
+// work here). The construction is sequential: pool is taken only because
+// every stage's entry point takes one, and is not used.
 func BuildCtx(ctx context.Context, pool *exec.Pool, s *matrix.Sym) (*Result, error) {
 	n := s.N
 	if n < 3 {
@@ -45,18 +48,15 @@ func BuildCtx(ctx context.Context, pool *exec.Pool, s *matrix.Sym) (*Result, err
 		}
 	}
 	// Highest weight first; deterministic tie-break on vertex ids.
-	err := exec.Sort(ctx, pool, cands, func(a, b cand) bool {
-		if a.w != b.w {
-			return a.w > b.w
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
 		}
-		if a.u != b.u {
-			return a.u < b.u
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		return a.v < b.v
+		return cmp.Compare(a.v, b.v)
 	})
-	if err != nil {
-		return nil, err
-	}
 	target := 3*n - 6
 	res := &Result{}
 	accepted := make([][2]int32, 0, target)

@@ -22,9 +22,10 @@
 //
 // The builder runs on flat memory: a sync.Pool of builders recycles the
 // face table and the candidate heap and buffers across constructions,
-// per-call scratch (row sums, orderings, membership sets) comes from the
-// ws.Workspace, and bubble vertices are carved from a single arena so
-// construction performs O(1) large allocations instead of O(n) small ones.
+// per-call scratch (row sums, the remaining list, membership sets) comes
+// from the ws.Workspace, and bubble vertices are carved from a single arena
+// so construction performs O(1) large allocations instead of O(n) small
+// ones.
 package tmfg
 
 import (
@@ -252,23 +253,24 @@ func (b *builder) initClique() error {
 	if err := b.pool.ForGrain(b.ctx, n, 16, func(i int) { sums[i] = b.s.RowSum(i) }); err != nil {
 		return err
 	}
-	order := b.w.Int32(n)
-	defer b.w.PutInt32(order)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortBuf := b.w.Int32(n)
-	defer b.w.PutInt32(sortBuf)
-	err := exec.SortWithBuf(b.ctx, b.pool, order, sortBuf, func(a, c int32) bool {
-		if sums[a] != sums[c] {
-			return sums[a] > sums[c]
+	// One pass in ascending id order keeps the top four by decreasing sum.
+	// A vertex passes a kept one only on a strictly larger sum, so of equal
+	// sums the smaller id stays ahead.
+	top, k := &b.initial, 0
+	for v := int32(0); v < int32(n); v++ {
+		j := k
+		for j > 0 && sums[v] > sums[top[j-1]] {
+			j--
 		}
-		return a < c
-	})
-	if err != nil {
-		return err
+		if j == 4 {
+			continue
+		}
+		if k < 4 {
+			k++
+		}
+		copy(top[j+1:k], top[j:k-1])
+		top[j] = v
 	}
-	copy(b.initial[:], order[:4])
 	c := b.initial
 	for i := 0; i < 4; i++ {
 		b.inserted.Set(c[i])
@@ -276,11 +278,12 @@ func (b *builder) initClique() error {
 			b.edges = append(b.edges, [2]int32{c[i], c[j]})
 		}
 	}
+	// remaining stays sorted by id for deterministic scans.
 	b.remaining = b.remaining[:0]
-	b.remaining = append(b.remaining, order[4:]...)
-	// Keep remaining sorted by id for deterministic scans.
-	if err := exec.SortWithBuf(b.ctx, b.pool, b.remaining, sortBuf, func(a, c int32) bool { return a < c }); err != nil {
-		return err
+	for v := int32(0); v < int32(n); v++ {
+		if !b.inserted.Test(v) {
+			b.remaining = append(b.remaining, v)
+		}
 	}
 
 	b.tree.Nodes = append(b.tree.Nodes, bubbletree.Node{

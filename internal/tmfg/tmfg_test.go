@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -590,9 +591,7 @@ func selectBatchFullSort(b *builder, dead map[int32]bool, prefix int) (batch []c
 		}
 		cands = append(cands, c)
 	}
-	if err := exec.Sort(context.Background(), exec.Default(), cands, candLess); err != nil {
-		panic(err)
-	}
+	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
 	seen := map[int32]bool{}
 	for _, c := range cands[:min(prefix, len(cands))] {
 		if !seen[c.vert] {
@@ -646,6 +645,89 @@ func quantizedSym(rng *rand.Rand, n int, scale float64) *matrix.Sym {
 		}
 	}
 	return s
+}
+
+// initCliqueBySort is the initial clique's construction by sorting, kept as
+// the oracle for the builder's one-pass scan: sort every id by (row sum
+// descending, id ascending), take the first four, and list the rest in
+// ascending id order.
+func initCliqueBySort(s *matrix.Sym) (clique [4]int32, remaining []int32) {
+	sums := make([]float64, s.N)
+	order := make([]int32, s.N)
+	for i := range order {
+		sums[i] = s.RowSum(i)
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, c := order[i], order[j]
+		if sums[a] != sums[c] {
+			return sums[a] > sums[c]
+		}
+		return a < c
+	})
+	copy(clique[:], order[:4])
+	remaining = slices.Clone(order[4:])
+	slices.Sort(remaining)
+	return clique, remaining
+}
+
+// TestInitCliqueMatchesSortOracle checks the builder's initial clique and
+// remaining list against initCliqueBySort on tie-heavy matrices: rows with
+// equal sums, rows of ±0 and cancelling ±1 entries that sum to zero, and
+// rows whose sums overflow to +Inf or -Inf.
+func TestInitCliqueMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	big := 0.75 * math.MaxFloat64
+	kinds := []struct {
+		name  string
+		entry func() float64
+	}{
+		{"constant", func() float64 { return 0.5 }},
+		{"eighths", func() float64 { return float64(rng.Intn(3)) / 8 }},
+		{"signed zeros", func() float64 { return []float64{math.Copysign(0, -1), 0, -1, 1}[rng.Intn(4)] }},
+		{"overflow", func() float64 { return []float64{-big, 0, big}[rng.Intn(3)] }},
+	}
+	pool := exec.New(2)
+	defer pool.Close()
+	w := ws.Get()
+	defer ws.Put(w)
+	var zeroSums, posInf, negInf int
+	for _, kind := range kinds {
+		for _, n := range []int{4, 5, 7, 16, 33, 100} {
+			for trial := 0; trial < 4; trial++ {
+				s := matrix.NewSym(n)
+				for i := 0; i < n; i++ {
+					for j := i; j < n; j++ {
+						s.Set(i, j, kind.entry())
+					}
+				}
+				for i := 0; i < n; i++ {
+					switch sum := s.RowSum(i); {
+					case sum == 0:
+						zeroSums++
+					case math.IsInf(sum, 1):
+						posInf++
+					case math.IsInf(sum, -1):
+						negInf++
+					}
+				}
+				wantClique, wantRemaining := initCliqueBySort(s)
+				b := builderPool.Get().(*builder)
+				b.init(context.Background(), pool, w, s, 1)
+				if err := b.initClique(); err != nil {
+					t.Fatal(err)
+				}
+				if b.initial != wantClique || !slices.Equal(b.remaining, wantRemaining) {
+					t.Errorf("%s n=%d trial %d: clique %v remaining %v, want %v %v",
+						kind.name, n, trial, b.initial, b.remaining, wantClique, wantRemaining)
+				}
+				b.recycle()
+			}
+		}
+	}
+	if zeroSums == 0 || posInf == 0 || negInf == 0 {
+		t.Fatalf("inputs miss a tie class: %d zero, %d +Inf, %d -Inf row sums", zeroSums, posInf, negInf)
+	}
 }
 
 // TestSelectBatchMatchesFullSort drives real builders round by round and
