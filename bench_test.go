@@ -103,7 +103,7 @@ func BenchmarkFig1_CompleteLinkage(b *testing.B) {
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.HACWS(ctx, pool, scratch, w.dis, hac.Complete); err != nil {
+		if _, err := core.HACWS(ctx, pool, scratch, w.sim, w.dis, hac.Complete); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func BenchmarkFig1_AverageLinkage(b *testing.B) {
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.HACWS(ctx, pool, scratch, w.dis, hac.Average); err != nil {
+		if _, err := core.HACWS(ctx, pool, scratch, w.sim, w.dis, hac.Average); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func BenchmarkMicro_HACComplete(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.HACWS(ctx, pool, scratch, w.dis, hac.Complete); err != nil {
+		if _, err := core.HACWS(ctx, pool, scratch, w.sim, w.dis, hac.Complete); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,9 +143,10 @@
 //
 // The arithmetic under the hot loops lives in internal/kernel: a
 // register-tiled SYRK for the Pearson product Z·Zᵀ (2×4 micro-tiles sized
-// to amd64's register file), a finish pass that fuses the correlation
-// fixups, the mirror, and the dissimilarity transform into one blocked
-// traversal, an eight-lane relaxation sweep for all-pairs shortest paths,
+// to amd64's register file), a finish pass that applies the correlation
+// fixups and the mirror in one blocked traversal, the dissimilarity
+// transform that DBHT applies to its graph's edges and HAC to its working
+// copy, an eight-lane relaxation sweep for all-pairs shortest paths,
 // a 4-ary implicit heap for the Dijkstra oracle, and unrolled
 // min/argmin and max-gain scan kernels used by the HAC NN-chain and TMFG
 // gain recomputation. Kernels are sequential over explicit ranges — the

@@ -135,9 +135,9 @@ func TestClusterContextSteadyStateAllocs(t *testing.T) {
 		n      int
 		want   float64
 	}{
-		{CompleteLinkage, 128, 13},
-		{CompleteLinkage, 256, 13},
-		{TMFGDBHT, 128, 94},
+		{CompleteLinkage, 128, 12},
+		{CompleteLinkage, 256, 12},
+		{TMFGDBHT, 128, 92},
 	} {
 		series := tsgen.GenerateClassed("flatmem", c.n, 96, 6, 0.6, 7).Series
 		opts := Options{Method: c.method, Prefix: 10, Workers: 1}

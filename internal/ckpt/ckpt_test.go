@@ -321,8 +321,8 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Frames() != 4 || w.Bytes() != int64(buf.Len()) {
-		t.Fatalf("writer reports %d frames %d bytes, buffer has %d", w.Frames(), w.Bytes(), buf.Len())
+	if w.frames != 4 || w.Bytes() != int64(buf.Len()) {
+		t.Fatalf("writer reports %d frames %d bytes, buffer has %d", w.frames, w.Bytes(), buf.Len())
 	}
 
 	start, frames, torn, err := ReadWAL(bytes.NewReader(buf.Bytes()))

@@ -168,9 +168,6 @@ func (wr *WALWriter) Flush() error {
 	return wr.err
 }
 
-// Frames returns the number of push frames appended so far.
-func (wr *WALWriter) Frames() uint64 { return wr.frames }
-
 // Bytes returns the bytes written so far, header included.
 func (wr *WALWriter) Bytes() int64 { return wr.bytes }
 

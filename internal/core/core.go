@@ -14,6 +14,7 @@ import (
 	"pfg/internal/dendro"
 	"pfg/internal/exec"
 	"pfg/internal/hac"
+	"pfg/internal/kernel"
 	"pfg/internal/kmeans"
 	"pfg/internal/matrix"
 	"pfg/internal/pmfg"
@@ -27,12 +28,11 @@ import (
 // construction, including the on-the-fly bubble tree), "apsp", "bubble-tree"
 // (direction + vertex assignment), and "hierarchy".
 type Breakdown struct {
-	Correlation time.Duration
-	Graph       time.Duration // TMFG or PMFG construction
-	APSP        time.Duration
-	BubbleTree  time.Duration // direction + assignments (+ generic construction for PMFG)
-	Hierarchy   time.Duration
-	Total       time.Duration
+	Graph      time.Duration // TMFG or PMFG construction
+	APSP       time.Duration
+	BubbleTree time.Duration // direction + assignments (+ generic construction for PMFG)
+	Hierarchy  time.Duration
+	Total      time.Duration
 }
 
 // Result is a hierarchical clustering outcome.
@@ -50,39 +50,24 @@ type Result struct {
 }
 
 // TMFGDBHTWS runs the paper's pipeline on a similarity matrix: TMFG with
-// the given prefix, then DBHT. dis may be nil, in which case √(2(1−s)) is
-// used. Every parallel stage (TMFG rounds, APSP, DBHT assignment,
-// hierarchy) runs within the pool's worker budget and aborts with
-// ctx.Err() once ctx is cancelled. The derived dissimilarity matrix (when
-// dis is nil), the TMFG's CSR arrays, the APSP matrix, and every per-stage
-// scratch buffer are drawn from and returned to w (nil allocates), so
-// repeated same-shape runs on a warm workspace perform only the
-// allocations that escape into the Result.
+// the given prefix, then DBHT. dis may be nil, in which case DBHT weights
+// each TMFG edge with √(2(1−s)) of its similarity. Every parallel stage
+// (TMFG rounds, APSP, DBHT assignment, hierarchy) runs within the pool's
+// worker budget and aborts with ctx.Err() once ctx is cancelled. The
+// TMFG's CSR arrays, the APSP matrix, and every per-stage scratch buffer
+// are drawn from and returned to w (nil allocates), so repeated same-shape
+// runs on a warm workspace perform only the allocations that escape into
+// the Result.
 func TMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, dis *matrix.Sym, prefix int) (*Result, error) {
 	start := time.Now()
 	var bd Breakdown
-	ownDis := false
-	if dis == nil {
-		var err error
-		dis, err = matrix.DissimilarityWS(ctx, pool, w, sim)
-		if err != nil {
-			return nil, err
-		}
-		ownDis = true
-	}
 	t0 := time.Now()
 	tm, err := tmfg.BuildWS(ctx, pool, w, sim, prefix)
 	if err != nil {
-		if ownDis {
-			dis.Release(w)
-		}
 		return nil, err
 	}
 	bd.Graph = time.Since(t0)
 	res, err := dbht.BuildWS(ctx, pool, w, tm.Graph, tm.Tree, dis, dbht.Options{})
-	if ownDis {
-		dis.Release(w)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -106,19 +91,12 @@ func TMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matr
 // PMFGDBHTWS runs the baseline pipeline: sequential PMFG, the original
 // (generic) bubble tree construction, then DBHT, on pool with cooperative
 // cancellation through every stage (PMFG planarity tests, bubble tree,
-// DBHT). dis may be nil, in which case √(2(1−s)) is used. DBHT's scratch
-// and the derived dissimilarity matrix come from w (nil allocates).
+// DBHT). dis may be nil, in which case DBHT weights each PMFG edge with
+// √(2(1−s)) of its similarity. DBHT's scratch comes from w (nil
+// allocates).
 func PMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, dis *matrix.Sym) (*Result, error) {
 	start := time.Now()
 	var bd Breakdown
-	if dis == nil {
-		d, err := matrix.DissimilarityWS(ctx, pool, w, sim)
-		if err != nil {
-			return nil, err
-		}
-		defer d.Release(w)
-		dis = d
-	}
 	t0 := time.Now()
 	pm, err := pmfg.BuildCtx(ctx, pool, sim)
 	if err != nil {
@@ -148,15 +126,20 @@ func PMFGDBHTWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matr
 	}, nil
 }
 
-// HACWS runs complete- or average-linkage clustering on a dissimilarity
-// matrix (the COMP and AVG baselines) on pool, with cooperative
-// cancellation checked once per NN-chain merge. The NN-chain's working copy
-// of the matrix comes from w (nil allocates).
-func HACWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, dis *matrix.Sym, linkage hac.Linkage) (*Result, error) {
+// HACWS runs complete- or average-linkage clustering (the COMP and AVG
+// baselines) on pool, with cooperative cancellation checked once per
+// NN-chain merge. The NN-chain works on a copy of dis or, when dis is nil,
+// on √(2(1−s)) derived from sim. The working copy comes from w (nil
+// allocates).
+func HACWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *matrix.Sym, dis *matrix.Sym, linkage hac.Linkage) (*Result, error) {
 	start := time.Now()
-	buf := w.Float64(len(dis.Data))
-	copy(buf, dis.Data)
-	d, err := hac.RunMatrixWS(ctx, pool, w, dis.N, buf, linkage)
+	buf := w.Float64(len(sim.Data))
+	if dis != nil {
+		copy(buf, dis.Data)
+	} else {
+		kernel.DissimRow(buf, sim.Data)
+	}
+	d, err := hac.RunMatrixWS(ctx, pool, w, sim.N, buf, linkage)
 	w.PutFloat64(buf)
 	if err != nil {
 		return nil, err

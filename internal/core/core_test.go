@@ -90,9 +90,9 @@ func TestPMFGDBHTPipeline(t *testing.T) {
 
 func TestHACBaselines(t *testing.T) {
 	ds := easyDataset()
-	_, dis := correlate(t, ds.Series)
+	sim, dis := correlate(t, ds.Series)
 	for _, linkage := range []hac.Linkage{hac.Complete, hac.Average} {
-		res, err := HACWS(context.Background(), exec.Default(), nil, dis, linkage)
+		res, err := HACWS(context.Background(), exec.Default(), nil, sim, dis, linkage)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,10 @@
 // Package dbht implements the parallel Directed Bubble Hierarchy Tree
 // algorithm (Algorithm 4 of Yu & Shun, ICDE 2023). Given a maximal planar
-// filtered graph (TMFG or PMFG), its bubble tree, and a dissimilarity
-// matrix, it produces a hierarchical clustering dendrogram:
+// filtered graph (TMFG or PMFG) weighted by similarity and its bubble
+// tree, it produces a hierarchical clustering dendrogram. Shortest paths
+// weight each edge with the metric dissimilarity √(2(1−s)) of its
+// similarity s, derived over the graph's 3n−6 edges, or with the entries of
+// a dissimilarity matrix the caller passes:
 //
 //  1. Direct the bubble tree edges (Algorithm 3, package bubbletree).
 //  2. Assign every vertex to a converging bubble (its "group"): vertices in
@@ -29,6 +32,7 @@ import (
 	"pfg/internal/dendro"
 	"pfg/internal/exec"
 	"pfg/internal/graph"
+	"pfg/internal/kernel"
 	"pfg/internal/matrix"
 	"pfg/internal/ws"
 )
@@ -69,16 +73,18 @@ type Options struct {
 }
 
 // BuildWS runs DBHT on pool. g is the filtered graph weighted by
-// similarity, tree its bubble tree, and dis the full dissimilarity matrix
-// used for shortest paths; dis must have the same vertex count as g. Each
-// stage (direction, APSP, assignment, hierarchy) runs its parallel loops on
-// the pool and aborts with ctx.Err() once the context is cancelled; every
+// similarity and tree its bubble tree. Shortest paths run over g's edges
+// weighted by dissimilarity: by dis's entries when dis is non-nil (it must
+// have g's vertex count; each direction of an edge reads its own entry),
+// otherwise by √(2(1−s)) of each edge's similarity weight s. Each stage
+// (direction, APSP, assignment, hierarchy) runs its parallel loops on the
+// pool and aborts with ctx.Err() once the context is cancelled; every
 // transient buffer (the dissimilarity-weighted graph, the APSP matrix, the
 // flat membership and reachability sets) is drawn from and returned to w
 // (nil allocates).
 func BuildWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym, opts Options) (*Result, error) {
 	n := g.N
-	if dis.N != n {
+	if dis != nil && dis.N != n {
 		return nil, fmt.Errorf("dbht: dissimilarity matrix is %d×%d, graph has %d vertices", dis.N, dis.N, n)
 	}
 	if n < 4 {
@@ -98,7 +104,13 @@ func BuildWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Gra
 	// All-pairs shortest paths on the filtered graph with dissimilarity
 	// edge weights. The re-weighted graph shares g's CSR topology.
 	t0 = time.Now()
-	dg := g.WithWeights(w, func(u, v int32) float64 { return dis.At(int(u), int(v)) })
+	var dg *graph.Graph
+	if dis != nil {
+		dg = g.WithWeights(w, func(u, v int32) float64 { return dis.At(int(u), int(v)) })
+	} else {
+		dg = &graph.Graph{N: n, Off: g.Off, Adj: g.Adj, Weight: w.Float64(len(g.Weight))}
+		kernel.DissimRow(dg.Weight, g.Weight)
+	}
 	apsp, err := dg.AllPairsShortestPathsWS(ctx, pool, w)
 	dg.ReleaseWeights(w)
 	if err != nil {

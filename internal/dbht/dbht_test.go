@@ -10,6 +10,7 @@ import (
 	"pfg/internal/exec"
 	"pfg/internal/graph"
 	"pfg/internal/matrix"
+	"pfg/internal/pmfg"
 	"pfg/internal/tmfg"
 )
 
@@ -280,6 +281,74 @@ func TestDeterminism(t *testing.T) {
 	for v := range res1.Group {
 		if res1.Group[v] != res2.Group[v] || res1.Bubble[v] != res2.Bubble[v] {
 			t.Fatalf("assignment of %d differs", v)
+		}
+	}
+}
+
+// TestNilDissimilarityMatchesMatrix pins BuildWS's nil-dis path: weighting
+// each edge with √(2(1−s)) of its similarity weight gives bit for bit the
+// result of passing DissimilarityWS(s), on a TMFG with its own bubble tree
+// and on a PMFG with the generic one. A constant series and a duplicated
+// one give both graphs edges of dissimilarity √2 and 0.
+func TestNilDissimilarityMatchesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n, l = 40, 64
+	series := make([][]float64, n)
+	for i := range series {
+		series[i] = make([]float64, l)
+		for t2 := range series[i] {
+			series[i][t2] = rng.NormFloat64()
+		}
+	}
+	for t2 := 0; t2 < l; t2++ {
+		series[0][t2] = 2
+		series[1][t2] = float64(1 - 2*(t2%2))
+		series[2][t2] = series[1][t2]
+	}
+	ctx, pool := context.Background(), exec.Default()
+	s, err := matrix.PearsonWS(ctx, pool, nil, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dis := dissimilarity(s)
+	tm, err := tmfg.BuildWS(ctx, pool, nil, s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := pmfg.BuildCtx(ctx, pool, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pmTree, err := bubbletree.BuildGenericCtx(ctx, pool, pm.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		tree *bubbletree.Tree
+	}{{"tmfg", tm.Graph, tm.Tree}, {"pmfg", pm.Graph, pmTree}} {
+		got, err := build(c.g, c.tree, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := build(c.g, c.tree, dis, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm, wm := got.Dendrogram.Merges, want.Dendrogram.Merges
+		if len(gm) != len(wm) {
+			t.Fatalf("%s: %d merges, want %d", c.name, len(gm), len(wm))
+		}
+		for i := range gm {
+			if gm[i].A != wm[i].A || gm[i].B != wm[i].B || math.Float64bits(gm[i].Height) != math.Float64bits(wm[i].Height) {
+				t.Fatalf("%s: merge %d is %v, want %v", c.name, i, gm[i], wm[i])
+			}
+		}
+		for v := range want.Group {
+			if got.Group[v] != want.Group[v] || got.Bubble[v] != want.Bubble[v] {
+				t.Fatalf("%s: vertex %d in group %d bubble %d, want group %d bubble %d", c.name, v, got.Group[v], got.Bubble[v], want.Group[v], want.Bubble[v])
+			}
 		}
 	}
 }

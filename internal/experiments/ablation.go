@@ -141,8 +141,8 @@ func AblationCophenetic(cfg Config) string {
 			return fmt.Sprintf("%.3f", v)
 		}
 		row = append(row, cc(core.TMFGDBHTWS(ctx, exec.Default(), w, sim, dis, 10)))
-		row = append(row, cc(core.HACWS(ctx, exec.Default(), w, dis, hac.Complete)))
-		row = append(row, cc(core.HACWS(ctx, exec.Default(), w, dis, hac.Average)))
+		row = append(row, cc(core.HACWS(ctx, exec.Default(), w, sim, dis, hac.Complete)))
+		row = append(row, cc(core.HACWS(ctx, exec.Default(), w, sim, dis, hac.Average)))
 		tw.row(row...)
 	}
 	tw.flush()

@@ -134,8 +134,8 @@ func Fig8(cfg Config) string {
 		} else {
 			row = append(row, "timeout")
 		}
-		row = append(row, hierCell(core.HACWS(ctx, pool, w, dis, hac.Complete)))
-		row = append(row, hierCell(core.HACWS(ctx, pool, w, dis, hac.Average)))
+		row = append(row, hierCell(core.HACWS(ctx, pool, w, sim, dis, hac.Complete)))
+		row = append(row, hierCell(core.HACWS(ctx, pool, w, sim, dis, hac.Average)))
 		row = append(row, cell(core.KMeansCtx(ctx, pool, d.Data.Series, k, cfg.Seed)))
 		beta := bestBeta(len(d.Data.Series))
 		row = append(row, cell(core.KMeansSpectralCtx(ctx, pool, d.Data.Series, k, beta, cfg.Seed)))

@@ -46,14 +46,14 @@ func runAllMethods(cfg Config, w *ws.Workspace, d Dataset, includePMFG bool) []m
 		out = append(out, methodRun{name: name, elapsed: el, ari: cutARI(r)})
 	}
 	run("COMP", func() *core.Result {
-		r, err := core.HACWS(ctx, exec.Default(), w, dis, hac.Complete)
+		r, err := core.HACWS(ctx, exec.Default(), w, sim, dis, hac.Complete)
 		if err != nil {
 			panic(err)
 		}
 		return r
 	})
 	run("AVG", func() *core.Result {
-		r, err := core.HACWS(ctx, exec.Default(), w, dis, hac.Average)
+		r, err := core.HACWS(ctx, exec.Default(), w, sim, dis, hac.Average)
 		if err != nil {
 			panic(err)
 		}

@@ -271,17 +271,16 @@ minloop:
 	VZEROUPPER
 	RET
 
-// func finishSeg(rowp, mirrorp *float64, mstride uintptr, mup, invp *float64, zerop *int32, si, invi float64, count int, disp, dismp *float64)
+// func finishSeg(rowp, mirrorp *float64, mstride uintptr, mup, invp *float64, zerop *int32, si, invi float64, count int)
 //
-// The fused Pearson finish over count (multiple of 4) strictly-upper columns
-// of one row: p = ((row[j] − si·mu[j]) · invi) · inv[j], then the pinning
+// The Pearson finish over count (multiple of 4) strictly-upper columns of
+// one row: p = ((row[j] − si·mu[j]) · invi) · inv[j], then the pinning
 // ladder in scalar order — zero-variance → 0, clamp to [−1, 1], NaN → 0 —
-// then the mirror write sim[j][i], and optionally the dissimilarity
-// d = sqrt(2(1−p)) into both triangles. Mirror scatters go through a stack
-// spill and GP stores (stride mstride bytes down column i). The clamp is
+// then the mirror write sim[j][i]. Mirror scatters go through a stack spill
+// and GP stores (stride mstride bytes down column i). The clamp is
 // VMAXPD/VMINPD with p as Intel-src2 so NaN survives to the VANDNPD mask
 // kill, and ±0 and exact ±1 take the scalar path's values.
-TEXT ·finishSeg(SB), NOSPLIT, $64-88
+TEXT ·finishSeg(SB), NOSPLIT, $32-72
 	MOVQ rowp+0(FP), DI
 	MOVQ mirrorp+8(FP), R8
 	MOVQ mstride+16(FP), R9
@@ -292,8 +291,6 @@ TEXT ·finishSeg(SB), NOSPLIT, $64-88
 	VBROADCASTSD invi+56(FP), Y13
 	MOVQ count+64(FP), CX
 	SHRQ $2, CX
-	MOVQ disp+72(FP), R10
-	MOVQ dismp+80(FP), R11
 	VBROADCASTSD one64<>(SB), Y14
 	VBROADCASTSD negone64<>(SB), Y15
 	VXORPD Y11, Y11, Y11
@@ -316,38 +313,18 @@ finloop:
 	VANDPD  Y3, Y1, Y1       // zero-variance → 0
 
 	VMOVUPD Y1, (DI)
-	VMOVUPD Y1, spill-64(SP)
-	MOVQ spill-64(SP), R12
+	VMOVUPD Y1, spill-32(SP)
+	MOVQ spill-32(SP), R12
 	MOVQ R12, (R8)
-	MOVQ spill-56(SP), R12
+	MOVQ spill-24(SP), R12
 	MOVQ R12, (R8)(R9*1)
 	LEAQ (R8)(R9*2), R13
-	MOVQ spill-48(SP), R12
+	MOVQ spill-16(SP), R12
 	MOVQ R12, (R13)
-	MOVQ spill-40(SP), R12
+	MOVQ spill-8(SP), R12
 	MOVQ R12, (R13)(R9*1)
 	LEAQ (R13)(R9*2), R8 // mirror down 4 rows
 
-	TESTQ R10, R10
-	JZ    finnodis
-	VSUBPD  Y1, Y14, Y4 // 1 − p   (p ≤ 1, so v ≥ 0: no clamp needed)
-	VADDPD  Y4, Y4, Y4  // 2(1−p), exact either as add or ×2
-	VSQRTPD Y4, Y4
-	VMOVUPD Y4, (R10)
-	ADDQ    $32, R10
-	VMOVUPD Y4, dspill-32(SP)
-	MOVQ dspill-32(SP), R12
-	MOVQ R12, (R11)
-	MOVQ dspill-24(SP), R12
-	MOVQ R12, (R11)(R9*1)
-	LEAQ (R11)(R9*2), R13
-	MOVQ dspill-16(SP), R12
-	MOVQ R12, (R13)
-	MOVQ dspill-8(SP), R12
-	MOVQ R12, (R13)(R9*1)
-	LEAQ (R13)(R9*2), R11
-
-finnodis:
 	ADDQ $32, DI
 	ADDQ $32, SI
 	ADDQ $32, BX

@@ -22,7 +22,7 @@ func TestCorrDriftRows(t *testing.T) {
 			t.Fatalf("n=%d: finite moments flagged bad at %d", n, bad)
 		}
 		ref := append([]float64(nil), raw...)
-		FinishPearsonMoments(ref, nil, n, s, mu, inv, zero, 0, FinishTiles(n))
+		FinishPearsonMoments(ref, n, s, mu, inv, zero, 0, FinishTiles(n))
 
 		if d := CorrDriftRows(raw, n, s, mu, inv, zero, ref, 0, n); d != 0 {
 			t.Fatalf("n=%d: drift against own finish = %v, want exactly 0", n, d)

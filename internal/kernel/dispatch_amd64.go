@@ -59,7 +59,7 @@ func rank1UpdSeg(row, x *float64, xi float64, q int)
 func rank1RollSeg(row, xNew, xOld *float64, a, b float64, q int)
 
 //go:noescape
-func finishSeg(rowp, mirrorp *float64, mstride uintptr, mup, invp *float64, zerop *int32, si, invi float64, count int, disp, dismp *float64)
+func finishSeg(rowp, mirrorp *float64, mstride uintptr, mup, invp *float64, zerop *int32, si, invi float64, count int)
 
 //go:noescape
 func driftSeg(rowp, refp, mup, invp *float64, zerop *int32, si, invi, acc float64, count int) float64
@@ -168,13 +168,8 @@ func syrkPack(z []float64, ld, a, kc, sLo, sHi int, zp []float64) {
 }
 
 // finishRowAVX2 runs the vectorized finish transform over columns
-// [js, js+q) of row i; q must be a positive multiple of 4. The mirror and
-// dissimilarity mirror writes scatter down column i with stride n.
-func finishRowAVX2(sim, dis []float64, n int, si, invi float64, mu, inv []float64, zero []int32, i, js, q int) {
-	var disp, dismp *float64
-	if dis != nil {
-		disp = &dis[i*n+js]
-		dismp = &dis[js*n+i]
-	}
-	finishSeg(&sim[i*n+js], &sim[js*n+i], uintptr(n*8), &mu[js], &inv[js], &zero[js], si, invi, q, disp, dismp)
+// [js, js+q) of row i; q must be a positive multiple of 4. The mirror writes
+// scatter down column i with stride n.
+func finishRowAVX2(sim []float64, n int, si, invi float64, mu, inv []float64, zero []int32, i, js, q int) {
+	finishSeg(&sim[i*n+js], &sim[js*n+i], uintptr(n*8), &mu[js], &inv[js], &zero[js], si, invi, q)
 }

@@ -25,7 +25,7 @@ func rank1RollSeg(row, xNew, xOld *float64, a, b float64, q int) {
 	panic("kernel: no vector backend")
 }
 
-func finishRowAVX2(sim, dis []float64, n int, si, invi float64, mu, inv []float64, zero []int32, i, js, q int) {
+func finishRowAVX2(sim []float64, n int, si, invi float64, mu, inv []float64, zero []int32, i, js, q int) {
 	panic("kernel: no vector backend")
 }
 

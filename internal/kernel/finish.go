@@ -67,15 +67,13 @@ func PrepPearsonMoments(g []float64, n int, s []float64, t int, mu, inv []float6
 // pinned to 1, entries involving a zero-variance series (zero != 0) are
 // pinned to 0, everything else is clamped to [-1, 1] (a NaN from overflowed
 // cross terms is pinned to 0), and each finished value is mirrored into the
-// lower triangle. When dis is non-nil, the metric dissimilarity √(2(1−p)) is
-// written to both triangles of dis in the same traversal, so deriving the
-// dissimilarity costs no extra pass over the matrix.
+// lower triangle.
 //
 // Distinct tile rows touch disjoint entries (tile row b owns the upper tiles
 // of rows [b·B, b·B+B) and their mirror images), so callers may run tile rows
 // on different workers. The transform is elementwise with a fixed operation
 // order per entry, hence bit-deterministic in the partitioning.
-func FinishPearsonMoments(sim, dis []float64, n int, s, mu, inv []float64, zero []int32, b0, b1 int) {
+func FinishPearsonMoments(sim []float64, n int, s, mu, inv []float64, zero []int32, b0, b1 int) {
 	for bi := b0; bi < b1; bi++ {
 		i0 := bi * finishB
 		i1 := min(i0+finishB, n)
@@ -88,31 +86,23 @@ func FinishPearsonMoments(sim, dis []float64, n int, s, mu, inv []float64, zero 
 					// Diagonal tile: handle the diagonal entry, then the
 					// strictly-upper remainder of the row.
 					row[i] = 1
-					if dis != nil {
-						dis[i*n+i] = 0
-					}
 					js = i + 1
 				}
 				if zero[i] != 0 {
 					for j := js; j < j1; j++ {
 						row[j] = 0
 						sim[j*n+i] = 0
-						if dis != nil {
-							d := math.Sqrt2
-							dis[i*n+j] = d
-							dis[j*n+i] = d
-						}
 					}
 					continue
 				}
 				si, invi := s[i], inv[i]
 				if useAVX2 && j1-js >= 8 {
 					q := (j1 - js) &^ 3
-					finishRowAVX2(sim, dis, n, si, invi, mu, inv, zero, i, js, q)
-					finishRowGo(sim, dis, n, si, invi, mu, inv, zero, i, js+q, j1)
+					finishRowAVX2(sim, n, si, invi, mu, inv, zero, i, js, q)
+					finishRowGo(sim, n, si, invi, mu, inv, zero, i, js+q, j1)
 					continue
 				}
-				finishRowGo(sim, dis, n, si, invi, mu, inv, zero, i, js, j1)
+				finishRowGo(sim, n, si, invi, mu, inv, zero, i, js, j1)
 			}
 		}
 	}
@@ -122,7 +112,7 @@ func FinishPearsonMoments(sim, dis []float64, n int, s, mu, inv []float64, zero 
 // of row i — the oracle the vector backend is pinned to bit-for-bit. The
 // transform is elementwise (no accumulation chain), so any column
 // partitioning produces identical bits.
-func finishRowGo(sim, dis []float64, n int, si, invi float64, mu, inv []float64, zero []int32, i, js, j1 int) {
+func finishRowGo(sim []float64, n int, si, invi float64, mu, inv []float64, zero []int32, i, js, j1 int) {
 	row := sim[i*n : (i+1)*n]
 	for j := js; j < j1; j++ {
 		p := (row[j] - si*mu[j]) * invi * inv[j]
@@ -138,14 +128,5 @@ func finishRowGo(sim, dis []float64, n int, si, invi float64, mu, inv []float64,
 		}
 		row[j] = p
 		sim[j*n+i] = p
-		if dis != nil {
-			v := 2 * (1 - p)
-			if v < 0 {
-				v = 0
-			}
-			d := math.Sqrt(v)
-			dis[i*n+j] = d
-			dis[j*n+i] = d
-		}
 	}
 }

@@ -430,11 +430,10 @@ func TestFinishPearsonMoments(t *testing.T) {
 		}
 
 		sim := append([]float64(nil), raw...)
-		dis := make([]float64, n*n)
-		FinishPearsonMoments(sim, dis, n, s, mu, inv, zero, 0, FinishTiles(n))
+		FinishPearsonMoments(sim, n, s, mu, inv, zero, 0, FinishTiles(n))
 
-		// Reference: the unfused moments → clamp → mirror → dissimilarity
-		// pipeline with the same canonical operation order.
+		// Reference: the untiled moments → clamp → mirror pipeline with the
+		// same canonical operation order.
 		want := append([]float64(nil), raw...)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
@@ -460,33 +459,16 @@ func TestFinishPearsonMoments(t *testing.T) {
 				if sim[i*n+j] != want[i*n+j] {
 					t.Fatalf("n=%d: sim[%d,%d]=%v want %v", n, i, j, sim[i*n+j], want[i*n+j])
 				}
-				v := 2 * (1 - want[i*n+j])
-				if v < 0 {
-					v = 0
-				}
-				if wd := math.Sqrt(v); dis[i*n+j] != wd {
-					t.Fatalf("n=%d: dis[%d,%d]=%v want %v", n, i, j, dis[i*n+j], wd)
-				}
-			}
-		}
-
-		// nil dis: sim-only finish must produce the same sim.
-		simOnly := append([]float64(nil), raw...)
-		FinishPearsonMoments(simOnly, nil, n, s, mu, inv, zero, 0, FinishTiles(n))
-		for i := range simOnly {
-			if simOnly[i] != sim[i] {
-				t.Fatalf("n=%d: sim-only finish diverges at %d", n, i)
 			}
 		}
 
 		// Tile-row partition invariance (parallel determinism).
 		split := append([]float64(nil), raw...)
-		splitDis := make([]float64, n*n)
 		for b := 0; b < FinishTiles(n); b++ {
-			FinishPearsonMoments(split, splitDis, n, s, mu, inv, zero, b, b+1)
+			FinishPearsonMoments(split, n, s, mu, inv, zero, b, b+1)
 		}
 		for i := range split {
-			if split[i] != sim[i] || splitDis[i] != dis[i] {
+			if split[i] != sim[i] {
 				t.Fatalf("n=%d: tile partition changes output at %d", n, i)
 			}
 		}

@@ -188,26 +188,21 @@ func TestOracleFinish(t *testing.T) {
 			zero := make([]int32, n)
 			PrepPearsonMoments(raw, n, s, 24, mu, inv, zero)
 
-			gotSim := append([]float64(nil), raw...)
-			gotDis := make([]float64, n*n)
-			FinishPearsonMoments(gotSim, gotDis, n, s, mu, inv, zero, 0, FinishTiles(n))
+			got := append([]float64(nil), raw...)
+			FinishPearsonMoments(got, n, s, mu, inv, zero, 0, FinishTiles(n))
 
-			wantSim := append([]float64(nil), raw...)
-			wantDis := make([]float64, n*n)
-			finishTilesGo(wantSim, wantDis, n, s, mu, inv, zero)
+			want := append([]float64(nil), raw...)
+			finishTilesGo(want, n, s, mu, inv, zero)
 
-			if i := bitsEqual(gotSim, wantSim); i >= 0 {
-				t.Fatalf("n=%d fuzz=%d: finish sim diverges at %d: %v vs %v", n, fuzz, i, gotSim[i], wantSim[i])
-			}
-			if i := bitsEqual(gotDis, wantDis); i >= 0 {
-				t.Fatalf("n=%d fuzz=%d: finish dis diverges at %d: %v vs %v", n, fuzz, i, gotDis[i], wantDis[i])
+			if i := bitsEqual(got, want); i >= 0 {
+				t.Fatalf("n=%d fuzz=%d: finish diverges at %d: %v vs %v", n, fuzz, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // finishTilesGo runs the full finish pass forcing the scalar row body.
-func finishTilesGo(sim, dis []float64, n int, s, mu, inv []float64, zero []int32) {
+func finishTilesGo(sim []float64, n int, s, mu, inv []float64, zero []int32) {
 	for bi := 0; bi < FinishTiles(n); bi++ {
 		i0 := bi * finishB
 		i1 := min(i0+finishB, n)
@@ -217,23 +212,16 @@ func finishTilesGo(sim, dis []float64, n int, s, mu, inv []float64, zero []int32
 				js := j0
 				if js <= i {
 					sim[i*n+i] = 1
-					if dis != nil {
-						dis[i*n+i] = 0
-					}
 					js = i + 1
 				}
 				if zero[i] != 0 {
 					for j := js; j < j1; j++ {
 						sim[i*n+j] = 0
 						sim[j*n+i] = 0
-						if dis != nil {
-							dis[i*n+j] = math.Sqrt2
-							dis[j*n+i] = math.Sqrt2
-						}
 					}
 					continue
 				}
-				finishRowGo(sim, dis, n, s[i], inv[i], mu, inv, zero, i, js, j1)
+				finishRowGo(sim, n, s[i], inv[i], mu, inv, zero, i, js, j1)
 			}
 		}
 	}
@@ -282,7 +270,7 @@ func driftFixture(rng *rand.Rand, n, fuzz int) (raw, s, ref []float64) {
 		mu, inv, zero := make([]float64, n), make([]float64, n), make([]int32, n)
 		PrepPearsonMoments(raw, n, s, l, mu, inv, zero)
 		ref = append([]float64(nil), raw...)
-		FinishPearsonMoments(ref, nil, n, s, mu, inv, zero, 0, FinishTiles(n))
+		FinishPearsonMoments(ref, n, s, mu, inv, zero, 0, FinishTiles(n))
 		for i := 0; i < n; i++ {
 			if fuzz == 0 {
 				for j := i + 1; j < n; j++ {

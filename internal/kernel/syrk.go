@@ -1,7 +1,7 @@
 // Package kernel provides the register-tiled, cache-blocked numeric
 // primitives under the clustering pipeline's hot loops: a SYRK-style blocked
 // Pearson product, a 4-ary implicit heap for Dijkstra, unrolled
-// multi-accumulator scan kernels, and the fused Pearson finish pass.
+// multi-accumulator scan kernels, and the blocked Pearson finish pass.
 //
 // Every kernel is sequential over an explicit index range so callers drive
 // parallelism from an exec.Pool without the kernels knowing about it, and

@@ -292,11 +292,6 @@ func initScalable(ctx context.Context, pool *exec.Pool, points [][]float64, k in
 // weightedPlusPlus runs k-means++ over weighted candidates.
 func weightedPlusPlus(cand [][]float64, w []float64, k int, rng *rand.Rand) [][]float64 {
 	centers := make([][]float64, 0, k)
-	// First pick: weighted by w.
-	total := 0.0
-	for _, x := range w {
-		total += x
-	}
 	pick := func(dist []float64) int {
 		t := 0.0
 		for i := range cand {
@@ -323,7 +318,7 @@ func weightedPlusPlus(cand [][]float64, w []float64, k int, rng *rand.Rand) [][]
 		}
 		return len(cand) - 1
 	}
-	_ = total
+	// First pick: weighted by w.
 	first := pick(nil)
 	centers = append(centers, append([]float64{}, cand[first]...))
 	d2 := make([]float64, len(cand))

@@ -87,30 +87,17 @@ func (m *Sym) RowSum(i int) float64 {
 // a per-series baseline before calling — for correlation the result is
 // unchanged, and the cancellation disappears.
 func PearsonWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, series [][]float64) (*Sym, error) {
-	sim, _, err := pearsonWS(ctx, pool, w, series, false)
-	return sim, err
-}
-
-// PearsonDissimWS computes the correlation matrix and its metric
-// dissimilarity √(2(1−p)) in one fused pass: the finish kernel derives the
-// dissimilarity while it mirrors the SYRK upper triangle, so the second
-// matrix costs no extra traversal. Both results are workspace-backed.
-func PearsonDissimWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, series [][]float64) (sim, dis *Sym, err error) {
-	return pearsonWS(ctx, pool, w, series, true)
-}
-
-func pearsonWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, series [][]float64, wantDis bool) (*Sym, *Sym, error) {
 	n := len(series)
 	if n == 0 {
-		return nil, nil, fmt.Errorf("matrix: no series")
+		return nil, fmt.Errorf("matrix: no series")
 	}
 	l := len(series[0])
 	if l < 2 {
-		return nil, nil, fmt.Errorf("matrix: series length %d < 2", l)
+		return nil, fmt.Errorf("matrix: series length %d < 2", l)
 	}
 	for i, s := range series {
 		if len(s) != l {
-			return nil, nil, fmt.Errorf("matrix: series %d has length %d, want %d", i, len(s), l)
+			return nil, fmt.Errorf("matrix: series %d has length %d, want %d", i, len(s), l)
 		}
 	}
 	// Gather the rows into one flat backing array for the SYRK and fold the
@@ -142,11 +129,11 @@ func pearsonWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, series [][
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, b := range bad {
 		if b != 0 {
-			return nil, nil, fmt.Errorf("matrix: series %d contains non-finite values", i)
+			return nil, fmt.Errorf("matrix: series %d contains non-finite values", i)
 		}
 	}
 	m := NewSymWS(w, n)
@@ -154,20 +141,30 @@ func pearsonWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, series [][
 	// row bands or T-panels — either way bit-deterministic (SyrkUpperWS).
 	if err := SyrkUpperWS(ctx, pool, w, xback, n, l, l, m.Data); err != nil {
 		m.Release(w)
-		return nil, nil, err
+		return nil, err
 	}
-	var d *Sym
-	if wantDis {
-		d = NewSymWS(w, n)
-	}
-	if err := FinishMomentsWS(ctx, pool, w, m, d, sums, l); err != nil {
+	if err := FinishMomentsWS(ctx, pool, w, m, sums, l); err != nil {
 		m.Release(w)
-		if d != nil {
-			d.Release(w)
-		}
+		return nil, err
+	}
+	return m, nil
+}
+
+// PearsonDissimWS computes the correlation matrix, then its metric
+// dissimilarity √(2(1−p)) (DissimilarityWS). Both results are
+// workspace-backed. The clustering pipelines need no dissimilarity matrix:
+// DBHT and HAC derive the entries they read from the correlations.
+func PearsonDissimWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, series [][]float64) (sim, dis *Sym, err error) {
+	sim, err = PearsonWS(ctx, pool, w, series)
+	if err != nil {
 		return nil, nil, err
 	}
-	return m, d, nil
+	dis, err = DissimilarityWS(ctx, pool, w, sim)
+	if err != nil {
+		sim.Release(w)
+		return nil, nil, err
+	}
+	return sim, dis, nil
 }
 
 // syrkPanelBudget caps the workspace floats spent on private per-panel bands
@@ -264,16 +261,15 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// FinishMomentsWS converts raw moments into the final correlation matrix (and
-// optionally its metric dissimilarity): on entry sim's upper triangle holds
-// the cross products Σₜ xᵢ(t)·xⱼ(t) over t samples and sums[i] holds Σₜ xᵢ(t);
-// on return sim is the finished correlation matrix (clamped, zero-variance
-// pinned, unit diagonal, mirrored) and, when dis is non-nil, dis holds
-// √(2(1−p)). This is the single canonical moments→correlation arithmetic:
+// FinishMomentsWS converts raw moments into the final correlation matrix: on
+// entry sim's upper triangle holds the cross products Σₜ xᵢ(t)·xⱼ(t) over t
+// samples and sums[i] holds Σₜ xᵢ(t); on return sim is the finished
+// correlation matrix (clamped, zero-variance pinned, unit diagonal,
+// mirrored). This is the single canonical moments→correlation arithmetic:
 // the batch Pearson path and the streaming engine both feed it, which is
 // what makes streaming snapshots bit-identical to batch recomputation
 // whenever their moments agree bit-for-bit.
-func FinishMomentsWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim, dis *Sym, sums []float64, t int) error {
+func FinishMomentsWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim *Sym, sums []float64, t int) error {
 	n := sim.N
 	if t < 2 {
 		return fmt.Errorf("matrix: %d samples < 2", t)
@@ -287,21 +283,15 @@ func FinishMomentsWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim,
 	if bad := kernel.PrepPearsonMoments(sim.Data, n, sums, t, mu, inv, zero); bad >= 0 {
 		return fmt.Errorf("matrix: series %d has non-finite moments (overflow)", bad)
 	}
-	var disData []float64
-	if dis != nil {
-		disData = dis.Data
-	}
 	return pool.ForBlocked(ctx, kernel.FinishTiles(n), 1, func(lo, hi int) {
-		kernel.FinishPearsonMoments(sim.Data, disData, n, sums, mu, inv, zero, lo, hi)
+		kernel.FinishPearsonMoments(sim.Data, n, sums, mu, inv, zero, lo, hi)
 	})
 }
 
 // DissimilarityWS converts a correlation matrix into the metric
 // dissimilarity d(i,j) = sqrt(2·(1−p(i,j))) used by the paper (Marti et
 // al.). For normalized zero-mean vectors this equals the Euclidean distance.
-// The result is drawn from w (nil allocates). When the correlation matrix is
-// also being computed, PearsonDissimWS derives the dissimilarity in the
-// same traversal instead.
+// The result is drawn from w (nil allocates).
 func DissimilarityWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, corr *Sym) (*Sym, error) {
 	d := NewSymWS(w, corr.N)
 	err := pool.ForGrain(ctx, corr.N, 16, func(i int) {

@@ -77,9 +77,6 @@ func (c *Counter) Add(n uint64) {
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Load returns the current value (0 on a nil counter).
 func (c *Counter) Load() uint64 {
 	if c == nil {
@@ -172,18 +169,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var t uint64
-	for i := range h.counts {
-		t += h.counts[i].Load()
-	}
-	return t
-}
-
 // Quantile derives the q-quantile (q ∈ [0, 1]) from the bucket counts:
 // the bucket containing the rank is located by a cumulative walk and the
 // value is linearly interpolated between its boundaries, so the estimate
@@ -267,14 +252,6 @@ func (s *Stage) Last() time.Duration {
 		return 0
 	}
 	return time.Duration(s.last.Load())
-}
-
-// Hist returns the stage's histogram (nil when unset).
-func (s *Stage) Hist() *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.hist
 }
 
 // Stopwatch measures consecutive pipeline stages: Start marks the origin,

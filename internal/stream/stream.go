@@ -165,10 +165,6 @@ func (e *Engine) RingBytes() int { return len(e.ring) * 8 }
 // rebuild; false once a slide has drifted them).
 func (e *Engine) Exact() bool { return !e.dirty && !e.corrupt }
 
-// SlidesSinceRebuild returns the number of roll steps since the last exact
-// state, the factor bounding accumulated drift.
-func (e *Engine) SlidesSinceRebuild() int { return e.slides }
-
 // Generation returns a monotonic version counter of the snapshot-visible
 // moment state: it advances on every admitted Push and on every Rebuild that
 // discards drift (so two CopyState calls observing the same generation are
@@ -509,9 +505,6 @@ func (e *Engine) oldestSlot() int {
 	}
 	return start
 }
-
-// Workspace returns the workspace the engine draws scratch from.
-func (e *Engine) Workspace() *ws.Workspace { return e.w }
 
 // Release returns the engine's long-lived buffers to its workspace, for
 // callers that discard an engine while keeping the workspace (e.g. when the

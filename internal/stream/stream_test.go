@@ -27,11 +27,11 @@ func ticks(seed int64, n, count int) [][]float64 {
 }
 
 // batchWindow runs the batch Pearson pipeline over the engine's current
-// window with a sequential pool, returning sim and dis.
-func batchWindow(t *testing.T, e *Engine) (*matrix.Sym, *matrix.Sym) {
+// window with a sequential pool.
+func batchWindow(t *testing.T, e *Engine) *matrix.Sym {
 	t.Helper()
 	z := e.Linearize()
-	defer e.Workspace().PutFloat64(z)
+	defer e.w.PutFloat64(z)
 	n, l := e.N(), e.Len()
 	series := make([][]float64, n)
 	for i := range series {
@@ -39,19 +39,18 @@ func batchWindow(t *testing.T, e *Engine) (*matrix.Sym, *matrix.Sym) {
 	}
 	pool := exec.New(1)
 	defer pool.Close()
-	sim, dis, err := matrix.PearsonDissimWS(context.Background(), pool, nil, series)
+	sim, err := matrix.PearsonWS(context.Background(), pool, nil, series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim, dis
+	return sim
 }
 
 // snapshot materializes the engine's moments through the shared finish.
-func snapshot(t *testing.T, e *Engine) (*matrix.Sym, *matrix.Sym) {
+func snapshot(t *testing.T, e *Engine) *matrix.Sym {
 	t.Helper()
 	n := e.N()
 	sim := matrix.NewSym(n)
-	dis := matrix.NewSym(n)
 	sums := make([]float64, n)
 	cnt, err := e.CopyState(sim.Data, sums)
 	if err != nil {
@@ -59,10 +58,10 @@ func snapshot(t *testing.T, e *Engine) (*matrix.Sym, *matrix.Sym) {
 	}
 	pool := exec.New(1)
 	defer pool.Close()
-	if err := matrix.FinishMomentsWS(context.Background(), pool, nil, sim, dis, sums, cnt); err != nil {
+	if err := matrix.FinishMomentsWS(context.Background(), pool, nil, sim, sums, cnt); err != nil {
 		t.Fatal(err)
 	}
-	return sim, dis
+	return sim
 }
 
 func bitsEqual(a, b []float64) int {
@@ -106,13 +105,10 @@ func TestEngineFillBitIdentical(t *testing.T) {
 		if k+1 < 2 {
 			continue
 		}
-		sim, dis := snapshot(t, e)
-		wantSim, wantDis := batchWindow(t, e)
+		sim := snapshot(t, e)
+		wantSim := batchWindow(t, e)
 		if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
 			t.Fatalf("tick %d: sim[%d] = %v, batch %v", k, i, sim.Data[i], wantSim.Data[i])
-		}
-		if i := bitsEqual(dis.Data, wantDis.Data); i >= 0 {
-			t.Fatalf("tick %d: dis[%d] differs", k, i)
 		}
 	}
 }
@@ -142,8 +138,8 @@ func TestEngineSlideDriftAndRebuild(t *testing.T) {
 		if e.Exact() != wantExact {
 			t.Fatalf("tick %d (slides=%d): Exact=%v want %v", k, slides, e.Exact(), wantExact)
 		}
-		sim, _ := snapshot(t, e)
-		wantSim, _ := batchWindow(t, e)
+		sim := snapshot(t, e)
+		wantSim := batchWindow(t, e)
 		if wantExact {
 			if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
 				t.Fatalf("tick %d: rebuilt snapshot not bit-identical at %d", k, i)
@@ -163,16 +159,13 @@ func TestEngineSlideDriftAndRebuild(t *testing.T) {
 	if err := e.Rebuild(ctx, pool); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Exact() || e.SlidesSinceRebuild() != 0 {
+	if !e.Exact() || e.slides != 0 {
 		t.Fatal("forced rebuild did not restore exactness")
 	}
-	sim, dis := snapshot(t, e)
-	wantSim, wantDis := batchWindow(t, e)
+	sim := snapshot(t, e)
+	wantSim := batchWindow(t, e)
 	if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
 		t.Fatalf("forced rebuild: sim[%d] differs", i)
-	}
-	if i := bitsEqual(dis.Data, wantDis.Data); i >= 0 {
-		t.Fatalf("forced rebuild: dis[%d] differs", i)
 	}
 }
 
@@ -292,15 +285,15 @@ func TestEngineCancelledPushRecovers(t *testing.T) {
 	if err := e.Rebuild(ctx, pool); err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := snapshot(t, e)
-	wantSim, _ := batchWindow(t, e)
+	sim := snapshot(t, e)
+	wantSim := batchWindow(t, e)
 	if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
 		t.Fatalf("recovered state differs from batch at %d", i)
 	}
 	// The cancelled sample must not be in the window: its successor is the
 	// newest ring entry.
 	z := e.Linearize()
-	defer e.Workspace().PutFloat64(z)
+	defer e.w.PutFloat64(z)
 	for i := 0; i < n; i++ {
 		if z[i*window+window-1] != stream[window+2][i] {
 			t.Fatalf("series %d newest sample is %v, want %v", i, z[i*window+window-1], stream[window+2][i])
@@ -322,8 +315,8 @@ func TestEngineRebuildDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Exact() || e.SlidesSinceRebuild() != 40-window {
-		t.Fatalf("Exact=%v slides=%d", e.Exact(), e.SlidesSinceRebuild())
+	if e.Exact() || e.slides != 40-window {
+		t.Fatalf("Exact=%v slides=%d", e.Exact(), e.slides)
 	}
 }
 
@@ -387,13 +380,10 @@ func TestEngineLargeWindowFillBitIdentical(t *testing.T) {
 		if !e.Exact() {
 			t.Fatalf("count %d: engine not exact during fill", c)
 		}
-		sim, dis := snapshot(t, e)
-		wantSim, wantDis := batchWindow(t, e)
+		sim := snapshot(t, e)
+		wantSim := batchWindow(t, e)
 		if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
 			t.Fatalf("count %d: sim[%d] = %v, batch %v", c, i, sim.Data[i], wantSim.Data[i])
-		}
-		if i := bitsEqual(dis.Data, wantDis.Data); i >= 0 {
-			t.Fatalf("count %d: dis[%d] differs", c, i)
 		}
 	}
 	if e.BandBytes() != n*n*8 {
@@ -408,8 +398,8 @@ func TestEngineLargeWindowFillBitIdentical(t *testing.T) {
 	if err := e.Rebuild(ctx, pool); err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := snapshot(t, e)
-	wantSim, _ := batchWindow(t, e)
+	sim := snapshot(t, e)
+	wantSim := batchWindow(t, e)
 	if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
 		t.Fatalf("post-slide rebuild: sim[%d] differs", i)
 	}

@@ -22,9 +22,6 @@ func (g *Grouping) NumGroups() int { return len(g.Off) - 1 }
 // grouping's release).
 func (g *Grouping) Group(k int) []int32 { return g.Data[g.Off[k]:g.Off[k+1]] }
 
-// GroupSize returns len(Group(k)) without materializing the view.
-func (g *Grouping) GroupSize(k int) int { return int(g.Off[k+1] - g.Off[k]) }
-
 // Append adds id v to the group currently being built.
 func (g *Grouping) Append(v int32) { g.Data = append(g.Data, v) }
 

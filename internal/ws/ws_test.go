@@ -98,8 +98,8 @@ func TestGroupingBuild(t *testing.T) {
 	if got := g.Group(0); len(got) != 2 || got[0] != 5 || got[1] != 7 {
 		t.Fatalf("Group(0) = %v", got)
 	}
-	if g.GroupSize(1) != 0 {
-		t.Fatalf("GroupSize(1) = %d", g.GroupSize(1))
+	if got := g.Group(1); len(got) != 0 {
+		t.Fatalf("Group(1) = %v", got)
 	}
 	if got := g.Group(2); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Group(2) = %v", got)

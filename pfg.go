@@ -417,9 +417,9 @@ func Dissimilarity(corr *Matrix) (*Matrix, error) {
 	if err := validateMatrix("correlation", corr); err != nil {
 		return nil, err
 	}
-	w := ws.Get()
-	defer ws.Put(w)
-	return matrix.DissimilarityWS(context.Background(), exec.Default(), w, corr)
+	d := matrix.NewSym(corr.N)
+	kernel.DissimRow(d.Data, corr.Data)
+	return d, nil
 }
 
 // Cluster computes a hierarchical clustering of raw time series: Pearson
@@ -435,10 +435,10 @@ func Cluster(series [][]float64, opts Options) (*Result, error) {
 // is bounded by opts.Workers (see Options).
 //
 // Each call owns one ws.Workspace from the process-wide pool: every
-// intermediate of the pipeline (correlation and dissimilarity matrices, the
-// filtered graph, APSP, and all scratch) is drawn from it and returned
-// before the call ends, so repeated calls on same-shaped inputs run at
-// steady state with near-zero allocation churn.
+// intermediate of the pipeline (the correlation matrix, the filtered graph,
+// APSP, and all scratch) is drawn from it and returned before the call
+// ends, so repeated calls on same-shaped inputs run at steady state with
+// near-zero allocation churn.
 func ClusterContext(ctx context.Context, series [][]float64, opts Options) (*Result, error) {
 	// Reject invalid options and undersized inputs before the O(n²·T)
 	// correlation stage runs.
@@ -449,23 +449,28 @@ func ClusterContext(ctx context.Context, series [][]float64, opts Options) (*Res
 	defer release()
 	w := ws.Get()
 	defer ws.Put(w)
-	sim, dis, err := matrix.PearsonDissimWS(ctx, pool, w, series)
+	sim, err := matrix.PearsonWS(ctx, pool, w, series)
 	if err != nil {
 		return nil, err
 	}
-	r, err := clusterMatrixOn(ctx, pool, w, sim, dis, opts)
-	// The matrices are internal to this call; nothing in Result references
-	// them.
+	r, err := clusterMatrixOn(ctx, pool, w, sim, nil, opts)
+	// The matrix is internal to this call; nothing in Result references it.
 	sim.Release(w)
-	dis.Release(w)
 	return r, err
 }
 
 // ClusterMatrix clusters from a precomputed similarity matrix and optional
-// dissimilarity matrix (pass nil to derive it as sqrt(2(1−s))). Both must
-// be n×n with finite entries. TMFGDBHT and PMFGDBHT run shortest paths over
-// the dissimilarities, so for them a negative off-diagonal dissimilarity is
-// also rejected with an error naming the entry.
+// dissimilarity matrix. Both must be n×n with finite entries. TMFGDBHT and
+// PMFGDBHT run shortest paths over the dissimilarities, so for them a
+// negative off-diagonal dissimilarity is also rejected with an error naming
+// the entry.
+//
+// With a nil dis, each method derives sqrt(2(1−s)) where it reads it: HAC
+// over every entry of sim, the DBHT methods over the filtered graph's edges
+// only. The graph stores one similarity per edge, so both directions of an
+// edge get the same dissimilarity; for a sim that is not symmetric (outside
+// Matrix's contract) they no longer read separate triangles as they do from
+// a passed dis.
 func ClusterMatrix(sim, dis *Matrix, opts Options) (*Result, error) {
 	return ClusterMatrixContext(context.Background(), sim, dis, opts)
 }
@@ -571,23 +576,11 @@ func clusterMatrixOn(ctx context.Context, pool *exec.Pool, w *ws.Workspace, sim,
 		}
 		return &Result{Dendrogram: r.Dendrogram, EdgeWeightSum: r.EdgeWeightSum, Groups: r.Groups, Edges: r.Edges}, nil
 	case CompleteLinkage, AverageLinkage:
-		ownDis := false
-		if dis == nil {
-			var err error
-			dis, err = matrix.DissimilarityWS(ctx, pool, w, sim)
-			if err != nil {
-				return nil, err
-			}
-			ownDis = true
-		}
 		linkage := hac.Complete
 		if opts.Method == AverageLinkage {
 			linkage = hac.Average
 		}
-		r, err := core.HACWS(ctx, pool, w, dis, linkage)
-		if ownDis {
-			dis.Release(w)
-		}
+		r, err := core.HACWS(ctx, pool, w, sim, dis, linkage)
 		if err != nil {
 			return nil, err
 		}
@@ -716,7 +709,7 @@ type StreamerMetrics struct {
 	Rebuild   *obs.Stage
 
 	// Snapshot stages of the non-incremental path: finishing moments into
-	// correlation/dissimilarity matrices, then the clustering run.
+	// the correlation matrix, then the clustering run.
 	SnapshotFinish  *obs.Stage
 	SnapshotCluster *obs.Stage
 
@@ -952,23 +945,21 @@ func (st *Streamer) SnapshotGen(ctx context.Context) (*Result, uint64, error) {
 }
 
 // finishAndCluster is the one exact path of every snapshot that clusters: it
-// finishes the copied moments into correlations (in place in sim) and
-// dissimilarities, then clusters them. met laps the non-incremental snapshot
-// stages; the incremental layer passes nil and times its refresh whole.
+// finishes the copied moments into correlations (in place in sim), then
+// clusters them. met laps the non-incremental snapshot stages; the
+// incremental layer passes nil and times its refresh whole.
 func (st *Streamer) finishAndCluster(ctx context.Context, met *StreamerMetrics, sim *Matrix, sums []float64, count int) (*Result, error) {
 	var sw obs.Stopwatch
 	if met != nil {
 		sw.Start()
 	}
-	dis := matrix.NewSymWS(st.w, sim.N)
-	defer dis.Release(st.w)
-	if err := matrix.FinishMomentsWS(ctx, st.pool, st.w, sim, dis, sums, count); err != nil {
+	if err := matrix.FinishMomentsWS(ctx, st.pool, st.w, sim, sums, count); err != nil {
 		return nil, err
 	}
 	if met != nil {
 		sw.Lap(met.SnapshotFinish)
 	}
-	r, err := clusterMatrixOn(ctx, st.pool, st.w, sim, dis, st.opts.Cluster)
+	r, err := clusterMatrixOn(ctx, st.pool, st.w, sim, nil, st.opts.Cluster)
 	if met != nil && err == nil {
 		sw.Lap(met.SnapshotCluster)
 	}

@@ -1,6 +1,7 @@
 package pfg
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -47,18 +48,52 @@ func TestClusterAllMethods(t *testing.T) {
 	}
 }
 
+// TestClusterMatrixDefaultDissimilarity pins what a nil dissimilarity
+// means: every method derives √(2(1−s)) where it reads it (DBHT over the
+// filtered graph's edges, HAC into its working copy), and the result is
+// bit-identical to passing Dissimilarity(sim). The input holds a constant
+// series, a duplicated series and a negated one, so the dissimilarities √2,
+// 0 and 2 all occur exactly.
 func TestClusterMatrixDefaultDissimilarity(t *testing.T) {
-	ds := tsgen.GenerateClassed("api", 50, 64, 2, 0.3, 9)
-	sim, err := Pearson(ds.Series)
+	ds := tsgen.GenerateClassed("api", 40, 64, 2, 0.3, 9)
+	series := ds.Series
+	for t2 := range series[0] {
+		series[0][t2] = 3 // constant: correlation 0 with every other series
+		// A balanced ±1 series has mean 0 and centred norm 8, so its
+		// duplicate and its negation correlate exactly 1 and −1 with it.
+		series[1][t2] = float64(1 - 2*(t2%2))
+		series[2][t2] = series[1][t2]
+		series[3][t2] = -series[1][t2]
+	}
+	sim, err := Pearson(series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ClusterMatrix(sim, nil, Options{})
+	dis, err := Dissimilarity(sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Cut(2); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		i, j int
+		want float64
+	}{{0, 5, math.Sqrt2}, {1, 2, 0}, {1, 3, 2}} {
+		if got := dis.At(c.i, c.j); got != c.want {
+			t.Fatalf("dissimilarity (%d,%d) = %v, want %v", c.i, c.j, got, c.want)
+		}
+	}
+	for _, m := range []Method{TMFGDBHT, PMFGDBHT, CompleteLinkage, AverageLinkage} {
+		for _, workers := range []int{1, 2} {
+			opts := Options{Method: m, Prefix: 3, Workers: workers}
+			got, err := ClusterMatrix(sim, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ClusterMatrix(sim, dis, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("%v workers=%d", m, workers), got, want, 4)
+		}
 	}
 }
 

@@ -55,15 +55,15 @@ func sameResult(t *testing.T, tag string, got, want *Result, k int) {
 	t.Helper()
 	gl, err := got.Cut(k)
 	if err != nil {
-		t.Fatalf("%s: cut streaming: %v", tag, err)
+		t.Fatalf("%s: cut got: %v", tag, err)
 	}
 	wl, err := want.Cut(k)
 	if err != nil {
-		t.Fatalf("%s: cut batch: %v", tag, err)
+		t.Fatalf("%s: cut want: %v", tag, err)
 	}
 	for i := range gl {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s: label[%d] = %d, batch %d", tag, i, gl[i], wl[i])
+			t.Fatalf("%s: label[%d] = %d, want %d", tag, i, gl[i], wl[i])
 		}
 	}
 	gn, err := got.Newick(nil)
@@ -75,10 +75,10 @@ func sameResult(t *testing.T, tag string, got, want *Result, k int) {
 		t.Fatal(err)
 	}
 	if gn != wn {
-		t.Fatalf("%s: newick differs:\nstream %s\nbatch  %s", tag, gn, wn)
+		t.Fatalf("%s: newick differs:\ngot  %s\nwant %s", tag, gn, wn)
 	}
 	if !slices.Equal(got.Edges, want.Edges) {
-		t.Fatalf("%s: filtered-graph edges differ:\nstream %v\nbatch  %v", tag, got.Edges, want.Edges)
+		t.Fatalf("%s: filtered-graph edges differ:\ngot  %v\nwant %v", tag, got.Edges, want.Edges)
 	}
 	if math.Float64bits(got.EdgeWeightSum) != math.Float64bits(want.EdgeWeightSum) {
 		t.Fatalf("%s: EdgeWeightSum %v != %v", tag, got.EdgeWeightSum, want.EdgeWeightSum)
