@@ -29,6 +29,14 @@ func treeFingerprint(t *bubbletree.Tree) string {
 	return s
 }
 
+// vertexBubbles fingerprints the per-vertex bubble lists of a tree over n
+// vertices.
+func vertexBubbles(t *bubbletree.Tree, n int) string {
+	vb := new(ws.Grouping)
+	t.VertexBubblesInto(nil, vb, n)
+	return fmt.Sprint(vb.Off, vb.Data)
+}
+
 // TestBubbleEnumerationDeterminism checks that TMFG bubble-tree
 // construction — nodes, separating triangles, parent/child structure, and
 // the per-vertex bubble lists — is identical between a Workers:1 run and
@@ -50,7 +58,7 @@ func TestBubbleEnumerationDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := treeFingerprint(rSeq.Tree)
-		wantVB := fmt.Sprint(rSeq.Tree.VertexBubbles(sim.N))
+		wantVB := vertexBubbles(rSeq.Tree, sim.N)
 		for trial := 0; trial < 3; trial++ {
 			rPar, err := tmfg.BuildWS(ctx, exec.Default(), w, sim, prefix) // default pool, warm workspace
 			if err != nil {
@@ -59,7 +67,7 @@ func TestBubbleEnumerationDeterminism(t *testing.T) {
 			if got := treeFingerprint(rPar.Tree); got != want {
 				t.Fatalf("prefix=%d trial=%d: pooled bubble tree differs from Workers:1", prefix, trial)
 			}
-			if got := fmt.Sprint(rPar.Tree.VertexBubbles(sim.N)); got != wantVB {
+			if got := vertexBubbles(rPar.Tree, sim.N); got != wantVB {
 				t.Fatalf("prefix=%d trial=%d: pooled vertex-bubble lists differ", prefix, trial)
 			}
 			if len(rPar.Edges) != len(rSeq.Edges) {
@@ -137,7 +145,7 @@ func TestClusterContextSteadyStateAllocs(t *testing.T) {
 	}{
 		{CompleteLinkage, 128, 12},
 		{CompleteLinkage, 256, 12},
-		{TMFGDBHT, 128, 92},
+		{TMFGDBHT, 128, 83},
 	} {
 		series := tsgen.GenerateClassed("flatmem", c.n, 96, 6, 0.6, 7).Series
 		opts := Options{Method: c.method, Prefix: 10, Workers: 1}

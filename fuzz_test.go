@@ -62,9 +62,10 @@ func fuzzDis(n int, data []byte) *Matrix {
 // shortest-path weights, undersized inputs) or produce a dendrogram that cuts
 // cleanly — never panic and never hang. When methodRaw's high bit is set the
 // call also passes a caller dissimilarity built from the payload (fuzzDis,
-// not necessarily symmetric) instead of deriving it. Workers:1 keeps each
-// execution deterministic, so any crasher the fuzzer finds minimizes
-// reproducibly.
+// not necessarily symmetric) instead of deriving it. Otherwise deriving must
+// match passing Dissimilarity(sim): both calls fail, or both give the same
+// result. Workers:1 keeps each execution deterministic, so any crasher the
+// fuzzer finds minimizes reproducibly.
 func FuzzClusterMatrix(f *testing.F) {
 	f.Add(uint8(6), uint8(0), uint8(2), []byte{})
 	f.Add(uint8(4), uint8(1), uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // NaN
@@ -78,6 +79,9 @@ func FuzzClusterMatrix(f *testing.F) {
 	f.Add(uint8(7), uint8(0x81), uint8(0), []byte{0x3f, 0x31, 0x22, 0x13, 0x24, 0x35, 0x26, 0x17, 0x38})
 	f.Add(uint8(9), uint8(0x81), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xe0, 0xbf, 1, 2})
 	f.Add(uint8(12), uint8(0x82), uint8(0), []byte{0x3f, 0xe0, 0, 0, 0, 0, 0, 0, 0x7f})
+	// A similarity below −MaxFloat64/2, whose dissimilarity overflows: both
+	// the derived and the Dissimilarity path must reject it.
+	f.Add(uint8(15), uint8(2), uint8(1), []byte("0\xe3\xff"))
 	f.Fuzz(func(t *testing.T, nRaw, methodRaw, kRaw uint8, data []byte) {
 		n := 2 + int(nRaw)%19 // 2..20: PMFG planarity stays fuzz-speed
 		method := Method(int(methodRaw) % 4)
@@ -86,15 +90,25 @@ func FuzzClusterMatrix(f *testing.F) {
 		if methodRaw&0x80 != 0 {
 			dis = fuzzDis(n, data)
 		}
-		res, err := ClusterMatrix(sim, dis, Options{
-			Method:  method,
-			Prefix:  1 + int(kRaw)%3,
-			Workers: 1,
-		})
+		opts := Options{Method: method, Prefix: 1 + int(kRaw)%3, Workers: 1}
+		k := 1 + int(kRaw)%n
+		res, err := ClusterMatrix(sim, dis, opts)
+		if dis == nil {
+			viaDis, derr := Dissimilarity(sim)
+			var want *Result
+			if derr == nil {
+				want, derr = ClusterMatrix(sim, viaDis, opts)
+			}
+			if (err == nil) != (derr == nil) {
+				t.Fatalf("ClusterMatrix(sim, nil): %v; ClusterMatrix(sim, Dissimilarity(sim)): %v", err, derr)
+			}
+			if err == nil {
+				sameResult(t, "nil dis vs Dissimilarity(sim)", res, want, k)
+			}
+		}
 		if err != nil {
 			return
 		}
-		k := 1 + int(kRaw)%n
 		labels, err := res.Cut(k)
 		if err != nil {
 			t.Fatalf("accepted input but Cut(%d) failed: %v", k, err)

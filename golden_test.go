@@ -51,7 +51,7 @@ type goldenFixture struct {
 
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	for _, n := range []int{8, 16, 32} {
+	for _, n := range []int{8, 16, 32, 128} {
 		for _, m := range []Method{TMFGDBHT, PMFGDBHT, CompleteLinkage, AverageLinkage} {
 			k := 2
 			if n >= 16 {

@@ -55,24 +55,9 @@ type Tree struct {
 // NumNodes returns the number of bubbles.
 func (t *Tree) NumNodes() int { return len(t.Nodes) }
 
-// VertexBubbles returns, for each graph vertex, the sorted list of bubble
-// node ids containing it, as ragged slices. Hot paths use VertexBubblesInto.
-func (t *Tree) VertexBubbles(n int) [][]int32 {
-	w := ws.Get()
-	defer ws.Put(w)
-	g := w.Grouping()
-	defer w.PutGrouping(g)
-	t.VertexBubblesInto(w, g, n)
-	out := make([][]int32, n)
-	for v := range out {
-		out[v] = append([]int32(nil), g.Group(v)...)
-	}
-	return out
-}
-
 // VertexBubblesInto fills out with one group per graph vertex holding the
-// ascending bubble node ids containing it — the flat CSR form of
-// VertexBubbles, built with a two-pass count-then-fill over the nodes.
+// ascending bubble node ids containing it, built with a two-pass
+// count-then-fill over the nodes.
 func (t *Tree) VertexBubblesInto(w *ws.Workspace, out *ws.Grouping, n int) {
 	counts := w.Int32(n)
 	clear(counts)
@@ -152,44 +137,6 @@ func (t *Tree) Validate() error {
 		}
 	}
 	return nil
-}
-
-// maxVertex returns 1 + the largest graph vertex id in the tree, sizing
-// vertex-indexed bitsets without requiring g.N.
-func (t *Tree) maxVertex() int {
-	m := int32(-1)
-	for b := range t.Nodes {
-		for _, v := range t.Nodes[b].Vertices {
-			if v > m {
-				m = v
-			}
-		}
-	}
-	return int(m) + 1
-}
-
-// SubtreeVertices returns the set of graph vertices appearing in the subtree
-// rooted at b (including b itself), as a sorted slice.
-func (t *Tree) SubtreeVertices(b int32) []int32 {
-	w := ws.Get()
-	defer ws.Put(w)
-	mark := w.Bitset(t.maxVertex())
-	defer w.PutBitset(mark)
-	var out []int32
-	var rec func(x int32)
-	rec = func(x int32) {
-		for _, v := range t.Nodes[x].Vertices {
-			if !mark.TestAndSet(v) {
-				out = append(out, v)
-			}
-		}
-		for _, c := range t.Nodes[x].Children {
-			rec(c)
-		}
-	}
-	rec(b)
-	slices.Sort(out)
-	return out
 }
 
 // SeparatingTrianglesCtx returns all triangles of g whose removal

@@ -3,6 +3,7 @@ package bubbletree
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pfg/internal/exec"
@@ -202,7 +203,7 @@ func TestBuildGenericSingleBubble(t *testing.T) {
 func bruteInterior(tree *Tree, g *graph.Graph, b int32) (inVal, outVal float64) {
 	sep := tree.Nodes[b].Sep
 	interior := map[int32]bool{}
-	for _, v := range tree.SubtreeVertices(b) {
+	for _, v := range subtreeVertices(tree, b) {
 		interior[v] = true
 	}
 	for _, c := range sep {
@@ -315,20 +316,37 @@ func TestReachableConverging(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, tree := stackedTMFG(rng, 30)
 	d := directEdges(t, tree, g)
-	reach := d.ReachableConverging()
+	reach, err := d.ReachableConvergingWS(context.Background(), exec.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every bubble reaches at least one converging bubble (directed paths in
 	// a finite tree end at out-degree-0 nodes).
-	for b, r := range reach {
-		if len(r) == 0 {
+	for b := 0; b < reach.NumGroups(); b++ {
+		if len(reach.Group(b)) == 0 {
 			t.Fatalf("bubble %d reaches no converging bubble", b)
 		}
 	}
 	// A converging bubble reaches exactly itself... plus anything reachable
 	// through its (nonexistent) out-edges: so exactly itself.
 	for _, c := range d.Converging {
-		if len(reach[c]) != 1 || reach[c][0] != c {
-			t.Fatalf("converging bubble %d should reach only itself, got %v", c, reach[c])
+		if r := reach.Group(int(c)); len(r) != 1 || r[0] != c {
+			t.Fatalf("converging bubble %d should reach only itself, got %v", c, r)
 		}
+	}
+	// outNeighbors: the parent when the edge to it points up, and every
+	// child whose edge points down.
+	outNeighbors := func(x int32) []int32 {
+		var out []int32
+		if p := tree.Nodes[x].Parent; p >= 0 && !d.DirDown[x] {
+			out = append(out, p)
+		}
+		for _, c := range tree.Nodes[x].Children {
+			if d.DirDown[c] {
+				out = append(out, c)
+			}
+		}
+		return out
 	}
 	// Brute-force transitive closure cross-check.
 	for b := int32(0); int(b) < tree.NumNodes(); b++ {
@@ -343,27 +361,45 @@ func TestReachableConverging(t *testing.T) {
 			if d.OutDeg[x] == 0 {
 				want[x] = true
 			}
-			for _, y := range d.appendOutNeighbors(x, nil) {
+			for _, y := range outNeighbors(x) {
 				dfs(y)
 			}
 		}
 		dfs(b)
-		if len(want) != len(reach[b]) {
-			t.Fatalf("bubble %d: reach size %d want %d", b, len(reach[b]), len(want))
+		r := reach.Group(int(b))
+		if len(want) != len(r) {
+			t.Fatalf("bubble %d: reach size %d want %d", b, len(r), len(want))
 		}
-		for _, r := range reach[b] {
-			if !want[r] {
-				t.Fatalf("bubble %d: unexpected reach %d", b, r)
+		for _, x := range r {
+			if !want[x] {
+				t.Fatalf("bubble %d: unexpected reach %d", b, x)
 			}
 		}
 	}
 }
 
+// subtreeVertices returns the sorted graph vertices of the subtree rooted at
+// b, b included: the interior bruteInterior tests against.
+func subtreeVertices(tree *Tree, b int32) []int32 {
+	var out []int32
+	var rec func(x int32)
+	rec = func(x int32) {
+		out = append(out, tree.Nodes[x].Vertices...)
+		for _, c := range tree.Nodes[x].Children {
+			rec(c)
+		}
+	}
+	rec(b)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestSubtreeVertices checks the oracle's subtree walk: the root's subtree
+// holds every vertex once, in order.
 func TestSubtreeVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	_, tree := stackedTMFG(rng, 15)
-	root := tree.Root
-	all := tree.SubtreeVertices(root)
+	all := subtreeVertices(tree, tree.Root)
 	if len(all) != 15 {
 		t.Fatalf("root subtree has %d vertices, want 15", len(all))
 	}

@@ -145,38 +145,6 @@ func (d *Directed) visit(ctx context.Context, pool *exec.Pool, b int32, g *graph
 	return r
 }
 
-// appendOutNeighbors appends the directed out-neighbors of node b to buf.
-func (d *Directed) appendOutNeighbors(b int32, buf []int32) []int32 {
-	node := &d.Tree.Nodes[b]
-	if node.Parent >= 0 && !d.DirDown[b] {
-		buf = append(buf, node.Parent)
-	}
-	for _, c := range node.Children {
-		if d.DirDown[c] {
-			buf = append(buf, c)
-		}
-	}
-	return buf
-}
-
-// ReachableConverging returns, for every bubble node, the ascending list of
-// converging-bubble node ids reachable from it by following directed edges
-// (Lines 5–6 of Algorithm 4), on the shared default pool.
-func (d *Directed) ReachableConverging() [][]int32 {
-	w := ws.Get()
-	defer ws.Put(w)
-	g, err := d.ReachableConvergingWS(context.Background(), exec.Default(), w)
-	if err != nil {
-		return nil
-	}
-	defer w.PutGrouping(g)
-	out := make([][]int32, g.NumGroups())
-	for b := range out {
-		out[b] = append([]int32(nil), g.Group(b)...)
-	}
-	return out
-}
-
 // walkConverging runs the directed BFS from start using the caller's
 // visited bitset and queue scratch, calling emit for every reachable
 // converging node (start included when converging). The bitset is restored

@@ -12,9 +12,13 @@
 //     mean shortest-path distance to the vertices already assigned.
 //  3. Assign every vertex to a bubble (its "bubble assignment") maximizing
 //     the normalized attachment χ′.
-//  4. Build a three-level complete-linkage hierarchy (intra-bubble →
-//     inter-bubble → inter-group) with shortest-path distances, and assign
-//     the height scheme of the reference implementation.
+//  4. Build the hierarchy with one complete-linkage routine over
+//     shortest-path distances, applied at three levels: inside each (group,
+//     bubble) subgroup, across the subgroups of each group, and across the
+//     groups. Heights follow the reference implementation and are set as
+//     the merges are appended: a group of nb vertices gives its merges
+//     1/(nb−1), …, 1/2, 1 in order, and a merge across groups gets the
+//     number of groups under it.
 //
 // The pipeline runs on flat memory end to end: vertex→bubble membership and
 // reachability sets are CSR groupings, candidate/membership scratch is
@@ -130,7 +134,7 @@ func BuildWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Gra
 
 	// Hierarchy.
 	t0 = time.Now()
-	dnd, err := buildHierarchy(ctx, pool, w, n, group, bubble, groups, apsp)
+	dnd, err := buildHierarchy(ctx, pool, w, n, group, bubble, apsp)
 	w.PutFloat64(apsp.Dist)
 	if err != nil {
 		return nil, err
@@ -154,23 +158,6 @@ func assign(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Grap
 		isConv.Set(c)
 	}
 
-	// χ(v, b) = Σ_{u∈b} w(u,v) / (3(|b|−2)); for TMFG bubbles the
-	// denominator is the constant 6 and never changes the argmax, but we
-	// keep it for generic (PMFG) bubbles of varying size.
-	chi := func(v int32, b int32) float64 {
-		node := &tree.Nodes[b]
-		s := 0.0
-		for _, u := range node.Vertices {
-			if u == v {
-				continue
-			}
-			if w, ok := g.EdgeWeight(u, v); ok {
-				s += w
-			}
-		}
-		return s / float64(3*(len(node.Vertices)-2))
-	}
-
 	// First pass: vertices contained in at least one converging bubble.
 	// group and bubble escape into the Result and stay plainly allocated.
 	group = make([]int32, n)
@@ -182,7 +169,11 @@ func assign(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Grap
 			if !isConv.Test(b) {
 				continue
 			}
-			if c := chi(v, b); c > bestChi || (c == bestChi && b < best) {
+			// χ(v, b) = Σ_{u∈b} w(u,v) / (3(|b|−2)); for TMFG bubbles the
+			// denominator is the constant 6 and never changes the argmax,
+			// but it is kept for generic (PMFG) bubbles of varying size.
+			bv := tree.Nodes[b].Vertices
+			if c := attachment(g, bv, v) / float64(3*(len(bv)-2)); c > bestChi || (c == bestChi && b < best) {
 				bestChi, best = c, b
 			}
 		}
@@ -324,19 +315,9 @@ func assign(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Grap
 		best := int32(-1)
 		bestChi := math.Inf(-1)
 		for _, b := range vb.Group(vi) {
-			node := &tree.Nodes[b]
-			s := 0.0
-			for _, u := range node.Vertices {
-				if u == v {
-					continue
-				}
-				if w, ok := g.EdgeWeight(u, v); ok {
-					s += w
-				}
-			}
-			c := s
+			c := attachment(g, tree.Nodes[b].Vertices, v)
 			if bubbleWeight[b] > 0 {
-				c = s / bubbleWeight[b]
+				c /= bubbleWeight[b]
 			}
 			if c > bestChi || (c == bestChi && b < best) {
 				bestChi, best = c, b
@@ -365,4 +346,19 @@ func assign(ctx context.Context, pool *exec.Pool, w *ws.Workspace, g *graph.Grap
 		}
 	}
 	return group, bubble, groups, nil
+}
+
+// attachment is Σ_{u∈b, u≠v} w(u,v), the edge weight from v into the
+// bubble with vertices b: the numerator of both χ and χ′.
+func attachment(g *graph.Graph, b []int32, v int32) float64 {
+	s := 0.0
+	for _, u := range b {
+		if u == v {
+			continue
+		}
+		if w, ok := g.EdgeWeight(u, v); ok {
+			s += w
+		}
+	}
+	return s
 }

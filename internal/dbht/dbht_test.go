@@ -12,6 +12,8 @@ import (
 	"pfg/internal/matrix"
 	"pfg/internal/pmfg"
 	"pfg/internal/tmfg"
+	"pfg/internal/tsgen"
+	"pfg/internal/ws"
 )
 
 // build runs BuildWS on the default pool without a workspace.
@@ -23,6 +25,13 @@ func build(g *graph.Graph, tree *bubbletree.Tree, dis *matrix.Sym, opts Options)
 func dissimilarity(s *matrix.Sym) *matrix.Sym {
 	d, _ := matrix.DissimilarityWS(context.Background(), exec.Default(), nil, s)
 	return d
+}
+
+// vertexBubbles lists the bubbles that hold each of the tree's n vertices.
+func vertexBubbles(tree *bubbletree.Tree, n int) *ws.Grouping {
+	vb := new(ws.Grouping)
+	tree.VertexBubblesInto(nil, vb, n)
+	return vb
 }
 
 // appendixMatrix is the 6×6 correlation matrix from Figure 12 of the paper;
@@ -146,7 +155,7 @@ func TestAssignmentsWellFormed(t *testing.T) {
 	for _, c := range res.Directed.Converging {
 		isConv[c] = true
 	}
-	vb := tr.Tree.VertexBubbles(60)
+	vb := vertexBubbles(tr.Tree, 60)
 	for v := 0; v < 60; v++ {
 		if !isConv[res.Group[v]] {
 			t.Fatalf("vertex %d assigned to non-converging bubble %d", v, res.Group[v])
@@ -164,7 +173,7 @@ func TestAssignmentsWellFormed(t *testing.T) {
 		// If the vertex is in a converging bubble, its group must be one of
 		// its own converging bubbles (the χ maximizer).
 		var own []int32
-		for _, b := range vb[v] {
+		for _, b := range vb.Group(v) {
 			if isConv[b] {
 				own = append(own, b)
 			}
@@ -265,6 +274,87 @@ func TestInterGroupHeightsAreGroupCounts(t *testing.T) {
 	}
 	if above != k-1 {
 		t.Fatalf("%d merges above height 1, want %d", above, k-1)
+	}
+}
+
+// TestGroupHeightsFollowAppendOrder pins the height rule: the merges inside
+// a group of nb vertices carry exactly 1/(nb−1), …, 1/2, 1 in merge order,
+// and every merge across groups carries the number of groups under it. The
+// input is classed series, so the TMFG and the PMFG split it into several
+// groups.
+func TestGroupHeightsFollowAppendOrder(t *testing.T) {
+	ctx, pool := context.Background(), exec.Default()
+	for _, n := range []int{48, 96} {
+		series := tsgen.GenerateClassed("heights", n, 96, 6, 0.6, int64(n)).Series
+		s, err := matrix.PearsonWS(ctx, pool, nil, series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := tmfg.BuildWS(ctx, pool, nil, s, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := pmfg.BuildCtx(ctx, pool, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pmTree, err := bubbletree.BuildGenericCtx(ctx, pool, pm.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			g    *graph.Graph
+			tree *bubbletree.Tree
+		}{{"tmfg", tm.Graph, tm.Tree}, {"pmfg", pm.Graph, pmTree}} {
+			res, err := build(c.g, c.tree, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Groups) < 3 {
+				t.Fatalf("%s n=%d: %d groups, want several", c.name, n, len(res.Groups))
+			}
+			size := map[int32]int{}
+			for _, g := range res.Group {
+				size[g]++
+			}
+			// under[x] is the set of groups below dendrogram node x.
+			under := make([]map[int32]bool, n, 2*n-1)
+			for v, g := range res.Group {
+				under[v] = map[int32]bool{g: true}
+			}
+			heights := map[int32][]float64{}
+			for i, m := range res.Dendrogram.Merges {
+				u := map[int32]bool{}
+				for g := range under[m.A] {
+					u[g] = true
+				}
+				for g := range under[m.B] {
+					u[g] = true
+				}
+				under = append(under, u)
+				if len(u) > 1 {
+					if m.Height != float64(len(u)) {
+						t.Fatalf("%s n=%d: merge %d over %d groups has height %v", c.name, n, i, len(u), m.Height)
+					}
+					continue
+				}
+				for g := range u {
+					heights[g] = append(heights[g], m.Height)
+				}
+			}
+			for g, nb := range size {
+				h := heights[g]
+				if len(h) != nb-1 {
+					t.Fatalf("%s n=%d: group %d of %d vertices has %d merges", c.name, n, g, nb, len(h))
+				}
+				for r, x := range h {
+					if want := 1 / float64(nb-1-r); x != want {
+						t.Fatalf("%s n=%d: group %d merge %d has height %v, want %v", c.name, n, g, r, x, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -396,14 +486,17 @@ func TestSecondPassAssignmentBruteForce(t *testing.T) {
 	for _, c := range res.Directed.Converging {
 		isConv[c] = true
 	}
-	vb := tr.Tree.VertexBubbles(70)
-	reach := res.Directed.ReachableConverging()
+	vb := vertexBubbles(tr.Tree, 70)
+	reach, err := res.Directed.ReachableConvergingWS(context.Background(), exec.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// V⁰: first-pass members are exactly the vertices contained in ≥1
 	// converging bubble (they keep their assignment per the algorithm).
 	v0 := map[int32][]int32{}
 	inConv := make([]bool, 70)
 	for v := 0; v < 70; v++ {
-		for _, b := range vb[v] {
+		for _, b := range vb.Group(v) {
 			if isConv[b] {
 				inConv[v] = true
 			}
@@ -430,8 +523,8 @@ func TestSecondPassAssignmentBruteForce(t *testing.T) {
 			continue
 		}
 		cands := map[int32]bool{}
-		for _, b := range vb[v] {
-			for _, c := range reach[b] {
+		for _, b := range vb.Group(v) {
+			for _, c := range reach.Group(int(b)) {
 				cands[c] = true
 			}
 		}
@@ -489,10 +582,10 @@ func TestPaperAssignmentVariant(t *testing.T) {
 	for _, c := range paper.Directed.Converging {
 		isConv[c] = true
 	}
-	vb := tr.Tree.VertexBubbles(60)
+	vb := vertexBubbles(tr.Tree, 60)
 	for v := 0; v < 60; v++ {
 		in := false
-		for _, b := range vb[v] {
+		for _, b := range vb.Group(v) {
 			if b == paper.Group[v] {
 				in = true
 			}

@@ -109,23 +109,23 @@ func TestComponentsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestConnectedMatchesComponents: the component count that separation tests
+// read (NumComponentsWithout) is the number of components
+// ComponentsWithoutInto lists, on a path with interior, end and paired
+// removals.
 func TestConnectedMatchesComponents(t *testing.T) {
 	g := pathGraph(t, 12)
-	if !g.Connected() {
-		t.Fatal("path should be connected")
-	}
-	if g.Connected(6) {
-		t.Fatal("path minus interior vertex should be disconnected")
-	}
-	if !g.Connected(0) || !g.Connected(11) {
-		t.Fatal("path minus an endpoint should stay connected")
-	}
 	w := ws.Get()
 	defer ws.Put(w)
-	for _, removed := range [][]int32{nil, {6}, {0}, {0, 11}, {1, 10}} {
-		want := g.NumComponentsWithout(w, removed) <= 1
-		if got := g.Connected(removed...); got != want {
-			t.Fatalf("Connected(%v) = %v, NumComponents disagrees", removed, got)
+	for _, c := range []struct {
+		removed []int32
+		want    int
+	}{{nil, 1}, {[]int32{6}, 2}, {[]int32{0}, 1}, {[]int32{11}, 1}, {[]int32{0, 11}, 1}, {[]int32{1, 10}, 3}} {
+		comps := w.Grouping()
+		g.ComponentsWithoutInto(w, comps, c.removed)
+		if got := g.NumComponentsWithout(w, c.removed); got != c.want || comps.NumGroups() != c.want {
+			t.Fatalf("without %v: NumComponentsWithout %d, ComponentsWithoutInto %d groups, want %d", c.removed, got, comps.NumGroups(), c.want)
 		}
+		w.PutGrouping(comps)
 	}
 }

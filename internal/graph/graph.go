@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pfg/internal/bitset"
 	"pfg/internal/ws"
 )
 
@@ -220,47 +219,6 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return out
-}
-
-// Connected reports whether the graph is connected (vacuously true for
-// n ≤ 1). excluded vertices (if any) are treated as removed.
-func (g *Graph) Connected(excluded ...int32) bool {
-	skip := bitset.New(g.N)
-	for _, v := range excluded {
-		skip.Set(v)
-	}
-	start := int32(-1)
-	remaining := 0
-	for v := int32(0); int(v) < g.N; v++ {
-		if !skip.Test(v) {
-			remaining++
-			if start < 0 {
-				start = v
-			}
-		}
-	}
-	if remaining <= 1 {
-		return true
-	}
-	queue := make([]int32, g.N)
-	// Reuse skip as the visited set: a vertex is enqueued at most once.
-	skip.Set(start)
-	queue[0] = start
-	qh, qt := 0, 1
-	seen := 1
-	for qh < qt {
-		v := queue[qh]
-		qh++
-		adj, _ := g.Neighbors(v)
-		for _, u := range adj {
-			if !skip.TestAndSet(u) {
-				seen++
-				queue[qt] = u
-				qt++
-			}
-		}
-	}
-	return seen == remaining
 }
 
 // Components returns the connected components of the graph as a flat

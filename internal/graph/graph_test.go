@@ -169,24 +169,24 @@ func TestCanonicalEdges(t *testing.T) {
 
 func TestConnected(t *testing.T) {
 	g := pathGraph(t, 5)
-	if !g.Connected() {
-		t.Fatal("path must be connected")
+	if c := g.NumComponentsWithout(nil, nil); c != 1 {
+		t.Fatalf("path has %d components, want 1", c)
 	}
-	// Removing middle vertex disconnects.
-	if g.Connected(2) {
-		t.Fatal("path minus middle vertex must be disconnected")
+	// Removing the middle vertex disconnects.
+	if c := g.NumComponentsWithout(nil, []int32{2}); c != 2 {
+		t.Fatalf("path minus middle vertex has %d components, want 2", c)
 	}
-	// Removing endpoint does not.
-	if !g.Connected(0) {
-		t.Fatal("path minus endpoint must stay connected")
+	// Removing an endpoint does not.
+	if c := g.NumComponentsWithout(nil, []int32{0}); c != 1 {
+		t.Fatalf("path minus endpoint has %d components, want 1", c)
 	}
 	empty := mustGraph(t, 3, nil)
-	if empty.Connected() {
-		t.Fatal("3 isolated vertices are not connected")
+	if c := empty.NumComponentsWithout(nil, nil); c != 3 {
+		t.Fatalf("3 isolated vertices form %d components, want 3", c)
 	}
 	single := mustGraph(t, 1, nil)
-	if !single.Connected() {
-		t.Fatal("single vertex is connected")
+	if c := single.NumComponentsWithout(nil, nil); c != 1 {
+		t.Fatalf("single vertex forms %d components, want 1", c)
 	}
 }
 

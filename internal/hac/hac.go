@@ -66,7 +66,8 @@ func RunMatrixWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d
 // (its length is ignored), and the returned slice aliases it. Repeated runs
 // through a shared backing array allocate nothing, which is what the DBHT
 // hierarchy construction leans on for its many tiny per-subgroup linkages.
-// d is consumed (overwritten) as in RunMatrixWS.
+// The merges come in non-decreasing height order, which DBHT's heights are
+// ranked by. d is consumed (overwritten) as in RunMatrixWS.
 func RunMatrixIntoWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, n int, d []float64, linkage Linkage, out []dendro.Merge) ([]dendro.Merge, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hac: n must be ≥ 1, got %d", n)

@@ -273,6 +273,58 @@ func TestMonotoneHeights(t *testing.T) {
 	}
 }
 
+// TestMergesInHeightOrder pins the order DBHT's hierarchy sets its heights
+// by: RunMatrixIntoWS returns its merges by non-decreasing height, for
+// complete and average linkage on tied, +Inf and asymmetric distances, and
+// on the one-merge path of two objects.
+func TestMergesInHeightOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	inputs := []struct {
+		name string
+		draw func() float64
+		asym bool // draw d[j][i] apart from d[i][j]
+	}{
+		{"tied", func() float64 { return float64(1 + rng.Intn(3)) }, false},
+		{"inf", func() float64 {
+			if rng.Intn(3) == 0 {
+				return math.Inf(1)
+			}
+			return rng.Float64()
+		}, false},
+		{"all-inf", func() float64 { return math.Inf(1) }, false},
+		{"asymmetric", rng.Float64, true},
+	}
+	for _, in := range inputs {
+		for _, n := range []int{2, 3, 9, 40} {
+			d := make([]float64, n*n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					d[i*n+j] = in.draw()
+					d[j*n+i] = d[i*n+j]
+					if in.asym {
+						d[j*n+i] = in.draw()
+					}
+				}
+			}
+			for _, l := range []Linkage{Complete, Average} {
+				out := make([]dendro.Merge, 0, n-1)
+				merges, err := RunMatrixIntoWS(context.Background(), exec.Default(), nil, n, append([]float64(nil), d...), l, out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(merges) != n-1 {
+					t.Fatalf("%s n=%d %v: %d merges, want %d", in.name, n, l, len(merges), n-1)
+				}
+				for i := 1; i < len(merges); i++ {
+					if !(merges[i].Height >= merges[i-1].Height) {
+						t.Fatalf("%s n=%d %v: merge %d at %v follows one at %v", in.name, n, l, i, merges[i].Height, merges[i-1].Height)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLinkageString(t *testing.T) {
 	if Complete.String() != "complete" || Average.String() != "average" || Single.String() != "single" {
 		t.Fatal("bad linkage names")

@@ -61,7 +61,7 @@ func PrepPearsonMoments(g []float64, n int, s []float64, t int, mu, inv []float6
 }
 
 // FinishPearsonMoments turns the raw upper-triangle cross products produced
-// by SyrkUpperBand (or maintained incrementally by the streaming engine) into
+// by SyrkUpperRange (or maintained incrementally by the streaming engine) into
 // the final correlation matrix, processing tile rows [b0, b1): each entry
 // becomes p = (g[i][j] − s[i]·mu[j]) · inv[i] · inv[j], the diagonal is
 // pinned to 1, entries involving a zero-variance series (zero != 0) are

@@ -10,7 +10,7 @@ import (
 // --- SYRK -------------------------------------------------------------------
 
 // dotPanels is the ascending-panel fold of per-panel ascending-index dot
-// products — the per-entry reference semantics of SyrkUpperBand. For
+// products — the per-entry reference semantics of SyrkUpperRange. For
 // len(a) ≤ PanelLen it is the plain ascending-index dot product.
 func dotPanels(a, b []float64) float64 {
 	s := 0.0
@@ -46,7 +46,7 @@ func TestSyrkMatchesDot(t *testing.T) {
 			for i := range c {
 				c[i] = math.NaN() // catch touched-outside-band writes
 			}
-			SyrkUpperBand(z, n, l, c, 0, n)
+			SyrkUpperRange(z, n, l, c, 0, n, 0, l, true)
 			for i := 0; i < n; i++ {
 				for j := i; j < n; j++ {
 					want := dotPanels(z[i*l:(i+1)*l], z[j*l:(j+1)*l])
@@ -79,11 +79,11 @@ func TestSyrkBandPartitionInvariant(t *testing.T) {
 		z[i] = rng.NormFloat64()
 	}
 	whole := make([]float64, n*n)
-	SyrkUpperBand(z, n, l, whole, 0, n)
+	SyrkUpperRange(z, n, l, whole, 0, n, 0, l, true)
 	for _, cuts := range [][]int{{0, n}, {0, 1, n}, {0, 5, 6, 20, n}, {0, 2, 4, 6, 8, 10, n}, {0, 36, n}} {
 		split := make([]float64, n*n)
 		for k := 0; k+1 < len(cuts); k++ {
-			SyrkUpperBand(z, n, l, split, cuts[k], cuts[k+1])
+			SyrkUpperRange(z, n, l, split, cuts[k], cuts[k+1], 0, l, true)
 		}
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
@@ -108,7 +108,7 @@ func TestSyrkDegenerateRows(t *testing.T) {
 		z[2*l+t2] = 0 // row 2: all zeros, as the Pearson normalizer leaves it
 	}
 	c := make([]float64, n*n)
-	SyrkUpperBand(z, n, l, c, 0, n)
+	SyrkUpperRange(z, n, l, c, 0, n, 0, l, true)
 	for j := 2; j < n; j++ {
 		if c[2*n+j] != 0 {
 			t.Fatalf("zero row: c[2,%d]=%v, want exact 0", j, c[2*n+j])

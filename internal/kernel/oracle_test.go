@@ -62,7 +62,7 @@ func TestOracleSyrkUpperRange(t *testing.T) {
 			}
 			got := make([]float64, n*n)
 			want := make([]float64, n*n)
-			SyrkUpperBand(z, n, l, got, 0, n)
+			SyrkUpperRange(z, n, l, got, 0, n, 0, l, true)
 			syrkUpperRangeGo(z, n, l, want, 0, n, 0, l, true)
 			if i := bitsEqual(got, want); i >= 0 {
 				t.Fatalf("n=%d l=%d fuzz=%d: dispatched SYRK diverges from scalar at %d: %v vs %v",

@@ -5,7 +5,7 @@ package kernel
 // receives exactly one multiply and one add — the same operation the SYRK
 // performs for one time step of its ascending-t accumulation — so a sequence
 // of Rank1UpdateUpper calls applied in sample order to a zeroed g reproduces
-// one panel's partial sum of SyrkUpperBand bit-for-bit (the streaming engine
+// one panel's partial sum of SyrkUpperRange bit-for-bit (the streaming engine
 // folds such per-panel chains at PanelLen boundaries to match the full panel
 // fold; see PanelLen). Entries outside the band's upper triangle are
 // untouched, and distinct bands touch disjoint rows, so callers may
@@ -47,7 +47,7 @@ func rank1UpdateRowGo(row, x []float64, xi float64, i, n int) {
 // engine (update + downdate fused so the band is read and written once). The
 // downdate is where float drift enters — subtracting a term is not the exact
 // inverse of having added it — which is why streaming callers periodically
-// rebuild the band exactly with SyrkUpperBand. Like Rank1UpdateUpper, each
+// rebuild the band exactly with SyrkUpperRange. Like Rank1UpdateUpper, each
 // entry is updated by a fixed operation sequence, so the result is
 // independent of how callers partition the rows into bands.
 func Rank1RollUpper(g []float64, n int, xNew, xOld []float64, i0, i1 int) {

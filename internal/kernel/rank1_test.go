@@ -10,7 +10,7 @@ import (
 // exactness guarantee: applying Rank1UpdateUpper once per sample, in sample
 // order, to a zeroed current-panel accumulator — folding it into the running
 // band at every syrkKC boundary, exactly as the engine's fill phase does —
-// must reproduce SyrkUpperBand's ascending-panel fold over the same samples
+// must reproduce SyrkUpperRange's ascending-panel fold over the same samples
 // bit-for-bit.
 func TestRank1UpdateMatchesSyrk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -24,7 +24,7 @@ func TestRank1UpdateMatchesSyrk(t *testing.T) {
 			z[i] = rng.NormFloat64()
 		}
 		want := make([]float64, n*n)
-		SyrkUpperBand(z, n, l, want, 0, n)
+		SyrkUpperRange(z, n, l, want, 0, n, 0, l, true)
 
 		folded := make([]float64, n*n)
 		cur := make([]float64, n*n)

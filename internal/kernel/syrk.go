@@ -58,17 +58,6 @@ const PanelLen = syrkKC
 // output bits (see PanelLen).
 const RowBandGrain = 128
 
-// SyrkUpperBand computes rows [i0, i1) of the upper triangle (j ≥ i) of the
-// n×n product C = Z·Zᵀ, where Z is n×l row-major (z[i*l+t]). Entries of C
-// outside the band's upper triangle are left untouched. Every C entry is the
-// ascending-panel fold of ascending-t partial dot products of its two Z rows
-// (see PanelLen), so results depend on neither the band partition nor the
-// panel partition: callers may parallelize over disjoint bands and panels
-// freely.
-func SyrkUpperBand(z []float64, n, l int, c []float64, i0, i1 int) {
-	SyrkUpperRange(z, n, l, c, i0, i1, 0, l, true)
-}
-
 // SyrkUpperRange accumulates the column (time) range [k0, k1) of Z into rows
 // [i0, i1) of the upper triangle of C, splitting the range at absolute
 // multiples of PanelLen and folding the per-panel partial sums in ascending

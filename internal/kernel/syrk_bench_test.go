@@ -24,7 +24,7 @@ func BenchmarkSyrkUpper(b *testing.B) {
 	b.SetBytes(int64(n) * int64(n) / 2 * int64(l) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SyrkUpperBand(z, n, l, c, 0, n)
+		SyrkUpperRange(z, n, l, c, 0, n, 0, l, true)
 	}
 }
 
@@ -60,7 +60,7 @@ func BenchmarkSyrkBackends(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/n=%d/T=%d", ISA(), n, l), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				SyrkUpperBand(z, n, l, c, 0, n)
+				SyrkUpperRange(z, n, l, c, 0, n, 0, l, true)
 			}
 		})
 		b.Run(fmt.Sprintf("scalar-ref/n=%d/T=%d", n, l), func(b *testing.B) {

@@ -73,7 +73,7 @@ func (m *Sym) RowSum(i int) float64 {
 //
 // Numerics. The pipeline works on raw moments — per-series rolling sums
 // Σx and the raw cross-product band Σxᵢxⱼ computed by the register-tiled
-// kernel.SyrkUpperBand — and centers in the finish pass, rather than
+// kernel.SyrkUpperRange — and centers in the finish pass, rather than
 // z-normalizing up front. Every moment is an ascending-t fold with one
 // rounding per step, so the result is independent of the worker count AND
 // reproducible one sample at a time: the streaming engine (internal/stream)

@@ -31,7 +31,7 @@ func TestSyrkUpperWSWorkersBitIdentical(t *testing.T) {
 			z[i] = rng.NormFloat64()
 		}
 		want := make([]float64, n*n)
-		kernel.SyrkUpperBand(z, n, l, want, 0, n)
+		kernel.SyrkUpperRange(z, n, l, want, 0, n, 0, l, true)
 
 		for _, workers := range []int{1, 2, 3, 8} {
 			pool := exec.New(workers)

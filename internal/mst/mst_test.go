@@ -103,7 +103,7 @@ func TestMSTIsSpanningTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Connected() {
+	if g.NumComponentsWithout(nil, nil) != 1 {
 		t.Fatal("MST not connected")
 	}
 	if g.NumEdges() != 24 {

@@ -11,6 +11,7 @@ import (
 	"pfg/internal/matrix"
 	"pfg/internal/planarity"
 	"pfg/internal/tmfg"
+	"pfg/internal/ws"
 )
 
 func randomSym(rng *rand.Rand, n int) *matrix.Sym {
@@ -38,7 +39,7 @@ func TestBuildBasics(t *testing.T) {
 		if !planarity.Planar(n, r.Edges) {
 			t.Fatalf("n=%d: PMFG not planar", n)
 		}
-		if !r.Graph.Connected() {
+		if r.Graph.NumComponentsWithout(nil, nil) != 1 {
 			t.Fatalf("n=%d: PMFG not connected", n)
 		}
 	}
@@ -135,9 +136,10 @@ func TestGenericBubbleTreeOnPMFG(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every vertex appears in at least one bubble.
-	vb := tree.VertexBubbles(n)
+	vb := new(ws.Grouping)
+	tree.VertexBubblesInto(nil, vb, n)
 	for v := 0; v < n; v++ {
-		if len(vb[v]) == 0 {
+		if len(vb.Group(v)) == 0 {
 			t.Fatalf("vertex %d in no bubble", v)
 		}
 	}

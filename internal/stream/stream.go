@@ -12,7 +12,7 @@
 // matrix.FinishMomentsWS arithmetic the batch path uses.
 //
 // Exactness. While the window is filling, the engine maintains the same
-// ascending-panel fold SyrkUpperBand computes: rank-1 updates accumulate
+// ascending-panel fold SyrkUpperRange computes: rank-1 updates accumulate
 // into a current-panel band, which folds into the running band at every
 // kernel.PanelLen boundary — so the moments are bit-identical to a batch
 // recomputation over the pushed samples — not merely close. Once the window

@@ -183,7 +183,7 @@ func TestEdgeCountAndPlanarity(t *testing.T) {
 			if !planarity.Planar(n, r.Edges) {
 				t.Fatalf("n=%d prefix=%d: TMFG not planar", n, prefix)
 			}
-			if !r.Graph.Connected() {
+			if r.Graph.NumComponentsWithout(nil, nil) != 1 {
 				t.Fatalf("n=%d prefix=%d: TMFG not connected", n, prefix)
 			}
 		}
@@ -301,10 +301,18 @@ func TestBubbleTreeInteriorInvariant(t *testing.T) {
 				continue
 			}
 			sep := r.Tree.Nodes[b].Sep
+			// The vertices of b's subtree.
 			interior := map[int32]bool{}
-			for _, v := range r.Tree.SubtreeVertices(b) {
-				interior[v] = true
+			var mark func(x int32)
+			mark = func(x int32) {
+				for _, v := range r.Tree.Nodes[x].Vertices {
+					interior[v] = true
+				}
+				for _, c := range r.Tree.Nodes[x].Children {
+					mark(c)
+				}
 			}
+			mark(b)
 			for _, c := range sep {
 				delete(interior, c)
 			}
@@ -514,12 +522,13 @@ func TestVertexBubblesConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb := r.Tree.VertexBubbles(50)
+	vb := new(ws.Grouping)
+	r.Tree.VertexBubblesInto(nil, vb, 50)
 	for v := 0; v < 50; v++ {
-		if len(vb[v]) == 0 {
+		if len(vb.Group(v)) == 0 {
 			t.Fatalf("vertex %d in no bubble", v)
 		}
-		for _, b := range vb[v] {
+		for _, b := range vb.Group(v) {
 			found := false
 			for _, u := range r.Tree.Nodes[b].Vertices {
 				if u == int32(v) {

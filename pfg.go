@@ -410,11 +410,15 @@ func Pearson(series [][]float64) (*Matrix, error) {
 }
 
 // Dissimilarity converts correlations into the metric dissimilarity
-// d = sqrt(2(1−p)). corr is validated as ClusterMatrix validates it: a nil
-// matrix, a backing slice that is not n×n long or a non-finite entry
-// returns an error.
+// d = sqrt(2(1−p)). corr is validated as ClusterMatrix validates a
+// similarity it derives from: a nil matrix, a backing slice that is not n×n
+// long, a non-finite entry or one whose dissimilarity overflows returns an
+// error.
 func Dissimilarity(corr *Matrix) (*Matrix, error) {
 	if err := validateMatrix("correlation", corr); err != nil {
+		return nil, err
+	}
+	if err := validateDerivable("correlation", corr); err != nil {
 		return nil, err
 	}
 	d := matrix.NewSym(corr.N)
@@ -470,7 +474,9 @@ func ClusterContext(ctx context.Context, series [][]float64, opts Options) (*Res
 // only. The graph stores one similarity per edge, so both directions of an
 // edge get the same dissimilarity; for a sim that is not symmetric (outside
 // Matrix's contract) they no longer read separate triangles as they do from
-// a passed dis.
+// a passed dis. A similarity below about −MaxFloat64/2, whose dissimilarity
+// overflows to +Inf, is then rejected with an error naming the entry, as
+// Dissimilarity rejects it.
 func ClusterMatrix(sim, dis *Matrix, opts Options) (*Result, error) {
 	return ClusterMatrixContext(context.Background(), sim, dis, opts)
 }
@@ -488,7 +494,11 @@ func ClusterMatrixContext(ctx context.Context, sim, dis *Matrix, opts Options) (
 	if err := validateMatrix("similarity", sim); err != nil {
 		return nil, err
 	}
-	if dis != nil {
+	if dis == nil {
+		if err := validateDerivable("similarity", sim); err != nil {
+			return nil, err
+		}
+	} else {
 		if err := validateMatrix("dissimilarity", dis); err != nil {
 			return nil, err
 		}
@@ -523,6 +533,17 @@ func validateMatrix(name string, m *Matrix) error {
 	for i, v := range m.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("pfg: %s matrix entry (%d,%d) is non-finite", name, i/m.N, i%m.N)
+		}
+	}
+	return nil
+}
+
+// validateDerivable rejects a finite similarity whose dissimilarity
+// sqrt(2(1−s)) is +Inf: below about −MaxFloat64/2, 2(1−s) overflows.
+func validateDerivable(name string, m *Matrix) error {
+	for i, v := range m.Data {
+		if math.IsInf(2*(1-v), 1) {
+			return fmt.Errorf("pfg: %s matrix entry (%d,%d) = %v has no finite dissimilarity sqrt(2(1−s))", name, i/m.N, i%m.N, v)
 		}
 	}
 	return nil

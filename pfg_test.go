@@ -260,6 +260,35 @@ func TestClusterMatrixNegativeDissimilarityRejected(t *testing.T) {
 	}
 }
 
+// TestOverflowingSimilarityRejected: a finite similarity whose
+// dissimilarity sqrt(2(1−s)) overflows to +Inf is an error naming the entry
+// both from Dissimilarity and from ClusterMatrix with a nil dis, which
+// would otherwise derive the same +Inf. One just above the bound is taken.
+func TestOverflowingSimilarityRejected(t *testing.T) {
+	const n = 6
+	sim := &Matrix{N: n, Data: make([]float64, n*n)}
+	for i := range sim.Data {
+		sim.Data[i] = 0.5
+	}
+	sim.Data[1*n+2], sim.Data[2*n+1] = -math.MaxFloat64, -math.MaxFloat64
+	if _, err := Dissimilarity(sim); err == nil || !strings.Contains(err.Error(), "(1,2)") {
+		t.Fatalf("Dissimilarity: %v, want an error naming (1,2)", err)
+	}
+	for _, m := range []Method{TMFGDBHT, PMFGDBHT, CompleteLinkage, AverageLinkage} {
+		if _, err := ClusterMatrix(sim, nil, Options{Method: m, Workers: 1}); err == nil || !strings.Contains(err.Error(), "(1,2)") {
+			t.Fatalf("%v: %v, want an error naming (1,2)", m, err)
+		}
+	}
+	sim.Data[1*n+2], sim.Data[2*n+1] = -math.MaxFloat64/4, -math.MaxFloat64/4
+	dis, err := Dissimilarity(sim)
+	if err != nil {
+		t.Fatalf("Dissimilarity just above the bound: %v", err)
+	}
+	if d := dis.Data[1*n+2]; math.IsInf(d, 0) {
+		t.Fatalf("Dissimilarity just above the bound gives %v", d)
+	}
+}
+
 // TestClusterMatrixAsymmetricDissimilarity: a caller dissimilarity need not
 // be symmetric. Here every object's nearest neighbour is the next one round
 // a five-cycle, which the NN-chain used to follow forever (in HAC directly,
