@@ -21,10 +21,12 @@ import (
 	"pfg/internal/core"
 	"pfg/internal/exec"
 	"pfg/internal/hac"
+	"pfg/internal/kmeans"
 	"pfg/internal/matrix"
 	"pfg/internal/metrics"
 	"pfg/internal/mst"
 	"pfg/internal/pmfg"
+	"pfg/internal/spectral"
 	"pfg/internal/tmfg"
 	"pfg/internal/tsgen"
 	"pfg/internal/ws"
@@ -123,9 +125,10 @@ func BenchmarkFig1_AverageLinkage(b *testing.B) {
 func BenchmarkFig3_KMeans(b *testing.B) {
 	ctx, pool := context.Background(), exec.Default()
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
+	opts := kmeans.Options{K: w.ds.NumClasses, Seed: 1, Scalable: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KMeansCtx(ctx, pool, w.ds.Series, w.ds.NumClasses, 1); err != nil {
+		if _, err := kmeans.RunCtx(ctx, pool, w.ds.Series, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,9 +137,14 @@ func BenchmarkFig3_KMeans(b *testing.B) {
 func BenchmarkFig3_KMeansSpectral(b *testing.B) {
 	ctx, pool := context.Background(), exec.Default()
 	w := workload(b, "ecg", 500, 140, 5, 0.8)
+	k := w.ds.NumClasses
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KMeansSpectralCtx(ctx, pool, w.ds.Series, w.ds.NumClasses, 50, 1); err != nil {
+		emb, err := spectral.EmbedCtx(ctx, pool, w.ds.Series, spectral.Options{Neighbors: 50, Components: k, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := kmeans.RunCtx(ctx, pool, emb, kmeans.Options{K: k, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

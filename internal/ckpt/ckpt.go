@@ -136,16 +136,11 @@ type Params struct {
 //
 // The engine's state is read through the same borrowed-view contract as
 // CopyState: the caller must hold the write-excluding lock (pfg.Streamer
-// takes its read lock, making a checkpoint atomic with a generation). A
-// corrupt engine (cancelled kernel mid-apply) is refused.
+// takes its read lock, making a checkpoint atomic with a generation).
 func CheckpointTo(w io.Writer, e *stream.Engine, p Params) (int64, error) {
 	var st stream.State
 	if e != nil {
-		var err error
-		st, err = e.State()
-		if err != nil {
-			return 0, err
-		}
+		st = e.State()
 		p.Window = st.Window
 		p.RebuildEvery = st.RebuildEvery
 	}

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -51,7 +50,7 @@ func buildEngine(t testing.TB, n, window, rebuildEvery, count int, seed int64) *
 		t.Fatal(err)
 	}
 	for _, x := range feed(seed, n, count) {
-		if err := e.Push(context.Background(), pool, x); err != nil {
+		if err := e.Push(pool, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,12 +67,8 @@ func sameEngine(t *testing.T, tag string, a, b *stream.Engine) {
 	n := a.N()
 	ga, sa := make([]float64, n*n), make([]float64, n)
 	gb, sb := make([]float64, n*n), make([]float64, n)
-	if _, err := a.CopyState(ga, sa); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CopyState(gb, sb); err != nil {
-		t.Fatal(err)
-	}
+	a.CopyState(ga, sa)
+	b.CopyState(gb, sb)
 	for i := range ga {
 		if math.Float64bits(ga[i]) != math.Float64bits(gb[i]) {
 			t.Fatalf("%s: band[%d] %v != %v", tag, i, ga[i], gb[i])
@@ -127,10 +122,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			pool := exec.New(1)
 			defer pool.Close()
 			for _, x := range feed(99, tc.n, 2*tc.rebuildEvery+3) {
-				if err := e.Push(context.Background(), pool, x); err != nil {
+				if err := e.Push(pool, x); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.Push(context.Background(), pool, x); err != nil {
+				if err := r.Push(pool, x); err != nil {
 					t.Fatal(err)
 				}
 			}

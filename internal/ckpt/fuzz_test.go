@@ -33,8 +33,8 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // FuzzCheckpointDecode feeds raw bits to the checkpoint decoder. The
 // contract: never panic, never allocate beyond what the input's actual
 // bytes justify (the chunk-grown decoder enforces this structurally; the
-// fuzzer exercises the shape gates in front of it), and reject everything
-// invalid with one of the typed errors.
+// fuzzer exercises the shape gates in front of it), reject everything
+// invalid with one of the typed errors, and round-trip whatever it accepts.
 func FuzzCheckpointDecode(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -42,7 +42,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(ckptMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, _, err := RestoreEngine(bytes.NewReader(data), ws.New())
+		e, p, err := RestoreEngine(bytes.NewReader(data), ws.New())
 		if err != nil {
 			if e != nil {
 				t.Fatal("engine returned alongside an error")
@@ -53,16 +53,33 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			return
 		}
-		// Accepted input: it must re-encode, and what the engine reports
-		// must satisfy the engine's own invariants (State() re-validates).
+		// Accepted input round-trips. Re-encoding it need not reproduce
+		// data byte for byte: the reserved header bytes, and the knobs of a
+		// disabled incremental layer, are not kept. But decoding that
+		// re-encoding and encoding again must give the same bytes, the same
+		// engine and the same Params.
+		var first, second bytes.Buffer
+		if _, err := CheckpointTo(&first, e, p); err != nil {
+			t.Fatalf("accepted state does not re-encode: %v", err)
+		}
+		e2, p2, err := RestoreEngine(bytes.NewReader(first.Bytes()), ws.New())
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		if _, err := CheckpointTo(&second, e2, p2); err != nil {
+			t.Fatalf("re-decoded state does not re-encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encodings differ: %d and %d bytes", first.Len(), second.Len())
+		}
+		if p2 != p {
+			t.Fatalf("params %+v decode back as %+v", p, p2)
+		}
+		if (e == nil) != (e2 == nil) {
+			t.Fatalf("engine present %v, after the round trip %v", e != nil, e2 != nil)
+		}
 		if e != nil {
-			if _, serr := e.State(); serr != nil {
-				t.Fatalf("decoder accepted state the engine rejects: %v", serr)
-			}
-			var buf bytes.Buffer
-			if _, werr := CheckpointTo(&buf, e, Params{}); werr != nil {
-				t.Fatalf("accepted state does not re-encode: %v", werr)
-			}
+			sameEngine(t, "round trip", e, e2)
 		}
 	})
 }

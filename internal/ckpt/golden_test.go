@@ -16,7 +16,6 @@ package ckpt
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -56,9 +55,7 @@ func goldenBytes(t *testing.T, c goldenCase) []byte {
 	if c.rebuild {
 		pool := exec.New(1)
 		defer pool.Close()
-		if err := e.Rebuild(context.Background(), pool); err != nil {
-			t.Fatal(err)
-		}
+		e.Rebuild(pool)
 	}
 	var buf bytes.Buffer
 	if _, err := CheckpointTo(&buf, e, c.params); err != nil {
@@ -110,9 +107,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 			if c.rebuild {
 				pool := exec.New(1)
 				defer pool.Close()
-				if err := fresh.Rebuild(context.Background(), pool); err != nil {
-					t.Fatal(err)
-				}
+				fresh.Rebuild(pool)
 			}
 			for i, data := range files {
 				eng, p, err := RestoreEngine(bytes.NewReader(data), ws.New())

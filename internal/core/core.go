@@ -1,7 +1,8 @@
-// Package core wires the substrates into the end-to-end pipelines evaluated
-// in the paper: TMFG+DBHT (the contribution), PMFG+DBHT, complete- and
-// average-linkage HAC, k-means, and spectral k-means. It also records the
-// per-stage timing breakdown reported in Figure 5.
+// Package core wires the substrates into the hierarchical pipelines
+// evaluated in the paper: TMFG+DBHT (the contribution), PMFG+DBHT, and
+// complete- and average-linkage HAC. It also records the per-stage timing
+// breakdown reported in Figure 5. The flat k-means baselines, which only the
+// experiments run, live in internal/experiments.
 package core
 
 import (
@@ -15,10 +16,8 @@ import (
 	"pfg/internal/exec"
 	"pfg/internal/hac"
 	"pfg/internal/kernel"
-	"pfg/internal/kmeans"
 	"pfg/internal/matrix"
 	"pfg/internal/pmfg"
-	"pfg/internal/spectral"
 	"pfg/internal/tmfg"
 	"pfg/internal/ws"
 )
@@ -156,35 +155,4 @@ func (r *Result) CutLabels(k int) ([]int, error) {
 		return nil, fmt.Errorf("core: result has no dendrogram")
 	}
 	return r.Dendrogram.Cut(k)
-}
-
-// KMeansCtx clusters raw series with k-means (the K-MEANS baseline; the
-// scalable k-means|| seeding is used, as in the paper's comparison) on pool
-// with cooperative cancellation.
-func KMeansCtx(ctx context.Context, pool *exec.Pool, series [][]float64, k int, seed int64) ([]int, error) {
-	res, err := kmeans.RunCtx(ctx, pool, series, kmeans.Options{K: k, Seed: seed, Scalable: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Labels, nil
-}
-
-// KMeansSpectralCtx clusters series with a spectral embedding onto k
-// components using β nearest neighbors, then k-means (the K-MEANS-S
-// baseline), on pool with cooperative cancellation through both the
-// embedding and the k-means stages.
-func KMeansSpectralCtx(ctx context.Context, pool *exec.Pool, series [][]float64, k, beta int, seed int64) ([]int, error) {
-	emb, err := spectral.EmbedCtx(ctx, pool, series, spectral.Options{
-		Neighbors:  beta,
-		Components: k,
-		Seed:       seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := kmeans.RunCtx(ctx, pool, emb, kmeans.Options{K: k, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Labels, nil
 }

@@ -109,27 +109,6 @@ func TestHACBaselines(t *testing.T) {
 	}
 }
 
-func TestKMeansBaselines(t *testing.T) {
-	ds := easyDataset()
-	// Plain k-means struggles with the multi-modal class manifolds (the
-	// paper's k-means is likewise competitive but not dominant); the
-	// spectral variant should do well.
-	labels, err := KMeansCtx(context.Background(), exec.Default(), ds.Series, ds.NumClasses, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ari := ariOf(t, labels, ds.Labels); ari < 0.3 {
-		t.Fatalf("k-means ARI %.3f", ari)
-	}
-	sLabels, err := KMeansSpectralCtx(context.Background(), exec.Default(), ds.Series, ds.NumClasses, 15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ari := ariOf(t, sLabels, ds.Labels); ari < 0.85 {
-		t.Fatalf("spectral k-means ARI %.3f", ari)
-	}
-}
-
 func TestPMFGAndTMFGQualityComparable(t *testing.T) {
 	// Figure 7 shape: TMFG edge-weight sums land within a few percent of
 	// PMFG's.

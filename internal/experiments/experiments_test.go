@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
 
 	"pfg/internal/exec"
+	"pfg/internal/metrics"
+	"pfg/internal/tsgen"
 )
 
 // tinyConfig keeps the smoke tests fast.
@@ -201,5 +204,35 @@ func TestWithThreadsSizesDefaultPool(t *testing.T) {
 	}
 	if got := exec.Default().Workers(); got != before {
 		t.Fatalf("after withThreads: Default().Workers() = %d, want %d", got, before)
+	}
+}
+
+// TestKMeansBaselines runs the two flat baselines on a well-separated
+// 3-class problem (n=150). Plain k-means struggles with the multi-modal
+// class manifolds (the paper's k-means is likewise competitive but not
+// dominant); the spectral variant should do well.
+func TestKMeansBaselines(t *testing.T) {
+	ds := tsgen.GenerateClassed("easy", 150, 128, 3, 0.25, 57)
+	ariOf := func(labels []int) float64 {
+		t.Helper()
+		v, err := metrics.ARI(ds.Labels, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	labels, err := kMeans(context.Background(), exec.Default(), ds.Series, ds.NumClasses, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ari := ariOf(labels); ari < 0.3 {
+		t.Fatalf("k-means ARI %.3f", ari)
+	}
+	sLabels, err := kMeansSpectral(context.Background(), exec.Default(), ds.Series, ds.NumClasses, 15, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ari := ariOf(sLabels); ari < 0.85 {
+		t.Fatalf("spectral k-means ARI %.3f", ari)
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"pfg/internal/core"
 	"pfg/internal/exec"
 	"pfg/internal/hac"
+	"pfg/internal/kmeans"
 	"pfg/internal/metrics"
 	"pfg/internal/pmfg"
+	"pfg/internal/spectral"
 	"pfg/internal/tmfg"
 	"pfg/internal/ws"
 )
@@ -136,14 +138,45 @@ func Fig8(cfg Config) string {
 		}
 		row = append(row, hierCell(core.HACWS(ctx, pool, w, sim, dis, hac.Complete)))
 		row = append(row, hierCell(core.HACWS(ctx, pool, w, sim, dis, hac.Average)))
-		row = append(row, cell(core.KMeansCtx(ctx, pool, d.Data.Series, k, cfg.Seed)))
+		row = append(row, cell(kMeans(ctx, pool, d.Data.Series, k, cfg.Seed)))
 		beta := bestBeta(len(d.Data.Series))
-		row = append(row, cell(core.KMeansSpectralCtx(ctx, pool, d.Data.Series, k, beta, cfg.Seed)))
+		row = append(row, cell(kMeansSpectral(ctx, pool, d.Data.Series, k, beta, cfg.Seed)))
 		tw.row(row...)
 	}
 	tw.flush()
 	b.WriteString("\nShape check: TDBHT beats COMP/AVG on most sets and is competitive\nwith k-means; PMFG and TMFG quality are similar.\n")
 	return b.String()
+}
+
+// kMeans clusters raw series with k-means (the K-MEANS baseline; the
+// scalable k-means|| seeding is used, as in the paper's comparison) on pool
+// with cooperative cancellation.
+func kMeans(ctx context.Context, pool *exec.Pool, series [][]float64, k int, seed int64) ([]int, error) {
+	res, err := kmeans.RunCtx(ctx, pool, series, kmeans.Options{K: k, Seed: seed, Scalable: true})
+	if err != nil {
+		return nil, err
+	}
+	return res.Labels, nil
+}
+
+// kMeansSpectral clusters series with a spectral embedding onto k
+// components using β nearest neighbors, then k-means (the K-MEANS-S
+// baseline), on pool with cooperative cancellation through both the
+// embedding and the k-means stages.
+func kMeansSpectral(ctx context.Context, pool *exec.Pool, series [][]float64, k, beta int, seed int64) ([]int, error) {
+	emb, err := spectral.EmbedCtx(ctx, pool, series, spectral.Options{
+		Neighbors:  beta,
+		Components: k,
+		Seed:       seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := kmeans.RunCtx(ctx, pool, emb, kmeans.Options{K: k, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return res.Labels, nil
 }
 
 // bestBeta is the default neighbor count for the spectral baseline.
@@ -175,7 +208,7 @@ func Fig9(cfg Config) string {
 			if beta < 2 || beta >= n {
 				continue
 			}
-			labels, err := core.KMeansSpectralCtx(context.Background(), exec.Default(), d.Data.Series, d.Data.NumClasses, beta, cfg.Seed)
+			labels, err := kMeansSpectral(context.Background(), exec.Default(), d.Data.Series, d.Data.NumClasses, beta, cfg.Seed)
 			if err != nil {
 				continue
 			}

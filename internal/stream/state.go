@@ -51,14 +51,9 @@ func needGCur(window, count int) bool {
 }
 
 // State returns the engine's restorable state as views of its live buffers
-// (see the State type for the ownership contract). A corrupt engine — a
-// cancelled kernel left the band half-applied — is refused, exactly as
-// CopyState refuses it: its band mixes pre- and post-tick terms that no
-// restore could make sense of. Push or Rebuild first.
-func (e *Engine) State() (State, error) {
-	if e.corrupt {
-		return State{}, fmt.Errorf("stream: moment state is awaiting resynchronization; Push or Rebuild first")
-	}
+// (see the State type for the ownership contract). Like CopyState it cannot
+// fail: no engine method leaves the band half-applied.
+func (e *Engine) State() State {
 	return State{
 		N:            e.n,
 		Window:       e.window,
@@ -71,7 +66,7 @@ func (e *Engine) State() (State, error) {
 		G:            e.g,
 		GCur:         e.gCur,
 		Sums:         e.s,
-	}, nil
+	}
 }
 
 // NewFromState reconstructs an engine from a State. The engine adopts the

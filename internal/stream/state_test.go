@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -39,12 +38,8 @@ func sameEngineBits(t *testing.T, tag string, a, b *Engine) {
 	n := a.N()
 	ga, sa := make([]float64, n*n), make([]float64, n)
 	gb, sb := make([]float64, n*n), make([]float64, n)
-	if _, err := a.CopyState(ga, sa); err != nil {
-		t.Fatalf("%s: CopyState a: %v", tag, err)
-	}
-	if _, err := b.CopyState(gb, sb); err != nil {
-		t.Fatalf("%s: CopyState b: %v", tag, err)
-	}
+	a.CopyState(ga, sa)
+	b.CopyState(gb, sb)
 	for i := range ga {
 		if math.Float64bits(ga[i]) != math.Float64bits(gb[i]) {
 			t.Fatalf("%s: band[%d] %v != %v", tag, i, ga[i], gb[i])
@@ -78,7 +73,6 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	pool := exec.New(1)
 	defer pool.Close()
-	ctx := context.Background()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.window > kernel.PanelLen && tc.fill < tc.window {
@@ -93,14 +87,11 @@ func TestStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < tc.fill; i++ {
-				if err := orig.Push(ctx, pool, feed[i]); err != nil {
+				if err := orig.Push(pool, feed[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			st, err := orig.State()
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := orig.State()
 			if tc.window > kernel.PanelLen && tc.fill < tc.window && st.GCur == nil {
 				t.Fatal("multi-panel mid-fill state is missing the current-panel band")
 			}
@@ -110,21 +101,17 @@ func TestStateRoundTrip(t *testing.T) {
 			}
 			sameEngineBits(t, "restored", orig, restored)
 			for i := tc.fill; i < tc.fill+tc.extra; i++ {
-				if err := orig.Push(ctx, pool, feed[i]); err != nil {
+				if err := orig.Push(pool, feed[i]); err != nil {
 					t.Fatal(err)
 				}
-				if err := restored.Push(ctx, pool, feed[i]); err != nil {
+				if err := restored.Push(pool, feed[i]); err != nil {
 					t.Fatal(err)
 				}
 				sameEngineBits(t, tc.name, orig, restored)
 			}
 			// A forced rebuild must land both on the same exact state too.
-			if err := orig.Rebuild(ctx, pool); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Rebuild(ctx, pool); err != nil {
-				t.Fatal(err)
-			}
+			orig.Rebuild(pool)
+			restored.Rebuild(pool)
 			sameEngineBits(t, tc.name+"/rebuilt", orig, restored)
 		})
 	}
@@ -136,10 +123,7 @@ func TestStateEmptyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := e.State()
 	r, err := NewFromState(cloneState(st), ws.New())
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +144,11 @@ func TestStateValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, x := range ticks(7, 4, 11) {
-			if err := e.Push(context.Background(), pool, x); err != nil {
+			if err := e.Push(pool, x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		st, err := e.State()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := e.State()
 		return cloneState(st)
 	}
 	cases := []struct {
@@ -201,30 +182,5 @@ func TestStateValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestStateRefusesCorrupt: a cancelled kernel leaves the engine awaiting
-// resynchronization; State must refuse exactly as CopyState does.
-func TestStateRefusesCorrupt(t *testing.T) {
-	pool := exec.New(1)
-	defer pool.Close()
-	e, err := New(4, 6, 0, ws.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := ticks(3, 4, 8)
-	for _, x := range feed[:7] {
-		if err := e.Push(context.Background(), pool, x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := e.Push(ctx, pool, feed[7]); err == nil {
-		t.Skip("cancelled push was not interrupted")
-	}
-	if _, err := e.State(); err == nil {
-		t.Fatal("corrupt engine produced a state")
 	}
 }

@@ -28,6 +28,12 @@
 // precision of the batch pipeline every exactness guarantee above is stated
 // against.
 //
+// Failure. Once built, an engine fails in one way only: Push rejects a
+// malformed sample before it changes any state. No method takes a context:
+// the kernels run on the caller's pool under context.Background, which is
+// never cancelled, so none stops partway and leaves the moment band
+// half-applied.
+//
 // Concurrency. An Engine is NOT internally synchronized: callers serialize
 // Push/Rebuild (writers) against CopyState (reader) themselves. pfg.Streamer
 // wraps an Engine in the RWMutex discipline (Push exclusive, Snapshot
@@ -56,8 +62,8 @@ type Metrics struct {
 	// admitted push — the O(n²) heart of a tick (fill-phase panel folds
 	// included, periodic rebuilds excluded; those go to Rebuild).
 	Roll *obs.Stage
-	// Rebuild covers exact moment rebuilds — periodic drift discards,
-	// corruption repairs, and explicit Rebuild calls.
+	// Rebuild covers exact moment rebuilds — periodic drift discards and
+	// explicit Rebuild calls.
 	Rebuild *obs.Stage
 }
 
@@ -89,12 +95,11 @@ type Engine struct {
 	n, window    int
 	rebuildEvery int // ≤ 0 disables periodic rebuilds
 
-	count   int    // samples currently in the window (≤ window)
-	head    int    // ring slot the next sample will occupy
-	slides  int    // slides since the last exact rebuild
-	gen     uint64 // version counter: bumped whenever snapshot-visible state changes
-	dirty   bool   // true once a slide has happened without a rebuild after it
-	corrupt bool   // a cancelled kernel left g half-applied; ring is still good
+	count  int    // samples currently in the window (≤ window)
+	head   int    // ring slot the next sample will occupy
+	slides int    // slides since the last exact rebuild
+	gen    uint64 // version counter: bumped whenever snapshot-visible state changes
+	dirty  bool   // true once a slide has happened without a rebuild after it
 
 	ring []float64 // window×n, sample-major: ring[slot*n+i]
 	g    []float64 // n×n cross-product band: the folded full panels
@@ -146,9 +151,6 @@ func New(n, window, rebuildEvery int, w *ws.Workspace) (*Engine, error) {
 // N returns the number of series.
 func (e *Engine) N() int { return e.n }
 
-// Window returns the window capacity in samples.
-func (e *Engine) Window() int { return e.window }
-
 // Len returns the number of samples currently in the window.
 func (e *Engine) Len() int { return e.count }
 
@@ -163,7 +165,7 @@ func (e *Engine) RingBytes() int { return len(e.ring) * 8 }
 // Exact reports whether the moments are currently bit-identical to a batch
 // recomputation over the window (true while filling and right after a
 // rebuild; false once a slide has drifted them).
-func (e *Engine) Exact() bool { return !e.dirty && !e.corrupt }
+func (e *Engine) Exact() bool { return !e.dirty }
 
 // Generation returns a monotonic version counter of the snapshot-visible
 // moment state: it advances on every admitted Push and on every Rebuild that
@@ -200,15 +202,14 @@ func (e *Engine) bumpGen() {
 }
 
 // Push admits one sample (one observation per series) into the window,
-// updating the moments in O(n²). The sample is validated before any state
-// changes — non-finite values and magnitudes large enough to overflow the
-// moment band (see maxSampleMagnitude) are rejected — and a non-nil error
-// means the sample was NOT admitted: the buffered window is exactly what it
-// was before the call (a cancellation mid-kernel can leave the band awaiting
-// resynchronization, which the next Push or Rebuild repairs from the ring).
-// The pool drives the rank-1 band kernels; their output is bit-independent
-// of the worker count.
-func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
+// updating the moments in O(n²). It fails only by rejecting the sample: one
+// of the wrong length, with a non-finite value, or with a magnitude large
+// enough to overflow the moment band (see maxSampleMagnitude). The check runs
+// before any state changes, so a rejected sample leaves the window, the
+// moments and the generation exactly as they were; an admitted one always
+// lands whole. The pool drives the rank-1 band kernels; their output is
+// bit-independent of the worker count.
+func (e *Engine) Push(pool *exec.Pool, x []float64) error {
 	if len(x) != e.n {
 		return fmt.Errorf("stream: sample has %d values, want %d", len(x), e.n)
 	}
@@ -229,28 +230,13 @@ func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
 	if e.met != nil {
 		sw.Lap(e.met.Admit)
 	}
-	if e.corrupt {
-		// A previous cancelled kernel left the band half-applied (the ring
-		// was untouched, so the buffered window is still authoritative).
-		// Resynchronize before admitting anything new; the sample that was
-		// being pushed when the cancellation hit was never admitted.
-		if err := e.Rebuild(ctx, pool); err != nil {
-			return err
-		}
-		if e.met != nil {
-			sw.Start() // the repair timed itself under the Rebuild stage
-		}
-	}
 	slot := e.ring[e.head*e.n : e.head*e.n+e.n]
 	if e.count == e.window {
 		// Steady state: fused rank-1 update (arriving sample) + downdate
 		// (departing sample, currently in the head slot).
-		if err := pool.ForBlocked(ctx, e.n, rollGrain, func(lo, hi int) {
+		e.rows(pool, rollGrain, func(lo, hi int) {
 			kernel.Rank1RollUpper(e.g, e.n, x, slot, lo, hi)
-		}); err != nil {
-			e.corrupt = true
-			return err
-		}
+		})
 		for i, v := range x {
 			e.s[i] += v - slot[i]
 		}
@@ -262,7 +248,9 @@ func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
 		if e.met != nil {
 			sw.Lap(e.met.Roll)
 		}
-		e.maybeRebuild(ctx, pool)
+		if e.rebuildEvery > 0 && e.slides >= e.rebuildEvery {
+			e.Rebuild(pool)
+		}
 		return nil
 	}
 	// Filling: a pure rank-1 update appends one ascending-t term to the
@@ -272,34 +260,22 @@ func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
 	if e.gCur != nil {
 		dst = e.gCur
 	}
-	if err := pool.ForBlocked(ctx, e.n, rollGrain, func(lo, hi int) {
+	e.rows(pool, rollGrain, func(lo, hi int) {
 		kernel.Rank1UpdateUpper(dst, e.n, x, lo, hi)
-	}); err != nil {
-		e.corrupt = true
-		return err
-	}
+	})
 	if e.gCur != nil {
 		// Panel bookkeeping, in batch-fold order: fold a completed panel
 		// first, then (on a partial final panel) materialize the fill's end
-		// state. A cancellation here leaves the band awaiting
-		// resynchronization but the ring without the sample — the rebuild
-		// the next Push runs reconstructs exactly the pre-call window, so
-		// the "not admitted" contract holds.
+		// state.
 		c1 := e.count + 1
 		if c1%kernel.PanelLen == 0 {
-			if err := e.foldCurrent(ctx, pool, c1 == kernel.PanelLen); err != nil {
-				e.corrupt = true
-				return err
-			}
+			e.foldCurrent(pool, c1 == kernel.PanelLen)
 		}
 		if c1 == e.window {
 			if c1%kernel.PanelLen != 0 {
 				// Final partial panel: fold it to finish the batch chain.
 				// c1 > PanelLen here, so g already holds folded panels.
-				if err := e.foldCurrent(ctx, pool, false); err != nil {
-					e.corrupt = true
-					return err
-				}
+				e.foldCurrent(pool, false)
 			}
 			// The fill is complete; the current-panel band is done for good.
 			e.w.PutFloat64(e.gCur)
@@ -319,21 +295,20 @@ func (e *Engine) Push(ctx context.Context, pool *exec.Pool, x []float64) error {
 	return nil
 }
 
+// rows runs f over row blocks of the n-row band on pool. The engine takes no
+// context: every pool kernel it runs goes through rows, or through
+// matrix.SyrkUpperWS in Rebuild, under context.Background. ForBlocked and
+// SyrkUpperWS fail only once their context is cancelled, and that context
+// never is, so their error is always nil and no kernel stops partway
+// through the band.
+func (e *Engine) rows(pool *exec.Pool, grain int, f func(lo, hi int)) {
+	_ = pool.ForBlocked(context.Background(), e.n, grain, f)
+}
+
 func (e *Engine) advanceHead() {
 	e.head++
 	if e.head == e.window {
 		e.head = 0
-	}
-}
-
-func (e *Engine) maybeRebuild(ctx context.Context, pool *exec.Pool) {
-	if e.rebuildEvery > 0 && e.slides >= e.rebuildEvery {
-		// Deferred maintenance, not part of admitting the sample (which has
-		// already happened): if cancellation aborts it, the corrupt flag is
-		// set and the next Push retries the rebuild, so the error is not
-		// surfaced as a Push failure — a non-nil Push error always means
-		// "not admitted", and this sample was.
-		_ = e.Rebuild(ctx, pool)
 	}
 }
 
@@ -342,9 +317,9 @@ func (e *Engine) maybeRebuild(ctx context.Context, pool *exec.Pool) {
 // rezeroes it for the next panel's chain. The very first fold is a copy, not
 // an add: the batch fold's first panel IS the chain (folding 0 + chain would
 // flush the sign of negative zeros).
-func (e *Engine) foldCurrent(ctx context.Context, pool *exec.Pool, first bool) error {
+func (e *Engine) foldCurrent(pool *exec.Pool, first bool) {
 	n := e.n
-	return pool.ForBlocked(ctx, n, rollGrain, func(lo, hi int) {
+	e.rows(pool, rollGrain, func(lo, hi int) {
 		if first {
 			for i := lo; i < hi; i++ {
 				copy(e.g[i*n+i:(i+1)*n], e.gCur[i*n+i:(i+1)*n])
@@ -363,14 +338,13 @@ func (e *Engine) foldCurrent(ctx context.Context, pool *exec.Pool, first bool) e
 // cross-product band with the same ascending-panel arithmetic the batch path
 // uses, discarding all accumulated roll drift. During the fill phase of a
 // multi-panel window it reconstructs the split state — folded full panels in
-// g, the partial panel's chain in gCur — so recovery from a cancelled kernel
-// lands on exactly the state incremental pushes would have produced.
-// O(n²·T); snapshots taken before the next slide are bit-identical to batch
-// afterwards.
-func (e *Engine) Rebuild(ctx context.Context, pool *exec.Pool) error {
+// g, the partial panel's chain in gCur — so it lands on exactly the state
+// incremental pushes produce. O(n²·T); snapshots taken before the next slide
+// are bit-identical to batch afterwards. Like every engine kernel it runs to
+// completion on the pool (see rows), so it cannot fail.
+func (e *Engine) Rebuild(pool *exec.Pool) {
 	if e.count == 0 {
-		e.slides, e.dirty, e.corrupt = 0, false, false
-		return nil
+		return
 	}
 	var sw obs.Stopwatch
 	if e.met != nil {
@@ -390,33 +364,26 @@ func (e *Engine) Rebuild(ctx context.Context, pool *exec.Pool) error {
 	if e.gCur != nil {
 		full = t - t%kernel.PanelLen
 	}
-	err := matrix.SyrkUpperWS(ctx, pool, e.w, z, n, t, full, e.g)
-	if err == nil && e.gCur != nil {
-		err = pool.ForBlocked(ctx, n, kernel.RowBandGrain, func(lo, hi int) {
+	_ = matrix.SyrkUpperWS(context.Background(), pool, e.w, z, n, t, full, e.g) // nil: see rows
+	if e.gCur != nil {
+		e.rows(pool, kernel.RowBandGrain, func(lo, hi int) {
 			// The partial panel [full, t) is one panel-aligned slice:
 			// store-mode SyrkUpperRange rebuilds gCur's chain from zero
 			// (and zero-fills it when the partial panel is empty).
 			kernel.SyrkUpperRange(z, n, t, e.gCur, lo, hi, full, t, true)
 		})
 	}
-	if err != nil {
-		// The band is part-old, part-rebuilt; the ring is untouched, so a
-		// later Rebuild (the next Push retries it) fully recovers.
-		e.corrupt = true
-		return err
-	}
-	if e.dirty || e.corrupt {
-		// The rebuild discarded drift (or repaired corruption), so snapshot
-		// bits may have moved: stamp a new generation. A rebuild of an
-		// already-exact state reproduces the moments bit-for-bit and keeps
-		// the generation, so caches stay warm across redundant rebuilds.
+	if e.dirty {
+		// The rebuild discarded drift, so snapshot bits may have moved:
+		// stamp a new generation. A rebuild of an already-exact state
+		// reproduces the moments bit-for-bit and keeps the generation, so
+		// caches stay warm across redundant rebuilds.
 		e.bumpGen()
 	}
-	e.slides, e.dirty, e.corrupt = 0, false, false
+	e.slides, e.dirty = 0, false
 	if e.met != nil {
 		sw.Lap(e.met.Rebuild)
 	}
-	return nil
 }
 
 // CopyState copies the upper-triangle cross-product band into gDst (length ≥
@@ -428,15 +395,10 @@ func (e *Engine) Rebuild(ctx context.Context, pool *exec.Pool) error {
 // batch mid-fill. Feeding the copies to matrix.FinishMomentsWS yields the
 // window's correlation matrix. CopyState is the only reader the snapshot
 // path needs, so callers can hold a shared (read) lock just for this call
-// and run the finish and the clustering outside it.
-//
-// A corrupt band (a cancelled kernel not yet resynchronized by a Push or
-// Rebuild) is refused rather than served: its entries mix pre- and
-// post-tick terms, which no downstream drift tolerance bounds.
-func (e *Engine) CopyState(gDst, sDst []float64) (int, error) {
-	if e.corrupt {
-		return 0, fmt.Errorf("stream: moment state is awaiting resynchronization; Push or Rebuild first")
-	}
+// and run the finish and the clustering outside it. It cannot fail: a Push
+// either admits its sample whole or changes nothing, so the band always
+// holds the moments of exactly the buffered window.
+func (e *Engine) CopyState(gDst, sDst []float64) int {
 	n := e.n
 	switch {
 	case e.gCur == nil:
@@ -471,7 +433,7 @@ func (e *Engine) CopyState(gDst, sDst []float64) (int, error) {
 		}
 	}
 	copy(sDst[:n], e.s)
-	return e.count, nil
+	return e.count
 }
 
 // Linearize returns the window's samples in time order as one flat n×t

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,10 +53,7 @@ func snapshot(t *testing.T, e *Engine) *matrix.Sym {
 	n := e.N()
 	sim := matrix.NewSym(n)
 	sums := make([]float64, n)
-	cnt, err := e.CopyState(sim.Data, sums)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cnt := e.CopyState(sim.Data, sums)
 	pool := exec.New(1)
 	defer pool.Close()
 	if err := matrix.FinishMomentsWS(context.Background(), pool, nil, sim, sums, cnt); err != nil {
@@ -94,9 +92,8 @@ func TestEngineFillBitIdentical(t *testing.T) {
 	}
 	pool := exec.New(1)
 	defer pool.Close()
-	ctx := context.Background()
 	for k, x := range ticks(1, n, window) {
-		if err := e.Push(ctx, pool, x); err != nil {
+		if err := e.Push(pool, x); err != nil {
 			t.Fatal(err)
 		}
 		if e.Len() != k+1 || !e.Exact() {
@@ -124,10 +121,9 @@ func TestEngineSlideDriftAndRebuild(t *testing.T) {
 	}
 	pool := exec.New(1)
 	defer pool.Close()
-	ctx := context.Background()
 	stream := ticks(2, n, window+3*K+2)
 	for k, x := range stream {
-		if err := e.Push(ctx, pool, x); err != nil {
+		if err := e.Push(pool, x); err != nil {
 			t.Fatal(err)
 		}
 		if k < window {
@@ -150,15 +146,13 @@ func TestEngineSlideDriftAndRebuild(t *testing.T) {
 	}
 
 	// Push one more slide so the state is dirty, then force a rebuild.
-	if err := e.Push(ctx, pool, ticks(3, n, 1)[0]); err != nil {
+	if err := e.Push(pool, ticks(3, n, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if e.Exact() {
 		t.Fatal("expected dirty state before forced rebuild")
 	}
-	if err := e.Rebuild(ctx, pool); err != nil {
-		t.Fatal(err)
-	}
+	e.Rebuild(pool)
 	if !e.Exact() || e.slides != 0 {
 		t.Fatal("forced rebuild did not restore exactness")
 	}
@@ -182,15 +176,13 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 		pool := exec.New(workers)
 		defer pool.Close()
 		for _, x := range stream {
-			if err := e.Push(context.Background(), pool, x); err != nil {
+			if err := e.Push(pool, x); err != nil {
 				t.Fatal(err)
 			}
 		}
 		g := make([]float64, n*n)
 		s := make([]float64, n)
-		if _, err := e.CopyState(g, s); err != nil {
-			t.Fatal(err)
-		}
+		e.CopyState(g, s)
 		return append(g, s...)
 	}
 	want := run(1)
@@ -202,9 +194,15 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineValidation pins the error surface: bad constructor arguments,
-// wrong sample arity, and non-finite samples (which must leave the state
-// untouched).
+// TestEngineValidation pins the engine's error surface. New rejects bad
+// arguments. Push fails only by rejecting a sample: wrong arity, a
+// non-finite value, or a finite magnitude that would overflow the band. A
+// rejection must leave everything a reader sees as it was, wherever in the
+// window's life it comes: on an empty engine, mid-fill of a one-panel
+// window, just after a panel fold of a multi-panel window, after the window
+// has slid, and on the push that would trigger a periodic rebuild. The next
+// admitted sample must then land the engine where a twin that never saw the
+// rejections lands.
 func TestEngineValidation(t *testing.T) {
 	if _, err := New(0, 8, 0, nil); err == nil {
 		t.Fatal("n=0 accepted")
@@ -212,92 +210,97 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := New(4, 1, 0, nil); err == nil {
 		t.Fatal("window=1 accepted")
 	}
-	e, err := New(3, 4, 0, ws.New())
-	if err != nil {
-		t.Fatal(err)
+	const n = 3
+	bad := []struct {
+		name string
+		x    []float64
+	}{
+		{"short", []float64{1, 2}},
+		{"long", []float64{1, 2, 3, 4}},
+		{"NaN", []float64{1, math.NaN(), 2}},
+		{"-Inf", []float64{1, math.Inf(-1), 2}},
+		// Finite but band-overflowing: one admitted 1e160 sample would drive
+		// g to +Inf, and its downdate would leave NaNs no roll could remove.
+		{"huge", []float64{1, 1e160, 2}},
+	}
+	cases := []struct {
+		name                 string
+		window, rebuildEvery int
+		pushes               int    // admitted before the rejections
+		gens                 uint64 // generation advance of the next admitted push
+	}{
+		{"empty", 8, 4, 0, 1},
+		{"one-panel-midfill", 8, 4, 5, 1},
+		{"multi-panel-after-fold", kernel.PanelLen + 40, 4, kernel.PanelLen, 1},
+		{"slid", 8, 0, 8 + 3, 1},
+		{"before-periodic-rebuild", 8, 4, 8 + 3, 2},
 	}
 	pool := exec.New(1)
 	defer pool.Close()
-	ctx := context.Background()
-	if err := e.Push(ctx, pool, []float64{1, 2}); err == nil {
-		t.Fatal("short sample accepted")
+	// A view is what a reader sees: the CopyState band and sums, the window
+	// in time order, and the counters.
+	type view struct {
+		state         []float64
+		gen           uint64
+		count, length int
 	}
-	if err := e.Push(ctx, pool, []float64{1, math.NaN(), 2}); err == nil {
-		t.Fatal("NaN sample accepted")
+	observe := func(e *Engine) view {
+		g, s := make([]float64, n*n), make([]float64, n)
+		count := e.CopyState(g, s)
+		z := e.Linearize()
+		v := view{append(append(g, s...), z...), e.Generation(), count, e.Len()}
+		e.w.PutFloat64(z)
+		return v
 	}
-	if err := e.Push(ctx, pool, []float64{1, math.Inf(-1), 2}); err == nil {
-		t.Fatal("Inf sample accepted")
-	}
-	// Finite but band-overflowing magnitudes are rejected at the door: one
-	// admitted 1e160 sample would drive g to +Inf and its downdate would
-	// leave NaNs no roll could remove.
-	if err := e.Push(ctx, pool, []float64{1, 1e160, 2}); err == nil {
-		t.Fatal("band-overflowing magnitude accepted")
-	}
-	if e.Len() != 0 {
-		t.Fatal("rejected pushes mutated the window")
-	}
-	if err := e.Push(ctx, pool, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if e.Len() != 1 {
-		t.Fatal("valid push not admitted")
-	}
-}
-
-// TestEngineCancelledPushRecovers: a Push aborted by a cancelled context
-// reports the error, leaves the sample unadmitted, and the engine
-// resynchronizes from the ring on the next successful operation — no
-// half-applied tick ever reaches a snapshot.
-func TestEngineCancelledPushRecovers(t *testing.T) {
-	const n, window = 5, 8
-	e, err := New(n, window, 0, ws.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := exec.New(1)
-	defer pool.Close()
-	ctx := context.Background()
-	stream := ticks(9, n, window+3)
-	for _, x := range stream[:window+1] {
-		if err := e.Push(ctx, pool, x); err != nil {
-			t.Fatal(err)
+	differ := func(a, b view) string {
+		if a.gen != b.gen || a.count != b.count || a.length != b.length || len(a.state) != len(b.state) {
+			return fmt.Sprintf("gen %d/%d, count %d/%d, len %d/%d", a.gen, b.gen, a.count, b.count, a.length, b.length)
 		}
-	}
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := e.Push(cancelled, pool, stream[window+1]); err == nil {
-		t.Fatal("cancelled push succeeded")
-	}
-	if e.Exact() {
-		t.Fatal("engine claims exactness after an aborted kernel")
-	}
-	// The half-applied band must be refused, not served.
-	if _, err := e.CopyState(make([]float64, n*n), make([]float64, n)); err == nil {
-		t.Fatal("corrupt moment state served to a snapshot")
-	}
-	if err := e.Push(ctx, pool, stream[window+2]); err != nil {
-		t.Fatal(err)
-	}
-	if e.Len() != window {
-		t.Fatalf("Len=%d", e.Len())
-	}
-	if err := e.Rebuild(ctx, pool); err != nil {
-		t.Fatal(err)
-	}
-	sim := snapshot(t, e)
-	wantSim := batchWindow(t, e)
-	if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {
-		t.Fatalf("recovered state differs from batch at %d", i)
-	}
-	// The cancelled sample must not be in the window: its successor is the
-	// newest ring entry.
-	z := e.Linearize()
-	defer e.w.PutFloat64(z)
-	for i := 0; i < n; i++ {
-		if z[i*window+window-1] != stream[window+2][i] {
-			t.Fatalf("series %d newest sample is %v, want %v", i, z[i*window+window-1], stream[window+2][i])
+		if i := bitsEqual(a.state, b.state); i >= 0 {
+			return fmt.Sprintf("entry %d is %v/%v", i, a.state[i], b.state[i])
 		}
+		return ""
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			feed := ticks(13, n, tc.pushes+1)
+			e, err := New(n, tc.window, tc.rebuildEvery, ws.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range feed[:tc.pushes] {
+				if err := e.Push(pool, x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := observe(e)
+			for _, b := range bad {
+				if err := e.Push(pool, b.x); err == nil {
+					t.Fatalf("%s sample accepted", b.name)
+				}
+				if d := differ(observe(e), before); d != "" {
+					t.Fatalf("rejected %s sample moved the state: %s", b.name, d)
+				}
+			}
+			if err := e.Push(pool, feed[tc.pushes]); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Generation() - before.gen; got != tc.gens {
+				t.Fatalf("admitted push advanced the generation by %d, want %d", got, tc.gens)
+			}
+			twin, err := New(n, tc.window, tc.rebuildEvery, ws.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range feed {
+				if err := twin.Push(pool, x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := differ(observe(e), observe(twin)); d != "" {
+				t.Fatalf("engine diverges from its twin after the rejections: %s", d)
+			}
+		})
 	}
 }
 
@@ -311,7 +314,7 @@ func TestEngineRebuildDisabled(t *testing.T) {
 	pool := exec.New(1)
 	defer pool.Close()
 	for _, x := range ticks(5, n, 40) {
-		if err := e.Push(context.Background(), pool, x); err != nil {
+		if err := e.Push(pool, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,7 +338,6 @@ func TestEngineLargeWindowFillBitIdentical(t *testing.T) {
 	}
 	pool := exec.New(3)
 	defer pool.Close()
-	ctx := context.Background()
 	// Check snapshots at the interesting counts only (full checks are
 	// O(n²·T) each): around each panel boundary, mid-panel, and fill end.
 	checks := map[int]bool{
@@ -349,24 +351,18 @@ func TestEngineLargeWindowFillBitIdentical(t *testing.T) {
 		kernel.PanelLen / 2: true, kernel.PanelLen: true, 2*kernel.PanelLen + 9: true,
 	}
 	for k, x := range ticks(21, n, window) {
-		if err := e.Push(ctx, pool, x); err != nil {
+		if err := e.Push(pool, x); err != nil {
 			t.Fatal(err)
 		}
 		c := k + 1
 		if rebuilds[c] {
 			before := make([]float64, n*n)
 			bs := make([]float64, n)
-			if _, err := e.CopyState(before, bs); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Rebuild(ctx, pool); err != nil {
-				t.Fatal(err)
-			}
+			e.CopyState(before, bs)
+			e.Rebuild(pool)
 			after := make([]float64, n*n)
 			as := make([]float64, n)
-			if _, err := e.CopyState(after, as); err != nil {
-				t.Fatal(err)
-			}
+			e.CopyState(after, as)
 			if i := bitsEqual(after, before); i >= 0 {
 				t.Fatalf("count %d: mid-fill rebuild changed band bit %d: %v vs %v", c, i, after[i], before[i])
 			}
@@ -392,12 +388,10 @@ func TestEngineLargeWindowFillBitIdentical(t *testing.T) {
 
 	// One slide past fill, then a rebuild: the steady-state path over a
 	// multi-panel window must restore batch bit-identity too.
-	if err := e.Push(ctx, pool, ticks(22, n, 1)[0]); err != nil {
+	if err := e.Push(pool, ticks(22, n, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Rebuild(ctx, pool); err != nil {
-		t.Fatal(err)
-	}
+	e.Rebuild(pool)
 	sim := snapshot(t, e)
 	wantSim := batchWindow(t, e)
 	if i := bitsEqual(sim.Data, wantSim.Data); i >= 0 {

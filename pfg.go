@@ -861,14 +861,14 @@ func (st *Streamer) Push(sample []float64) error {
 		if st.met != nil {
 			eng.SetMetrics(streamMetrics(st.met))
 		}
-		if err := eng.Push(context.Background(), st.pool, sample); err != nil {
+		if err := eng.Push(st.pool, sample); err != nil {
 			eng.Release()
 			return err
 		}
 		st.eng = eng
 		return nil
 	}
-	return st.eng.Push(context.Background(), st.pool, sample)
+	return st.eng.Push(st.pool, sample)
 }
 
 // streamMetrics projects the push-side stages into the engine's metrics
@@ -943,15 +943,11 @@ func (st *Streamer) SnapshotGen(ctx context.Context) (*Result, uint64, error) {
 	met := st.met
 	sim := matrix.NewSymWS(st.w, n)
 	sums := st.w.Float64(n)
-	count, err := st.eng.CopyState(sim.Data, sums)
+	count := st.eng.CopyState(sim.Data, sums)
 	st.mu.RUnlock()
-	if err != nil {
-		sim.Release(st.w)
-		st.w.PutFloat64(sums)
-		return nil, 0, err
-	}
 
 	var r *Result
+	var err error
 	if st.inc != nil {
 		r, err = st.incSnapshot(ctx, met, sim, sums, count, gen, exact)
 	} else {
@@ -989,17 +985,18 @@ func (st *Streamer) finishAndCluster(ctx context.Context, met *StreamerMetrics, 
 
 // Rebuild forces an exact recomputation of the window's moments (O(n²·T)),
 // discarding accumulated roll drift; until the next slide, Snapshot results
-// are bit-identical to batch Cluster over the same window.
+// are bit-identical to batch Cluster over the same window. It fails only
+// with ErrClosed, after Close.
 func (st *Streamer) Rebuild() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return ErrClosed
 	}
-	if st.eng == nil {
-		return nil
+	if st.eng != nil {
+		st.eng.Rebuild(st.pool)
 	}
-	return st.eng.Rebuild(context.Background(), st.pool)
+	return nil
 }
 
 // Checkpoint writes a versioned, CRC-framed binary checkpoint of the
