@@ -24,7 +24,6 @@ import (
 	"pfg/internal/kmeans"
 	"pfg/internal/matrix"
 	"pfg/internal/metrics"
-	"pfg/internal/mst"
 	"pfg/internal/pmfg"
 	"pfg/internal/spectral"
 	"pfg/internal/tmfg"
@@ -381,17 +380,6 @@ func BenchmarkMicro_ARI(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := metrics.ARI(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMicro_MSTSingleLinkage(b *testing.B) {
-	w := workload(b, "micro", 1000, 64, 4, 0.5)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mst.SingleLinkage(w.dis); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,8 @@
 //	pfg-experiments all
 //
 // Experiments: table2 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-// scaling appendix.
+// scaling appendix extras ablation-apsp ablation-cophenetic motivation
+// ablation-footnote.
 package main
 
 import (

@@ -13,7 +13,6 @@ import (
 	"pfg/internal/hac"
 	"pfg/internal/kmeans"
 	"pfg/internal/metrics"
-	"pfg/internal/mst"
 	"pfg/internal/tmfg"
 	"pfg/internal/tsgen"
 	"pfg/internal/ws"
@@ -41,8 +40,9 @@ func Extras(cfg Config) string {
 		}
 		ari, _ := metrics.ARI(truth, labels)
 		row = append(row, fmt.Sprintf("%.3f", ari))
-		// MST single linkage.
-		sl, err := mst.SingleLinkage(dis)
+		// Single linkage: the MST hierarchy (Gower & Ross 1969). RunMatrixWS
+		// consumes its matrix, so it gets a copy.
+		sl, err := hac.RunMatrixWS(context.Background(), exec.Default(), w, dis.N, append([]float64(nil), dis.Data...), hac.Single)
 		if err != nil {
 			panic(err)
 		}

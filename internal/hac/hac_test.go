@@ -1,9 +1,11 @@
 package hac
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +177,73 @@ func TestMatchesBruteForceAllLinkages(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 			t.Fatalf("%v: %v", linkage, err)
 		}
+	}
+}
+
+// TestSingleLinkageMatchesKruskal checks single linkage against its graph
+// form (Gower & Ross 1969), computed by brute force: Kruskal over every
+// pair in ascending order. The merge heights must be the accepted pair
+// distances in order, and while the accepted pairs leave k components,
+// those components must be the k-cluster cut.
+func TestSingleLinkageMatchesKruskal(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		d := randomDist(rng, n)
+		got, err := runMatrix(n, append([]float64{}, d...), Single)
+		if err != nil {
+			return false
+		}
+		type pair struct {
+			d    float64
+			i, j int32
+		}
+		var pairs []pair
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				pairs = append(pairs, pair{d[i*n+j], int32(i), int32(j)})
+			}
+		}
+		slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.d, b.d) })
+		parent := make([]int32, n)
+		for i := range parent {
+			parent[i] = int32(i)
+		}
+		components := func() []int {
+			labels := make([]int, n)
+			for i := range labels {
+				labels[i] = int(ufFind(parent, int32(i)))
+			}
+			return labels
+		}
+		var heights []float64
+		for k := n; ; k-- {
+			labels, err := got.Cut(k)
+			if err != nil || !samePartition(labels, components()) {
+				return false
+			}
+			if k == 1 {
+				break
+			}
+			// Accept the closest pair that joins two components.
+			for ufFind(parent, pairs[0].i) == ufFind(parent, pairs[0].j) {
+				pairs = pairs[1:]
+			}
+			parent[ufFind(parent, pairs[0].i)] = ufFind(parent, pairs[0].j)
+			heights = append(heights, pairs[0].d)
+		}
+		if len(got.Merges) != len(heights) {
+			return false
+		}
+		for i, m := range got.Merges {
+			if m.Height != heights[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
 	}
 }
 

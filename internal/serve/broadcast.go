@@ -8,19 +8,28 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"pfg"
 )
 
-// Push-based delivery: one generation bump → one clustering run → one encode,
-// fanned out to every subscriber of the session. The broadcaster is the
-// session's single delivery goroutine: it parks on the Streamer's generation
-// watch, and on each wake produces at most one event per distinct cut set —
-// through the same generation-keyed snapshot/body caches the GET path uses,
-// so a poller and a subscriber of one generation observe byte-identical
-// bodies — then offers the pre-marshaled frames to every subscriber's
-// bounded queue. Slow subscribers never block it: a full queue drops to the
-// latest event and the discarded count surfaces to the client as a "dropped"
-// event, after which the delta chain is broken and the next delivery is a
-// full snapshot re-base.
+// Push-based delivery: one generation bump → one clustering run → one encode
+// per cut set, fanned out to every subscriber of the session. A cut set is a
+// normalized ?k= list; it keys both the pre-marshaled bodies and the roster.
+// The broadcaster is the session's single delivery goroutine and the only
+// producer of "snapshot" and "delta" frames: it parks on the Streamer's
+// generation watch, and on each wake publishes one event to every cut set
+// whose last event is older than the current generation — through the same
+// generation-keyed snapshot/body caches the GET path uses, so a poller and a
+// subscriber of one generation observe byte-identical bodies. Each cut set
+// keeps the last event published to it, and that event's view is the base
+// of the cut set's next delta, so a delta always extends what the stream
+// itself last published, whichever generations GET readers built bodies for
+// in between. A new subscriber is offered its cut set's last event when it
+// is for the current generation; otherwise the delivery goroutine publishes
+// one. Slow subscribers never block delivery: a full queue drops to the
+// latest event and the discarded count surfaces to the client as a
+// "dropped" event, after which the delta chain is broken and the next
+// delivery is a full snapshot re-base.
 //
 // Wire format: Server-Sent Events. Each frame is
 //
@@ -33,10 +42,10 @@ import (
 // field (see drift.go; the GET body itself never carries it, because the
 // drift baseline is per-process serving history and the GET body must stay
 // a pure function of the window state). "delta" data is a DeltaResponse
-// transforming the subscriber's previous generation into this one (sent
-// only when the chain is intact and the delta is smaller than the full
-// body), carrying the same drift record; "dropped" is a DroppedEvent; "bye"
-// ends the stream (session deleted or server draining).
+// transforming the cut set's previous event into this one (sent only when
+// the subscriber holds that previous event and the delta is smaller than
+// the full body), carrying the same drift record; "dropped" is a
+// DroppedEvent; "bye" ends the stream (session deleted or server draining).
 
 // subQueueCap bounds a subscriber's pending-event queue. The queue holds
 // pointers to shared pre-marshaled frames, so the bound is about latency
@@ -48,22 +57,35 @@ const subQueueCap = 16
 const saturationRetry = 10 * time.Millisecond
 
 // outEvent is one generation's delivery for one cut set: the full snapshot
-// frame, and — when a delta from the previously delivered generation exists
-// and is smaller — the delta frame. The writer picks per subscriber: delta
-// iff that subscriber's last delivered generation is exactly fromGen.
+// frame, the wire view it encodes, and — when a delta from the cut set's
+// previous event exists and is smaller — the delta frame. The writer picks
+// per subscriber: delta iff that subscriber's last delivered generation is
+// exactly fromGen.
 type outEvent struct {
 	gen     uint64
-	fromGen uint64 // base of the delta frame; meaningless when delta is nil
-	full    []byte // SSE "snapshot" frame
-	delta   []byte // SSE "delta" frame, nil when no (smaller) delta exists
+	fromGen uint64          // base of the delta frame; meaningless when delta is nil
+	full    []byte          // SSE "snapshot" frame
+	delta   []byte          // SSE "delta" frame, nil when no (smaller) delta exists
+	view    *pfg.ResultJSON // the view full encodes: the base of the next delta
+}
+
+// cutSet is the roster entry of one normalized cut list: its subscribers
+// and the last event published to them. It exists only while it has
+// subscribers.
+type cutSet struct {
+	ks   []int
+	key  string
+	subs map[*subscriber]struct{}
+	// last is written only by the delivery goroutine, under the roster
+	// lock, so that goroutine may read it without the lock.
+	last *outEvent
 }
 
 // subscriber is one SSE connection's delivery state. The broadcaster offers
 // events under mu and pokes signal; the connection's writer goroutine drains
-// the queue. lastGen is writer-local: the generation last put on the wire.
+// the queue.
 type subscriber struct {
-	ks  []int
-	key string
+	set *cutSet
 
 	signal chan struct{} // cap 1: "queue is non-empty"
 
@@ -101,33 +123,51 @@ func (sub *subscriber) take() ([]*outEvent, uint64) {
 	return evs, dropped
 }
 
-// broadcaster is a session's fan-out state: the subscriber roster and the
+// broadcaster is a session's fan-out state: the roster of cut sets and the
 // (lazily started, lazily exiting) delivery goroutine.
 type broadcaster struct {
 	sess *Session
 
 	mu      sync.Mutex
-	subs    map[*subscriber]struct{}
+	sets    map[string]*cutSet
+	subs    int // subscribers across all cut sets
 	running bool
 	wake    chan struct{} // cap 1: roster changed, re-check
 }
 
 func (b *broadcaster) init(sess *Session) {
 	b.sess = sess
-	b.subs = make(map[*subscriber]struct{})
+	b.sets = make(map[string]*cutSet)
 	b.wake = make(chan struct{}, 1)
 }
 
-// subscribe registers a new subscriber (starting the delivery goroutine if
-// none runs) or reports the per-session cap.
+// subscribe registers a subscriber to the cut set ks (starting the delivery
+// goroutine if none runs) or reports the per-session cap. The cut set's
+// last event is offered at once when it is for the current generation;
+// otherwise the delivery goroutine is woken to publish one.
 func (b *broadcaster) subscribe(s *Server, ks []int) (*subscriber, error) {
+	// Read before the roster lock, so the streamer's lock never nests in it;
+	// a last event at least this new is current.
+	cur := b.sess.st.Generation()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.subs) >= maxSessionSubscribers {
+	if b.subs >= maxSessionSubscribers {
 		return nil, fmt.Errorf("session subscriber limit (%d) reached", maxSessionSubscribers)
 	}
-	sub := &subscriber{ks: ks, key: cutsKey(ks), signal: make(chan struct{}, 1)}
-	b.subs[sub] = struct{}{}
+	key := cutsKey(ks)
+	cs := b.sets[key]
+	if cs == nil {
+		cs = &cutSet{ks: ks, key: key, subs: make(map[*subscriber]struct{})}
+		b.sets[key] = cs
+	}
+	sub := &subscriber{set: cs, signal: make(chan struct{}, 1)}
+	cs.subs[sub] = struct{}{}
+	b.subs++
+	if cs.last != nil && cs.last.gen >= cur {
+		sub.offer(cs.last)
+	} else {
+		b.poke()
+	}
 	if !b.running {
 		b.running = true
 		go b.run(s)
@@ -135,66 +175,56 @@ func (b *broadcaster) subscribe(s *Server, ks []int) (*subscriber, error) {
 	return sub, nil
 }
 
-// unsubscribe removes a subscriber and pokes the delivery goroutine so an
-// empty roster lets it exit promptly instead of parking until the next push.
+// unsubscribe removes a subscriber, dropping its cut set once no subscriber
+// is left, and pokes the delivery goroutine so an empty roster lets it exit
+// promptly instead of parking until the next push.
 func (b *broadcaster) unsubscribe(sub *subscriber) {
 	b.mu.Lock()
-	delete(b.subs, sub)
+	cs := sub.set
+	delete(cs.subs, sub)
+	if len(cs.subs) == 0 {
+		delete(b.sets, cs.key)
+	}
+	b.subs--
 	b.mu.Unlock()
+	b.poke()
+}
+
+func (b *broadcaster) poke() {
 	select {
 	case b.wake <- struct{}{}:
 	default:
 	}
 }
 
-// roster snapshots the current subscribers; nil means the roster is empty
-// and the caller (the run loop) has marked itself stopped.
-func (b *broadcaster) roster() []*subscriber {
+// active reports whether any cut set is left and, when none is, marks the
+// delivery goroutine stopped under the lock subscribe checks it under.
+func (b *broadcaster) active() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.subs) == 0 {
-		b.running = false
-		return nil
-	}
-	out := make([]*subscriber, 0, len(b.subs))
-	for sub := range b.subs {
-		out = append(out, sub)
-	}
-	return out
+	b.running = len(b.sets) > 0
+	return b.running
 }
 
-// run is the session's delivery loop: park on the generation watch, deliver
-// each new generation once, exit when the roster empties or the session (or
-// server) goes away. It is the only goroutine calling deliver, so one bump
-// triggers at most one clustering run and one encode per cut set regardless
-// of subscriber count.
+// run is the session's delivery loop: park on the generation watch, publish
+// each new generation to the cut sets that lack it, exit when the roster
+// empties or the session (or server) goes away. It is the only goroutine
+// calling deliver, so one bump triggers at most one clustering run and one
+// encode per cut set regardless of subscriber count.
 func (b *broadcaster) run(s *Server) {
-	var lastSent uint64
-	for {
-		subs := b.roster()
-		if subs == nil {
-			return
-		}
+	for b.active() {
 		gen, ch := b.sess.st.Watch()
-		if gen > lastSent {
-			sent, err := b.deliver(s, subs, gen)
-			if err != nil && errors.Is(err, errSaturated) {
-				// Admission control is full; the update is not lost — back
-				// off briefly and retry the same generation.
-				select {
-				case <-time.After(saturationRetry):
-				case <-b.sess.done:
-					b.stop()
-					return
-				case <-s.drainCh:
-					b.stop()
-					return
-				}
+		if err := b.deliver(s, gen); errors.Is(err, errSaturated) {
+			// Admission control is full; the update is not lost — back off
+			// briefly and retry.
+			select {
+			case <-time.After(saturationRetry):
 				continue
+			case <-b.sess.done:
+			case <-s.drainCh:
 			}
-			if err == nil && sent > lastSent {
-				lastSent = sent
-			}
+			b.stop()
+			return
 		}
 		select {
 		case <-ch:
@@ -215,49 +245,88 @@ func (b *broadcaster) stop() {
 	b.mu.Unlock()
 }
 
-// deliver produces the event(s) for one generation and offers them to the
-// subscribers: one clustering run shared with (and cached for) the GET path,
-// then per distinct cut set one body build, one delta attempt, one frame
-// pair. Returns the generation actually delivered (a racing push may land a
-// later one than observed).
-func (b *broadcaster) deliver(s *Server, subs []*subscriber, gen uint64) (uint64, error) {
+// deliver publishes generation gen, or the later one a racing push lands,
+// to every cut set whose last event is older: one clustering run shared with
+// (and cached for) the GET path, then per cut set one body build, one delta
+// against the cut set's last event, one publish.
+func (b *broadcaster) deliver(s *Server, gen uint64) error {
 	sess := b.sess
 	// Readiness pre-check mirrors the GET path: a window that cannot produce
 	// a snapshot yet (first few ticks) is not an error, just nothing to send.
 	n, l := sess.st.Series(), sess.st.Len()
 	if l < 2 || n < sess.cfg.Method.MinSeries() {
-		return gen, nil
+		return nil
+	}
+	var due []*cutSet
+	b.mu.Lock()
+	for _, cs := range b.sets {
+		if cs.last == nil || cs.last.gen < gen {
+			due = append(due, cs)
+		}
+	}
+	b.mu.Unlock()
+	if len(due) == 0 {
+		return nil
 	}
 	res, actualGen, _, err := s.snapshotResult(s.baseCtx, sess)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	sess.noteServed(res)
-
-	byKey := make(map[string][]*subscriber)
-	for _, sub := range subs {
-		byKey[sub.key] = append(byKey[sub.key], sub)
-	}
-	for key, group := range byKey {
-		full, err := s.snapshotBody(sess, res, actualGen, group[0].ks, key)
+	drift := sess.drift.driftFor(actualGen)
+	for _, cs := range due {
+		body, view, err := s.snapshotBody(sess, res, actualGen, cs.ks, cs.key)
 		if err != nil {
-			// Cut-shaped error (e.g. k > series): this group cannot be
+			// Cut-shaped error (e.g. k > series): this cut set cannot be
 			// served; its subscribers simply receive nothing.
 			continue
 		}
-		ev := &outEvent{gen: actualGen, full: sseFrame("snapshot", actualGen, injectDrift(full, sess.drift.driftFor(actualGen)))}
-		if d, fromGen, ok := s.snapshotDelta(sess, actualGen, key); ok && len(d) < len(full) {
-			ev.fromGen = fromGen
-			ev.delta = sseFrame("delta", actualGen, d)
+		ev := &outEvent{gen: actualGen, view: view, full: sseFrame("snapshot", actualGen, injectDrift(body, drift))}
+		if last := cs.last; last != nil {
+			ev.fromGen, ev.delta = last.gen, deltaFrame(sess, last, ev, drift, len(body))
 		}
-		for _, sub := range group {
-			// The post-offer depth is how far this subscriber is behind; a
-			// distribution hugging 1 means readers keep up, climbing toward
-			// subQueueCap foreshadows drop-to-latest.
-			s.ins.subQueueDepth.Observe(uint64(sub.offer(ev)))
-		}
+		b.publish(s, cs, ev)
 	}
-	return actualGen, nil
+	return nil
+}
+
+// deltaFrame returns the SSE "delta" frame that turns last's view into
+// next's, or nil when the two are not delta-comparable or the delta body is
+// not smaller than the full body of bodyLen bytes (which ends in a newline
+// the delta body lacks).
+func deltaFrame(sess *Session, last, next *outEvent, drift *StructureDrift, bodyLen int) []byte {
+	d, err := last.view.Delta(next.view)
+	if err != nil {
+		return nil
+	}
+	data, err := json.Marshal(DeltaResponse{
+		Session:        sess.ID,
+		Method:         sess.cfg.Method.String(),
+		Window:         sess.cfg.Window,
+		FromGeneration: last.gen,
+		Generation:     next.gen,
+		Delta:          d,
+		Drift:          drift,
+	})
+	if err != nil || len(data)+1 >= bodyLen {
+		return nil
+	}
+	return sseFrame("delta", next.gen, data)
+}
+
+// publish makes ev the cut set's last event and offers it to the cut set's
+// subscribers, both under the roster lock: a subscriber joining meanwhile is
+// either offered ev here or finds it as the last event in subscribe.
+func (b *broadcaster) publish(s *Server, cs *cutSet, ev *outEvent) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	cs.last = ev
+	for sub := range cs.subs {
+		// The post-offer depth is how far this subscriber is behind; a
+		// distribution hugging 1 means readers keep up, climbing toward
+		// subQueueCap foreshadows drop-to-latest.
+		s.ins.subQueueDepth.Observe(uint64(sub.offer(ev)))
+	}
 }
 
 // injectDrift splices a drift record into a pre-marshaled snapshot body
@@ -301,8 +370,10 @@ func sseFrame(event string, id uint64, data []byte) []byte {
 
 // handleEvents is GET /v1/sessions/{id}/events: an SSE stream of the
 // session's clustering as it evolves. ?k= selects flat cuts exactly as on
-// /snapshot. The first event is a full snapshot (once the window can produce
-// one); subsequent generations arrive as deltas whenever the chain from the
+// /snapshot. The handler writes the headers, the frames the broadcaster
+// queues, and the "dropped" and "bye" notices, never a snapshot of its own.
+// The first event is a full snapshot (once the window can produce one);
+// subsequent generations arrive as deltas whenever the chain from the
 // subscriber's last delivered generation is intact and the delta is smaller
 // than the full body, as full snapshots otherwise.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -365,27 +436,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
 
 	// lastGen is the generation this subscriber last received on the wire;
 	// deltas only apply when an event's fromGen equals it exactly.
 	var lastGen uint64
-
-	// Initial full snapshot, when the window is already able to produce one;
-	// otherwise the subscriber waits for the first deliverable generation.
-	if n, l := sess.st.Series(), sess.st.Len(); l >= 2 && n >= sess.cfg.Method.MinSeries() {
-		if res, gen, _, err := s.snapshotResult(r.Context(), sess); err == nil {
-			if full, err := s.snapshotBody(sess, res, gen, ks, sub.key); err == nil {
-				frame := sseFrame("snapshot", gen, injectDrift(full, sess.drift.driftFor(gen)))
-				if _, err := w.Write(frame); err != nil {
-					return
-				}
-				lastGen = gen
-				s.ins.eventsFull.Add(1)
-				s.ins.eventBytes.Add(uint64(len(frame)))
-			}
-		}
-	}
-	flusher.Flush()
 
 	for {
 		select {

@@ -15,8 +15,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"pfg"
 )
 
 // sseEvent is one parsed Server-Sent Events frame.
@@ -76,30 +79,8 @@ func (c *sseClient) next() sseEvent {
 	}
 	ch := make(chan result, 1)
 	go func() {
-		var ev sseEvent
-		for {
-			line, err := c.br.ReadString('\n')
-			if err != nil {
-				ch <- result{ev, err}
-				return
-			}
-			line = strings.TrimRight(line, "\n")
-			if line == "" {
-				if ev.name != "" {
-					ch <- result{ev, nil}
-					return
-				}
-				continue
-			}
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				ev.name = line[len("event: "):]
-			case strings.HasPrefix(line, "id: "):
-				ev.id, _ = strconv.ParseUint(line[len("id: "):], 10, 64)
-			case strings.HasPrefix(line, "data: "):
-				ev.data = []byte(line[len("data: "):])
-			}
-		}
+		ev, err := readFrame(c.br)
+		ch <- result{ev, err}
 	}()
 	select {
 	case r := <-ch:
@@ -111,6 +92,32 @@ func (c *sseClient) next() sseEvent {
 		c.t.Fatal("timed out waiting for an SSE frame")
 	}
 	return sseEvent{}
+}
+
+// readFrame parses one Server-Sent Events frame.
+func readFrame(br *bufio.Reader) (sseEvent, error) {
+	var ev sseEvent
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			return ev, err
+		}
+		line = strings.TrimRight(line, "\n")
+		if line == "" {
+			if ev.name != "" {
+				return ev, nil
+			}
+			continue
+		}
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			ev.name = line[len("event: "):]
+		case strings.HasPrefix(line, "id: "):
+			ev.id, _ = strconv.ParseUint(line[len("id: "):], 10, 64)
+		case strings.HasPrefix(line, "data: "):
+			ev.data = []byte(line[len("data: "):])
+		}
+	}
 }
 
 // pushServeSession creates a session, fills its window, and returns the
@@ -450,4 +457,312 @@ func TestEventsBadRequests(t *testing.T) {
 	if status, _ := h.do("GET", "/v1/sessions/errs/events?k=99", nil); status != http.StatusBadRequest {
 		t.Fatalf("over-range cut: status %d, want 400", status)
 	}
+}
+
+// holdDelivery keeps the session's delivery goroutine from starting, so a
+// test drives the delivery step itself, one generation at a time.
+func holdDelivery(sess *Session) {
+	sess.bcast.mu.Lock()
+	sess.bcast.running = true
+	sess.bcast.mu.Unlock()
+}
+
+// deliverNow runs one delivery step for the session's current generation.
+func deliverNow(t *testing.T, h *testServer, sess *Session) {
+	t.Helper()
+	if err := sess.bcast.deliver(h.srv, sess.st.Generation()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// takeOne returns the one event queued for sub.
+func takeOne(t *testing.T, sub *subscriber) *outEvent {
+	t.Helper()
+	evs, dropped := sub.take()
+	if len(evs) != 1 || dropped != 0 {
+		t.Fatalf("%d events queued (%d dropped), want 1", len(evs), dropped)
+	}
+	return evs[0]
+}
+
+// streamView is what a subscriber holds: the generation and view its stream
+// last delivered.
+type streamView struct {
+	gen  uint64
+	view *pfg.ResultJSON
+}
+
+// follow applies ev the way the event writer picks its frame (the delta iff
+// it extends the held generation) and returns the frame's name.
+func (sv *streamView) follow(t *testing.T, ev *outEvent) string {
+	t.Helper()
+	frame := ev.full
+	if ev.delta != nil && ev.fromGen == sv.gen {
+		frame = ev.delta
+	}
+	fe, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fe.id != ev.gen {
+		t.Fatalf("%s frame id %d, want %d", fe.name, fe.id, ev.gen)
+	}
+	switch fe.name {
+	case "snapshot":
+		var snap SnapshotResponse
+		if err := json.Unmarshal(fe.data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		sv.view = snap.Result
+	case "delta":
+		var dr DeltaResponse
+		if err := json.Unmarshal(fe.data, &dr); err != nil {
+			t.Fatal(err)
+		}
+		if dr.FromGeneration != sv.gen || dr.Generation != ev.gen {
+			t.Fatalf("delta spans %d→%d, subscriber holds %d", dr.FromGeneration, dr.Generation, sv.gen)
+		}
+		if sv.view, err = sv.view.ApplyDelta(dr.Delta); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("unexpected %q frame", fe.name)
+	}
+	sv.gen = ev.gen
+	return fe.name
+}
+
+// matchesGET requires the held view to equal the result the GET path serves
+// at path, for the same generation.
+func (sv *streamView) matchesGET(t *testing.T, h *testServer, path string) {
+	t.Helper()
+	var full SnapshotResponse
+	h.mustJSON("GET", path, nil, http.StatusOK, &full)
+	if full.Generation != sv.gen {
+		t.Fatalf("GET %s served generation %d, stream holds %d", path, full.Generation, sv.gen)
+	}
+	want, err := json.Marshal(full.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(sv.view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stream view at generation %d diverged from GET %s\n got: %s\nwant: %s", sv.gen, path, got, want)
+	}
+}
+
+// TestDeliverDeltaAfterSkippedGeneration drives delivery by hand. A GET
+// builds a body for a generation the stream skips; the next event must still
+// carry a delta from the generation the subscriber holds, and rebuild the
+// GET body.
+func TestDeliverDeltaAfterSkippedGeneration(t *testing.T) {
+	h := newTestServer(t, Options{})
+	rest := pushServeSession(h, "skip", "tmfg-dbht", 32, 32, 4)
+	sess, _ := h.srv.reg.Get("skip")
+	holdDelivery(sess)
+	sub, err := sess.bcast.subscribe(h.srv, []int{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliverNow(t, h, sess)
+	var sv streamView
+	if name := sv.follow(t, takeOne(t, sub)); name != "snapshot" {
+		t.Fatalf("first event sent as %q, want snapshot", name)
+	}
+	held := sv.gen
+
+	h.mustJSON("POST", "/v1/sessions/skip/push", PushRequest{Sample: rest[0]}, http.StatusOK, nil)
+	h.mustJSON("GET", "/v1/sessions/skip/snapshot?k=4", nil, http.StatusOK, nil)
+	h.mustJSON("POST", "/v1/sessions/skip/push", PushRequest{Sample: rest[1]}, http.StatusOK, nil)
+	deliverNow(t, h, sess)
+	ev := takeOne(t, sub)
+	if ev.gen != held+2 || ev.delta == nil || ev.fromGen != held {
+		t.Fatalf("event for generation %d carries a delta from %d (present: %t), want one from %d to %d",
+			ev.gen, ev.fromGen, ev.delta != nil, held, held+2)
+	}
+	if name := sv.follow(t, ev); name != "delta" {
+		t.Fatalf("event sent as %q, want delta", name)
+	}
+	sv.matchesGET(t, h, "/v1/sessions/skip/snapshot?k=4")
+}
+
+// TestDeliverCutSetChains: each cut set's deltas extend its own last event.
+// A second cut set joins a generation after the first, and a GET builds a
+// body for it at a generation the stream skips; every event still chains
+// onto the previous event of its own cut set and rebuilds the GET body.
+func TestDeliverCutSetChains(t *testing.T) {
+	h := newTestServer(t, Options{})
+	rest := pushServeSession(h, "chains", "tmfg-dbht", 32, 32, 4)
+	sess, _ := h.srv.reg.Get("chains")
+	holdDelivery(sess)
+	const pathA, pathB = "/v1/sessions/chains/snapshot?k=4", "/v1/sessions/chains/snapshot?k=2,8"
+	subA, err := sess.bcast.subscribe(h.srv, []int{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b streamView
+	deliverNow(t, h, sess)
+	a.follow(t, takeOne(t, subA))
+	push := func(x []float64) {
+		h.mustJSON("POST", "/v1/sessions/chains/push", PushRequest{Sample: x}, http.StatusOK, nil)
+	}
+
+	push(rest[0])
+	subB, err := sess.bcast.subscribe(h.srv, []int{2, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliverNow(t, h, sess)
+	if name := a.follow(t, takeOne(t, subA)); name != "delta" {
+		t.Fatalf("first cut set's second event sent as %q, want delta", name)
+	}
+	evB := takeOne(t, subB)
+	if evB.delta != nil {
+		t.Fatalf("a new cut set's first event carries a delta from %d", evB.fromGen)
+	}
+	b.follow(t, evB)
+	a.matchesGET(t, h, pathA)
+	b.matchesGET(t, h, pathB)
+
+	push(rest[1])
+	h.mustJSON("GET", pathB, nil, http.StatusOK, nil)
+	push(rest[2])
+	deliverNow(t, h, sess)
+	for _, c := range []struct {
+		name string
+		sv   *streamView
+		sub  *subscriber
+		path string
+	}{{"k=4", &a, subA, pathA}, {"k=2,8", &b, subB, pathB}} {
+		ev := takeOne(t, c.sub)
+		if ev.delta == nil || ev.fromGen != c.sv.gen {
+			t.Fatalf("%s: event for generation %d carries a delta from %d (present: %t), want one from %d",
+				c.name, ev.gen, ev.fromGen, ev.delta != nil, c.sv.gen)
+		}
+		if name := c.sv.follow(t, ev); name != "delta" {
+			t.Fatalf("%s: event sent as %q, want delta", c.name, name)
+		}
+		c.sv.matchesGET(t, h, c.path)
+	}
+}
+
+// TestEventsLateJoiner: a subscriber joining a cut set after deliveries is
+// sent the cut set's current event as its first frame, with no clustering
+// run or encode of its own, and the next delta chains onto that frame.
+func TestEventsLateJoiner(t *testing.T) {
+	h := newTestServer(t, Options{})
+	rest := pushServeSession(h, "late", "tmfg-dbht", 32, 32, 4)
+	early := openEvents(h, "/v1/sessions/late/events?k=4")
+	if ev := early.next(); ev.name != "snapshot" {
+		t.Fatalf("first event %q, want snapshot", ev.name)
+	}
+	h.mustJSON("POST", "/v1/sessions/late/push", PushRequest{Sample: rest[0]}, http.StatusOK, nil)
+	cur := early.next()
+	runs0, enc0 := h.srv.ins.snapshotRuns.Load(), h.srv.ins.snapshotEncodes.Load()
+
+	late := openEvents(h, "/v1/sessions/late/events?k=4")
+	first := late.next()
+	if first.name != "snapshot" || first.id != cur.id {
+		t.Fatalf("late joiner's first event %q for generation %d, want snapshot for %d", first.name, first.id, cur.id)
+	}
+	if runs, encs := h.srv.ins.snapshotRuns.Load()-runs0, h.srv.ins.snapshotEncodes.Load()-enc0; runs != 0 || encs != 0 {
+		t.Fatalf("joining cost %d clustering runs and %d encodes, want 0 and 0", runs, encs)
+	}
+	var snap SnapshotResponse
+	if err := json.Unmarshal(first.data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	sv := streamView{gen: first.id, view: snap.Result}
+	sv.matchesGET(t, h, "/v1/sessions/late/snapshot?k=4")
+
+	h.mustJSON("POST", "/v1/sessions/late/push", PushRequest{Sample: rest[1]}, http.StatusOK, nil)
+	ev := late.next()
+	if ev.name != "delta" {
+		t.Fatalf("late joiner's second event %q, want delta", ev.name)
+	}
+	var dr DeltaResponse
+	if err := json.Unmarshal(ev.data, &dr); err != nil {
+		t.Fatal(err)
+	}
+	if dr.FromGeneration != sv.gen {
+		t.Fatalf("delta from %d, late joiner holds %d", dr.FromGeneration, sv.gen)
+	}
+	var err error
+	if sv.view, err = sv.view.ApplyDelta(dr.Delta); err != nil {
+		t.Fatal(err)
+	}
+	sv.gen = dr.Generation
+	sv.matchesGET(t, h, "/v1/sessions/late/snapshot?k=4")
+	if ev := early.next(); ev.id != sv.gen {
+		t.Fatalf("early subscriber's event for generation %d, want %d", ev.id, sv.gen)
+	}
+}
+
+// TestEventsCutSetStateBounded: a cut set lives only while it has
+// subscribers. Four clients subscribe to and leave 100 distinct cut sets
+// between them while ticks land; afterwards no per-cut-set state is left.
+func TestEventsCutSetStateBounded(t *testing.T) {
+	h := newTestServer(t, Options{})
+	rest := pushServeSession(h, "many", "complete-linkage", 16, 16, 50)
+	sess, _ := h.srv.reg.Get("many")
+	const clients, cutSets = 4, 100
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1 + c; i <= cutSets; i += clients {
+				// The set bits of i pick a distinct subset of cuts 1..7.
+				var ks []string
+				for j := range 7 {
+					if i>>j&1 == 1 {
+						ks = append(ks, strconv.Itoa(j+1))
+					}
+				}
+				ev, err := firstFrame(h, "/v1/sessions/many/events?k="+strings.Join(ks, ","))
+				if err != nil || ev.name != "snapshot" {
+					t.Errorf("cut set %v: first event %q, error %v; want a snapshot", ks, ev.name, err)
+					return
+				}
+			}
+		}()
+	}
+	for _, x := range rest {
+		h.mustJSON("POST", "/v1/sessions/many/push", PushRequest{Sample: x}, http.StatusOK, nil)
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		sess.bcast.mu.Lock()
+		sets, subs := len(sess.bcast.sets), sess.bcast.subs
+		sess.bcast.mu.Unlock()
+		if sets == 0 && subs == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after every stream closed: %d cut sets and %d subscribers remain", sets, subs)
+		}
+	}
+}
+
+// firstFrame opens an event stream, reads its first frame and closes the
+// stream. It may run off the test's goroutine.
+func firstFrame(h *testServer, path string) (sseEvent, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", h.ts.URL+path, nil)
+	if err != nil {
+		return sseEvent{}, err
+	}
+	resp, err := h.ts.Client().Do(req)
+	if err != nil {
+		return sseEvent{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return sseEvent{}, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return readFrame(bufio.NewReader(resp.Body))
 }

@@ -74,22 +74,19 @@ type snapCache struct {
 	inflight map[uint64]*flight
 
 	// Marshaled response bodies for bodiesGen, keyed by the normalized cut
-	// list, alongside the unmarshaled views they were built from (the delta
-	// base material). The wire view is deterministic, so repeat readers of
-	// one generation get the stored bytes at memcpy cost instead of
-	// re-running Cut/Newick/Marshal per request. marshalMu serializes body
-	// builds so a stampede of waiters waking from one flight marshals once,
-	// not once per waiter.
+	// list, alongside the unmarshaled views they were built from. The wire
+	// view is deterministic, so repeat readers of one generation get the
+	// stored bytes at memcpy cost instead of re-running Cut/Newick/Marshal
+	// per request. marshalMu serializes body builds so a stampede of waiters
+	// waking from one flight marshals once, not once per waiter.
 	bodies    map[string][]byte
 	views     map[string]*pfg.ResultJSON
 	bodiesGen uint64
-	// The previous served generation's views survive one rotation so deltas
-	// prevGen→bodiesGen can be computed; deltas holds the marshaled delta
-	// bodies, keyed by the same cut key and cleared on every rotation —
-	// together they are the delta cache keyed (fromGen, toGen, cuts).
+	// The previous body generation's views survive one rotation, so refView
+	// can still find a reference's view when another cut set rotated the
+	// maps first.
 	prevViews map[string]*pfg.ResultJSON
 	prevGen   uint64
-	deltas    map[string][]byte
 	marshalMu sync.Mutex
 }
 
@@ -97,40 +94,39 @@ func (c *snapCache) init() {
 	c.inflight = make(map[uint64]*flight)
 	c.bodies = make(map[string][]byte)
 	c.views = make(map[string]*pfg.ResultJSON)
-	c.deltas = make(map[string][]byte)
 }
 
-// cachedBody returns the stored response bytes for (gen, key), if any.
-func (c *snapCache) cachedBody(gen uint64, key string) []byte {
+// cachedBody returns the stored response bytes and view for (gen, key), if
+// any.
+func (c *snapCache) cachedBody(gen uint64, key string) ([]byte, *pfg.ResultJSON) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.bodiesGen != gen {
-		return nil
+		return nil, nil
 	}
-	return c.bodies[key]
+	return c.bodies[key], c.views[key]
 }
 
-// body returns the marshaled response for (gen, key), building it at most
-// once per stampede: the waiters a completed flight wakes together race
-// here, the first builds under marshalMu, the rest find the stored bytes on
-// the double-check. build returns the wire view alongside the bytes so the
-// cache can keep it as delta base material. Build errors are returned, not
-// cached.
-func (c *snapCache) body(gen uint64, key string, build func() (*pfg.ResultJSON, []byte, error)) ([]byte, error) {
-	if b := c.cachedBody(gen, key); b != nil {
-		return b, nil
+// body returns the marshaled response for (gen, key) and the wire view it
+// encodes, building them at most once per stampede: the waiters a completed
+// flight wakes together race here, the first builds under marshalMu, the
+// rest find the stored bytes on the double-check. Build errors are
+// returned, not cached.
+func (c *snapCache) body(gen uint64, key string, build func() ([]byte, *pfg.ResultJSON, error)) ([]byte, *pfg.ResultJSON, error) {
+	if b, v := c.cachedBody(gen, key); b != nil {
+		return b, v, nil
 	}
 	c.marshalMu.Lock()
 	defer c.marshalMu.Unlock()
-	if b := c.cachedBody(gen, key); b != nil {
-		return b, nil
+	if b, v := c.cachedBody(gen, key); b != nil {
+		return b, v, nil
 	}
-	view, b, err := build()
+	b, view, err := build()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.storeBody(gen, key, b, view)
-	return b, nil
+	return b, view, nil
 }
 
 // refView returns a stored wire view of the reference clustering ref for
@@ -155,75 +151,23 @@ func (c *snapCache) refView(ref uint64, key string) *pfg.ResultJSON {
 
 // storeBody records the marshaled response and its view for (gen, key),
 // rotating the maps when the generation moves — the outgoing generation's
-// views become the delta bases — and capping their size. Callers must not
-// mutate body or view afterwards.
+// views become prevViews — and capping their size. Callers must not mutate
+// body or view afterwards.
 func (c *snapCache) storeBody(gen uint64, key string, body []byte, view *pfg.ResultJSON) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen > c.bodiesGen {
-		// Fresh maps, not clear(): the outgoing views are retained as the
-		// delta bases and must not alias the new generation's map.
+		// Fresh maps, not clear(): the outgoing views are retained as
+		// prevViews and must not alias the new generation's map.
 		c.prevGen, c.prevViews = c.bodiesGen, c.views
 		c.bodiesGen = gen
 		c.bodies = make(map[string][]byte)
 		c.views = make(map[string]*pfg.ResultJSON)
-		c.deltas = make(map[string][]byte)
 	}
 	if c.bodiesGen == gen && len(c.bodies) < maxCachedBodies {
 		c.bodies[key] = body
-		if view != nil {
-			c.views[key] = view
-		}
+		c.views[key] = view
 	}
-}
-
-// deltaBody returns the marshaled delta body from the previously served
-// generation to gen for this cut key, building it at most once per
-// (fromGen, toGen, cuts) via the same marshalMu stampede discipline as
-// body(). It returns (nil, 0, false) when no delta is possible — the base
-// generation's view was never built or has been evicted, gen is not the
-// current body generation, or the two views are not delta-comparable — in
-// which case the caller falls back to the full body. build turns
-// (base, next) into the marshaled delta response; a build error is treated
-// as "no delta" (the full body always works), not cached.
-func (c *snapCache) deltaBody(gen uint64, key string, build func(base, next *pfg.ResultJSON, fromGen uint64) ([]byte, error)) ([]byte, uint64, bool) {
-	c.mu.Lock()
-	if c.bodiesGen != gen || c.prevViews == nil {
-		c.mu.Unlock()
-		return nil, 0, false
-	}
-	if d, ok := c.deltas[key]; ok {
-		fromGen := c.prevGen
-		c.mu.Unlock()
-		return d, fromGen, true
-	}
-	base, next, fromGen := c.prevViews[key], c.views[key], c.prevGen
-	c.mu.Unlock()
-	if base == nil || next == nil {
-		return nil, 0, false
-	}
-	c.marshalMu.Lock()
-	defer c.marshalMu.Unlock()
-	c.mu.Lock()
-	if c.bodiesGen != gen {
-		c.mu.Unlock()
-		return nil, 0, false
-	}
-	if d, ok := c.deltas[key]; ok {
-		c.mu.Unlock()
-		return d, fromGen, true
-	}
-	c.mu.Unlock()
-	d, err := build(base, next, fromGen)
-	if err != nil {
-		return nil, 0, false
-	}
-	c.mu.Lock()
-	if c.bodiesGen == gen && len(c.deltas) < maxCachedBodies {
-		c.deltas[key] = d
-	}
-	c.mu.Unlock()
-	return d, fromGen, true
 }
 
 // snapshotResult returns the clustering of the session's current window

@@ -491,7 +491,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// The wire view is deterministic given (result, cuts), so reads of one
 	// generation share pre-marshaled bytes — built once even when a whole
 	// coalesced stampede wakes at the same instant.
-	body, err := s.snapshotBody(sess, res, gen, ks, cutsKey(ks))
+	body, _, err := s.snapshotBody(sess, res, gen, ks, cutsKey(ks))
 	if err != nil {
 		// Result-shaped client errors the pre-check didn't anticipate.
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -513,10 +513,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // snapshotBody returns the pre-marshaled full response body for
-// (generation, cuts), building — and counting — the encode at most once per
-// stampede; the unmarshaled view is retained by the cache as the base for
-// the next generation's deltas. Shared by the GET path and the broadcaster,
-// so pollers and subscribers of one generation receive byte-identical bodies.
+// (generation, cuts) and the wire view it encodes, building — and counting —
+// the encode at most once per stampede. Shared by the GET path and the
+// broadcaster, so pollers and subscribers of one generation receive
+// byte-identical bodies; the broadcaster keeps the view as the base of the
+// cut set's next delta.
 //
 // An incremental hit serves a copy of its reference clustering, so its view
 // differs from any earlier view of that reference, for the same cuts, only in
@@ -524,8 +525,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // sharing the Newick, edge list and cut labels (views are immutable once
 // stored), and derives a view with Result.JSON only for a reference it has
 // not served yet.
-func (s *Server) snapshotBody(sess *Session, res *pfg.Result, gen uint64, ks []int, key string) ([]byte, error) {
-	return sess.cache.body(gen, key, func() (*pfg.ResultJSON, []byte, error) {
+func (s *Server) snapshotBody(sess *Session, res *pfg.Result, gen uint64, ks []int, key string) ([]byte, *pfg.ResultJSON, error) {
+	return sess.cache.body(gen, key, func() ([]byte, *pfg.ResultJSON, error) {
 		start := time.Now()
 		var view *pfg.ResultJSON
 		if v := sess.cache.refView(gen-uint64(res.TicksSinceExact), key); v != nil {
@@ -554,33 +555,7 @@ func (s *Server) snapshotBody(sess *Session, res *pfg.Result, gen uint64, ks []i
 		}
 		s.ins.snapshotEncodes.Add(1)
 		s.ins.serveEncode.ObserveDuration(time.Since(start))
-		return view, append(b, '\n'), nil
-	})
-}
-
-// snapshotDelta returns the marshaled DeltaResponse body from the previously
-// served generation to gen for this cut set, when the cache still holds the
-// base view and the two results are delta-comparable; (nil, 0, false) means
-// the caller must send the full body.
-func (s *Server) snapshotDelta(sess *Session, gen uint64, key string) ([]byte, uint64, bool) {
-	return sess.cache.deltaBody(gen, key, func(base, next *pfg.ResultJSON, fromGen uint64) ([]byte, error) {
-		d, err := base.Delta(next)
-		if err != nil {
-			return nil, err
-		}
-		b, err := json.Marshal(DeltaResponse{
-			Session:        sess.ID,
-			Method:         sess.cfg.Method.String(),
-			Window:         sess.cfg.Window,
-			FromGeneration: fromGen,
-			Generation:     gen,
-			Delta:          d,
-			Drift:          sess.drift.driftFor(gen),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return append(b, '\n'), nil
+		return append(b, '\n'), view, nil
 	})
 }
 

@@ -84,8 +84,9 @@ type StatsSnapshot struct {
 	// push_batch_ns, tick_{admit,roll,rebuild}_ns,
 	// snapshot_{hit,coalesced,miss}_ns, snapshot_run_ns,
 	// snapshot_{finish,cluster}_ns, inc_{drift,refresh}_ns,
-	// checkpoint_write_ns, checkpoint_write_bytes, wal_frame_bytes,
-	// subscriber_queue_depth, drift_ari_distance_micros, drift_edge_churn.
+	// serve_{encode,structure}_ns, checkpoint_write_ns,
+	// checkpoint_write_bytes, wal_frame_bytes, subscriber_queue_depth,
+	// drift_ari_distance_micros, drift_edge_churn.
 	Histograms map[string]obs.Summary `json:"histograms,omitempty"`
 
 	SessionInfos []SessionInfo `json:"session_infos"`

@@ -184,7 +184,8 @@ type SnapshotResponse struct {
 // byte-identical to the full SnapshotResponse.Result of Generation. A
 // subscriber whose last delivered generation is not FromGeneration (it just
 // subscribed, or events were dropped) receives a full "snapshot" event
-// instead — deltas only ever chain consecutively served generations.
+// instead — a delta only ever extends the previous event published for the
+// same cut set.
 type DeltaResponse struct {
 	Session string `json:"session"`
 	Method  string `json:"method"`
