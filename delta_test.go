@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"pfg/internal/graph"
 	"pfg/internal/tsgen"
 )
 
@@ -171,4 +172,121 @@ func TestDeltaRejectsMismatchedViews(t *testing.T) {
 	if _, err := a.ApplyDelta(d); err == nil {
 		t.Fatal("ApplyDelta with out-of-range move index: want error")
 	}
+}
+
+// FuzzApplyDelta feeds ApplyDelta arbitrary base views and deltas, as JSON.
+// It must never panic. A delta it accepts over a canonical base must yield
+// canonical edges (0 ≤ u < v < n, strictly increasing), and base.Delta of
+// that result, through its wire form, must rebuild it byte-identically. The
+// seeds are deltas between consecutive streamer views, built as
+// TestApplyDeltaRoundTrip builds them, plus two crafted deltas: more
+// removals than the base has edges, and unsorted, duplicated additions.
+func FuzzApplyDelta(f *testing.F) {
+	const n, window, steps = 12, 16, 4
+	st, err := NewStreamer(window, StreamOptions{Cluster: Options{Method: TMFGDBHT, Workers: 1}, RebuildEvery: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	ds := tsgen.GenerateClassed("delta", n, window+steps, 3, 0.5, 7)
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	view := func() *ResultJSON {
+		res, err := st.Snapshot(context.Background())
+		if err != nil {
+			f.Fatal(err)
+		}
+		v, err := res.JSON([]int{2, 4}, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return v
+	}
+	for k := 0; k < window; k++ {
+		if err := st.Push(deltaTick(ds, n, k)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	prev := view()
+	for k := window; k < window+steps; k++ {
+		if k == window+steps/2 {
+			// A forced exact-rebuild boundary, as in TestApplyDeltaRoundTrip.
+			if err := st.Rebuild(); err != nil {
+				f.Fatal(err)
+			}
+		} else if err := st.Push(deltaTick(ds, n, k)); err != nil {
+			f.Fatal(err)
+		}
+		next := view()
+		d, err := prev.Delta(next)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(marshal(prev), marshal(d))
+		prev = next
+	}
+	base := []byte(`{"n":4,"edge_weight_sum":1,"groups":1,"edges":[[0,1],[0,2],[1,2]],"newick":"((L0,L1),(L2,L3));"}`)
+	f.Add(base, []byte(`{"v":1,"n":4,"edges_removed":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3],[0,1],[0,2],[0,3],[1,2]]}`))
+	f.Add(base, []byte(`{"v":1,"n":4,"edges_added":[[2,3],[0,3],[0,3]]}`))
+
+	f.Fuzz(func(t *testing.T, baseJSON, deltaJSON []byte) {
+		var base ResultJSON
+		var d ResultDeltaJSON
+		if json.Unmarshal(baseJSON, &base) != nil || json.Unmarshal(deltaJSON, &d) != nil {
+			return
+		}
+		next, err := base.ApplyDelta(&d)
+		if err != nil || !canonicalEdges(base.Edges, base.N) {
+			return
+		}
+		if !canonicalEdges(next.Edges, next.N) {
+			t.Fatalf("accepted delta yields non-canonical edges %v", next.Edges)
+		}
+		rd, err := base.Delta(next)
+		if err != nil {
+			t.Fatalf("Delta to an accepted result: %v", err)
+		}
+		rb, err := json.Marshal(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire ResultDeltaJSON
+		if err := json.Unmarshal(rb, &wire); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := base.ApplyDelta(&wire)
+		if err != nil {
+			t.Fatalf("ApplyDelta of base.Delta(next): %v", err)
+		}
+		want, err := json.Marshal(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round trip diverged\n got: %s\nwant: %s", got, want)
+		}
+	})
+}
+
+// canonicalEdges reports whether every edge is a pair 0 ≤ u < v < n and
+// the list strictly increases under graph.CompareEdges.
+func canonicalEdges(edges [][2]int32, n int) bool {
+	for i, e := range edges {
+		if e[0] < 0 || e[0] >= e[1] || int(e[1]) >= n {
+			return false
+		}
+		if i > 0 && graph.CompareEdges(edges[i-1], e) >= 0 {
+			return false
+		}
+	}
+	return true
 }

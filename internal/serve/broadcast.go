@@ -18,9 +18,9 @@ import (
 // The broadcaster is the session's single delivery goroutine and the only
 // producer of "snapshot" and "delta" frames: it parks on the Streamer's
 // generation watch, and on each wake publishes one event to every cut set
-// whose last event is older than the current generation — through the same
-// generation-keyed snapshot/body caches the GET path uses, so a poller and a
-// subscriber of one generation observe byte-identical bodies. Each cut set
+// whose last event is older than the current generation — built from the
+// same per-generation record (cache.go) the GET path reads, so a poller and
+// a subscriber of one generation observe byte-identical bodies. Each cut set
 // keeps the last event published to it, and that event's view is the base
 // of the cut set's next delta, so a delta always extends what the stream
 // itself last published, whichever generations GET readers built bodies for
@@ -38,7 +38,7 @@ import (
 //	data: <one JSON object>
 //
 // "snapshot" data is the GET /snapshot body of that generation — extended,
-// when structure drift was computed for the generation, with a "drift"
+// when the generation's record carries structure drift, with a "drift"
 // field (see drift.go; the GET body itself never carries it, because the
 // drift baseline is per-process serving history and the GET body must stay
 // a pure function of the window state). "delta" data is a DeltaResponse
@@ -246,9 +246,9 @@ func (b *broadcaster) stop() {
 }
 
 // deliver publishes generation gen, or the later one a racing push lands,
-// to every cut set whose last event is older: one clustering run shared with
-// (and cached for) the GET path, then per cut set one body build, one delta
-// against the cut set's last event, one publish.
+// to every cut set whose last event is older: one record shared with the GET
+// path, then per cut set one body build, one delta against the cut set's
+// last event, one publish. Every frame embeds the record's own drift.
 func (b *broadcaster) deliver(s *Server, gen uint64) error {
 	sess := b.sess
 	// Readiness pre-check mirrors the GET path: a window that cannot produce
@@ -268,22 +268,20 @@ func (b *broadcaster) deliver(s *Server, gen uint64) error {
 	if len(due) == 0 {
 		return nil
 	}
-	res, actualGen, _, err := s.snapshotResult(s.baseCtx, sess)
+	rec, _, err := s.snapshotResult(s.baseCtx, sess)
 	if err != nil {
 		return err
 	}
-	sess.noteServed(res)
-	drift := sess.drift.driftFor(actualGen)
 	for _, cs := range due {
-		body, view, err := s.snapshotBody(sess, res, actualGen, cs.ks, cs.key)
+		body, view, err := s.snapshotBody(sess, rec, cs.ks, cs.key)
 		if err != nil {
 			// Cut-shaped error (e.g. k > series): this cut set cannot be
 			// served; its subscribers simply receive nothing.
 			continue
 		}
-		ev := &outEvent{gen: actualGen, view: view, full: sseFrame("snapshot", actualGen, injectDrift(body, drift))}
+		ev := &outEvent{gen: rec.gen, view: view, full: sseFrame("snapshot", rec.gen, injectDrift(body, rec.drift))}
 		if last := cs.last; last != nil {
-			ev.fromGen, ev.delta = last.gen, deltaFrame(sess, last, ev, drift, len(body))
+			ev.fromGen, ev.delta = last.gen, deltaFrame(sess, last, ev, rec.drift, len(body))
 		}
 		b.publish(s, cs, ev)
 	}
@@ -330,11 +328,11 @@ func (b *broadcaster) publish(s *Server, cs *cutSet, ev *outEvent) {
 }
 
 // injectDrift splices a drift record into a pre-marshaled snapshot body
-// (which the cache shares with the GET path and must not itself carry
-// drift): `{...}` becomes `{...,"drift":{...}}`. The record is fixed before
-// the generation's clustering run published, so every SSE snapshot frame of
-// one generation is still byte-identical across subscribers. nil drift (or
-// a marshal failure) returns the body unchanged.
+// (which the record shares with the GET path and must not itself carry
+// drift): `{...}` becomes `{...,"drift":{...}}`. The drift record is fixed
+// before the generation's clustering run completes, so every SSE snapshot
+// frame of one generation is still byte-identical across subscribers. nil
+// drift (or a marshal failure) returns the body unchanged.
 func injectDrift(body []byte, d *StructureDrift) []byte {
 	if d == nil {
 		return body

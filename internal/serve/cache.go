@@ -7,16 +7,18 @@ import (
 	"time"
 
 	"pfg"
+	"pfg/internal/graph"
 )
 
 // The snapshot cache turns O(clients) clustering work into O(ticks) work.
 // The expensive artifact per session is the clustering of one window state,
 // and window states are totally ordered by the Streamer's generation stamp —
-// so the cache is generation-keyed: one entry per session holding the last
-// computed (generation, Result), plus a singleflight table of in-flight
-// computations. A reader either
+// so the cache is generation-keyed: one record per session for the latest
+// computed generation, plus a singleflight table of in-flight computations.
+// A reader either
 //
-//   - hits: the cached entry matches the session's current generation;
+//   - hits: the current record's generation is at least the session's
+//     current generation;
 //   - coalesces: another request is already clustering that generation, so
 //     it parks on the flight and shares the one result; or
 //   - misses: it becomes the leader, passes admission control, and launches
@@ -30,6 +32,27 @@ import (
 // when every request waiting on it (leader included) has abandoned it, so
 // one impatient client can never kill a run other clients still want, while
 // a run nobody wants stops burning CPU promptly.
+//
+// Each clustering run yields one record (computed): the result, its
+// structure drift against the record it replaced (drift.go), and the
+// response bodies built for it, one per cut set. An incremental hit serves a
+// copy of its reference clustering — the exact one of generation
+// generation − stale_ticks — so every record copied from one exact
+// clustering shares one reference: the drift-cut labels and canonical edges
+// that drift compares, and the wire views that a hit's bodies copy with
+// their own stale_ticks and drift. A new reference derives them once; a hit
+// runs no Cut, CanonicalEdges or Newick for a cut set whose view its
+// reference holds. The record rules:
+//
+//   - drift is fixed before the flight completes: the run goroutine
+//     publishes the record before any waiter wakes, so every SSE frame of a
+//     generation embeds the same drift record;
+//   - publication is monotone: a record older than the current one is handed
+//     to its own flight's waiters, with no drift, and never becomes current;
+//   - publishing the current generation again returns the record already
+//     published, so a generation has one drift record and one body set;
+//   - lock order is record mu → reference mu;
+//   - snapCache.mu is never held across Cut, CanonicalEdges or marshaling.
 
 // errSaturated maps to 429 Too Many Requests in the handler.
 var errSaturated = errors.New("serve: snapshot capacity saturated")
@@ -52,144 +75,172 @@ const (
 // coalesced onto it.
 type flight struct {
 	key     uint64        // generation the flight is registered under in inflight
-	done    chan struct{} // closed once res/gen/err are final
+	done    chan struct{} // closed once rec/err are final
 	cancel  context.CancelFunc
 	waiters int // requests (leader included) still waiting; guarded by the cache mutex
-	res     *pfg.Result
-	gen     uint64 // generation the run actually clustered (≥ key if pushes raced)
+	rec     *computed
 	err     error
 }
 
-// maxCachedBodies bounds the per-session map of pre-marshaled response
-// bodies: one entry per distinct cut-set requested against the current
-// generation, well beyond what a sane client mix asks for.
+// maxCachedBodies bounds each record's bodies and each reference's views:
+// one entry per distinct cut set, well beyond what a sane client mix asks
+// for.
 const maxCachedBodies = 32
+
+// reference is the state every record copied from one exact clustering
+// shares. gen, labels and edges are fixed at construction.
+type reference struct {
+	gen    uint64     // generation of the exact clustering
+	labels []int      // flat cut at the session's drift cut
+	edges  [][2]int32 // canonical: lo < hi, sorted
+
+	// views holds up to maxCachedBodies wire views, one per cut set, each
+	// from whichever record derived it. mu is held across a derivation, so
+	// records of one reference derive a cut set's view once.
+	mu    sync.Mutex
+	views map[string]*pfg.ResultJSON
+}
+
+// computed is the record of one clustering run. gen, res, ref and drift are
+// fixed before the record is published.
+type computed struct {
+	gen uint64 // the generation res clusters
+	res *pfg.Result
+	ref *reference
+	// drift compares the record against the one it replaced as current; nil
+	// for a session's first record and for a record that never became
+	// current.
+	drift *StructureDrift
+
+	// bodies holds one pre-marshaled response per cut set. mu is held across
+	// a body build, so a stampede of readers builds each body once.
+	mu     sync.Mutex
+	bodies map[string]encoded
+}
+
+// encoded is one cut set's marshaled response body and the wire view it
+// encodes.
+type encoded struct {
+	body []byte
+	view *pfg.ResultJSON
+}
 
 // snapCache is one session's generation-keyed snapshot cache. The zero
 // value needs init().
 type snapCache struct {
 	mu       sync.Mutex
-	gen      uint64      // generation of the cached result
-	res      *pfg.Result // last successfully computed result (nil until one lands)
+	cur      *computed // latest published record (nil until one lands)
 	inflight map[uint64]*flight
-
-	// Marshaled response bodies for bodiesGen, keyed by the normalized cut
-	// list, alongside the unmarshaled views they were built from. The wire
-	// view is deterministic, so repeat readers of one generation get the
-	// stored bytes at memcpy cost instead of re-running Cut/Newick/Marshal
-	// per request. marshalMu serializes body builds so a stampede of waiters
-	// waking from one flight marshals once, not once per waiter.
-	bodies    map[string][]byte
-	views     map[string]*pfg.ResultJSON
-	bodiesGen uint64
-	// The previous body generation's views survive one rotation, so refView
-	// can still find a reference's view when another cut set rotated the
-	// maps first.
-	prevViews map[string]*pfg.ResultJSON
-	prevGen   uint64
-	marshalMu sync.Mutex
 }
 
 func (c *snapCache) init() {
 	c.inflight = make(map[uint64]*flight)
-	c.bodies = make(map[string][]byte)
-	c.views = make(map[string]*pfg.ResultJSON)
 }
 
-// cachedBody returns the stored response bytes and view for (gen, key), if
-// any.
-func (c *snapCache) cachedBody(gen uint64, key string) ([]byte, *pfg.ResultJSON) {
+// current returns the latest published record, or nil before the first.
+func (c *snapCache) current() *computed {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.bodiesGen != gen {
-		return nil, nil
-	}
-	return c.bodies[key], c.views[key]
+	return c.cur
 }
 
-// body returns the marshaled response for (gen, key) and the wire view it
-// encodes, building them at most once per stampede: the waiters a completed
-// flight wakes together race here, the first builds under marshalMu, the
-// rest find the stored bytes on the double-check. Build errors are
-// returned, not cached.
-func (c *snapCache) body(gen uint64, key string, build func() ([]byte, *pfg.ResultJSON, error)) ([]byte, *pfg.ResultJSON, error) {
-	if b, v := c.cachedBody(gen, key); b != nil {
-		return b, v, nil
+// publish records res, the clustering of generation gen, and returns the
+// record its flight hands to its waiters. It runs on the clustering run's
+// goroutine before the flight completes. The record becomes current unless
+// a record of gen or later already is: for gen itself that record is
+// returned, for a later one the new record goes only to its own flight.
+// A record shares the current record's reference when res is a copy of the
+// same exact clustering, and derives a new one otherwise.
+func (s *Server) publish(sess *Session, res *pfg.Result, gen uint64) *computed {
+	k := driftCut(sess.cfg.DriftCut, res.Dendrogram.N)
+	refGen := gen - uint64(res.TicksSinceExact)
+	c := &sess.cache
+	rec := &computed{gen: gen, res: res}
+	if prev := c.current(); prev != nil && prev.ref.gen == refGen {
+		rec.ref = prev.ref
+	} else {
+		rec.ref = newReference(res, refGen, k)
 	}
-	c.marshalMu.Lock()
-	defer c.marshalMu.Unlock()
-	if b, v := c.cachedBody(gen, key); b != nil {
-		return b, v, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev := c.cur; prev != nil {
+		switch {
+		case prev.gen == gen:
+			return prev
+		case prev.gen > gen:
+			return rec
+		case prev.ref.gen == refGen:
+			// A run of the same reference published meanwhile.
+			rec.ref = prev.ref
+		}
+		rec.drift = s.measureDrift(prev, rec, k)
 	}
-	b, view, err := build()
+	c.cur = rec
+	return rec
+}
+
+// newReference derives the shared state of the exact clustering of
+// generation refGen from res, a copy of it: the flat cut at k and the
+// canonical edge list.
+func newReference(res *pfg.Result, refGen uint64, k int) *reference {
+	// driftCut clamps k to [1, n], where Cut cannot fail.
+	labels, _ := res.Cut(k)
+	return &reference{
+		gen:    refGen,
+		labels: labels,
+		edges:  graph.CanonicalEdges(res.Edges),
+		views:  make(map[string]*pfg.ResultJSON),
+	}
+}
+
+// view returns the wire view of res, a copy of the reference clustering, at
+// the cut set key: the reference's stored view for key with res's own
+// stale_ticks and drift, or, when it holds none, one derived with
+// Result.JSON. Views are immutable once stored.
+func (ref *reference) view(res *pfg.Result, ks []int, key string) (*pfg.ResultJSON, error) {
+	ref.mu.Lock()
+	defer ref.mu.Unlock()
+	if v := ref.views[key]; v != nil {
+		cp := *v
+		cp.StaleTicks, cp.Drift = res.TicksSinceExact, res.Drift
+		return &cp, nil
+	}
+	v, err := res.JSON(ks, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	c.storeBody(gen, key, b, view)
-	return b, view, nil
+	if len(ref.views) >= maxCachedBodies {
+		// Drop an arbitrary view: a reference can live for many
+		// generations, and a cut set first served late in its life must
+		// still get a stored view.
+		for k := range ref.views {
+			delete(ref.views, k)
+			break
+		}
+	}
+	ref.views[key] = v
+	return v, nil
 }
 
-// refView returns a stored wire view of the reference clustering ref for
-// this cut key, or nil. A view of generation g with StaleTicks s was built
-// from the clustering of reference generation g − s, whichever result object
-// carried it, so each view's reference follows from its own stamp. Both the
-// current and the previous generation's views are searched: a build for a
-// new generation runs before storeBody rotates the maps to it, and once one
-// cut set of the new generation is stored, the others' views of the same
-// reference sit in the previous map.
-func (c *snapCache) refView(ref uint64, key string) *pfg.ResultJSON {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v := c.views[key]; v != nil && c.bodiesGen-uint64(v.StaleTicks) == ref {
-		return v
-	}
-	if v := c.prevViews[key]; v != nil && c.prevGen-uint64(v.StaleTicks) == ref {
-		return v
-	}
-	return nil
-}
-
-// storeBody records the marshaled response and its view for (gen, key),
-// rotating the maps when the generation moves — the outgoing generation's
-// views become prevViews — and capping their size. Callers must not mutate
-// body or view afterwards.
-func (c *snapCache) storeBody(gen uint64, key string, body []byte, view *pfg.ResultJSON) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen > c.bodiesGen {
-		// Fresh maps, not clear(): the outgoing views are retained as
-		// prevViews and must not alias the new generation's map.
-		c.prevGen, c.prevViews = c.bodiesGen, c.views
-		c.bodiesGen = gen
-		c.bodies = make(map[string][]byte)
-		c.views = make(map[string]*pfg.ResultJSON)
-	}
-	if c.bodiesGen == gen && len(c.bodies) < maxCachedBodies {
-		c.bodies[key] = body
-		c.views[key] = view
-	}
-}
-
-// snapshotResult returns the clustering of the session's current window
-// state, sharing one run among all concurrent readers of one generation.
-// ctx is the request's context: it bounds only this caller's wait, feeding
-// the run's waiter-refcounted cancellation rather than cancelling the run
+// snapshotResult returns the record of the session's current window state,
+// sharing one run among all concurrent readers of one generation. ctx is
+// the request's context: it bounds only this caller's wait, feeding the
+// run's waiter-refcounted cancellation rather than cancelling the run
 // directly.
-func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result, uint64, cacheStatus, error) {
+func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*computed, cacheStatus, error) {
 	c := &sess.cache
 	gen := sess.st.Generation()
 	c.mu.Lock()
-	// A cached result or in-flight run of generation ≥ the one this reader
+	// A record or in-flight run of generation ≥ the one this reader
 	// observed serves it: the reader's observation can only be stale (the
 	// window moved underneath it), and a fresher state is exactly what it
 	// would get by re-reading Generation() now. Requiring equality would
 	// let a stale reader launch a duplicate run of a state another run
 	// already covers.
-	if c.res != nil && c.gen >= gen {
-		res, cachedGen := c.res, c.gen
+	if cur := c.cur; cur != nil && cur.gen >= gen {
 		c.mu.Unlock()
 		s.ins.snapshotHits.Add(1)
-		return res, cachedGen, cacheHit, nil
+		return cur, cacheHit, nil
 	}
 	var join *flight
 	for k, f := range c.inflight {
@@ -213,7 +264,7 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 	default:
 		c.mu.Unlock()
 		s.ins.snapshotRejected.Add(1)
-		return nil, 0, "", errSaturated
+		return nil, "", errSaturated
 	}
 	runCtx, cancel := context.WithCancel(s.baseCtx)
 	f := &flight{key: gen, done: make(chan struct{}), cancel: cancel, waiters: 1}
@@ -227,17 +278,17 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 	go func() {
 		defer func() { <-s.sem }()
 		start := time.Now()
+		// A push may race the run, in which case it clusters a later
+		// generation than the one the leader observed; the record carries
+		// the generation actually clustered.
 		res, actualGen, err := sess.st.SnapshotGen(runCtx)
 		elapsed := time.Since(start)
 		s.ins.snapRunNs.Observe(uint64(elapsed))
+		var rec *computed
 		if err == nil {
-			// Record the structure-drift comparison before the flight
-			// publishes: every response body of this generation — built only
-			// after f.done closes or c.res lands below — then embeds the
-			// same drift record.
-			noted := time.Now()
-			s.noteStructure(sess, res, actualGen)
-			s.ins.serveStructure.ObserveDuration(time.Since(noted))
+			published := time.Now()
+			rec = s.publish(sess, res, actualGen)
+			s.ins.serveStructure.ObserveDuration(time.Since(published))
 			if slow := s.opts.LogSlowTick; slow > 0 && elapsed >= slow {
 				logSlowSnapshot(sess, actualGen, elapsed)
 			}
@@ -250,14 +301,7 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 		if c.inflight[f.key] == f {
 			delete(c.inflight, f.key)
 		}
-		f.res, f.gen, f.err = res, actualGen, err
-		// A push may have raced the run, in which case the result belongs
-		// to a later generation than the one the leader observed; store it
-		// under the generation it actually clustered, guarded to keep the
-		// cache monotone.
-		if err == nil && (c.res == nil || actualGen >= c.gen) {
-			c.res, c.gen = res, actualGen
-		}
+		f.rec, f.err = rec, err
 		close(f.done)
 		c.mu.Unlock()
 	}()
@@ -269,10 +313,10 @@ func (s *Server) snapshotResult(ctx context.Context, sess *Session) (*pfg.Result
 // count; the one that drops it to zero unpublishes the flight (atomically
 // with the decrement, so no new request can join a doomed run) and then
 // cancels the computation.
-func (c *snapCache) wait(ctx context.Context, f *flight, status cacheStatus) (*pfg.Result, uint64, cacheStatus, error) {
+func (c *snapCache) wait(ctx context.Context, f *flight, status cacheStatus) (*computed, cacheStatus, error) {
 	select {
 	case <-f.done:
-		return f.res, f.gen, status, f.err
+		return f.rec, status, f.err
 	case <-ctx.Done():
 		c.mu.Lock()
 		f.waiters--
@@ -284,6 +328,6 @@ func (c *snapCache) wait(ctx context.Context, f *flight, status cacheStatus) (*p
 		if last {
 			f.cancel()
 		}
-		return nil, 0, status, ctx.Err()
+		return nil, status, ctx.Err()
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"pfg"
 	"pfg/internal/graph"
@@ -14,9 +12,9 @@ import (
 
 // Structure drift: how much a session's clustering actually changes between
 // consecutive computed generations — the signal that separates "the window
-// moved" (every tick) from "the structure moved" (regime changes). After
-// each successful clustering run the tracker compares the new result against
-// the previous computed generation on two axes:
+// moved" (every tick) from "the structure moved" (regime changes). When a
+// clustering run publishes its record (cache.go), the record is compared
+// against the record it replaces as current on two axes:
 //
 //   - labeling agreement: the adjusted Rand index between the two results'
 //     flat cuts at the session's DriftCut (1 = identical clusterings,
@@ -26,12 +24,14 @@ import (
 //     two filtered graphs, on canonicalized (lo < hi, sorted) edge lists —
 //     0 for the HAC methods, which carry no graph.
 //
-// Both land in server-level histograms (the ARI as 1e6 × (1 − ARI), so the
-// log2 buckets resolve the interesting near-1 region), in per-session
-// gauges, in the /driftz report, and as the drift field of SSE snapshot and
-// delta frames. The comparison runs on the clustering run's goroutine —
-// once per generation, never per request — before the run publishes, so
-// every body built for a generation observes the same drift record.
+// Both inputs belong to the records' references, so a hit compared against
+// a record of its own reference reuses them (ARI 1, churn 0) instead of
+// cutting and sorting again. The comparison runs once per generation, never
+// per request, before the run's flight completes. It lands in server-level
+// histograms (the ARI as 1e6 × (1 − ARI), so the log2 buckets resolve the
+// interesting near-1 region) and in the record: the per-session gauges and
+// the /driftz report read the current record's, and every SSE snapshot and
+// delta frame of a generation embeds that generation's.
 
 // defaultDriftCut is the flat-cut width drift is measured at when the
 // session does not set one.
@@ -82,116 +82,49 @@ type DriftzResponse struct {
 	EdgeChurn obs.Summary `json:"edge_churn"`
 }
 
-// driftTracker is one session's structure-drift state: the previous
-// computed generation's labels and canonical edge list, the reference
-// generation of the clustering they were derived from, and the last
-// comparison. The mutex only ever contends clustering-run goroutines with
-// /driftz readers and body builds — never the push or cached-GET paths.
-type driftTracker struct {
-	mu     sync.Mutex
-	gen    uint64 // most recent computed generation (0 = none yet)
-	ref    uint64 // reference generation of gen's clustering
-	labels []int
-	edges  [][2]int32 // canonical: lo < hi, sorted
-	last   StructureDrift
-	have   bool
-
-	// Gauge mirrors of the last comparison, read at scrape time.
-	ariBits   atomic.Uint64 // math.Float64bits(last.ARI)
-	churnEdge atomic.Uint64 // last.EdgesAdded + last.EdgesRemoved
+// driftCut is the flat-cut width drift is measured at: the session's
+// drift_cut, or defaultDriftCut when unset, clamped to the n series.
+func driftCut(cut, n int) int {
+	if cut <= 0 {
+		cut = defaultDriftCut
+	}
+	return min(cut, n)
 }
 
-func (t *driftTracker) lastARI() float64   { return math.Float64frombits(t.ariBits.Load()) }
-func (t *driftTracker) lastChurn() float64 { return float64(t.churnEdge.Load()) }
-
-// driftFor returns the drift record when gen is exactly the tracker's most
-// recent computed generation, nil otherwise (first generation, or the
-// tracker moved on). The returned pointer is a copy; callers may embed it in
-// wire bodies.
-func (t *driftTracker) driftFor(gen uint64) *StructureDrift {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.have || t.gen != gen {
-		return nil
+// measureDrift compares rec against prev, the record it replaces as current,
+// at the flat-cut width k, and records the comparison in the server-wide
+// histograms.
+func (s *Server) measureDrift(prev, rec *computed, k int) *StructureDrift {
+	ari := labelARI(prev.ref.labels, rec.ref.labels)
+	added, removed := edgeChurn(prev.ref.edges, rec.ref.edges)
+	// Histogram the ARI as its distance from 1 in micros: the log2 buckets
+	// then resolve 0.999999…0.9 instead of lumping everything into one
+	// near-1 bin. Clamp pathological >1 to 0 distance.
+	dist := (1 - ari) * 1e6
+	if dist < 0 {
+		dist = 0
 	}
-	d := t.last
-	return &d
+	s.ins.driftAri.Observe(uint64(dist))
+	s.ins.driftChurn.Observe(uint64(added + removed))
+	return &StructureDrift{
+		FromGeneration: prev.gen,
+		ARI:            ari,
+		EdgesAdded:     added,
+		EdgesRemoved:   removed,
+		Cut:            k,
+	}
 }
 
-// state returns the tracker's generation and last record for /driftz.
-func (t *driftTracker) state() (uint64, *StructureDrift) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.have {
-		return t.gen, nil
+// lastDrift is the current record's drift, or the zero record before two
+// generations have been computed; the per-session gauges read it.
+func (c *snapCache) lastDrift() StructureDrift {
+	if rec := c.current(); rec != nil && rec.drift != nil {
+		return *rec.drift
 	}
-	d := t.last
-	return t.gen, &d
+	return StructureDrift{}
 }
 
-// noteStructure records a freshly computed clustering and, when a previous
-// computed generation exists, measures the drift against it. Called on the
-// clustering run's goroutine after SnapshotGen succeeds and before the run
-// publishes its result, so the record is in place before any response body
-// of that generation is built.
-//
-// An incremental hit is a copy of the reference clustering of generation
-// gen − TicksSinceExact; when the tracker's labels and edges came from that
-// same reference they are this result's too, so the comparison reuses them
-// (ARI 1, churn 0) instead of cutting and sorting again.
-func (s *Server) noteStructure(sess *Session, res *pfg.Result, gen uint64) {
-	k := sess.cfg.DriftCut
-	if k <= 0 {
-		k = defaultDriftCut
-	}
-	if n := res.Dendrogram.N; k > n {
-		k = n
-	}
-	ref := gen - uint64(res.TicksSinceExact)
-
-	t := &sess.drift
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Runs can complete out of order when pushes race; keep the tracker
-	// monotone so drift always compares forward in time.
-	if t.gen >= gen && t.gen != 0 {
-		return
-	}
-	labels, edges := t.labels, t.edges
-	if t.gen == 0 || t.ref != ref {
-		var err error
-		if labels, err = res.Cut(k); err != nil {
-			return
-		}
-		edges = graph.CanonicalEdges(res.Edges)
-	}
-	if t.gen != 0 {
-		ari := labelARI(t.labels, labels)
-		added, removed := edgeChurn(t.edges, edges)
-		t.last = StructureDrift{
-			FromGeneration: t.gen,
-			ARI:            ari,
-			EdgesAdded:     added,
-			EdgesRemoved:   removed,
-			Cut:            k,
-		}
-		t.have = true
-		t.ariBits.Store(math.Float64bits(ari))
-		t.churnEdge.Store(uint64(added + removed))
-		// Histogram the ARI as its distance from 1 in micros: the log2
-		// buckets then resolve 0.999999…0.9 instead of lumping everything
-		// into one near-1 bin. Clamp pathological >1 to 0 distance.
-		dist := (1 - ari) * 1e6
-		if dist < 0 {
-			dist = 0
-		}
-		s.ins.driftAri.Observe(uint64(dist))
-		s.ins.driftChurn.Observe(uint64(added + removed))
-	}
-	t.gen, t.ref, t.labels, t.edges = gen, ref, labels, edges
-}
-
-// labelARI is pfg.ARI hardened for the tracker: identical labelings are 1
+// labelARI is pfg.ARI hardened for drift: identical labelings are 1
 // by definition (covering the degenerate single-cluster case, where the
 // ARI's expected-index denominator vanishes), a shape mismatch or NaN is 0
 // (maximal surprise — the structure is not comparable).
@@ -234,8 +167,10 @@ func (s *Server) handleDriftz(w http.ResponseWriter, r *http.Request) {
 	sessions := s.reg.List()
 	out := DriftzResponse{Sessions: make([]DriftzSession, len(sessions))}
 	for i, sess := range sessions {
-		gen, d := sess.drift.state()
-		out.Sessions[i] = DriftzSession{ID: sess.ID, Generation: gen, Drift: d}
+		out.Sessions[i] = DriftzSession{ID: sess.ID}
+		if rec := sess.cache.current(); rec != nil {
+			out.Sessions[i].Generation, out.Sessions[i].Drift = rec.gen, rec.drift
+		}
 	}
 	out.ARIDistanceMicros = obs.Summarize(s.ins.driftAri)
 	out.EdgeChurn = obs.Summarize(s.ins.driftChurn)

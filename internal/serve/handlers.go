@@ -464,7 +464,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.ins.snapshotRequests.Add(1)
-	res, gen, status, err := s.snapshotResult(r.Context(), sess)
+	rec, status, err := s.snapshotResult(r.Context(), sess)
 	switch {
 	case err == nil:
 	case errors.Is(err, errSaturated):
@@ -486,18 +486,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess.noteServed(res)
-
 	// The wire view is deterministic given (result, cuts), so reads of one
 	// generation share pre-marshaled bytes — built once even when a whole
 	// coalesced stampede wakes at the same instant.
-	body, _, err := s.snapshotBody(sess, res, gen, ks, cutsKey(ks))
+	body, _, err := s.snapshotBody(sess, rec, ks, cutsKey(ks))
 	if err != nil {
 		// Result-shaped client errors the pre-check didn't anticipate.
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set("X-Pfg-Generation", strconv.FormatUint(gen, 10))
+	w.Header().Set("X-Pfg-Generation", strconv.FormatUint(rec.gen, 10))
 	writeRawJSON(w, string(status), body)
 	if timed {
 		elapsed := uint64(time.Since(s.start) - reqStart)
@@ -512,51 +510,49 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// snapshotBody returns the pre-marshaled full response body for
-// (generation, cuts) and the wire view it encodes, building — and counting —
-// the encode at most once per stampede. Shared by the GET path and the
-// broadcaster, so pollers and subscribers of one generation receive
-// byte-identical bodies; the broadcaster keeps the view as the base of the
-// cut set's next delta.
-//
-// An incremental hit serves a copy of its reference clustering, so its view
-// differs from any earlier view of that reference, for the same cuts, only in
-// stale_ticks and drift: the build copies that view and replaces the two,
-// sharing the Newick, edge list and cut labels (views are immutable once
-// stored), and derives a view with Result.JSON only for a reference it has
-// not served yet.
-func (s *Server) snapshotBody(sess *Session, res *pfg.Result, gen uint64, ks []int, key string) ([]byte, *pfg.ResultJSON, error) {
-	return sess.cache.body(gen, key, func() ([]byte, *pfg.ResultJSON, error) {
-		start := time.Now()
-		var view *pfg.ResultJSON
-		if v := sess.cache.refView(gen-uint64(res.TicksSinceExact), key); v != nil {
-			cp := *v
-			cp.StaleTicks, cp.Drift = res.TicksSinceExact, res.Drift
-			view = &cp
-		} else {
-			var err error
-			if view, err = res.JSON(ks, nil); err != nil {
-				return nil, nil, err
-			}
-		}
-		b, err := json.Marshal(SnapshotResponse{
-			Session:    sess.ID,
-			Method:     sess.cfg.Method.String(),
-			Window:     sess.cfg.Window,
-			Generation: gen,
-			Result:     view,
-			// No Drift here: the GET body is a pure function of the window
-			// state (the recovery byte-identity guarantee), while the drift
-			// record depends on which generations this process happened to
-			// cluster. Drift rides only the SSE frames (see broadcast.go).
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		s.ins.snapshotEncodes.Add(1)
-		s.ins.serveEncode.ObserveDuration(time.Since(start))
-		return append(b, '\n'), view, nil
+// snapshotBody returns the record's pre-marshaled full response body for
+// the cut set ks (key is its cutsKey) and the wire view it encodes, building
+// — and counting — the encode at most once per record. Shared by the GET
+// path and the broadcaster, so pollers and subscribers of one generation
+// receive byte-identical bodies; the broadcaster keeps the view as the base
+// of the cut set's next delta. The view comes from the record's reference
+// (cache.go), so a hit marshals a copy of a view its reference already
+// holds.
+func (s *Server) snapshotBody(sess *Session, rec *computed, ks []int, key string) ([]byte, *pfg.ResultJSON, error) {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if e, ok := rec.bodies[key]; ok {
+		return e.body, e.view, nil
+	}
+	start := time.Now()
+	view, err := rec.ref.view(rec.res, ks, key)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := json.Marshal(SnapshotResponse{
+		Session:    sess.ID,
+		Method:     sess.cfg.Method.String(),
+		Window:     sess.cfg.Window,
+		Generation: rec.gen,
+		Result:     view,
+		// No Drift here: the GET body is a pure function of the window
+		// state (the recovery byte-identity guarantee), while the drift
+		// record depends on which generations this process happened to
+		// cluster. Drift rides only the SSE frames (see broadcast.go).
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	b = append(b, '\n')
+	if rec.bodies == nil {
+		rec.bodies = make(map[string]encoded)
+	}
+	if len(rec.bodies) < maxCachedBodies {
+		rec.bodies[key] = encoded{body: b, view: view}
+	}
+	s.ins.snapshotEncodes.Add(1)
+	s.ins.serveEncode.ObserveDuration(time.Since(start))
+	return b, view, nil
 }
 
 // writeRawJSON writes a pre-marshaled 200 response with the cache status

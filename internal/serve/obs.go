@@ -184,11 +184,11 @@ func (s *Server) attachMetrics(sess *Session) {
 		IncRefresh:      obs.NewStage(s.ins.incRefresh),
 	}
 	sess.st.SetMetrics(m)
-	t := &sess.drift
+	c := &sess.cache
 	s.obs.GaugeFunc("pfg_session_drift_ari", "adjusted Rand index between the session's two most recent computed generations (1 = unchanged clustering)",
-		t.lastARI, "session", sess.ID)
+		func() float64 { return c.lastDrift().ARI }, "session", sess.ID)
 	s.obs.GaugeFunc("pfg_session_edge_churn", "filtered-graph edges added plus removed between the session's two most recent computed generations",
-		t.lastChurn, "session", sess.ID)
+		func() float64 { d := c.lastDrift(); return float64(d.EdgesAdded + d.EdgesRemoved) }, "session", sess.ID)
 }
 
 // detachMetrics drops a deleted session's per-session gauges from the

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pfg"
 )
@@ -55,29 +53,16 @@ type Session struct {
 	// without a StateDir, or when a disk failure at attach time disabled
 	// durability for this session); its fields are guarded by pushMu.
 	dur *durable
-
-	// lastStale and lastDrift record the staleness metadata of the most
-	// recently served snapshot (zero until one is served, and always zero
-	// for non-incremental sessions). Atomics: the snapshot path updates them
-	// outside any session lock.
-	lastStale atomic.Int64
-	lastDrift atomic.Uint64 // math.Float64bits
-
-	// drift tracks structure change between consecutive computed
-	// generations (see drift.go); updated on clustering-run goroutines.
-	drift driftTracker
-}
-
-// noteServed records the staleness metadata of a snapshot that was just
-// served, for Info and /statsz.
-func (s *Session) noteServed(r *pfg.Result) {
-	s.lastStale.Store(int64(r.TicksSinceExact))
-	s.lastDrift.Store(math.Float64bits(r.Drift))
 }
 
 // Info reports the session's current externally-visible state.
 func (s *Session) Info() SessionInfo {
 	ringBytes, bandBytes := s.st.MemoryBytes()
+	var stale int
+	var drift float64
+	if rec := s.cache.current(); rec != nil {
+		stale, drift = rec.res.TicksSinceExact, rec.res.Drift
+	}
 	return SessionInfo{
 		ID:           s.ID,
 		Window:       s.cfg.Window,
@@ -93,8 +78,8 @@ func (s *Session) Info() SessionInfo {
 		Generation:   s.st.Generation(),
 		Exact:        s.st.Exact(),
 		Incremental:  s.cfg.Incremental.Enabled,
-		StaleTicks:   int(s.lastStale.Load()),
-		Drift:        math.Float64frombits(s.lastDrift.Load()),
+		StaleTicks:   stale,
+		Drift:        drift,
 	}
 }
 

@@ -566,7 +566,7 @@ func TestWaiterRefcountCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := c.wait(ctx, f, cacheCoalesced); err == nil {
+	if _, _, err := c.wait(ctx, f, cacheCoalesced); err == nil {
 		t.Fatal("cancelled wait returned nil error")
 	}
 	if cancelled || f.waiters != 1 {
@@ -575,7 +575,7 @@ func TestWaiterRefcountCancel(t *testing.T) {
 	if c.inflight[f.key] != f {
 		t.Fatal("flight unpublished while a waiter remains")
 	}
-	if _, _, _, err := c.wait(ctx, f, cacheCoalesced); err == nil {
+	if _, _, err := c.wait(ctx, f, cacheCoalesced); err == nil {
 		t.Fatal("cancelled wait returned nil error")
 	}
 	if !cancelled || f.waiters != 0 {

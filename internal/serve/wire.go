@@ -128,10 +128,11 @@ type SessionInfo struct {
 	// count).
 	RingBytes int `json:"ring_bytes"`
 	BandBytes int `json:"band_bytes"`
-	// StaleTicks and Drift describe the last snapshot this session served:
-	// how many ticks older than the window its clustering is, and the
-	// entrywise correlation drift accumulated since it was built. Both are
-	// zero for exact snapshots and for non-incremental sessions.
+	// StaleTicks and Drift describe the latest computed generation's
+	// snapshot: how many ticks older than the window its clustering is, and
+	// the entrywise correlation drift accumulated since it was built. For
+	// sequential traffic that is the last snapshot served. Both are zero for
+	// exact snapshots and for non-incremental sessions.
 	StaleTicks int     `json:"stale_ticks,omitempty"`
 	Drift      float64 `json:"drift,omitempty"`
 }

@@ -323,8 +323,9 @@ func (r *ResultJSON) Delta(next *ResultJSON) (*ResultDeltaJSON, error) {
 // byte-identically to the full next view. The receiver is not mutated;
 // unchanged slices are shared with it, so treat both views as immutable. A
 // delta that does not belong to this base (version or shape mismatch, an
-// edge removal or cut move that does not apply cleanly) is an error — the
-// caller should refetch a full snapshot rather than guess.
+// edge list out of canonical order or range, more removals than base edges,
+// an edge removal or cut move that does not apply cleanly) is an error —
+// the caller should refetch a full snapshot rather than guess.
 func (r *ResultJSON) ApplyDelta(d *ResultDeltaJSON) (*ResultJSON, error) {
 	if d.V != ResultDeltaVersion {
 		return nil, fmt.Errorf("pfg: unknown delta version %d (want %d)", d.V, ResultDeltaVersion)
@@ -347,6 +348,15 @@ func (r *ResultJSON) ApplyDelta(d *ResultDeltaJSON) (*ResultJSON, error) {
 	if len(d.EdgesAdded) > 0 || len(d.EdgesRemoved) > 0 {
 		if r.Edges == nil {
 			return nil, fmt.Errorf("pfg: delta carries edge changes, base has no edge list")
+		}
+		if len(d.EdgesRemoved) > len(r.Edges) {
+			return nil, fmt.Errorf("pfg: delta removes %d edges, base has %d", len(d.EdgesRemoved), len(r.Edges))
+		}
+		if err := checkDeltaEdges("edges_added", d.EdgesAdded, r.N); err != nil {
+			return nil, err
+		}
+		if err := checkDeltaEdges("edges_removed", d.EdgesRemoved, r.N); err != nil {
+			return nil, err
 		}
 		kept := make([][2]int32, 0, len(r.Edges)-len(d.EdgesRemoved)+len(d.EdgesAdded))
 		ri := 0
@@ -399,6 +409,21 @@ func (r *ResultJSON) ApplyDelta(d *ResultDeltaJSON) (*ResultJSON, error) {
 		}
 	}
 	return out, nil
+}
+
+// checkDeltaEdges requires a delta edge list to be in canonical order —
+// strictly increasing under graph.CompareEdges — with every pair
+// 0 ≤ u < v < n.
+func checkDeltaEdges(field string, edges [][2]int32, n int) error {
+	for i, e := range edges {
+		if e[0] < 0 || e[0] >= e[1] || int(e[1]) >= n {
+			return fmt.Errorf("pfg: delta %s has edge %v outside 0 ≤ u < v < %d", field, e, n)
+		}
+		if i > 0 && graph.CompareEdges(edges[i-1], e) >= 0 {
+			return fmt.Errorf("pfg: delta %s is not strictly increasing at edge %v", field, e)
+		}
+	}
+	return nil
 }
 
 // Pearson computes the Pearson correlation matrix of a time-series
