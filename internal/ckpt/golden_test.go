@@ -1,24 +1,25 @@
 package ckpt
 
 // Golden wire-format corpus: deterministic engines whose exact checkpoint
-// bytes are pinned under testdata/ckpt/. The checkpoint format is a
-// compatibility surface — float64 files written by one build must restore
-// under every later build of the same FormatVersion — so any refactor that
-// moves a single wire byte shows up here as a golden diff instead of a
-// silent format fork. The decode direction doubles as the backward-
-// compatibility gate: every committed f64 fixture must still restore
-// bit-identically, and every f32 fixture (header precision 1) must be
-// refused.
+// bytes, and one WAL segment, are pinned under testdata/ckpt/. Both formats
+// are a compatibility surface — float64 files written by one build must
+// restore under every later build of the same FormatVersion — so any
+// refactor that moves a single wire byte shows up here as a golden diff
+// instead of a silent format fork. The decode direction doubles as the
+// backward-compatibility gate: every committed f64 fixture must still
+// restore bit-identically, the committed WAL segment must replay to the
+// same frames, and every f32 fixture (header precision 1) must be refused.
 //
 // Regenerate intentionally with:
 //
-//	go test -run TestGoldenCheckpoint -update ./internal/ckpt/
+//	go test ./internal/ckpt/ -run 'TestGolden(Checkpoint|WAL)' -update
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,28 +65,38 @@ func goldenBytes(t *testing.T, c goldenCase) []byte {
 	return buf.Bytes()
 }
 
+// compareGolden checks got against the committed fixture at path and
+// returns the committed bytes. With -update it rewrites the fixture instead
+// and returns nil.
+func compareGolden(t *testing.T, path string, got []byte) []byte {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return nil
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("bytes diverge from %s: got %d bytes, want %d — the wire format moved; "+
+			"if intentional, bump FormatVersion and regenerate with -update", path, len(got), len(want))
+	}
+	return want
+}
+
 func TestGoldenCheckpoint(t *testing.T) {
 	for _, c := range goldenCkptCases() {
 		t.Run(c.name, func(t *testing.T) {
-			path := filepath.Join("testdata", "ckpt", c.name+".pfgc")
-			got := goldenBytes(t, c)
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes)", path, len(got))
+			want := compareGolden(t, filepath.Join("testdata", "ckpt", c.name+".pfgc"), goldenBytes(t, c))
+			if want == nil {
 				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("checkpoint bytes diverge from %s: got %d bytes, want %d — the wire format moved; "+
-					"if intentional, bump FormatVersion and regenerate with -update", path, len(got), len(want))
 			}
 
 			// Backward compatibility: the committed file, and its legacy
@@ -123,12 +134,62 @@ func TestGoldenCheckpoint(t *testing.T) {
 	}
 }
 
+// The golden WAL segment: n=5, starting at generation 7, frames stamped 8,
+// 9, 11 and 12 (9 → 11 is a push that triggered a periodic rebuild).
+const goldenWALPath = "testdata/ckpt/wal_n5.wal"
+
+var goldenWALGens = []uint64{8, 9, 11, 12}
+
+func TestGoldenWAL(t *testing.T) {
+	samples := feed(3, 5, len(goldenWALGens))
+	var buf bytes.Buffer
+	w, err := NewWALWriter(&buf, 7, SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range goldenWALGens {
+		if err := w.Append(g, samples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := compareGolden(t, filepath.FromSlash(goldenWALPath), buf.Bytes())
+	if want == nil {
+		return
+	}
+
+	// The committed segment replays to exactly the frames written.
+	start, frames, torn, err := ReadWAL(bytes.NewReader(want))
+	if err != nil || torn {
+		t.Fatalf("committed segment: err %v, torn %v", err, torn)
+	}
+	if start != 7 || len(frames) != len(goldenWALGens) {
+		t.Fatalf("committed segment: start %d, %d frames; want 7, %d", start, len(frames), len(goldenWALGens))
+	}
+	for i, fr := range frames {
+		if fr.Gen != goldenWALGens[i] || len(fr.Sample) != len(samples[i]) {
+			t.Fatalf("frame %d: gen %d with %d values, want gen %d with %d", i, fr.Gen, len(fr.Sample), goldenWALGens[i], len(samples[i]))
+		}
+		for j, v := range fr.Sample {
+			if math.Float64bits(v) != math.Float64bits(samples[i][j]) {
+				t.Fatalf("frame %d sample[%d] %v != %v", i, j, v, samples[i][j])
+			}
+		}
+	}
+}
+
 func TestGoldenFixturesCommitted(t *testing.T) {
 	if *updateGolden {
 		t.Skip("updating")
 	}
+	paths := []string{filepath.FromSlash(goldenWALPath)}
 	for _, c := range goldenCkptCases() {
-		if _, err := os.Stat(filepath.Join("testdata", "ckpt", c.name+".pfgc")); err != nil {
+		paths = append(paths, filepath.Join("testdata", "ckpt", c.name+".pfgc"))
+	}
+	for _, p := range paths {
+		if _, err := os.Stat(p); err != nil {
 			t.Errorf("missing golden fixture: %v", err)
 		}
 	}
