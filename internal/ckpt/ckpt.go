@@ -6,25 +6,34 @@
 // and the very next Push and Snapshot are byte-identical to a process that
 // never died.
 //
-// # Checkpoint format (version 1)
+// # Frames
 //
-// A checkpoint is a sequence of CRC-framed records, every integer
+// Both files are sequences of one frame shape, every integer
 // little-endian:
 //
 //	frame   := u32 payloadLen | payload | u32 crc32c(payload)
+//	payload := head | f64*
 //
-// CRC32C is the Castagnoli polynomial (hash/crc32), computed over the
-// payload only. The frames, in order:
+// The head is a fixed number of raw bytes that the frame's position
+// determines (possibly none), followed by a count of float64 values whose
+// range the position also determines. CRC32C is the Castagnoli polynomial
+// (hash/crc32), computed over the payload only. One encoder writes every
+// frame and one decoder reads every frame.
 //
-//	header  104 bytes: magic "PFGC" | u32 version | u32 flags | u32 precision
+// # Checkpoint format (version 1)
+//
+// The frames, in order:
+//
+//	header  head of 104 bytes, no values:
+//	        magic "PFGC" | u32 version | u32 flags | u32 precision
 //	        | u64 n, window, count, head, slides, generation
 //	        | i64 rebuildEvery
 //	        | f64 incDriftThreshold | i64 incMaxStale
 //	        | 16 reserved bytes (written as zero, ignored on read)
-//	sums    n float64            (present iff flags&flagEngine)
-//	ring    window×n float64
-//	band    n×n float64
-//	gcur    n×n float64          (present iff flags&flagGCur: a multi-panel
+//	sums    n values             (present iff flags&flagEngine)
+//	ring    window×n values
+//	band    n×n values
+//	gcur    n×n values           (present iff flags&flagGCur: a multi-panel
 //	                              window still filling)
 //
 // The precision field must be 0 (float64 moments); any other value is
@@ -38,8 +47,8 @@
 // — the first post-restore snapshot re-clusters exactly).
 //
 // Everything is flat arrays written in one pass — no reflection, no
-// encoding/gob — so encoding an n=512, window=4096 engine is a bounded
-// number of buffer fills and O(1) allocations.
+// encoding/gob — so encoding an n=512, window=4096 engine streams 21 MB
+// through one chunk buffer, its only allocation (TestCheckpointAllocs).
 //
 // The decoder trusts nothing: magic and version gate first (ErrBadMagic,
 // ErrVersion), every shape is bounds-checked against format limits before
@@ -144,7 +153,7 @@ func CheckpointTo(w io.Writer, e *stream.Engine, p Params) (int64, error) {
 		p.Window = st.Window
 		p.RebuildEvery = st.RebuildEvery
 	}
-	enc := &encoder{w: w, buf: make([]byte, chunkBytes)}
+	enc := encoder{w: w, buf: make([]byte, 0, chunkBytes)}
 
 	var hdr [headerLen]byte
 	copy(hdr[0:], ckptMagic)
@@ -171,30 +180,39 @@ func CheckpointTo(w io.Writer, e *stream.Engine, p Params) (int64, error) {
 	le.PutUint64(hdr[64:], uint64(p.RebuildEvery))
 	le.PutUint64(hdr[72:], math.Float64bits(p.Inc.DriftThreshold))
 	le.PutUint64(hdr[80:], uint64(p.Inc.MaxStale))
-	enc.writeRawFrame(hdr[:])
+	enc.frame(hdr[:], nil)
 
 	if e != nil {
-		enc.writeF64Frame(st.Sums)
-		enc.writeF64Frame(st.Ring)
-		enc.writeF64Frame(st.G)
+		enc.frame(nil, st.Sums)
+		enc.frame(nil, st.Ring)
+		enc.frame(nil, st.G)
 		if st.GCur != nil {
-			enc.writeF64Frame(st.GCur)
+			enc.frame(nil, st.GCur)
 		}
 	}
 	return enc.n, enc.err
 }
 
 // RestoreEngine decodes a version-1 checkpoint from r, reconstructing the
-// engine (its long-lived buffers drawn from wspace, exactly as a live
-// session's engine draws from its streamer's pinned workspace) and the
-// session parameters. A checkpoint of a pre-first-push session returns a
-// nil engine with valid Params. The input is fully untrusted: see the
-// package comment for the validation ladder; errors are ErrBadMagic,
-// ErrVersion, ErrCorrupt, or ErrFormat.
+// engine and the session parameters. The engine adopts the decoded frames
+// as its long-lived buffers; wspace, which the caller keeps alive alongside
+// the engine as a live session keeps its streamer's pinned workspace,
+// receives them when the engine is released. A checkpoint of a
+// pre-first-push session returns a nil engine with valid Params. The input
+// is fully untrusted: see the package comment for the validation ladder;
+// errors are ErrBadMagic, ErrVersion, ErrCorrupt, or ErrFormat.
 func RestoreEngine(r io.Reader, wspace *ws.Workspace) (*stream.Engine, Params, error) {
-	dec := &decoder{r: r, buf: make([]byte, chunkBytes)}
+	dec := decoder{r: r, buf: make([]byte, chunkBytes)}
+	// A checkpoint cannot end cleanly before any frame it declares.
+	read := func(head []byte, n int) ([]float64, error) {
+		vals, err := dec.frame(head, n, n)
+		if err == io.EOF {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, io.ErrUnexpectedEOF)
+		}
+		return vals, err
+	}
 	var hdr [headerLen]byte
-	if err := dec.readRawFrame(hdr[:]); err != nil {
+	if _, err := read(hdr[:], 0); err != nil {
 		return nil, Params{}, err
 	}
 	if string(hdr[0:4]) != ckptMagic {
@@ -274,17 +292,17 @@ func RestoreEngine(r io.Reader, wspace *ws.Workspace) (*stream.Engine, Params, e
 		N: n, Window: window, RebuildEvery: rebuildEvery,
 		Count: count, Head: head, Slides: slides, Gen: gen,
 	}
-	if st.Sums, err = dec.readF64Frame(n); err != nil {
+	if st.Sums, err = read(nil, n); err != nil {
 		return nil, Params{}, err
 	}
-	if st.Ring, err = dec.readF64Frame(int(ringFloats)); err != nil {
+	if st.Ring, err = read(nil, int(ringFloats)); err != nil {
 		return nil, Params{}, err
 	}
-	if st.G, err = dec.readF64Frame(int(bandFloats)); err != nil {
+	if st.G, err = read(nil, int(bandFloats)); err != nil {
 		return nil, Params{}, err
 	}
 	if flags&flagGCur != 0 {
-		if st.GCur, err = dec.readF64Frame(int(bandFloats)); err != nil {
+		if st.GCur, err = read(nil, int(bandFloats)); err != nil {
 			return nil, Params{}, err
 		}
 	}
@@ -304,9 +322,9 @@ func boundedInt(v uint64, limit uint64, what string) (int, error) {
 	return int(v), nil
 }
 
-// encoder streams CRC32C frames through one reused chunk buffer: the float
-// conversion loops touch each value once, and nothing is allocated per
-// frame.
+// encoder writes frames through one reused buffer, counting the bytes
+// written. Errors are sticky: after a failed Write every later frame is
+// dropped and err reports the failure.
 type encoder struct {
 	w   io.Writer
 	buf []byte
@@ -314,54 +332,103 @@ type encoder struct {
 	err error
 }
 
-func (e *encoder) write(p []byte) {
-	if e.err != nil {
-		return
+// frame writes one frame whose payload is head followed by vals. The length
+// word, the payload and the CRC are staged in buf, which grows to hold the
+// whole frame up to one chunk: a frame that fits one chunk is one Write,
+// and a larger one is written a chunk at a time.
+func (e *encoder) frame(head []byte, vals []float64) {
+	size := len(head) + 8*len(vals)
+	if need := min(4+size+4, chunkBytes); cap(e.buf) < need {
+		e.buf = make([]byte, 0, need)
 	}
+	b := binary.LittleEndian.AppendUint32(e.buf[:0], uint32(size))
+	b = append(b, head...)
+	crc := crc32.Update(0, castagnoli, b[4:])
+	for e.err == nil {
+		k := min(len(vals), (cap(b)-len(b))/8)
+		for _, v := range vals[:k] {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		crc = crc32.Update(crc, castagnoli, b[len(b)-8*k:])
+		vals = vals[k:]
+		if len(vals) == 0 && cap(b)-len(b) >= 4 {
+			e.write(binary.LittleEndian.AppendUint32(b, crc))
+			return
+		}
+		e.write(b)
+		b = b[:0]
+	}
+}
+
+func (e *encoder) write(p []byte) {
 	m, err := e.w.Write(p)
 	e.n += int64(m)
 	e.err = err
 }
 
-func (e *encoder) writeU32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.write(b[:])
+// decoder reads frames through one reused chunk buffer.
+type decoder struct {
+	r   io.Reader
+	buf []byte // chunkBytes long
 }
 
-func (e *encoder) writeRawFrame(payload []byte) {
-	e.writeU32(uint32(len(payload)))
-	e.write(payload)
-	e.writeU32(crc32.Checksum(payload, castagnoli))
-}
-
-func (e *encoder) writeF64Frame(vals []float64) {
-	e.writeU32(uint32(len(vals) * 8))
-	crc := uint32(0)
-	for len(vals) > 0 {
-		k := min(len(vals), len(e.buf)/8)
-		chunk := e.buf[:k*8]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(chunk[i*8:], math.Float64bits(vals[i]))
-		}
-		vals = vals[k:]
-		crc = crc32.Update(crc, castagnoli, chunk)
-		e.write(chunk)
-	}
-	e.writeU32(crc)
-}
-
-// decoder reads CRC32C frames through one reused chunk buffer. A float
-// frame's destination starts at one chunk (or the frame's declared length,
-// if smaller) and grows by doubling, capped at the declared length, only
-// after the payload bytes that need the room have arrived. So each
-// allocation is at most one chunk or 2× the frame bytes read so far,
+// frame reads one frame whose payload is len(head) raw bytes followed by lo
+// to hi float64 values, copying the head into head and returning the
+// values. The values accrue in a slice that starts at one chunk (or the
+// declared count, if smaller) and grows by doubling, capped at the declared
+// count, only after the payload bytes that need the room have arrived. So
+// each allocation is at most one chunk or 2× the frame bytes read so far,
 // whichever is larger; a frame's allocations sum to under 4× its bytes read
 // plus one chunk, however the input is truncated or crafted, and a whole
 // frame costs O(log size) allocations.
-type decoder struct {
-	r   io.Reader
-	buf []byte
+//
+// It returns io.EOF only when the input ends before the frame's first byte.
+// An input that ends anywhere else, or a CRC mismatch, is ErrCorrupt; a
+// payload size outside the declared range is ErrFormat.
+func (d *decoder) frame(head []byte, lo, hi int) ([]float64, error) {
+	word := d.buf[:4]
+	if _, err := io.ReadFull(d.r, word); err != nil {
+		if err == io.EOF {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	size := int64(binary.LittleEndian.Uint32(word))
+	body := size - int64(len(head))
+	if body < 8*int64(lo) || body > 8*int64(hi) || body%8 != 0 {
+		return nil, fmt.Errorf("%w: frame declares %d payload bytes, want %d plus 8×[%d, %d]", ErrFormat, size, len(head), lo, hi)
+	}
+	h := d.buf[:len(head)]
+	if err := d.readFull(h); err != nil {
+		return nil, err
+	}
+	crc := crc32.Update(0, castagnoli, h)
+	copy(head, h)
+
+	want := int(body / 8)
+	vals := make([]float64, 0, min(want, chunkBytes/8))
+	for rem := int(body); rem > 0; {
+		k := min(rem, chunkBytes)
+		chunk := d.buf[:k]
+		if err := d.readFull(chunk); err != nil {
+			return nil, err
+		}
+		crc = crc32.Update(crc, castagnoli, chunk)
+		if len(vals)+k/8 > cap(vals) {
+			vals = append(make([]float64, 0, min(2*cap(vals), want)), vals...)
+		}
+		for off := 0; off < k; off += 8 {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(chunk[off:])))
+		}
+		rem -= k
+	}
+	if err := d.readFull(word); err != nil {
+		return nil, err
+	}
+	if binary.LittleEndian.Uint32(word) != crc {
+		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+	}
+	return vals, nil
 }
 
 func (d *decoder) readFull(p []byte) error {
@@ -369,70 +436,4 @@ func (d *decoder) readFull(p []byte) error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil
-}
-
-func (d *decoder) readU32() (uint32, error) {
-	var b [4]byte
-	if err := d.readFull(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// readRawFrame reads a frame whose payload must be exactly len(dst) bytes.
-func (d *decoder) readRawFrame(dst []byte) error {
-	declared, err := d.readU32()
-	if err != nil {
-		return err
-	}
-	if int(declared) != len(dst) {
-		return fmt.Errorf("%w: frame declares %d payload bytes, want %d", ErrFormat, declared, len(dst))
-	}
-	if err := d.readFull(dst); err != nil {
-		return err
-	}
-	crc, err := d.readU32()
-	if err != nil {
-		return err
-	}
-	if crc != crc32.Checksum(dst, castagnoli) {
-		return fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
-	}
-	return nil
-}
-
-func (d *decoder) readF64Frame(want int) ([]float64, error) {
-	declared, err := d.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(declared) != uint64(want)*8 {
-		return nil, fmt.Errorf("%w: frame declares %d payload bytes, want %d", ErrFormat, declared, want*8)
-	}
-	crc := uint32(0)
-	dst := make([]float64, 0, min(want, chunkBytes/8))
-	rem := int(declared)
-	for rem > 0 {
-		k := min(rem, chunkBytes)
-		chunk := d.buf[:k]
-		if err := d.readFull(chunk); err != nil {
-			return nil, err
-		}
-		crc = crc32.Update(crc, castagnoli, chunk)
-		if len(dst)+k/8 > cap(dst) {
-			dst = append(make([]float64, 0, min(2*cap(dst), want)), dst...)
-		}
-		for off := 0; off < k; off += 8 {
-			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(chunk[off:])))
-		}
-		rem -= k
-	}
-	got, err := d.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if got != crc {
-		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
-	}
-	return dst, nil
 }

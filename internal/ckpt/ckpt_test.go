@@ -134,17 +134,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllocs pins the encoder's O(1) allocation contract: the
-// state streams through one fixed chunk buffer, so the count follows the
-// number of frames, never their size (the n=512, W=4096 checkpoint is
-// 21 MB).
+// TestCheckpointAllocs pins the encoder's allocation contract: every frame,
+// length and CRC words included, is staged in one chunk buffer, the
+// checkpoint's only allocation whatever its size (the n=512, W=4096
+// checkpoint is 21 MB).
 func TestCheckpointAllocs(t *testing.T) {
 	for _, c := range []struct {
 		n, window int
 		want      float64
 	}{
-		{8, 16, 10},
-		{512, 4096, 12},
+		{8, 16, 1},
+		{512, 4096, 1},
 	} {
 		e := buildEngine(t, c.n, c.window, 64, 24, 7)
 		got := testing.AllocsPerRun(4, func() {
@@ -316,8 +316,8 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.frames != 4 || w.Bytes() != int64(buf.Len()) {
-		t.Fatalf("writer reports %d frames %d bytes, buffer has %d", w.frames, w.Bytes(), buf.Len())
+	if w.Bytes() != int64(buf.Len()) {
+		t.Fatalf("writer reports %d bytes, buffer has %d", w.Bytes(), buf.Len())
 	}
 
 	start, frames, torn, err := ReadWAL(bytes.NewReader(buf.Bytes()))
@@ -339,8 +339,8 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALAppendAllocs: logging a push allocates once per frame, whatever
-// the sample's length.
+// TestWALAppendAllocs: logging a push allocates nothing once the writer's
+// buffer holds one frame, whatever the sample's length.
 func TestWALAppendAllocs(t *testing.T) {
 	w, err := NewWALWriter(io.Discard, 0, SyncNone)
 	if err != nil {
@@ -353,8 +353,47 @@ func TestWALAppendAllocs(t *testing.T) {
 		if err := w.Append(gen, sample); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 1 {
-		t.Errorf("Append: %v allocs per frame, want 1", got)
+	}); got != 0 {
+		t.Errorf("Append: %v allocs per frame, want 0", got)
+	}
+}
+
+// writeCounter counts Write calls and the bytes they carry.
+type writeCounter struct{ writes, bytes int }
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	c.bytes += len(p)
+	return len(p), nil
+}
+
+// TestWALAppendOneWrite: a push frame is staged whole and handed to the
+// segment file in one Write, and the writer's buffer grows to one push
+// frame but never past one chunk.
+func TestWALAppendOneWrite(t *testing.T) {
+	var c writeCounter
+	w, err := NewWALWriter(&c, 0, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frameBytes = 4 + 8 + 8*256 + 4
+	for i, x := range feed(2, 256, 3) {
+		c.writes, c.bytes = 0, 0
+		if err := w.Append(uint64(i+1), x); err != nil {
+			t.Fatal(err)
+		}
+		if c.writes != 1 || c.bytes != frameBytes {
+			t.Fatalf("Append %d: %d writes of %d bytes, want 1 of %d", i, c.writes, c.bytes, frameBytes)
+		}
+	}
+	if got := cap(w.enc.buf); got != frameBytes {
+		t.Fatalf("buffer holds %d bytes after n=256 frames, want %d", got, frameBytes)
+	}
+	if err := w.Append(4, feed(2, 9000, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(w.enc.buf); got != chunkBytes {
+		t.Fatalf("buffer holds %d bytes after an n=9000 frame, want one chunk (%d)", got, chunkBytes)
 	}
 }
 

@@ -3,9 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 )
 
 // The write-ahead log records every push admitted between two checkpoints,
@@ -15,11 +13,11 @@ import (
 //
 // # WAL segment format (version 1)
 //
-// The same CRC framing as checkpoints (u32 len | payload | u32 crc32c),
-// little-endian throughout:
+// The frames of the package comment, in order:
 //
-//	header  16 bytes: magic "PFGW" | u32 version | u64 startGen
-//	frame*  u64 generation | n×f64 sample
+//	header  head of 16 bytes, no values: magic "PFGW" | u32 version
+//	        | u64 startGen
+//	push*   head of 8 bytes, u64 generation; the sample's n values
 //
 // startGen is the engine generation at the moment the segment was opened;
 // every frame carries the POST-push generation of its sample (strictly
@@ -91,18 +89,15 @@ type syncer interface{ Sync() error }
 
 // WALWriter appends push frames to one segment. Not safe for concurrent
 // use; the serving layer calls it under the same per-session push lock that
-// serializes engine writes. Errors are sticky: after a write error every
-// later call reports it, and the serving layer counts the segment lost
-// (recovery replays the durable prefix).
+// serializes engine writes. Errors are sticky: after a write or sync error
+// every later call reports it, and the serving layer counts the segment
+// lost (recovery replays the durable prefix). Its buffer holds at most one
+// push frame and at most one chunk.
 type WALWriter struct {
-	w      io.Writer
-	sync   syncer
+	enc    encoder
+	sync   syncer // nil when the underlying writer cannot sync
 	policy SyncPolicy
-	buf    []byte
-	frames uint64
-	bytes  int64
 	dirty  bool // frames written since the last sync
-	err    error
 }
 
 // NewWALWriter writes the segment header for a segment starting at
@@ -110,97 +105,59 @@ type WALWriter struct {
 // according to policy so an immediately-following crash still leaves a
 // well-formed (empty) segment.
 func NewWALWriter(w io.Writer, startGen uint64, policy SyncPolicy) (*WALWriter, error) {
-	wr := &WALWriter{w: w, policy: policy, buf: make([]byte, walHeaderLen+12)}
-	if s, ok := w.(syncer); ok {
-		wr.sync = s
-	}
-	hdr := wr.buf[:walHeaderLen]
-	copy(hdr, walMagic)
+	wr := &WALWriter{enc: encoder{w: w}, policy: policy}
+	wr.sync, _ = w.(syncer)
+	var hdr [walHeaderLen]byte
+	copy(hdr[:], walMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], FormatVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], startGen)
-	wr.writeFrame(hdr)
-	if wr.err == nil && policy != SyncNone {
-		wr.err = wr.doSync()
+	wr.enc.frame(hdr[:], nil)
+	if policy != SyncNone {
+		wr.doSync()
 	}
-	if wr.err != nil {
-		return nil, wr.err
+	if wr.enc.err != nil {
+		return nil, wr.enc.err
 	}
 	return wr, nil
 }
 
 // Append logs one admitted push: the sample vector stamped with the
-// POST-push engine generation. Under SyncAlways the frame is durable when
-// Append returns; under SyncBatch it is durable after the next Flush.
+// POST-push engine generation, in one Write. Under SyncAlways the frame is
+// durable when Append returns; under SyncBatch it is durable after the next
+// Flush.
 func (wr *WALWriter) Append(gen uint64, sample []float64) error {
-	if wr.err != nil {
-		return wr.err
+	var head [8]byte
+	binary.LittleEndian.PutUint64(head[:], gen)
+	wr.enc.frame(head[:], sample)
+	wr.dirty = true
+	if wr.policy == SyncAlways {
+		wr.doSync()
 	}
-	need := 8 + len(sample)*8
-	if cap(wr.buf) < need {
-		wr.buf = make([]byte, need)
-	}
-	payload := wr.buf[:need]
-	binary.LittleEndian.PutUint64(payload, gen)
-	for i, v := range sample {
-		binary.LittleEndian.PutUint64(payload[8+i*8:], math.Float64bits(v))
-	}
-	wr.writeFrame(payload)
-	if wr.err == nil {
-		wr.frames++
-		wr.dirty = true
-		if wr.policy == SyncAlways {
-			wr.err = wr.doSync()
-		}
-	}
-	return wr.err
+	return wr.enc.err
 }
 
 // Flush makes appended frames durable under SyncBatch (no-op otherwise, and
 // when nothing new was appended). The serving layer calls it once per HTTP
 // push batch.
 func (wr *WALWriter) Flush() error {
-	if wr.err != nil {
-		return wr.err
-	}
 	if wr.policy == SyncBatch && wr.dirty {
-		wr.err = wr.doSync()
+		wr.doSync()
 	}
-	return wr.err
+	return wr.enc.err
 }
 
 // Bytes returns the bytes written so far, header included.
-func (wr *WALWriter) Bytes() int64 { return wr.bytes }
+func (wr *WALWriter) Bytes() int64 { return wr.enc.n }
 
-// Err returns the sticky error, if any.
-func (wr *WALWriter) Err() error { return wr.err }
-
-func (wr *WALWriter) writeFrame(payload []byte) {
-	if wr.err != nil {
+// doSync fsyncs what has been written, unless an earlier error stands.
+func (wr *WALWriter) doSync() {
+	if wr.enc.err != nil {
 		return
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(payload)))
-	wr.write(b[:])
-	wr.write(payload)
-	binary.LittleEndian.PutUint32(b[:], crc32.Checksum(payload, castagnoli))
-	wr.write(b[:])
-}
-
-func (wr *WALWriter) write(p []byte) {
-	if wr.err != nil {
-		return
-	}
-	m, err := wr.w.Write(p)
-	wr.bytes += int64(m)
-	wr.err = err
-}
-
-func (wr *WALWriter) doSync() error {
 	wr.dirty = false
-	if wr.sync == nil {
-		return nil
+	if wr.sync != nil {
+		wr.enc.err = wr.sync.Sync()
 	}
-	return wr.sync.Sync()
 }
 
 // WALFrame is one replayable push: the sample and the engine generation it
@@ -219,11 +176,11 @@ type WALFrame struct {
 // torn=true. Frame generations must be strictly increasing from startGen;
 // a violation is treated as a tear.
 func ReadWAL(r io.Reader) (startGen uint64, frames []WALFrame, torn bool, err error) {
-	dec := &decoder{r: r, buf: make([]byte, chunkBytes)}
+	dec := decoder{r: r, buf: make([]byte, chunkBytes)}
 	var hdr [walHeaderLen]byte
-	if err := dec.readRawFrame(hdr[:]); err != nil {
-		// A short, CRC-broken, or wrong-length header is a torn empty
-		// segment: zero durable frames, recovery proceeds from the
+	if _, err := dec.frame(hdr[:], 0, 0); err != nil {
+		// An empty, short, CRC-broken, or wrong-length header is a torn
+		// empty segment: zero durable frames, recovery proceeds from the
 		// checkpoint alone.
 		return 0, nil, true, nil
 	}
@@ -235,64 +192,21 @@ func ReadWAL(r io.Reader) (startGen uint64, frames []WALFrame, torn bool, err er
 	}
 	startGen = binary.LittleEndian.Uint64(hdr[8:])
 
+	// A clean end at a frame boundary ends the segment; anything else that
+	// stops the read — a short frame, a CRC or size mismatch, a generation
+	// that does not advance — is a torn tail.
 	prev := startGen
 	for {
-		frame, ok := readWALFrame(dec, prev)
-		if !ok.valid {
-			return startGen, frames, ok.torn, nil
+		var head [8]byte
+		sample, err := dec.frame(head[:], 0, maxWALSample)
+		if err != nil {
+			return startGen, frames, err != io.EOF, nil
 		}
-		frames = append(frames, frame)
-		prev = frame.Gen
-	}
-}
-
-// walRead reports how a frame read ended: a clean end-of-segment (valid
-// false, torn false), a torn tail (valid false, torn true), or a good frame.
-type walRead struct{ valid, torn bool }
-
-func readWALFrame(dec *decoder, prevGen uint64) (WALFrame, walRead) {
-	var lenB [4]byte
-	// A clean EOF at a frame boundary ends the segment; any partial read
-	// from here on is a torn tail.
-	if _, err := io.ReadFull(dec.r, lenB[:1]); err == io.EOF {
-		return WALFrame{}, walRead{}
-	} else if err != nil {
-		return WALFrame{}, walRead{torn: true}
-	}
-	if _, err := io.ReadFull(dec.r, lenB[1:]); err != nil {
-		return WALFrame{}, walRead{torn: true}
-	}
-	declared := binary.LittleEndian.Uint32(lenB[:])
-	if declared < 8 || (declared-8)%8 != 0 || (declared-8)/8 > maxWALSample {
-		return WALFrame{}, walRead{torn: true}
-	}
-	crc := uint32(0)
-	payload := make([]byte, 0, min(int(declared), chunkBytes))
-	rem := int(declared)
-	for rem > 0 {
-		k := min(rem, chunkBytes)
-		chunk := dec.buf[:k]
-		if _, err := io.ReadFull(dec.r, chunk); err != nil {
-			return WALFrame{}, walRead{torn: true}
+		gen := binary.LittleEndian.Uint64(head[:])
+		if gen <= prev {
+			return startGen, frames, true, nil
 		}
-		crc = crc32.Update(crc, castagnoli, chunk)
-		payload = append(payload, chunk...)
-		rem -= k
+		frames = append(frames, WALFrame{Gen: gen, Sample: sample})
+		prev = gen
 	}
-	var crcB [4]byte
-	if _, err := io.ReadFull(dec.r, crcB[:]); err != nil {
-		return WALFrame{}, walRead{torn: true}
-	}
-	if binary.LittleEndian.Uint32(crcB[:]) != crc {
-		return WALFrame{}, walRead{torn: true}
-	}
-	gen := binary.LittleEndian.Uint64(payload)
-	if gen <= prevGen {
-		return WALFrame{}, walRead{torn: true}
-	}
-	sample := make([]float64, (declared-8)/8)
-	for i := range sample {
-		sample[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8+i*8:]))
-	}
-	return WALFrame{Gen: gen, Sample: sample}, walRead{valid: true}
 }

@@ -3,11 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -197,10 +196,13 @@ func (d *durable) checkpoint(sess *Session) error {
 	if err != nil {
 		return err
 	}
-	cw := &countWriter{w: f}
-	gen, err := sess.st.Checkpoint(cw)
+	gen, err := sess.st.Checkpoint(f)
 	if err == nil {
 		err = f.Sync()
+	}
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = f.Stat()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -223,19 +225,16 @@ func (d *durable) checkpoint(sess *Session) error {
 	d.prune()
 	elapsed := time.Since(start)
 	d.ins.checkpoints.Add(1)
-	d.ins.checkpointBytes.Add(uint64(cw.n))
+	d.ins.checkpointBytes.Add(uint64(fi.Size()))
 	d.ins.ckptNs.Observe(uint64(elapsed))
-	d.ins.ckptBytes.Observe(uint64(cw.n))
+	d.ins.ckptBytes.Observe(uint64(fi.Size()))
 	return nil
 }
 
 // rotateWAL closes the current segment and opens wal-<gen>.wal: from here
 // on, frames record pushes after the checkpoint at gen.
 func (d *durable) rotateWAL(gen uint64) error {
-	if d.walF != nil {
-		d.walF.Close()
-		d.walF, d.wal = nil, nil
-	}
+	d.closeFiles()
 	f, err := os.Create(filepath.Join(d.dir, walName(gen)))
 	if err != nil {
 		return err
@@ -253,27 +252,17 @@ func (d *durable) rotateWAL(gen uint64) error {
 // older than the oldest retained checkpoint. Best-effort: leftovers cost
 // disk, not correctness (recovery skips what it does not need).
 func (d *durable) prune() {
-	ents, err := os.ReadDir(d.dir)
-	if err != nil {
+	ckpts, wals, err := listGens(d.dir)
+	if err != nil || len(ckpts) <= ckptKeep {
 		return
 	}
-	var ckpts []uint64
-	for _, e := range ents {
-		if g, ok := parseGen(e.Name(), "ckpt-", ".pfgc"); ok {
-			ckpts = append(ckpts, g)
-		}
-	}
-	if len(ckpts) <= ckptKeep {
-		return
-	}
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
 	oldestKept := ckpts[ckptKeep-1]
 	for _, g := range ckpts[ckptKeep:] {
 		os.Remove(filepath.Join(d.dir, ckptName(g)))
 	}
-	for _, e := range ents {
-		if g, ok := parseGen(e.Name(), "wal-", ".wal"); ok && g < oldestKept {
-			os.Remove(filepath.Join(d.dir, e.Name()))
+	for _, g := range wals {
+		if g < oldestKept {
+			os.Remove(filepath.Join(d.dir, walName(g)))
 		}
 	}
 }
@@ -361,18 +350,9 @@ func (s *Server) recoverSession(id string) error {
 		return fmt.Errorf("meta.json: %w", err)
 	}
 
-	ents, err := os.ReadDir(dir)
+	ckptGens, walGens, err := listGens(dir)
 	if err != nil {
 		return err
-	}
-	var ckptGens, walGens []uint64
-	for _, e := range ents {
-		if g, ok := parseGen(e.Name(), "ckpt-", ".pfgc"); ok {
-			ckptGens = append(ckptGens, g)
-		}
-		if g, ok := parseGen(e.Name(), "wal-", ".wal"); ok {
-			walGens = append(walGens, g)
-		}
 	}
 	if len(ckptGens) == 0 {
 		return fmt.Errorf("no checkpoint files")
@@ -380,7 +360,6 @@ func (s *Server) recoverSession(id string) error {
 	// Newest checkpoint that decodes cleanly wins; a torn or corrupt newer
 	// one (crash mid-write) falls back to the retained older checkpoint,
 	// whose WAL segments were kept precisely for this.
-	sort.Slice(ckptGens, func(i, j int) bool { return ckptGens[i] > ckptGens[j] })
 	var st *pfg.Streamer
 	for _, g := range ckptGens {
 		f, err := os.Open(filepath.Join(dir, ckptName(g)))
@@ -404,7 +383,6 @@ func (s *Server) recoverSession(id string) error {
 	// covers are skipped; each replayed push must land exactly on its
 	// frame's generation stamp — a gap (missing segment) or a divergence
 	// ends replay at the last consistent state.
-	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
 	replayed := uint64(0)
 replay:
 	for _, g := range walGens {
@@ -487,6 +465,28 @@ func readMeta(dir string) (SessionConfig, pfg.Options, error) {
 func ckptName(gen uint64) string { return fmt.Sprintf("ckpt-%020d.pfgc", gen) }
 func walName(gen uint64) string  { return fmt.Sprintf("wal-%020d.wal", gen) }
 
+// listGens lists the generations of a session directory's checkpoints,
+// newest first, and of its WAL segments, oldest first: the orders recovery
+// tries them in.
+func listGens(dir string) (ckpts, wals []uint64, err error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range ents {
+		if g, ok := parseGen(e.Name(), "ckpt-", ".pfgc"); ok {
+			ckpts = append(ckpts, g)
+		}
+		if g, ok := parseGen(e.Name(), "wal-", ".wal"); ok {
+			wals = append(wals, g)
+		}
+	}
+	slices.Sort(ckpts)
+	slices.Reverse(ckpts)
+	slices.Sort(wals)
+	return ckpts, wals, nil
+}
+
 // parseGen extracts the generation from a "<prefix><gen><suffix>" file name.
 func parseGen(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
@@ -512,17 +512,4 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// countWriter counts bytes on their way to the checkpoint file, for the
-// /statsz checkpoint_bytes figure.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	m, err := c.w.Write(p)
-	c.n += int64(m)
-	return m, err
 }

@@ -480,3 +480,30 @@ func TestDurableStatsCounters(t *testing.T) {
 		t.Fatalf("%d checkpoints on disk, want %d", cks, ckptKeep)
 	}
 }
+
+// TestDurableCheckpointBytes: /statsz checkpoint_bytes sums the sizes of the
+// checkpoint files written, and the histogram sees each one.
+func TestDurableCheckpointBytes(t *testing.T) {
+	dir := t.TempDir()
+	h := newTestServer(t, durableOptions(dir))
+	durableSession(h, "s", false)
+	pushTicks(h, "s", ticks(t, 4, 7, 3))
+	ckpts, _, err := listGens(filepath.Join(dir, "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpts) != 2 {
+		t.Fatalf("%d checkpoints on disk, want the initial one and one periodic", len(ckpts))
+	}
+	var onDisk uint64
+	for _, g := range ckpts {
+		fi, err := os.Stat(filepath.Join(dir, "s", ckptName(g)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += uint64(fi.Size())
+	}
+	if v := statsView(h); v.Checkpoints != 2 || v.CheckpointBytes != onDisk {
+		t.Fatalf("statsz: %d checkpoints, %d bytes; want 2 and the %d bytes on disk", v.Checkpoints, v.CheckpointBytes, onDisk)
+	}
+}

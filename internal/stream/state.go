@@ -21,10 +21,10 @@ import (
 // protects CopyState. NewFromState takes ownership of the given slices: the
 // restored engine runs on them, so the caller must not reuse them.
 //
-// Dirty is not part of the state: it is derivable (the engine sets it
-// exactly when a slide has happened since the last exact state, i.e.
-// Slides > 0), so a checkpoint cannot encode an inconsistent combination.
-// Likewise the magnitude bound is reconstructed, not stored.
+// Exactness is not part of the state: the engine derives it from Slides
+// (exact iff no slide has happened since the last exact state), so a
+// checkpoint cannot encode an inconsistent combination. Likewise the
+// magnitude bound is reconstructed, not stored.
 type State struct {
 	N, Window    int
 	RebuildEvery int
@@ -93,7 +93,6 @@ func NewFromState(st State, w *ws.Workspace) (*Engine, error) {
 		head:         st.Head,
 		slides:       st.Slides,
 		gen:          st.Gen,
-		dirty:        st.Slides > 0,
 		ring:         st.Ring,
 		g:            st.G,
 		gCur:         st.GCur,

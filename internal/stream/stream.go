@@ -97,9 +97,8 @@ type Engine struct {
 
 	count  int    // samples currently in the window (≤ window)
 	head   int    // ring slot the next sample will occupy
-	slides int    // slides since the last exact rebuild
+	slides int    // slides since the last exact rebuild; > 0 means drifted
 	gen    uint64 // version counter: bumped whenever snapshot-visible state changes
-	dirty  bool   // true once a slide has happened without a rebuild after it
 
 	ring []float64 // window×n, sample-major: ring[slot*n+i]
 	g    []float64 // n×n cross-product band: the folded full panels
@@ -165,7 +164,7 @@ func (e *Engine) RingBytes() int { return len(e.ring) * 8 }
 // Exact reports whether the moments are currently bit-identical to a batch
 // recomputation over the window (true while filling and right after a
 // rebuild; false once a slide has drifted them).
-func (e *Engine) Exact() bool { return !e.dirty }
+func (e *Engine) Exact() bool { return e.slides == 0 }
 
 // Generation returns a monotonic version counter of the snapshot-visible
 // moment state: it advances on every admitted Push and on every Rebuild that
@@ -242,7 +241,6 @@ func (e *Engine) Push(pool *exec.Pool, x []float64) error {
 		}
 		copy(slot, x)
 		e.advanceHead()
-		e.dirty = true
 		e.slides++
 		e.bumpGen()
 		if e.met != nil {
@@ -373,14 +371,14 @@ func (e *Engine) Rebuild(pool *exec.Pool) {
 			kernel.SyrkUpperRange(z, n, t, e.gCur, lo, hi, full, t, true)
 		})
 	}
-	if e.dirty {
+	if e.slides > 0 {
 		// The rebuild discarded drift, so snapshot bits may have moved:
 		// stamp a new generation. A rebuild of an already-exact state
 		// reproduces the moments bit-for-bit and keeps the generation, so
 		// caches stay warm across redundant rebuilds.
 		e.bumpGen()
 	}
-	e.slides, e.dirty = 0, false
+	e.slides = 0
 	if e.met != nil {
 		sw.Lap(e.met.Rebuild)
 	}

@@ -252,9 +252,9 @@ type ResultDeltaJSON struct {
 // Delta computes the sparse delta that transforms the receiver (the base
 // view) into next. The two views must be comparable: same object count,
 // same method family (both with or both without a filtered-graph edge
-// list), and identical cut-key sets — a serving layer that cannot satisfy
-// that (e.g. the base generation was evicted) falls back to sending the
-// full view. The receiver and next are not mutated and may be shared.
+// list), and identical cut-key sets; a serving layer holding two views
+// that are not sends the full view instead. The receiver and next are not
+// mutated and may be shared.
 func (r *ResultJSON) Delta(next *ResultJSON) (*ResultDeltaJSON, error) {
 	if next.N != r.N {
 		return nil, fmt.Errorf("pfg: delta base has n=%d, next has n=%d", r.N, next.N)
