@@ -163,15 +163,18 @@
 // MinIdx/DissimRow scans — carry two backends
 // selected at init: hand-written AVX2 assembly on capable amd64 hosts, and
 // the always-compiled pure-Go scalar cores everywhere else (forced by
-// -tags purego).
+// -tags purego). On a CPU with AVX-512F (CPUID.7.0:EBX[16]) whose OS saves
+// the opmask and ZMM state (XGETBV XCR0 & 0xE6 == 0xE6) the SYRK runs a
+// 4×16 AVX-512 tile instead of the 4×8 AVX2 one; every other kernel keeps
+// its AVX2 form.
 // The backends are bit-identical in float64 — the vector code avoids FMA,
 // vectorizes across matrix columns rather than the time dimension, and
 // mirrors scalar operand order — and KernelISA reports which one this
-// process runs. SYRK additionally accumulates in KC-sized time panels
-// folded in ascending order, which makes the band invariant to T-panel
-// partitioning and lets matrix.SyrkUpperWS parallelize one large-T
-// correlation build across panels with bit-identical output at any worker
-// count. README.md ("Kernel layer") documents the tiling scheme, the
+// process runs: "avx512", "avx2" or "scalar". SYRK additionally
+// accumulates in KC-sized time panels folded in ascending order, which
+// makes the band invariant to T-panel partitioning and lets
+// matrix.SyrkUpperWS parallelize one large-T correlation build across
+// panels with bit-identical output at any worker count. README.md ("Kernel layer") documents the tiling scheme, the
 // determinism guarantee, and how to pick tile sizes.
 //
 // See the examples/ directory for runnable programs and README.md for the

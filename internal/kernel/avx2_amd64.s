@@ -1,6 +1,7 @@
 //go:build !purego
 
-// AVX2 microkernels. Determinism rules, enforced by the oracle tests:
+// AVX2 microkernels, plus the AVX-512F form of the SYRK tile. Determinism
+// rules, enforced by the oracle tests:
 //
 //   - No FMA anywhere: every multiply-add is VMULPD then VADDPD, two
 //     roundings, exactly like the scalar `c += a*b`.
@@ -154,6 +155,99 @@ tilestore:
 	VMOVUPD Y5, 32(BX)
 	VMOVUPD Y6, (BX)(R11*1)
 	VMOVUPD Y7, 32(BX)(R11*1)
+	VZEROUPPER
+	RET
+
+// func syrkTile4x16(a *float64, lda8 uintptr, bp *float64, kc int, c *float64, ldc8 uintptr, add bool)
+//
+// The AVX-512F form of syrkTile4x8: one 4-row × 16-column tile over a packed
+// 16-column B sliver bp[t*16 : t*16+16], row r in Z(2r), Z(2r+1). The same
+// rules hold lane by lane — broadcast a as the first multiply operand,
+// VMULPD then VADDPD with the accumulator first, C first in the fold — so
+// every lane is the chain syrkTile4x8 and the scalar core compute.
+TEXT ·syrkTile4x16(SB), NOSPLIT, $0-49
+	MOVQ a+0(FP), DI
+	MOVQ lda8+8(FP), R8
+	LEAQ (R8)(R8*1), R9  // 2*lda8
+	LEAQ (R9)(R8*1), R10 // 3*lda8
+	MOVQ bp+16(FP), SI
+	MOVQ kc+24(FP), CX
+	VXORPD Z0, Z0, Z0
+	VXORPD Z1, Z1, Z1
+	VXORPD Z2, Z2, Z2
+	VXORPD Z3, Z3, Z3
+	VXORPD Z4, Z4, Z4
+	VXORPD Z5, Z5, Z5
+	VXORPD Z6, Z6, Z6
+	VXORPD Z7, Z7, Z7
+
+tile16loop:
+	VMOVUPD (SI), Z8   // B[t][0:8]
+	VMOVUPD 64(SI), Z9 // B[t][8:16]
+
+	VBROADCASTSD (DI), Z10 // a row 0
+	VMULPD Z8, Z10, Z11
+	VADDPD Z11, Z0, Z0
+	VMULPD Z9, Z10, Z11
+	VADDPD Z11, Z1, Z1
+
+	VBROADCASTSD (DI)(R8*1), Z10 // a row 1
+	VMULPD Z8, Z10, Z11
+	VADDPD Z11, Z2, Z2
+	VMULPD Z9, Z10, Z11
+	VADDPD Z11, Z3, Z3
+
+	VBROADCASTSD (DI)(R9*1), Z10 // a row 2
+	VMULPD Z8, Z10, Z11
+	VADDPD Z11, Z4, Z4
+	VMULPD Z9, Z10, Z11
+	VADDPD Z11, Z5, Z5
+
+	VBROADCASTSD (DI)(R10*1), Z10 // a row 3
+	VMULPD Z8, Z10, Z11
+	VADDPD Z11, Z6, Z6
+	VMULPD Z9, Z10, Z11
+	VADDPD Z11, Z7, Z7
+
+	ADDQ $8, DI
+	ADDQ $128, SI
+	DECQ CX
+	JNZ  tile16loop
+
+	MOVQ c+32(FP), DX
+	MOVQ ldc8+40(FP), R11
+	LEAQ (DX)(R11*2), BX // c row 2
+	MOVBLZX add+48(FP), AX
+	TESTL AX, AX
+	JZ   tile16store
+
+	// Fold: c += acc, with the existing C value as the first add operand.
+	VMOVUPD (DX), Z8
+	VADDPD Z0, Z8, Z0
+	VMOVUPD 64(DX), Z8
+	VADDPD Z1, Z8, Z1
+	VMOVUPD (DX)(R11*1), Z8
+	VADDPD Z2, Z8, Z2
+	VMOVUPD 64(DX)(R11*1), Z8
+	VADDPD Z3, Z8, Z3
+	VMOVUPD (BX), Z8
+	VADDPD Z4, Z8, Z4
+	VMOVUPD 64(BX), Z8
+	VADDPD Z5, Z8, Z5
+	VMOVUPD (BX)(R11*1), Z8
+	VADDPD Z6, Z8, Z6
+	VMOVUPD 64(BX)(R11*1), Z8
+	VADDPD Z7, Z8, Z7
+
+tile16store:
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, (DX)(R11*1)
+	VMOVUPD Z3, 64(DX)(R11*1)
+	VMOVUPD Z4, (BX)
+	VMOVUPD Z5, 64(BX)
+	VMOVUPD Z6, (BX)(R11*1)
+	VMOVUPD Z7, 64(BX)(R11*1)
 	VZEROUPPER
 	RET
 

@@ -3,17 +3,21 @@
 package kernel
 
 // Scalar-only build: every public kernel runs its portable Go
-// implementation. useAVX2 is a compile-time false so the vector branches in
-// the shared kernel bodies are eliminated entirely, and the stubs below
-// (referenced only from those branches) compile away as dead code.
-const useAVX2 = false
+// implementation. useAVX2 and syrkW are compile-time constants so the
+// vector branches in the shared kernel bodies are eliminated entirely, and
+// the stubs below (referenced only from those branches) compile away as
+// dead code.
+const (
+	useAVX2 = false
+	syrkW   = 0
+)
 
 // ISA reports the instruction-set backend the kernels were dispatched to at
-// init: "avx2" or "scalar". On this build (a non-amd64 platform or the
-// purego build tag) it is always "scalar".
+// init: "avx512", "avx2" or "scalar". On this build (a non-amd64 platform
+// or the purego build tag) it is always "scalar".
 func ISA() string { return "scalar" }
 
-func syrkUpperRangeAVX2(z []float64, n, ld int, c []float64, i0, i1, k0, k1 int, first bool) {
+func syrkTile(w int, a *float64, lda8 uintptr, bp *float64, kc int, c *float64, ldc8 uintptr, add bool) {
 	panic("kernel: no vector backend")
 }
 

@@ -120,6 +120,155 @@ func TestOracleSyrkPanelSplit(t *testing.T) {
 	}
 }
 
+// syrkTileWidths lists the SYRK tile widths this CPU and build run,
+// narrowest first: the oracle tests and benchmarks drive the vector driver
+// with each, so an AVX-512 host still checks the AVX2 tile.
+func syrkTileWidths() []int {
+	switch syrkW {
+	case 16:
+		return []int{8, 16}
+	case 8:
+		return []int{8}
+	}
+	return nil
+}
+
+// TestOracleSyrkTiles drives the vector SYRK driver with every tile this
+// CPU runs (syrkTileWidths, logged) against the scalar core at the shapes
+// where its schedule has seams: n%8 and n%16 non-zero and several syrkNC
+// column blocks, bands starting at every residue mod 16, and a panel split
+// that runs the store mode and then the fold mode. C starts as a sentinel
+// NaN, which every entry outside the band's upper triangle must keep. Z is
+// normal samples, so every entry is distinct and a misplaced one shows;
+// FuzzSyrkUpperRange covers the special values.
+func TestOracleSyrkTiles(t *testing.T) {
+	widths := syrkTileWidths()
+	if len(widths) == 0 {
+		t.Skip("no vector SYRK tile in this build or on this CPU")
+	}
+	t.Logf("tile widths: %v", widths)
+	rng := rand.New(rand.NewSource(78))
+	sentinel := math.Float64frombits(0x7ff80000deadbeef)
+	for _, tc := range []struct{ n, l int }{{263, syrkKC + 45}, {517, syrkKC + 9}, {1000, syrkKC + 3}} {
+		n, l := tc.n, tc.l
+		z := make([]float64, n*l)
+		for i := range z {
+			z[i] = rng.NormFloat64()
+		}
+		want := make([]float64, n*n)
+		syrkUpperRangeGo(z, n, l, want, 0, n, 0, l, true)
+		// Bands of 13 rows (three quads and a leftover row) start at every
+		// residue mod 16; the last band runs to n over several blocks.
+		residues := []int{0}
+		for i0 := 13; len(residues) < 17; i0 += 13 {
+			residues = append(residues, i0)
+		}
+		residues[16] = n
+		for _, cuts := range [][]int{{0, n}, residues} {
+			for _, split := range [][]int{{0, l}, {0, syrkKC, l}} {
+				for _, w := range widths {
+					got := make([]float64, n*n)
+					for i := range got {
+						got[i] = sentinel
+					}
+					for b := 0; b+1 < len(cuts); b++ {
+						for p := 0; p+1 < len(split); p++ {
+							syrkUpperRangeVec(w, z, n, l, got, cuts[b], cuts[b+1], split[p], split[p+1], p == 0)
+						}
+					}
+					for i := 0; i < n; i++ {
+						for j := 0; j < n; j++ {
+							g, w0 := math.Float64bits(got[i*n+j]), math.Float64bits(want[i*n+j])
+							if j < i {
+								w0 = math.Float64bits(sentinel)
+							}
+							if g != w0 {
+								t.Fatalf("n=%d l=%d tile 4x%d bands %d split %v: (%d,%d) = %#x, want %#x",
+									n, l, w, len(cuts)-1, split, i, j, g, w0)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSyrkUpperRange compares the vector driver on every tile this CPU runs
+// with the scalar core bit for bit on raw float bits (NaN, ±Inf, −0,
+// subnormals, ±MaxFloat64), over any band [i0, i1), a panel-aligned range
+// [k0, k1), either mode and a row stride ld ≥ l. C starts from fuzzed
+// values, which the fold mode adds to and every entry outside the band's
+// upper triangle keeps.
+//
+// Every NaN sample becomes amd64's default NaN, the one 0·Inf and Inf−Inf
+// produce, so each NaN in the result has that one payload. With two
+// different NaN payloads the result would depend on which operand of a
+// multiply or add comes first, and Go leaves that order to the compiler for
+// the scalar core: as Go 1.24 compiles it, a fold of two different NaNs
+// keeps the partial sum's payload, where the tile keeps C's. Pearson and
+// the streaming engine reject NaN samples, so no caller sees the difference.
+func FuzzSyrkUpperRange(f *testing.F) {
+	// The samples cycle through data, so a short seed of mixed values fills
+	// a whole shape.
+	rng := rand.New(rand.NewSource(79))
+	vals := make([]float64, 37)
+	fuzzFill(rng, vals)
+	var data []byte
+	for _, v := range append(vals, math.NaN()) {
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+	}
+	for _, n := range []int{4, 17, 33, 40} {
+		f.Add(uint8(n-1), uint16(syrkKC+5), uint8(0), uint8(n), uint8(0), true, data)
+		f.Add(uint8(n-1), uint16(2*syrkKC+9), uint8(n/3), uint8(n/2), uint8(0x49), false, data)
+	}
+	f.Fuzz(func(t *testing.T, nRaw uint8, lRaw uint16, iRaw, hRaw, kRaw uint8, first bool, data []byte) {
+		n := 1 + int(nRaw)%40
+		l := 1 + int(lRaw)%(2*syrkKC+40)
+		ld := l + int(kRaw>>6)
+		i0 := int(iRaw) % n
+		i1 := i0 + int(hRaw)%(n-i0+1)
+		panels := (l + syrkKC - 1) / syrkKC
+		p0 := int(kRaw&7) % (panels + 1)
+		p1 := p0 + int(kRaw>>3&7)%(panels-p0+1)
+		k0, k1 := min(p0*syrkKC, l), min(p1*syrkKC, l)
+		pos := 0
+		var buf [8]byte
+		fill := func(dst []float64) {
+			for k := range dst {
+				for b := range buf {
+					if len(data) == 0 {
+						buf[b] = byte(pos)
+					} else {
+						buf[b] = data[pos%len(data)]
+					}
+					pos++
+				}
+				dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+				if dst[k] != dst[k] {
+					dst[k] = math.Float64frombits(0xfff8000000000000)
+				}
+			}
+		}
+		z := make([]float64, n*ld)
+		fill(z)
+		c0 := make([]float64, n*n)
+		fill(c0)
+		want := append([]float64(nil), c0...)
+		syrkUpperRangeGo(z, n, ld, want, i0, i1, k0, k1, first)
+		for _, w := range syrkTileWidths() {
+			got := append([]float64(nil), c0...)
+			syrkUpperRangeVec(w, z, n, ld, got, i0, i1, k0, k1, first)
+			for i := range got {
+				if g, w0 := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w0 {
+					t.Fatalf("n=%d ld=%d rows [%d,%d) range [%d,%d) first=%v tile 4x%d: (%d,%d) = %#x, scalar core %#x",
+						n, ld, i0, i1, k0, k1, first, w, i/n, i%n, g, w0)
+				}
+			}
+		}
+	})
+}
+
 func TestOracleRank1(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, n := range []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 33, 100} {

@@ -12,19 +12,23 @@
 // Backends. Each hot kernel has a portable scalar implementation (the
 // oracle, always compiled) and, on amd64 without the purego build tag, a
 // hand-written AVX2 assembly implementation selected once at init by CPUID
-// feature detection (see ISA). The vector kernels use separate multiply and
-// add instructions — never FMA, whose single rounding would change results —
-// and keep every accumulator lane an independent ascending-t chain, so the
-// float64 backends are bit-identical to each other by construction (and the
-// oracle tests pin it).
+// feature detection (see ISA). On a CPU with AVX-512F the SYRK runs an
+// AVX-512 tile instead; every other kernel keeps its AVX2 form. The vector
+// kernels use separate multiply and add instructions — never FMA, whose
+// single rounding would change results — and keep every accumulator lane an
+// independent ascending-t chain, so the float64 backends are bit-identical
+// to each other by construction (and the oracle tests pin it).
 package kernel
+
+import "sync"
 
 // SYRK tiling parameters. The scalar micro-kernel computes a 2×4 tile of
 // C = Z·Zᵀ: 8 accumulators + 2 a-values + 4 b-values = 14 live float64s, the
 // most that fits amd64's 16 SSE registers without spilling under the Go
 // compiler. Each a-load is reused 4 times and each b-load twice, cutting the
-// loads per multiply-add from 2 (pairwise dot products) to 0.75. The AVX2
-// backend widens the tile to 4×8 (8 YMM accumulators over a packed B panel).
+// loads per multiply-add from 2 (pairwise dot products) to 0.75. The vector
+// driver (syrkUpperRangeVec) runs a 4×8 AVX2 tile (8 YMM accumulators) or a
+// 4×16 AVX-512 tile (8 ZMM accumulators) over packed B slivers.
 const (
 	syrkMR = 2 // rows of Z per scalar micro-tile
 	syrkNR = 4 // columns of the scalar tile (other rows of Z)
@@ -68,8 +72,8 @@ const RowBandGrain = 128
 // sub-range with first set only on the slice containing k0 — the invariance
 // parallel SYRK is built on.
 func SyrkUpperRange(z []float64, n, ld int, c []float64, i0, i1, k0, k1 int, first bool) {
-	if useAVX2 {
-		syrkUpperRangeAVX2(z, n, ld, c, i0, i1, k0, k1, first)
+	if syrkW != 0 {
+		syrkUpperRangeVec(syrkW, z, n, ld, c, i0, i1, k0, k1, first)
 		return
 	}
 	syrkUpperRangeGo(z, n, ld, c, i0, i1, k0, k1, first)
@@ -99,6 +103,131 @@ func syrkUpperRangeGo(z []float64, n, ld int, c []float64, i0, i1, k0, k1 int, f
 		}
 		if i < i1 {
 			syrkRowSingle(z, n, ld, c, i, a, b-a, store)
+		}
+	}
+}
+
+// syrkPackPool recycles the packed-B block buffers of the vector SYRK
+// driver; concurrent band workers each draw their own buffer.
+var syrkPackPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// syrkNC is the width of the column blocks the vector SYRK driver runs its
+// row quads over: 256 columns of one packed panel (1 MB at kc=512) stay in
+// a 2 MB L2 while every quad of the band passes over them. A multiple of
+// every tile width.
+const syrkNC = 256
+
+// syrkUpperRangeVec is the vector backend of SyrkUpperRange, running the
+// 4×w tile (w = 8 or 16, see syrkW). It keeps the exact per-entry semantics
+// of the scalar oracle — every C entry is an independent ascending-t
+// multiply-then-add chain per panel, folded across panels in ascending
+// order — and changes only the schedule. The band's row quads run over one
+// syrkNC-column block of each panel at a time, its columns packed once,
+// just before, into w-column slivers (a zero-padded tail sliver when
+// n%w ≠ 0).
+// Each lane of a tile is one entry's chain; a sliver that crosses a quad's
+// diagonal, and the tail sliver, run through the same tile into a stack
+// scratch, of which only the entries on or above the diagonal and left of n
+// are stored or folded into C. Rows left over after the last quad run the
+// scalar core.
+func syrkUpperRangeVec(w int, z []float64, n, ld int, c []float64, i0, i1, k0, k1 int, first bool) {
+	iq := i0 + (i1-i0)&^3 // end of the row quads
+	if k0 >= k1 || iq == i0 {
+		// No quad, or an empty range (the scalar core also zero-fills an
+		// empty first range).
+		syrkUpperRangeGo(z, n, ld, c, i0, i1, k0, k1, first)
+		return
+	}
+	sLo, sHi := i0/w, (n+w-1)/w
+	pb := syrkPackPool.Get().(*[]float64)
+	defer syrkPackPool.Put(pb)
+	if need := min(syrkNC, (sHi-sLo)*w) * syrkKC; cap(*pb) < need {
+		*pb = make([]float64, need)
+	}
+	lda8, ldc8 := uintptr(ld*8), uintptr(n*8)
+	for kp := k0 - k0%syrkKC; kp < k1; kp += syrkKC {
+		a := max(kp, k0)
+		kc := min(kp+syrkKC, k1) - a
+		store := first && a == k0
+		for sb := sLo; sb < sHi; sb += syrkNC / w {
+			se := min(sb+syrkNC/w, sHi)
+			zp := (*pb)[:(se-sb)*w*kc]
+			syrkPack(z, n, ld, a, kc, w, sb, se, zp)
+			for i := i0; i < iq && i/w < se; i += 4 {
+				ap := &z[i*ld+a]
+				diag := (i + 3) / w // last sliver that crosses the quad's diagonal
+				for s := max(sb, i/w); s < se; s++ {
+					bp := &zp[(s-sb)*w*kc]
+					if s <= diag || (s+1)*w > n {
+						syrkEdgeTile(w, ap, lda8, bp, kc, c, n, i, s*w, store)
+					} else {
+						syrkTile(w, ap, lda8, bp, kc, &c[i*n+s*w], ldc8, !store)
+					}
+				}
+			}
+		}
+	}
+	if iq < i1 {
+		syrkUpperRangeGo(z, n, ld, c, iq, i1, k0, k1, first)
+	}
+}
+
+// syrkEdgeTile runs the 4×w tile of rows [i, i+4) and columns [j0, j0+w)
+// into a stack scratch, then stores (or folds, c += acc) only the entries
+// with j ≥ row and j < n: the sliver crossing the quad's diagonal, or the
+// padded tail.
+func syrkEdgeTile(w int, a *float64, lda8 uintptr, bp *float64, kc int, c []float64, n, i, j0 int, store bool) {
+	var acc [4 * 16]float64
+	syrkTile(w, a, lda8, bp, kc, &acc[0], uintptr(w*8), false)
+	j1 := min(j0+w, n)
+	for r := i; r < i+4; r++ {
+		row := c[r*n : (r+1)*n]
+		src := acc[(r-i)*w : (r-i+1)*w]
+		for j := max(j0, r); j < j1; j++ {
+			if store {
+				row[j] = src[j-j0]
+			} else {
+				row[j] += src[j-j0]
+			}
+		}
+	}
+}
+
+// syrkZeros stands in for the rows past n in a padded tail sliver.
+var syrkZeros [syrkKC]float64
+
+// syrkPack copies the B-operand columns of one T-panel into sliver-major
+// layout: zp[(s−s0)·w·kc + t·w + r] = z[(ws+r)·ld + a + t] for the slivers
+// s0 ≤ s < s1, with zeros for the rows ws+r ≥ n of the tail sliver, so the
+// tile kernel reads w consecutive columns of one time step as one or two
+// cache lines. It moves eight rows at a time, each time step's eight values
+// one cache line. Pure data movement — no arithmetic, so no rounding to get
+// wrong.
+func syrkPack(z []float64, n, ld, a, kc, w, s0, s1 int, zp []float64) {
+	// row returns slices of length kc; reslicing them to [:kc] below lets
+	// the compiler drop the bounds checks of the copy loop.
+	row := func(j int) []float64 {
+		if j >= n {
+			return syrkZeros[:kc]
+		}
+		return z[j*ld+a : j*ld+a+kc]
+	}
+	for j0 := s0 * w; j0 < s1*w; j0 += 8 {
+		r0, r1, r2, r3 := row(j0)[:kc], row(j0 + 1)[:kc], row(j0 + 2)[:kc], row(j0 + 3)[:kc]
+		r4, r5, r6, r7 := row(j0 + 4)[:kc], row(j0 + 5)[:kc], row(j0 + 6)[:kc], row(j0 + 7)[:kc]
+		// Group j0 is columns [j0%w, j0%w+8) of sliver j0/w.
+		base := (j0/w-s0)*w*kc + j0%w
+		dst := zp[base : base+(kc-1)*w+8]
+		for t := 0; t < kc; t++ {
+			d := dst[t*w : t*w+8 : t*w+8]
+			d[0] = r0[t]
+			d[1] = r1[t]
+			d[2] = r2[t]
+			d[3] = r3[t]
+			d[4] = r4[t]
+			d[5] = r5[t]
+			d[6] = r6[t]
+			d[7] = r7[t]
 		}
 	}
 }
@@ -231,34 +360,6 @@ func syrkRowSingle(z []float64, n, ld int, c []float64, i, a, kc int, store bool
 			ci[j] = c0
 		} else {
 			ci[j] += c0
-		}
-	}
-}
-
-// syrkRowRange accumulates the column slice [a, a+kc) into columns [j0, j1)
-// of C row i from a zeroed accumulator — the scalar edge path of the AVX2
-// driver (diagonal approach strips and n%8 column tails). Its per-entry
-// operation sequence is identical to syrkRowSingle's.
-func syrkRowRange(z []float64, n, ld int, c []float64, i, a, kc, j0, j1 int, store bool) {
-	av := z[i*ld+a : i*ld+a+kc : i*ld+a+kc]
-	ci := c[i*n : (i+1)*n]
-	for j := j0; j < j1; j++ {
-		b := z[j*ld+a : j*ld+a+kc : j*ld+a+kc]
-		var acc float64
-		if i == j {
-			for t := 0; t < kc; t++ {
-				v := av[t]
-				acc += v * v
-			}
-		} else {
-			for t := 0; t < kc; t++ {
-				acc += av[t] * b[t]
-			}
-		}
-		if store {
-			ci[j] = acc
-		} else {
-			ci[j] += acc
 		}
 	}
 }

@@ -187,14 +187,10 @@ const syrkPanelBudget = 1 << 23
 // starve.
 func SyrkUpperWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, z []float64, n, ld, l int, c []float64) error {
 	panels := (l + kernel.PanelLen - 1) / kernel.PanelLen
-	nb := panels - 1 // private bands needed beyond the direct-to-c panel 0
-	if mb := syrkPanelBudget / max(n*n, 1); nb > mb {
-		nb = mb
-	}
-	if wk := pool.Workers() - 1; nb > wk {
-		nb = wk
-	}
-	if nb <= 0 || n >= 1024 {
+	workers := pool.Workers()
+	// One private band per worker; panel 0 goes straight into c.
+	nb := min(panels-1, workers, syrkPanelBudget/max(n*n, 1))
+	if workers < 2 || nb <= 0 || n >= 1024 {
 		// RowBandGrain (not 8) so the vector backend's per-call panel
 		// packing amortizes over tall bands; with one worker ForBlocked
 		// runs bands of exactly the grain, so a small grain would repack
@@ -214,13 +210,14 @@ func SyrkUpperWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, z []floa
 	}()
 	for base := 0; base < panels; {
 		// One wave: the first wave computes panel 0 straight into c plus up
-		// to nb later panels into private bands; subsequent waves fill all nb
-		// bands. Then the wave's bands fold into c in ascending panel order,
-		// row-band parallel (disjoint rows, fixed per-entry add order).
+		// to workers−1 later panels into private bands; later waves run up
+		// to one panel per worker, each into a band. Then the wave's bands
+		// fold into c in ascending panel order, row-band parallel (disjoint
+		// rows, fixed per-entry add order).
 		wave := min(nb, panels-base)
 		first := base == 0
 		if first {
-			wave = min(nb+1, panels)
+			wave = min(nb+1, workers, panels)
 		}
 		err := pool.ForGrain(ctx, wave, 1, func(q int) {
 			p := base + q

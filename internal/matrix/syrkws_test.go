@@ -56,12 +56,18 @@ func TestSyrkUpperWSWorkersBitIdentical(t *testing.T) {
 
 // BenchmarkSyrkParallel sweeps the panel-parallel SYRK across worker
 // budgets at the acceptance shape (n=512, T=4096 → 8 KC-panels, so
-// Workers:8 assigns one panel per worker). On multi-core hosts the sweep
-// measures parallel wall-clock scaling; on a single-core host (like the CI
-// bench smoke) the Workers>1 entries measure the private-band fold overhead
-// instead.
+// Workers:8 assigns one panel per worker) and at the streaming moment
+// rebuild's shape (n=256, T=2048 → 4 panels: two waves of two on two
+// workers). On multi-core hosts the sweep measures parallel wall-clock
+// scaling; on a single-core host (like the CI bench smoke) the Workers>1
+// entries measure the private-band fold overhead instead.
 func BenchmarkSyrkParallel(b *testing.B) {
-	const n, l = 512, 4096
+	for _, sh := range []struct{ n, l int }{{512, 4096}, {256, 2048}} {
+		benchSyrkParallel(b, sh.n, sh.l)
+	}
+}
+
+func benchSyrkParallel(b *testing.B, n, l int) {
 	z := make([]float64, n*l)
 	rng := rand.New(rand.NewSource(42))
 	for i := range z {

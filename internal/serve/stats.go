@@ -18,8 +18,9 @@ import (
 // changes; removals and renames are not allowed.
 type StatsSnapshot struct {
 	// KernelISA is the compute-kernel backend this process selected at init
-	// ("avx2" or "scalar") — operational metadata, not a correctness signal:
-	// both backends are bit-identical in float64.
+	// ("avx512", "avx2" or "scalar", see pfg.KernelISA) — operational
+	// metadata, not a correctness signal: all backends are bit-identical in
+	// float64.
 	KernelISA string `json:"kernel_isa"`
 
 	Sessions        int    `json:"sessions"`

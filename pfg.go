@@ -661,10 +661,11 @@ func TMFG(sim *Matrix, prefix int) (edges [][2]int32, weight float64, err error)
 const DefaultRebuildEvery = stream.DefaultRebuildEvery
 
 // KernelISA reports which compute-kernel backend this process selected at
-// init: "avx2" on amd64 hosts with AVX2 (unless built with -tags purego),
-// "scalar" otherwise. Both backends produce bit-identical float64 results;
-// the name is operational metadata for logs and /statsz, not a correctness
-// signal.
+// init: "avx512" on amd64 hosts with AVX-512F (the SYRK runs its 4×16
+// AVX-512 tile; every other kernel its AVX2 form), "avx2" on other amd64
+// hosts with AVX2, "scalar" otherwise or when built with -tags purego. All
+// backends produce bit-identical float64 results; the name is operational
+// metadata for logs and /statsz, not a correctness signal.
 func KernelISA() string { return kernel.ISA() }
 
 // ErrClosed is the sentinel returned by Push, Snapshot, SnapshotGen, and
