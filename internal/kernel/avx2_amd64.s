@@ -10,7 +10,12 @@
 //     the scalar oracle computes.
 //   - Operand order mirrors the scalar source order (src1 of every
 //     VADDPD/VSUBPD/VMULPD is the operand the scalar code names first), so
-//     NaN payload propagation matches bit-for-bit.
+//     a single NaN operand propagates its payload as the scalar code does.
+//     When two NaNs of different payloads meet in one add or multiply, the
+//     payload kept is src1's here but depends on the compiler's operand
+//     order in the scalar core (Go may swap the operands of a commutative
+//     float op); the SYRK fold is such a case. No caller reaches it:
+//     Pearson and the streaming engine reject NaN samples.
 //   - VMAXPD/VMINPD are used with the "returns src2 on NaN / on equal"
 //     Intel semantics arranged so NaN inputs and signed zeros take the same
 //     path as the scalar comparisons they replace.
@@ -164,7 +169,10 @@ tilestore:
 // 16-column B sliver bp[t*16 : t*16+16], row r in Z(2r), Z(2r+1). The same
 // rules hold lane by lane — broadcast a as the first multiply operand,
 // VMULPD then VADDPD with the accumulator first, C first in the fold — so
-// every lane is the chain syrkTile4x8 and the scalar core compute.
+// every lane is the chain syrkTile4x8 and the scalar core compute. Every
+// instruction is AVX-512F: the accumulators are zeroed with VPXORQ, because
+// the EVEX form of VXORPD needs AVX-512DQ, so CPUID.7.0:EBX[16] is the
+// whole CPU rule (Knights Landing has F without DQ).
 TEXT ·syrkTile4x16(SB), NOSPLIT, $0-49
 	MOVQ a+0(FP), DI
 	MOVQ lda8+8(FP), R8
@@ -172,14 +180,14 @@ TEXT ·syrkTile4x16(SB), NOSPLIT, $0-49
 	LEAQ (R9)(R8*1), R10 // 3*lda8
 	MOVQ bp+16(FP), SI
 	MOVQ kc+24(FP), CX
-	VXORPD Z0, Z0, Z0
-	VXORPD Z1, Z1, Z1
-	VXORPD Z2, Z2, Z2
-	VXORPD Z3, Z3, Z3
-	VXORPD Z4, Z4, Z4
-	VXORPD Z5, Z5, Z5
-	VXORPD Z6, Z6, Z6
-	VXORPD Z7, Z7, Z7
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
 
 tile16loop:
 	VMOVUPD (SI), Z8   // B[t][0:8]

@@ -14,7 +14,8 @@ var useAVX2 = detectAVX2()
 // (syrkTile4x16) when the CPU has AVX-512F (CPUID.7.0:EBX[16]) and the OS
 // saves the opmask and full ZMM state (XGETBV(0) & 0xE6 == 0xE6: XMM, YMM,
 // opmask, ZMM0–15 upper halves, ZMM16–31), 8 (syrkTile4x8) on other AVX2
-// hosts, 0 without AVX2. Every other kernel keeps its AVX2 form.
+// hosts, 0 without AVX2. The 4×16 tile uses only AVX-512F instructions, so
+// no other AVX-512 subset is checked. Every other kernel keeps its AVX2 form.
 var syrkW = detectSyrkW()
 
 func detectAVX2() bool {

@@ -188,8 +188,9 @@ const syrkPanelBudget = 1 << 23
 func SyrkUpperWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace, z []float64, n, ld, l int, c []float64) error {
 	panels := (l + kernel.PanelLen - 1) / kernel.PanelLen
 	workers := pool.Workers()
-	// One private band per worker; panel 0 goes straight into c.
-	nb := min(panels-1, workers, syrkPanelBudget/max(n*n, 1))
+	// Private bands for the widest wave: the first wave's panels after
+	// panel 0 (which goes straight into c), or a later wave's panels.
+	nb := min(max(min(workers, panels)-1, min(workers, panels-workers)), syrkPanelBudget/max(n*n, 1))
 	if workers < 2 || nb <= 0 || n >= 1024 {
 		// RowBandGrain (not 8) so the vector backend's per-call panel
 		// packing amortizes over tall bands; with one worker ForBlocked
